@@ -38,6 +38,7 @@ from .temporal import (
     half_wave,
     hwp_matrix,
     initial_state,
+    kraus_operators,
     quarter_wave,
     qwp_matrix,
     run_scheme,

@@ -175,14 +175,12 @@ def affine_from_outputs(rho_h, rho_v, rho_p, rho_r) -> StokesChannel:
     return StokesChannel(m, b)
 
 
+_PROBES = np.column_stack((JONES_H, JONES_V, JONES_P, JONES_R))
+
+
 def extract_channel(config: SchemeConfig) -> StokesChannel:
-    """Affine Stokes map of a scheme, from four probe propagations."""
-    return affine_from_outputs(
-        run_scheme(config, JONES_H),
-        run_scheme(config, JONES_V),
-        run_scheme(config, JONES_P),
-        run_scheme(config, JONES_R),
-    )
+    """Affine Stokes map of a scheme: its h, v, p, r outputs from one propagation."""
+    return affine_from_outputs(*run_scheme(config, _PROBES))
 
 
 def analytic_scheme2_dop(theta_deg: float, s1: float) -> float:
@@ -216,7 +214,7 @@ def mutually_unbiased_triad(s1_target: float):
     """
     s1 = float(s1_target)
     limit = 1.0 / np.sqrt(3.0)
-    if abs(s1) > limit + 1e-12:
+    if not abs(s1) <= limit + 1e-12:
         raise ValueError(f"|s1| = {abs(s1)!r} exceeds 1/sqrt(3); no such triad of bases exists")
     r = np.sqrt(max(1.0 - s1 * s1, 0.0))
     triad = []

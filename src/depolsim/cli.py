@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 
@@ -36,6 +37,9 @@ from .temporal import SchemeConfig, run_scheme
 from .tomography import ConvergenceError, process_fidelity, qpt, qst_mle
 
 QPT_INPUT_LABELS = ("h", "v", "p", "r")
+
+# largest theta grid and largest sphere sample count a command accepts
+MAX_POINTS = 1_000_000
 
 
 class CliError(Exception):
@@ -59,19 +63,18 @@ def _parse_theta_range(text: str) -> list[float]:
         start, stop, step = (float(p) for p in parts)
     except ValueError:
         raise CliError(f"theta range must be numeric, got {text!r}") from None
+    if not all(math.isfinite(x) for x in (start, stop, step)):
+        raise CliError(f"theta range must be finite, got {text!r}")
     if step <= 0:
         raise CliError("theta range step must be positive")
     if start > stop:
         raise CliError("theta range start must not exceed stop")
-    thetas = []
-    k = 0
-    while True:
-        value = start + k * step
-        if value > stop + 1e-9:
-            break
-        thetas.append(value)
-        k += 1
-    return thetas
+    span = (stop + 1e-9 - start) / step
+    if not span < MAX_POINTS:
+        raise CliError(f"theta range has more than {MAX_POINTS} points")
+    # int(span) + 1 points up to rounding: one more candidate absorbs it, and values grow with k
+    candidates = (start + k * step for k in range(int(span) + 2))
+    return [v for v in candidates if v <= stop + 1e-9]
 
 
 def _load_scheme(name: str, theta_deg, gamma: float) -> SchemeConfig:
@@ -122,11 +125,11 @@ def cmd_sweep(args) -> str:
         raise CliError("sweep needs a named scheme (a config file has no angle knob)")
     thetas = _parse_theta_range(args.theta_range)
     inputs = _parse_inputs(args.inputs)
+    stack = np.column_stack([jones for _, jones in inputs])
     lines = ["theta_deg,input,s1,s2,s3,dop"]
     for theta in thetas:
-        config = build_scheme(args.scheme, theta, coherence=args.gamma)
-        for name, jones in inputs:
-            rho = run_scheme(config, jones)
+        rhos = run_scheme(build_scheme(args.scheme, theta, coherence=args.gamma), stack)
+        for (name, _), rho in zip(inputs, rhos):
             s = stokes_from_density(rho)
             lines.append(
                 f"{_fmt(theta)},{name},{_fmt(s[0])},{_fmt(s[1])},{_fmt(s[2])},{_fmt(dop(rho))}"
@@ -135,8 +138,8 @@ def cmd_sweep(args) -> str:
 
 
 def cmd_map(args) -> str:
-    if args.samples < 3:
-        raise CliError("need at least 3 surface samples")
+    if not 3 <= args.samples <= MAX_POINTS:
+        raise CliError(f"surface samples must lie in [3, {MAX_POINTS}]")
     config = _load_scheme(args.scheme, args.theta, args.gamma)
     channel = extract_channel(config)
     points = fibonacci_sphere(args.samples) @ channel.m.T + channel.b
@@ -147,14 +150,15 @@ def cmd_map(args) -> str:
         "channel": channel.to_json(),
         "points": [[float(x) for x in row] for row in points],
     }
-    return json.dumps(report, indent=2, sort_keys=True) + "\n"
+    return json.dumps(report, indent=2, sort_keys=True, allow_nan=False) + "\n"
 
 
 def cmd_tomo(args) -> str:
     if args.shots < 1:
         raise CliError("shots must be >= 1")
     config = _load_scheme(args.scheme, args.theta, args.gamma)
-    true_outputs = {lbl: run_scheme(config, JONES_STATES[lbl]) for lbl in QPT_INPUT_LABELS}
+    stack = np.column_stack([JONES_STATES[lbl] for lbl in QPT_INPUT_LABELS])
+    true_outputs = dict(zip(QPT_INPUT_LABELS, run_scheme(config, stack)))
     chi_theory = qpt(*(true_outputs[lbl] for lbl in QPT_INPUT_LABELS))
 
     reconstructed = {}
@@ -174,7 +178,7 @@ def cmd_tomo(args) -> str:
         "chi": chi_hat.to_json(),
         "chi_theory": chi_theory.to_json(),
     }
-    return json.dumps(report, indent=2, sort_keys=True) + "\n"
+    return json.dumps(report, indent=2, sort_keys=True, allow_nan=False) + "\n"
 
 
 def cmd_compare(args) -> str:
@@ -184,11 +188,12 @@ def cmd_compare(args) -> str:
         (1.0 / 3.0, jones_from_stokes([1.0 / np.sqrt(3.0), np.sqrt(2.0 / 3.0), 0.0])),
         (1.0, JONES_STATES["h"]),
     ]
+    stack = np.column_stack([jones for _, jones in probes])
     lines = ["theta_deg,s1_sq,dop_engine,dop_analytic,abs_diff"]
     for theta in thetas:
-        config = build_scheme("scheme2", theta)
-        for s1_sq, jones in probes:
-            d_engine = dop(run_scheme(config, jones))
+        rhos = run_scheme(build_scheme("scheme2", theta), stack)
+        for (s1_sq, _), rho in zip(probes, rhos):
+            d_engine = dop(rho)
             d_analytic = analytic_scheme2_dop(theta, np.sqrt(s1_sq))
             lines.append(
                 f"{_fmt(theta)},{_fmt(s1_sq)},{_fmt(d_engine)},{_fmt(d_analytic)},"

@@ -59,7 +59,7 @@ def as_jones(vec) -> np.ndarray:
     """Coerce to a normalized complex 2-vector, raising if the norm is off."""
     j = np.asarray(vec, dtype=complex).reshape(2)
     norm2 = float(np.vdot(j, j).real)
-    if abs(norm2 - 1.0) > NORM_ATOL:
+    if not abs(norm2 - 1.0) <= NORM_ATOL:
         raise ValueError(f"Jones vector is not normalized: |j|^2 = {norm2!r}")
     return j
 
@@ -84,7 +84,7 @@ def density_from_stokes(s) -> np.ndarray:
     """
     s = np.asarray(s, dtype=float).reshape(3)
     norm = float(np.linalg.norm(s))
-    if norm > 1.0 + NORM_ATOL:
+    if not norm <= 1.0 + NORM_ATOL:
         raise ValueError(f"Stokes vector of length {norm!r} lies outside the unit ball")
     rho = IDENTITY.copy()
     for si, sigma in zip(s, SIGMAS):
@@ -99,7 +99,7 @@ def jones_from_stokes(s, atol: float = 1e-6) -> np.ndarray:
     norm 1 within `atol`.
     """
     s = np.asarray(s, dtype=float).reshape(3)
-    if abs(np.linalg.norm(s) - 1.0) > atol:
+    if not abs(np.linalg.norm(s) - 1.0) <= atol:
         raise ValueError("only unit Stokes vectors correspond to pure states")
     rho = density_from_stokes(s / np.linalg.norm(s))
     vals, vecs = np.linalg.eigh(rho)

@@ -2,7 +2,7 @@ import json
 
 import numpy as np
 
-from depolsim.cli import main
+from depolsim.cli import MAX_POINTS, _parse_theta_range, main
 from depolsim.channels import ISOTROPIC_POINT_DEG
 
 
@@ -201,3 +201,41 @@ def test_gamma_flag_threads_through(tmp_path, capsys):
     assert code == 0
     _, rows = read_rows(out)
     assert abs(float(rows[0][5]) - 0.5) < 1e-12
+
+
+def test_malformed_scheme_files_exit_2(tmp_path, capsys):
+    docs = {
+        "nan_angle": '{"elements": [{"kind": "crystal", "angle_deg": NaN, "delay_bins": 1}]}',
+        "no_delay": '{"elements": [{"kind": "crystal", "angle_deg": 0.0}]}',
+        "elements_not_a_list": '{"elements": 5}',
+        "infinite_delay": '{"elements": [{"kind": "crystal", "angle_deg": 0.0, "delay_bins": 1e400}]}',
+    }
+    for name, text in docs.items():
+        path = tmp_path / f"{name}.json"
+        path.write_text(text)
+        for command in (["map", "--samples", "10"], ["tomo", "--shots", "100"]):
+            code, out, err = run_cli([command[0], "--scheme", str(path), *command[1:]], capsys)
+            assert code == 2 and out == "", name
+            assert "error" in json.loads(err)
+
+
+def test_unbounded_and_non_finite_grids_are_rejected(capsys):
+    for args in (
+        ["sweep", "--scheme", "scheme1", "--theta-range", "0:inf:1"],
+        ["sweep", "--scheme", "scheme1", "--theta-range", "nan:1:1"],
+        ["sweep", "--scheme", "scheme1", "--theta-range", "0:1:inf"],
+        ["sweep", "--scheme", "scheme1", "--theta-range", "0:1e7:1"],
+        ["sweep", "--scheme", "scheme1", "--theta-range", "0:1e308:1e-308"],
+        ["compare", "--theta-range", "0:1:1e-9"],
+        ["map", "--scheme", "lyot", "--samples", "1000001"],
+        ["sweep", "--scheme", "scheme1", "--theta-range", "0:1:1", "--inputs", "nan,0,0"],
+        ["sweep", "--scheme", "scheme1", "--theta-range", "0:1:1", "--inputs", "triad:nan"],
+    ):
+        code, out, err = run_cli(args, capsys)
+        assert code == 2 and out == "", args
+        assert "error" in json.loads(err)
+
+
+def test_theta_grid_cap_and_endpoint_rounding():
+    assert len(_parse_theta_range("0:999999:1")) == MAX_POINTS
+    assert _parse_theta_range("0:0.3:0.1") == [0.0, 0.1, 0.2, 0.30000000000000004]
