@@ -69,7 +69,6 @@ from .tomography import (
     CHI_BASIS,
     CHI_BASIS_LABELS,
     ChiMatrix,
-    ConvergenceError,
     LinearEstimate,
     apply_chi,
     channel_from_chi,

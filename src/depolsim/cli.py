@@ -34,7 +34,7 @@ from .channels import (
 from .measurement import sample_counts
 from .polarization import JONES_STATES, dop, jones_from_stokes, stokes_from_density
 from .temporal import SchemeConfig, run_scheme
-from .tomography import ConvergenceError, process_fidelity, qpt, qst_mle
+from .tomography import process_fidelity, qpt, qst_mle
 
 QPT_INPUT_LABELS = ("h", "v", "p", "r")
 
@@ -250,7 +250,9 @@ def main(argv=None) -> int:
                 fh.write(text)
         else:
             sys.stdout.write(text)
-    except (CliError, ValueError, OSError, ConvergenceError) as exc:
+    except SystemExit:  # --help printed the usage; parse errors raise CliError instead
+        return 0
+    except (CliError, ValueError, OSError) as exc:
         sys.stderr.write(json.dumps({"error": str(exc)}) + "\n")
         return 2
     return 0

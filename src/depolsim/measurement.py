@@ -49,7 +49,10 @@ class MeasurementRecord:
             raise ValueError("shots must be >= 1")
 
     def count(self, label: str) -> int:
-        return int(self.counts[self.settings.index(label)])
+        """Counts of `label`, summed over every setting that repeats it."""
+        if label not in self.settings:
+            raise ValueError(f"record has no {label!r} setting")
+        return int(sum(n for lbl, n in zip(self.settings, self.counts.tolist()) if lbl == label))
 
     def to_json(self) -> dict:
         return {

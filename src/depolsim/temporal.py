@@ -63,6 +63,9 @@ MAX_DELAY_BINS = 2**31
 # cross-bin pairs whose kernel weight gamma**(d*d) falls below this are dropped
 KERNEL_FLOOR = 2.0**-60
 
+# most occupied bins a propagation may hold: (B, 2, 2) Kraus operators are 64 MB at 2**20
+MAX_BINS = 2**20
+
 
 def _as_delay(value) -> int:
     try:
@@ -296,9 +299,16 @@ def kraus_operators(config: SchemeConfig) -> tuple[np.ndarray, np.ndarray]:
     (B, 2, 2) complex array whose ops[k] is the Jones matrix K_t taking
     the input into bin t = bins[k].  The gamma = 0 channel is
     rho -> sum_t K_t rho K_t^dagger, and sum_t K_t^dagger K_t = I.
+
+    A crystal at most doubles B, so a crystal step that could take B past
+    MAX_BINS raises ValueError before it allocates anything.
     """
     bins, amps = _IDENTITY_BINS, _IDENTITY_AMPS
     for element in config.elements:
+        if element.kind == CRYSTAL and 2 * len(bins) > MAX_BINS:
+            raise ValueError(
+                f"scheme needs more than {MAX_BINS} occupied time bins ({len(bins)} before a crystal)"
+            )
         bins, amps = _step(bins, amps, element)
     return bins, np.ascontiguousarray(amps.transpose(1, 0, 2))
 

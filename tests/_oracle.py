@@ -1,15 +1,22 @@
-"""Brute-force reference model of the time-bin engine (test-only).
+"""Test-only reference models: a brute-force time-bin engine and a Cholesky-parametrized likelihood.
 
-The time register is a dense lattice of L = 1 + (sum of crystal delays)
-bins, so no amplitude ever leaves it.  Every element acts as a unitary
-on C^2 (x) C^L: a wave plate as J (x) 1, and a crystal as
-P_fast (x) 1 + P_slow (x) S^d with S the cyclic shift by one bin (a
-permutation, hence unitary).  Time is then traced out with the Gaussian
-kernel gamma**(d*d) over every lag d whose weight is nonzero in floating
-point, so nothing is cut off at 2**-60 as in the engine.
+Time-bin engine.  The time register is a dense lattice of
+L = 1 + (sum of crystal delays) bins, so no amplitude ever leaves it.
+Every element acts as a unitary on C^2 (x) C^L: a wave plate as
+J (x) 1, and a crystal as P_fast (x) 1 + P_slow (x) S^d with S the
+cyclic shift by one bin (a permutation, hence unitary).  Time is then
+traced out with the Gaussian kernel gamma**(d*d) over every lag d whose
+weight is nonzero in floating point, so nothing is cut off at 2**-60 as
+in the engine.
 
 It shares no code with ``depolsim.temporal``: no sparse bin index, no
 merging of equal bins, no Kraus operators and no banded contraction.
+
+Likelihood.  The Poisson log-likelihood of a measurement record is
+evaluated setting by setting from the basis states' Jones vectors, and
+over the parametrization rho(T) = T^dag T / tr(T^dag T) with T lower
+triangular, which covers every density matrix.  It shares no code with
+the per-axis closed form in ``depolsim.tomography``.
 """
 
 import numpy as np
@@ -68,3 +75,74 @@ def kernel_trace(psi, gamma):
 
 def output(elements, gamma, jones):
     return kernel_trace(propagate(elements, jones), gamma)
+
+
+# --- Poisson likelihood over every setting ------------------------------
+
+SETTING_STATES = {
+    "h": np.array([1.0, 0.0]),
+    "v": np.array([0.0, 1.0]),
+    "p": np.array([1.0, 1.0]) / np.sqrt(2.0),
+    "m": np.array([-1.0, 1.0]) / np.sqrt(2.0),
+    "r": np.array([1.0, 1.0j]) / np.sqrt(2.0),
+    "l": np.array([1.0j, 1.0]) / np.sqrt(2.0),
+}
+
+
+def setting_projectors(settings):
+    return np.stack([np.outer(SETTING_STATES[lbl], SETTING_STATES[lbl].conj()) for lbl in settings])
+
+
+def log_likelihood(rho, record):
+    """sum_j n_j log p_j - shots sum_j p_j with p_j = tr(rho P_j), taking 0 log 0 = 0."""
+    p = np.einsum("sij,ji->s", setting_projectors(record.settings), np.asarray(rho, dtype=complex)).real
+    counts = record.counts.astype(float)
+    hit = counts > 0
+    if np.any(p[hit] <= 0.0):
+        return -np.inf
+    return float(counts[hit] @ np.log(p[hit]) - record.shots * p.sum())
+
+
+_DT = (
+    np.array([[1, 0], [0, 0]], dtype=complex),
+    np.array([[0, 0], [0, 1]], dtype=complex),
+    np.array([[0, 0], [1, 0]], dtype=complex),
+    np.array([[0, 0], [1j, 0]], dtype=complex),
+)
+
+
+def _t_matrix(t: np.ndarray) -> np.ndarray:
+    return np.array([[t[0], 0.0], [t[2] + 1j * t[3], t[1]]], dtype=complex)
+
+
+def rho_from_params(t) -> np.ndarray:
+    """rho(T) = T^dag T / tr(T^dag T) for the lower-triangular 4-parameter T."""
+    tm = _t_matrix(np.asarray(t, dtype=float))
+    b = tm.conj().T @ tm
+    return b / np.trace(b).real
+
+
+def negative_log_likelihood(t, counts, projectors, shots) -> tuple[float, np.ndarray]:
+    """Poisson negative log-likelihood per recorded count, with gradient.
+
+    The model is counts[j] ~ Poisson(shots * p_j(rho(t))).  The value and
+    gradient are scaled by 1/sum(counts) so the stationarity tolerance is
+    independent of the shot budget.
+    """
+    t = np.asarray(t, dtype=float)
+    tm = _t_matrix(t)
+    b = tm.conj().T @ tm
+    tau = np.trace(b).real
+    rho = b / tau
+    p = np.einsum("sij,ji->s", projectors, rho).real
+    p_safe = np.clip(p, 1e-15, None)
+    scale = max(1.0, float(counts.sum()))
+    value = -(float(counts @ np.log(p_safe)) - shots * float(p.sum())) / scale
+    coeff = counts / p_safe - shots
+    grad = np.empty(4)
+    for k, dt in enumerate(_DT):
+        db = dt.conj().T @ tm + tm.conj().T @ dt
+        drho = (db - rho * np.trace(db).real) / tau
+        dp = np.einsum("sij,ji->s", projectors, drho).real
+        grad[k] = -float(coeff @ dp) / scale
+    return value, grad

@@ -1,9 +1,14 @@
+import contextlib
+import io
 import json
 
 import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from depolsim.cli import MAX_POINTS, _parse_theta_range, main
-from depolsim.channels import ISOTROPIC_POINT_DEG
+from depolsim.channels import ISOTROPIC_POINT_DEG, SCHEME_NAMES
 
 
 def run_cli(args, capsys):
@@ -239,3 +244,82 @@ def test_unbounded_and_non_finite_grids_are_rejected(capsys):
 def test_theta_grid_cap_and_endpoint_rounding():
     assert len(_parse_theta_range("0:999999:1")) == MAX_POINTS
     assert _parse_theta_range("0:0.3:0.1") == [0.0, 0.1, 0.2, 0.30000000000000004]
+
+
+# --- argv fuzzing: every argv exits 0, or 2 with one JSON object on stderr ---
+
+# "@" stands for a scratch directory holding a valid and a malformed scheme file
+SCHEME_ARGS = st.sampled_from(SCHEME_NAMES + ("bogus", "@lyot.json", "@broken.json", "@absent.json", "@"))
+NUMBERS = st.one_of(
+    st.floats(-1e3, 1e3).map(repr),
+    st.sampled_from(["nan", "inf", "-inf", "1e400", "", "x", "0", "1", "0.3", "-1", "0.999999"]),
+)
+COUNTS = st.one_of(st.integers(-10, 1000), st.integers(1, 10**20)).map(str) | st.sampled_from(["", "1.5", "z"])
+SEEDS = st.one_of(st.integers(-5, 2**70), st.just("-0x1"))
+
+
+@st.composite
+def theta_ranges(draw):
+    if draw(st.booleans()):
+        start = draw(st.floats(-360.0, 360.0))
+        step = draw(st.floats(1e-3, 90.0))
+        points = draw(st.integers(0, 1000))
+        return f"{start!r}:{start + points * step!r}:{step!r}"
+    return draw(st.sampled_from(["0:inf:1", "nan:1:1", "1:0:1", "0:1", "0:10:-1", "a:b:c", "0:1e9:1", "::"]))
+
+
+INPUT_TOKENS = st.one_of(
+    st.sampled_from(["h", "v", "p", "m", "r", "l", "w", "", "triad:", "triad:0.2", "triad:-0.5", "triad:1.5",
+                     "1,0,0", "0,0.6,0.8", "2,0,0", "nan,0,0", "1,0", ",", "0,0,0"]),
+    st.tuples(NUMBERS, NUMBERS, NUMBERS).map(",".join),
+    NUMBERS.map(lambda x: "triad:" + x),
+)
+
+FLAGS = {
+    "--scheme": SCHEME_ARGS,
+    "--theta": NUMBERS,
+    "--theta-range": theta_ranges(),
+    "--gamma": NUMBERS,
+    "--samples": st.one_of(st.integers(-5, 1000).map(str), st.sampled_from(["2000000", "1e3", ""])),
+    "--shots": COUNTS,
+    "--seed": SEEDS.map(str),
+    "--out": st.sampled_from(["@out.txt", "@absent/out.txt", "@"]),
+}
+
+
+@st.composite
+def argvs(draw):
+    flags = draw(st.lists(st.sampled_from(sorted(FLAGS)), max_size=6, unique=True))
+    groups = [[flag, draw(FLAGS[flag])] for flag in flags]
+    if draw(st.booleans()):
+        groups.append(["--inputs", *draw(st.lists(INPUT_TOKENS, min_size=1, max_size=4))])
+    junk = draw(st.lists(st.sampled_from(["--exact", "--bogus", "--help", "extra", "--"]), max_size=2))
+    groups += [[token] for token in junk]
+    command = draw(st.sampled_from(["sweep", "map", "tomo", "compare", "bogus", "-h"]))
+    return [command] + [token for group in draw(st.permutations(groups)) for token in group]
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    root = tmp_path_factory.mktemp("fuzz")
+    lyot = {"elements": [{"kind": "crystal", "angle_deg": 0.0, "delay_bins": 1},
+                         {"kind": "crystal", "angle_deg": 45.0, "delay_bins": 2}]}
+    (root / "lyot.json").write_text(json.dumps(lyot))
+    (root / "broken.json").write_text('{"elements": [{"kind": "crystal"}')
+    return str(root) + "/"
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(argv=argvs())
+def test_fuzzed_argv_exits_0_or_2_with_a_json_error(fuzz_dir, argv):
+    argv = [token.replace("@", fuzz_dir) for token in argv]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 2), argv
+    if code == 2:
+        assert out.getvalue() == "", argv
+        assert err.getvalue().endswith("\n") and err.getvalue().count("\n") == 1, argv
+        assert isinstance(json.loads(err.getvalue())["error"], str), argv
+    else:
+        assert err.getvalue() == "", argv

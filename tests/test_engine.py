@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+from depolsim import temporal
 from depolsim.channels import affine_from_outputs, extract_channel
 from depolsim.polarization import JONES_H, JONES_P, JONES_R, JONES_V, density_from_jones, stokes_from_density
 from depolsim.temporal import (
@@ -18,6 +19,7 @@ from depolsim.temporal import (
     run_scheme,
     unitary_element,
 )
+from depolsim.cli import main
 import _oracle
 from _helpers import random_pure_jones, random_unitary
 
@@ -147,6 +149,21 @@ def test_elements_reject_non_finite_and_fractional_values():
     assert crystal(0.0, 3.0).delay_bins == 3
     with pytest.raises(ValueError, match="unitary"):
         OpticalElement("unitary", unitary=np.full((2, 2), np.nan))
+
+
+def test_occupied_bin_cap(monkeypatch, tmp_path, capsys):
+    # delays 2**k with generic axes double the occupied bins at every crystal
+    chain = SchemeConfig(tuple(crystal(10.0 * k, 2**k) for k in range(5)))
+    monkeypatch.setattr(temporal, "MAX_BINS", 8)
+    bins, _ = kraus_operators(SchemeConfig(chain.elements[:3]))
+    assert len(bins) == 8
+    with pytest.raises(ValueError, match="occupied time bins"):
+        kraus_operators(chain)
+    path = tmp_path / "chain.json"
+    path.write_text(json.dumps(chain.to_json()))
+    assert main(["map", "--scheme", str(path), "--samples", "10"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "occupied time bins" in json.loads(captured.err)["error"]
 
 
 @pytest.mark.parametrize(
