@@ -166,10 +166,7 @@ def affine_from_outputs(rho_h, rho_v, rho_p, rho_r) -> StokesChannel:
     outputs give the S2 and S3 columns.  Linearity of the channel in rho
     makes four inputs sufficient.
     """
-    s_h = stokes_from_density(rho_h)
-    s_v = stokes_from_density(rho_v)
-    s_p = stokes_from_density(rho_p)
-    s_r = stokes_from_density(rho_r)
+    s_h, s_v, s_p, s_r = stokes_from_density(np.array((rho_h, rho_v, rho_p, rho_r), dtype=complex))
     b = (s_h + s_v) / 2.0
     m = np.column_stack([s_h - b, s_p - b, s_r - b])
     return StokesChannel(m, b)

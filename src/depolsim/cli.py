@@ -41,6 +41,10 @@ QPT_INPUT_LABELS = ("h", "v", "p", "r")
 # largest theta grid and largest sphere sample count a command accepts
 MAX_POINTS = 1_000_000
 
+# angles propagated in one engine batch by sweep and compare; bounds their memory (a 90 001-angle
+# isotropic_triple sweep peaked at ~1 GB as one batch, 111 MB in chunks of 1024)
+THETA_CHUNK = 1024
+
 
 class CliError(Exception):
     pass
@@ -120,21 +124,46 @@ def fibonacci_sphere(n: int) -> np.ndarray:
     return np.column_stack([radius * np.cos(azimuth), radius * np.sin(azimuth), z])
 
 
+def _theta_chunks(thetas: list[float]):
+    """The angle grid in slices of at most THETA_CHUNK, so one batch bounds the engine's memory."""
+    for lo in range(0, len(thetas), THETA_CHUNK):
+        yield thetas[lo : lo + THETA_CHUNK]
+
+
 def cmd_sweep(args) -> str:
     if args.scheme not in SCHEME_NAMES:
         raise CliError("sweep needs a named scheme (a config file has no angle knob)")
     thetas = _parse_theta_range(args.theta_range)
     inputs = _parse_inputs(args.inputs)
+    names = [name for name, _ in inputs]
     stack = np.column_stack([jones for _, jones in inputs])
     lines = ["theta_deg,input,s1,s2,s3,dop"]
-    for theta in thetas:
-        rhos = run_scheme(build_scheme(args.scheme, theta, coherence=args.gamma), stack)
-        for (name, _), rho in zip(inputs, rhos):
-            s = stokes_from_density(rho)
-            lines.append(
-                f"{_fmt(theta)},{name},{_fmt(s[0])},{_fmt(s[1])},{_fmt(s[2])},{_fmt(dop(rho))}"
-            )
+    for chunk in _theta_chunks(thetas):
+        rhos = run_scheme([build_scheme(args.scheme, theta, coherence=args.gamma) for theta in chunk], stack)
+        stokes, dops = stokes_from_density(rhos).tolist(), dop(rhos).tolist()
+        for theta, s_theta, d_theta in zip(chunk, stokes, dops):
+            t = _fmt(theta)
+            for name, s, d in zip(names, s_theta, d_theta):
+                lines.append(f"{t},{name},{s[0]:.12g},{s[1]:.12g},{s[2]:.12g},{d:.12g}")
     return "\n".join(lines) + "\n"
+
+
+# one mapped sphere point in json.dumps(indent=2) layout, as the value of a top-level key
+_POINT_ROW = "    [\n      %r,\n      %r,\n      %r\n    ]"
+
+
+def _points_json(points: np.ndarray) -> str:
+    """An (n, 3) float array as json.dumps(points.tolist(), indent=2) renders it one level deep.
+
+    json writes a finite float with float.__repr__, so formatting every
+    value with repr gives the same bytes without the pure-Python encoder
+    that indent forces; non-finite values raise ValueError, as with
+    allow_nan=False.
+    """
+    if not np.isfinite(points).all():
+        raise ValueError("Out of range float values are not JSON compliant")
+    rows = ",\n".join([_POINT_ROW] * len(points)) % tuple(points.ravel().tolist())
+    return "[\n" + rows + "\n  ]"
 
 
 def cmd_map(args) -> str:
@@ -148,9 +177,12 @@ def cmd_map(args) -> str:
         "theta_deg": args.theta,
         "n_samples": args.samples,
         "channel": channel.to_json(),
-        "points": [[float(x) for x in row] for row in points],
+        "points": [],
     }
-    return json.dumps(report, indent=2, sort_keys=True, allow_nan=False) + "\n"
+    text = json.dumps(report, indent=2, sort_keys=True, allow_nan=False)
+    # a '"' inside a JSON string is escaped, so the key itself is the only match
+    head, _, tail = text.partition('"points": []')
+    return head + '"points": ' + _points_json(points) + tail + "\n"
 
 
 def cmd_tomo(args) -> str:
@@ -190,15 +222,15 @@ def cmd_compare(args) -> str:
     ]
     stack = np.column_stack([jones for _, jones in probes])
     lines = ["theta_deg,s1_sq,dop_engine,dop_analytic,abs_diff"]
-    for theta in thetas:
-        rhos = run_scheme(build_scheme("scheme2", theta), stack)
-        for (s1_sq, _), rho in zip(probes, rhos):
-            d_engine = dop(rho)
-            d_analytic = analytic_scheme2_dop(theta, np.sqrt(s1_sq))
-            lines.append(
-                f"{_fmt(theta)},{_fmt(s1_sq)},{_fmt(d_engine)},{_fmt(d_analytic)},"
-                f"{_fmt(abs(d_engine - d_analytic))}"
-            )
+    for chunk in _theta_chunks(thetas):
+        dops = dop(run_scheme([build_scheme("scheme2", theta) for theta in chunk], stack)).tolist()
+        for theta, d_theta in zip(chunk, dops):
+            for (s1_sq, _), d_engine in zip(probes, d_theta):
+                d_analytic = analytic_scheme2_dop(theta, np.sqrt(s1_sq))
+                lines.append(
+                    f"{_fmt(theta)},{_fmt(s1_sq)},{_fmt(d_engine)},{_fmt(d_analytic)},"
+                    f"{_fmt(abs(d_engine - d_analytic))}"
+                )
     return "\n".join(lines) + "\n"
 
 

@@ -82,10 +82,21 @@ def projector(label: str) -> np.ndarray:
     return (IDENTITY + sign * SIGMAS[axis]) / 2.0
 
 
+# the six projectors as one read-only (6, 2, 2) stack, in DEFAULT_SETTINGS order
+_PROJECTORS = np.stack([projector(label) for label in DEFAULT_SETTINGS])
+_PROJECTORS.flags.writeable = False
+_PROJECTOR_INDEX = {label: k for k, label in enumerate(DEFAULT_SETTINGS)}
+
+
 def probabilities(rho, settings=DEFAULT_SETTINGS) -> np.ndarray:
-    """Born-rule probabilities tr(rho P_j) for each setting."""
+    """Born-rule probabilities tr(rho P_j) for each setting, from one stacked product."""
     rho = np.asarray(rho, dtype=complex)
-    p = np.array([np.trace(rho @ projector(lbl)).real for lbl in settings])
+    try:
+        index = [_PROJECTOR_INDEX[label] for label in settings]
+    except KeyError as exc:
+        raise ValueError(f"unknown projector label {exc.args[0]!r}") from None
+    products = rho @ _PROJECTORS
+    p = (products[:, 0, 0] + products[:, 1, 1]).real[index]
     return np.clip(p, 0.0, 1.0)
 
 

@@ -71,9 +71,21 @@ def density_from_jones(j) -> np.ndarray:
 
 
 def stokes_from_density(rho) -> np.ndarray:
-    """Stokes vector (S1, S2, S3) of a density matrix, S_i = tr(rho SIGMA_i)."""
+    """Stokes vector (S1, S2, S3) of a density matrix, S_i = tr(rho SIGMA_i).
+
+    Also takes a (..., 2, 2) stack and returns the (..., 3) Stokes vectors.
+    The traces are read off the entries: S1 = Re rho00 - Re rho11,
+    S2 = Re rho01 + Re rho10 and S3 = Im rho10 - Im rho01.
+    """
     rho = np.asarray(rho, dtype=complex)
-    return np.array([np.trace(rho @ s).real for s in SIGMAS])
+    if rho.shape[-2:] != (2, 2):
+        raise ValueError(f"density matrices must be 2x2, got shape {rho.shape}")
+    re, im = rho.real, rho.imag
+    s = np.empty(rho.shape[:-2] + (3,))
+    np.subtract(re[..., 0, 0], re[..., 1, 1], out=s[..., 0])
+    np.add(re[..., 0, 1], re[..., 1, 0], out=s[..., 1])
+    np.subtract(im[..., 1, 0], im[..., 0, 1], out=s[..., 2])
+    return s
 
 
 def density_from_stokes(s) -> np.ndarray:
@@ -124,15 +136,17 @@ def check_density(rho, name: str = "rho") -> np.ndarray:
     return rho
 
 
-def dop(rho) -> float:
+def dop(rho):
     """Degree of polarization: the length of the Stokes vector, in [0, 1].
 
+    A float for one density matrix, an array for a (..., 2, 2) stack.
     Computed from the Stokes components rather than via sqrt(1 - 4 det rho);
     the two agree analytically, but the determinant form loses half the
     significant digits near D = 0 where the radicand cancels.
     """
-    d = float(np.linalg.norm(stokes_from_density(rho)))
-    return min(d, 1.0)
+    s = stokes_from_density(rho)
+    d = np.minimum(np.sqrt(np.vecdot(s, s)), 1.0)
+    return float(d) if d.ndim == 0 else d
 
 
 def dop_from_determinant(rho) -> float:

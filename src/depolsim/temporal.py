@@ -38,6 +38,7 @@ Conventions fixed here:
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass
@@ -65,6 +66,9 @@ KERNEL_FLOOR = 2.0**-60
 
 # most occupied bins a propagation may hold: (B, 2, 2) Kraus operators are 64 MB at 2**20
 MAX_BINS = 2**20
+
+# crystal merge plans are memoized for bin arrays up to this length (a few kB per plan)
+_PLAN_CACHE_BINS = 1024
 
 
 def _as_delay(value) -> int:
@@ -176,78 +180,124 @@ class SchemeConfig:
         return cls(elems, coherence=coherence)
 
 
-def hwp_matrix(angle_deg: float) -> np.ndarray:
+def _hwp_entries(angle_deg: float) -> list:
     t = math.radians(angle_deg)
     c, s = math.cos(2 * t), math.sin(2 * t)
-    return np.array([c, s, s, -c], dtype=complex).reshape(2, 2)
+    return [c, s, s, -c]
 
 
-def qwp_matrix(angle_deg: float) -> np.ndarray:
+def _qwp_entries(angle_deg: float) -> list:
     # R(t) diag(1, i) R(-t), multiplied out
     t = math.radians(angle_deg)
     c, s = math.cos(t), math.sin(t)
     off = complex(c * s, -s * c)
-    return np.array([[complex(c * c, s * s), off], [off, complex(s * s, c * c)]])
+    return [complex(c * c, s * s), off, off, complex(s * s, c * c)]
 
 
-def _jones(element: OpticalElement) -> np.ndarray:
+def hwp_matrix(angle_deg: float) -> np.ndarray:
+    return np.array(_hwp_entries(angle_deg), dtype=complex).reshape(2, 2)
+
+
+def qwp_matrix(angle_deg: float) -> np.ndarray:
+    return np.array(_qwp_entries(angle_deg), dtype=complex).reshape(2, 2)
+
+
+def _jones_entries(element: OpticalElement) -> list:
     if element.kind == HWP:
-        return hwp_matrix(element.angle_deg)
+        return _hwp_entries(element.angle_deg)
     if element.kind == QWP:
-        return qwp_matrix(element.angle_deg)
-    return element.unitary
+        return _qwp_entries(element.angle_deg)
+    return element.unitary.ravel().tolist()
 
 
-# The propagation state is (bins, amps): a sorted int64 array of the B
-# occupied bins and a (2, B, m) complex array whose column amps[:, k, n]
-# is the (h, v) amplitude in bin bins[k] of the n-th propagated column
+def _projector_entries(axis_deg: float) -> list:
+    """Rows of the fast projector e_f e_f^T, then of the slow projector e_s e_s^T."""
+    a = math.radians(axis_deg)
+    c, s = math.cos(a), math.sin(a)
+    return [s * s, -s * c, -s * c, c * c, c * c, c * s, c * s, s * s]
+
+
+# The propagation state of a group of configs is (bins, amps): a sorted
+# int64 array of the B bins the group occupies and a (T, 2, B, m) complex
+# array whose column amps[t, :, k, n] is the (h, v) amplitude in bin
+# bins[k] of the n-th propagated column under config t of the group
 # (m = 2 identity columns for Kraus operators, m = 1 for a dict state).
 
 
-def _rotate(amps: np.ndarray, jmat: np.ndarray) -> np.ndarray:
-    """Apply one 2x2 Jones matrix to every bin: a single matrix product."""
-    _, n_bins, m = amps.shape
-    return (jmat @ amps.reshape(2, n_bins * m)).reshape(2, n_bins, m)
+def _element_stack(elements) -> np.ndarray:
+    """Per-config matrices of one element position: (T, 4, 2) projectors or (T, 2, 2) Jones matrices."""
+    if elements[0].kind == CRYSTAL:
+        entries = [x for e in elements for x in _projector_entries(e.angle_deg)]
+        return np.array(entries, dtype=complex).reshape(-1, 4, 2)
+    entries = [x for e in elements for x in _jones_entries(e)]
+    return np.array(entries, dtype=complex).reshape(-1, 2, 2)
 
 
-def _crystal_step(bins: np.ndarray, amps: np.ndarray, axis_deg: float, delay: int):
+def _rotate(amps: np.ndarray, jmats: np.ndarray) -> np.ndarray:
+    """Apply a (T, 2, 2) stack of Jones matrices, jmats[t] to every bin of config t."""
+    n_configs, _, n_bins, m = amps.shape
+    return (jmats @ amps.reshape(n_configs, 2, n_bins * m)).reshape(-1, 2, n_bins, m)
+
+
+def _merge_plan(bins: np.ndarray, delay: int):
+    """Where a crystal sends the bins: (new_bins, order, starts), read-only.
+
+    new_bins are the sorted distinct bins of `bins` followed by
+    `bins + delay`.  If the delayed copies interleave with the occupied
+    bins, `order` sorts that concatenation stably and `starts` indexes the
+    first entry of each run of equal bins, so np.add.reduceat sums the
+    amplitudes meeting in one bin; otherwise order and starts are None.
+    """
+    new_bins = np.concatenate((bins, bins + delay))
+    order = starts = None
+    if len(bins) and delay <= bins[-1] - bins[0]:
+        order = np.argsort(new_bins, kind="stable")
+        new_bins = new_bins[order]
+        first = np.empty(new_bins.shape, dtype=bool)
+        first[:1] = True
+        np.not_equal(new_bins[1:], new_bins[:-1], out=first[1:])
+        starts = np.flatnonzero(first)
+        new_bins = new_bins[starts]
+    for array in (new_bins, order, starts):
+        if array is not None:
+            array.flags.writeable = False
+    return new_bins, order, starts
+
+
+@functools.lru_cache(maxsize=256)
+def _cached_merge_plan(bins_key: bytes, delay: int):
+    # a sweep, an extraction or a tomography run meets the same bins at every angle
+    return _merge_plan(np.frombuffer(bins_key, dtype=np.int64), delay)
+
+
+def _crystal_step(bins: np.ndarray, amps: np.ndarray, projectors: np.ndarray, delay: int):
     """Delay the slow-axis component of every bin by `delay` bins.
 
-    The slow axis is e_s = (cos a, sin a) for axis angle a; the fast-axis
-    component e_f = (-sin a, cos a) keeps its bin.  Both projections come
-    from one matrix product, the slow half is shifted by `delay`, and
-    amplitudes landing in the same output bin are summed (coherently).
-    Bins whose amplitude is exactly zero are dropped.
+    `projectors` is the (T, 4, 2) stack of per-config axis projectors (see
+    `_projector_entries`): for axis angle a the slow axis is
+    e_s = (cos a, sin a), and the fast-axis component e_f = (-sin a, cos a)
+    keeps its bin.  Both projections come from one matrix product, the
+    slow half is shifted by `delay`, and amplitudes landing in the same
+    output bin are summed (coherently).  Bins whose amplitude is exactly
+    zero for every config are dropped.  Returns (bins, amps, occupied):
+    occupied[t, k] says whether bin bins[k] is nonzero for config t, and
+    is None when every config occupies every kept bin.
     """
-    a = math.radians(axis_deg)
-    c, s = math.cos(a), math.sin(a)
-    # rows: the fast projector e_f e_f^T, then the slow projector e_s e_s^T
-    projectors = np.array(
-        [s * s, -s * c, -s * c, c * c, c * c, c * s, c * s, s * s], dtype=complex
-    ).reshape(4, 2)
-    _, n_bins, m = amps.shape
-    split = (projectors @ amps.reshape(2, n_bins * m)).reshape(2, 2, n_bins, m)
-    merged = split.transpose(1, 0, 2, 3).reshape(2, 2 * n_bins, m)
-    bins = np.concatenate((bins, bins + delay))
-    if n_bins and delay <= bins[n_bins - 1] - bins[0]:
-        # the delayed copies interleave with the occupied bins: sort, then sum equal bins
-        order = np.argsort(bins, kind="stable")
-        bins = bins[order]
-        first = np.empty(bins.shape, dtype=bool)
-        first[:1] = True
-        np.not_equal(bins[1:], bins[:-1], out=first[1:])
-        starts = np.flatnonzero(first)
-        bins, merged = bins[starts], np.add.reduceat(merged[:, order], starts, axis=1)
-    occupied = merged.any(axis=(0, 2))
-    if occupied.all():
-        return bins, merged
-    return bins[occupied], merged[:, occupied]
-
-
-def _step(bins: np.ndarray, amps: np.ndarray, element: OpticalElement):
-    if element.kind == CRYSTAL:
-        return _crystal_step(bins, amps, element.angle_deg, element.delay_bins)
-    return bins, _rotate(amps, _jones(element))
+    n_configs, _, n_bins, m = amps.shape
+    split = (projectors @ amps.reshape(n_configs, 2, n_bins * m)).reshape(-1, 2, 2, n_bins, m)
+    merged = split.transpose(0, 2, 1, 3, 4).reshape(-1, 2, 2 * n_bins, m)
+    if n_bins <= _PLAN_CACHE_BINS:
+        bins, order, starts = _cached_merge_plan(bins.tobytes(), delay)
+    else:
+        bins, order, starts = _merge_plan(bins, delay)
+    if order is not None:
+        merged = np.add.reduceat(merged[:, :, order], starts, axis=2)
+    occupied = merged.any(axis=(1, 3))
+    kept = occupied[0] if len(occupied) == 1 else occupied.any(axis=0)
+    if np.count_nonzero(kept) < len(kept):
+        bins, merged, occupied = bins[kept], merged[:, :, kept], occupied[:, kept]
+    all_occupied = len(occupied) == 1 or np.count_nonzero(occupied) == occupied.size
+    return bins, merged, (None if all_occupied else occupied)
 
 
 def _band_halfwidth(gamma: float) -> int:
@@ -284,11 +334,69 @@ def _trace_out(bins: np.ndarray, a: np.ndarray, gamma: float) -> np.ndarray:
     return (rho + rho.conj().transpose(0, 2, 1)) / 2.0
 
 
-# the starting state: the identity in bin 0 (read-only, as wave plates pass `bins` through)
+# the starting state: the identity in bin 0, one copy that every config of a batch broadcasts against
+# (read-only, as wave plates pass `bins` through)
 _IDENTITY_BINS = np.zeros(1, dtype=np.int64)
-_IDENTITY_AMPS = np.eye(2, dtype=complex).reshape(2, 1, 2)
+_IDENTITY_AMPS = np.eye(2, dtype=complex).reshape(1, 2, 1, 2)
 _IDENTITY_BINS.flags.writeable = False
 _IDENTITY_AMPS.flags.writeable = False
+
+
+def _check_batch(configs) -> None:
+    """Raise ValueError unless there are configs and they differ in their angles (and unitaries) only."""
+    if not configs:
+        raise ValueError("run_scheme needs at least one config")
+    first = configs[0]
+    for config in configs:
+        if not isinstance(config, SchemeConfig):
+            raise ValueError(f"a batch holds SchemeConfig objects, got {type(config).__name__}")
+        if config.coherence != first.coherence:
+            raise ValueError("configs in a batch must share their coherence")
+        if len(config.elements) != len(first.elements) or any(
+            e.kind != f.kind or e.delay_bins != f.delay_bins for e, f in zip(config.elements, first.elements)
+        ):
+            raise ValueError("configs in a batch must share their element kinds and crystal delays")
+
+
+def _propagate(configs) -> list:
+    """Push the 2x2 identity through a batch of configs, in groups that occupy the same bins.
+
+    Returns a list of (members, bins, amps): the configs of a group (a
+    slice over the whole batch, or an index array), the sorted bins they
+    occupy and their (len(members), 2, B, 2) amplitudes.  The batch starts
+    as one group, and a crystal that zeroes a bin for some of a group's
+    configs only splits it by occupied bins.  So every config is
+    propagated on exactly the bins of its own single propagation, with
+    matrix products of the same shapes, which keeps the batch
+    bit-identical to one call per config (a BLAS product need not give a
+    column the same bits when the number of columns changes).
+
+    A crystal at most doubles B, so a crystal step that could take B past
+    MAX_BINS raises ValueError before it allocates anything.
+    """
+    groups = [(slice(None), _IDENTITY_BINS, _IDENTITY_AMPS)]
+    for elements in zip(*(config.elements for config in configs)):
+        stack = _element_stack(elements)
+        if elements[0].kind != CRYSTAL:
+            groups = [(members, bins, _rotate(amps, stack[members])) for members, bins, amps in groups]
+            continue
+        stepped = []
+        for members, bins, amps in groups:
+            if 2 * len(bins) > MAX_BINS:
+                raise ValueError(
+                    f"scheme needs more than {MAX_BINS} occupied time bins ({len(bins)} before a crystal)"
+                )
+            bins, amps, occupied = _crystal_step(bins, amps, stack[members], elements[0].delay_bins)
+            if occupied is None:
+                stepped.append((members, bins, amps))
+                continue
+            indices = np.arange(len(configs))[members]
+            patterns, inverse = np.unique(occupied, axis=0, return_inverse=True)
+            for g, pattern in enumerate(patterns):
+                rows = np.flatnonzero(inverse == g)
+                stepped.append((indices[rows], bins[pattern], amps[rows][:, :, pattern]))
+        groups = stepped
+    return groups
 
 
 def kraus_operators(config: SchemeConfig) -> tuple[np.ndarray, np.ndarray]:
@@ -299,31 +407,46 @@ def kraus_operators(config: SchemeConfig) -> tuple[np.ndarray, np.ndarray]:
     (B, 2, 2) complex array whose ops[k] is the Jones matrix K_t taking
     the input into bin t = bins[k].  The gamma = 0 channel is
     rho -> sum_t K_t rho K_t^dagger, and sum_t K_t^dagger K_t = I.
-
-    A crystal at most doubles B, so a crystal step that could take B past
-    MAX_BINS raises ValueError before it allocates anything.
+    Raises ValueError if the scheme needs more than MAX_BINS bins.
     """
-    bins, amps = _IDENTITY_BINS, _IDENTITY_AMPS
-    for element in config.elements:
-        if element.kind == CRYSTAL and 2 * len(bins) > MAX_BINS:
-            raise ValueError(
-                f"scheme needs more than {MAX_BINS} occupied time bins ({len(bins)} before a crystal)"
-            )
-        bins, amps = _step(bins, amps, element)
-    return bins, np.ascontiguousarray(amps.transpose(1, 0, 2))
+    [(_, bins, amps)] = _propagate((config,))
+    return bins.copy(), np.ascontiguousarray(amps[0].transpose(1, 0, 2))
 
 
-def run_scheme(config: SchemeConfig, j) -> np.ndarray:
+def _trace_out_group(bins: np.ndarray, amps: np.ndarray, cols: np.ndarray, gamma: float) -> np.ndarray:
+    """The (T, n, 2, 2) outputs of a group's T configs for the n input columns of `cols`."""
+    n_configs, n_bins = amps.shape[0], len(bins)
+    # ops[t, k] = K_{bins[k]} under config t, and a[t, n, k] = ops[t, k] j_n
+    ops = np.ascontiguousarray(amps.transpose(0, 2, 1, 3)).reshape(n_configs, 2 * n_bins, 2)
+    a = (cols.T @ ops.transpose(0, 2, 1)).reshape(n_configs * cols.shape[1], n_bins, 2)
+    return _trace_out(bins, a, gamma).reshape(n_configs, cols.shape[1], 2, 2)
+
+
+def run_scheme(config, j) -> np.ndarray:
     """Propagate pure inputs through the element list and trace out time.
 
-    `j` is one normalized Jones vector (result: its (2, 2) output density
-    matrix) or a (2, n) stack of them as columns (result: the (n, 2, 2)
-    outputs).  The element list is propagated once for all inputs (see
-    `kraus_operators`), and time is traced out with the scheme's
-    coherence gamma.  Bin pairs whose weight gamma**(d*d) is below
-    2**-60 are dropped, which moves the output by at most B * 2**-60
-    for B occupied bins (see `_trace_out`).
+    `config` is one `SchemeConfig`, or a sequence of T configs that share
+    their element kinds, crystal delays and coherence and differ only in
+    their angles (and unitary matrices); a mismatched batch raises
+    ValueError.  `j` is one normalized Jones vector or a (2, n) stack of
+    them as columns.  The result is the (2, 2) output density matrix, or
+    the (n, 2, 2) outputs for a stack, with a leading axis of length T
+    for a batch: (T, 2, 2) or (T, n, 2, 2).
+
+    The whole batch is propagated at once for all inputs (see
+    `kraus_operators`), in groups of configs that occupy the same bins
+    (one group unless some angle zeroes a bin), so every output is
+    bit-identical to its config's single call.  Time is traced out with
+    the coherence gamma.  Bin pairs whose weight gamma**(d*d) is below
+    2**-60 are dropped, which moves the output by at most B * 2**-60 for
+    B occupied bins (see `_trace_out`).
     """
+    single = isinstance(config, SchemeConfig)
+    if single:
+        configs = (config,)
+    else:
+        configs = tuple(config)
+        _check_batch(configs)
     j = np.asarray(j, dtype=complex)
     if j.ndim == 1:
         cols = as_jones(j)[:, None]
@@ -333,11 +456,17 @@ def run_scheme(config: SchemeConfig, j) -> np.ndarray:
         cols = j
     else:
         raise ValueError(f"inputs must be a Jones vector or a (2, n) stack of them, got shape {j.shape}")
-    bins, ops = kraus_operators(config)
-    # a[n, k] = K_{bins[k]} j_n
-    a = (cols.T @ ops.reshape(2 * len(bins), 2).T).reshape(cols.shape[1], len(bins), 2)
-    rho = _trace_out(bins, a, config.coherence)
-    return rho[0] if j.ndim == 1 else rho
+    gamma = configs[0].coherence
+    outputs = [(members, _trace_out_group(bins, amps, cols, gamma)) for members, bins, amps in _propagate(configs)]
+    if len(outputs) == 1:
+        rho = outputs[0][1]
+    else:
+        rho = np.empty((len(configs), cols.shape[1], 2, 2), dtype=complex)
+        for members, part in outputs:
+            rho[members] = part
+    if j.ndim == 1:
+        rho = rho[:, 0]
+    return rho[0] if single else rho
 
 
 # --- single-wave-packet dict adapters over the same step and trace-out ---
@@ -346,11 +475,11 @@ def run_scheme(config: SchemeConfig, j) -> np.ndarray:
 def _from_state(state: TimeBinState):
     ts = sorted(state)
     amps = np.array([state[t] for t in ts], dtype=complex).reshape(len(ts), 2)
-    return np.array(ts, dtype=np.int64), amps.T.reshape(2, len(ts), 1)
+    return np.array(ts, dtype=np.int64), amps.T.reshape(1, 2, len(ts), 1)
 
 
 def _to_state(bins: np.ndarray, amps: np.ndarray) -> TimeBinState:
-    return dict(zip(bins.tolist(), np.ascontiguousarray(amps[:, :, 0].T)))
+    return dict(zip(bins.tolist(), np.ascontiguousarray(amps[0, :, :, 0].T)))
 
 
 def initial_state(j) -> TimeBinState:
@@ -364,7 +493,8 @@ def total_norm(state: TimeBinState) -> float:
 
 def apply_crystal(state: TimeBinState, axis_deg: float, delay: int) -> TimeBinState:
     """Delay the slow-axis component of every bin by `delay` bins."""
-    return _to_state(*_crystal_step(*_from_state(state), axis_deg, _as_delay(delay)))
+    projectors = np.array(_projector_entries(axis_deg), dtype=complex).reshape(1, 4, 2)
+    return _to_state(*_crystal_step(*_from_state(state), projectors, _as_delay(delay))[:2])
 
 
 def apply_waveplate(state: TimeBinState, kind: str, angle_deg: float) -> TimeBinState:
@@ -380,7 +510,12 @@ def apply_unitary(state: TimeBinState, u) -> TimeBinState:
 
 
 def apply_element(state: TimeBinState, element: OpticalElement) -> TimeBinState:
-    return _to_state(*_step(*_from_state(state), element))
+    bins, amps = _from_state(state)
+    if element.kind == CRYSTAL:
+        bins, amps, _ = _crystal_step(bins, amps, _element_stack((element,)), element.delay_bins)
+    else:
+        amps = _rotate(amps, _element_stack((element,)))
+    return _to_state(bins, amps)
 
 
 def collapse(state: TimeBinState) -> np.ndarray:
@@ -401,4 +536,4 @@ def collapse_with_coherence(state: TimeBinState, gamma: float) -> np.ndarray:
     if not 0.0 <= gamma < 1.0:
         raise ValueError("gamma must lie in [0, 1)")
     bins, amps = _from_state(state)
-    return _trace_out(bins, amps.transpose(2, 1, 0), gamma)[0]
+    return _trace_out(bins, amps[0].transpose(2, 1, 0), gamma)[0]

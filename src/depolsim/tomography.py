@@ -268,16 +268,33 @@ _CHI_FROM_OUTPUTS = _outputs_to_chi()
 _CHI_FROM_OUTPUTS.flags.writeable = False
 
 
+def _chi_maps() -> tuple[np.ndarray, np.ndarray]:
+    """The two constant linear maps of chi, as matrices on the flattened chi.
+
+    (64, 4): kron(vec chi, vec rho) -> vec sum_{m,n} chi[m,n] E_m rho E_n^dag.
+    (16, 4): vec chi -> vec sum_{m,n} chi[m,n] E_n^dag E_m.
+    """
+    basis = np.array(CHI_BASIS)
+    # [m, n, j, k, i, l] = E_m[i, j] conj(E_n[l, k])
+    action = np.einsum("mij,nlk->mnjkil", basis, basis.conj())
+    # [m, n, i, l] = (E_n^dag E_m)[i, l]
+    tp = np.einsum("nji,mjl->mnil", basis.conj(), basis)
+    return action.reshape(64, 4), tp.reshape(16, 4)
+
+
+_CHI_ACTION, _CHI_TP = _chi_maps()
+_CHI_ACTION.flags.writeable = False
+_CHI_TP.flags.writeable = False
+
+
+def _chi_matrix(chi) -> np.ndarray:
+    return chi.matrix if isinstance(chi, ChiMatrix) else np.asarray(chi, dtype=complex)
+
+
 def apply_chi(chi, rho) -> np.ndarray:
-    """Apply the channel sum_{m,n} chi[m,n] E_m rho E_n^dag."""
-    mat = chi.matrix if isinstance(chi, ChiMatrix) else np.asarray(chi, dtype=complex)
-    rho = np.asarray(rho, dtype=complex)
-    out = np.zeros((2, 2), dtype=complex)
-    for m in range(4):
-        for n in range(4):
-            if mat[m, n] != 0:
-                out += mat[m, n] * (CHI_BASIS[m] @ rho @ CHI_BASIS[n].conj().T)
-    return out
+    """Apply the channel sum_{m,n} chi[m,n] E_m rho E_n^dag, as one precomputed contraction."""
+    coeffs = np.multiply.outer(_chi_matrix(chi).reshape(16), np.asarray(rho, dtype=complex).reshape(4))
+    return (coeffs.reshape(64) @ _CHI_ACTION).reshape(2, 2)
 
 
 def qpt(rho_h, rho_v, rho_p, rho_r) -> ChiMatrix:
@@ -322,8 +339,7 @@ def process_fidelity(a, b) -> float:
     Treats the chi matrices as states on the 4-dimensional operator
     space; equals 1 exactly when the channels coincide.
     """
-    mat_a = a.matrix if isinstance(a, ChiMatrix) else np.asarray(a, dtype=complex)
-    mat_b = b.matrix if isinstance(b, ChiMatrix) else np.asarray(b, dtype=complex)
+    mat_a, mat_b = _chi_matrix(a), _chi_matrix(b)
     mat_a = mat_a / np.trace(mat_a).real
     mat_b = mat_b / np.trace(mat_b).real
     root = _sqrtm_psd(mat_a)
@@ -333,11 +349,7 @@ def process_fidelity(a, b) -> float:
 
 def trace_preservation_residual(chi) -> float:
     """Norm of sum_{m,n} chi[m,n] E_n^dag E_m - I (zero for TP channels)."""
-    mat = chi.matrix if isinstance(chi, ChiMatrix) else np.asarray(chi, dtype=complex)
-    acc = np.zeros((2, 2), dtype=complex)
-    for m in range(4):
-        for n in range(4):
-            acc += mat[m, n] * (CHI_BASIS[n].conj().T @ CHI_BASIS[m])
+    acc = (_chi_matrix(chi).reshape(16) @ _CHI_TP).reshape(2, 2)
     return float(np.linalg.norm(acc - IDENTITY))
 
 

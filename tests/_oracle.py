@@ -1,4 +1,5 @@
-"""Test-only reference models: a brute-force time-bin engine and a Cholesky-parametrized likelihood.
+"""Test-only reference models: a brute-force time-bin engine, a Cholesky-parametrized likelihood
+and the chi-matrix maps term by term.
 
 Time-bin engine.  The time register is a dense lattice of
 L = 1 + (sum of crystal delays) bins, so no amplitude ever leaves it.
@@ -17,6 +18,11 @@ evaluated setting by setting from the basis states' Jones vectors, and
 over the parametrization rho(T) = T^dag T / tr(T^dag T) with T lower
 triangular, which covers every density matrix.  It shares no code with
 the per-axis closed form in ``depolsim.tomography``.
+
+Chi maps.  The channel action sum_{m,n} chi[m,n] E_m rho E_n^dag and the
+trace-preservation sum sum_{m,n} chi[m,n] E_n^dag E_m are summed one
+Pauli pair at a time over the basis (I, X, Y, Z) written out here, where
+``depolsim.tomography`` folds each into one precomputed contraction.
 """
 
 import numpy as np
@@ -146,3 +152,31 @@ def negative_log_likelihood(t, counts, projectors, shots) -> tuple[float, np.nda
         dp = np.einsum("sij,ji->s", projectors, drho).real
         grad[k] = -float(coeff @ dp) / scale
     return value, grad
+
+
+# --- chi-matrix maps, one Pauli pair at a time ---------------------------
+
+PAULI_BASIS = (
+    np.eye(2, dtype=complex),
+    np.array([[0, 1], [1, 0]], dtype=complex),
+    np.array([[0, -1j], [1j, 0]], dtype=complex),
+    np.array([[1, 0], [0, -1]], dtype=complex),
+)
+
+
+def apply_chi(chi, rho):
+    """sum_{m,n} chi[m,n] E_m rho E_n^dag."""
+    out = np.zeros((2, 2), dtype=complex)
+    for m in range(4):
+        for n in range(4):
+            out += chi[m, n] * (PAULI_BASIS[m] @ rho @ PAULI_BASIS[n].conj().T)
+    return out
+
+
+def trace_preservation_residual(chi):
+    """Frobenius norm of sum_{m,n} chi[m,n] E_n^dag E_m - I."""
+    acc = np.zeros((2, 2), dtype=complex)
+    for m in range(4):
+        for n in range(4):
+            acc += chi[m, n] * (PAULI_BASIS[n].conj().T @ PAULI_BASIS[m])
+    return float(np.linalg.norm(acc - np.eye(2)))

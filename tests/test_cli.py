@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import io
 import json
 
@@ -7,8 +8,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from depolsim.cli import MAX_POINTS, _parse_theta_range, main
-from depolsim.channels import ISOTROPIC_POINT_DEG, SCHEME_NAMES
+from depolsim import cli
+from depolsim.cli import MAX_POINTS, _parse_theta_range, fibonacci_sphere, main
+from depolsim.channels import ISOTROPIC_POINT_DEG, SCHEME_NAMES, StokesChannel, extract_channel
+from depolsim.temporal import SchemeConfig
 
 
 def run_cli(args, capsys):
@@ -244,6 +247,108 @@ def test_unbounded_and_non_finite_grids_are_rejected(capsys):
 def test_theta_grid_cap_and_endpoint_rounding():
     assert len(_parse_theta_range("0:999999:1")) == MAX_POINTS
     assert _parse_theta_range("0:0.3:0.1") == [0.0, 0.1, 0.2, 0.30000000000000004]
+
+
+# --- byte guards: --out files pinned by sha256 ---
+
+PINNED_OUTPUTS = [
+    (["sweep", "--scheme", "isotropic_triple", "--theta-range", "0:90:0.5", "--inputs", "h", "p", "r"],
+     "975494fe6e52d6bff7984e43d957ab62bc7b24b9319e9240505dd85d7f7a6a12"),
+    (["sweep", "--scheme", "scheme2", "--gamma", "0.3", "--theta-range", "0:90:0.5",
+      "--inputs", "triad:0.3", "0.6,0.8,0"],
+     "ba95d32efe6668fdee641bcab13a73f2594d03ff291f43e9baa46c316d658b27"),
+    (["compare", "--theta-range", "0:90:1"],
+     "d35d95886bc68709f81e405a0099867e23d675ff8c304189cede46b9e5216557"),
+    (["map", "--scheme", "isotropic_triple", "--theta", "33.3", "--samples", "500"],
+     "07eddd7bc630006e315477d105d56c7e5c499e85b306a401d98b786dabb97341"),
+    (["map", "--scheme", "lyot", "--samples", "3"],
+     "163dcd02d59dd3cec14d0c19f8b30e27eedc041652bf6e157cc305ecd76c41b4"),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, digest", PINNED_OUTPUTS, ids=["sweep-triple", "sweep-scheme2-gamma", "compare", "map-triple", "map-lyot"]
+)
+def test_out_bytes_are_pinned(tmp_path, capsys, argv, digest):
+    out = tmp_path / "out"
+    code, stdout, err = run_cli(argv + ["--out", str(out)], capsys)
+    assert code == 0 and stdout == "" and err == ""
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
+def test_chunked_grids_match_one_batch(tmp_path, capsys, monkeypatch):
+    commands = {
+        "sweep": ["sweep", "--scheme", "isotropic_triple", "--theta-range", "0:90:2.5", "--inputs", "h", "triad:0.2"],
+        "compare": ["compare", "--theta-range", "0:90:2.5"],
+    }
+    whole = {}
+    for name, argv in commands.items():
+        whole[name] = tmp_path / f"{name}.whole"
+        assert run_cli(argv + ["--out", str(whole[name])], capsys)[0] == 0
+    batch_sizes = []
+    batched_run_scheme = cli.run_scheme
+
+    def recording_run_scheme(configs, j):
+        batch_sizes.append(len(configs))
+        return batched_run_scheme(configs, j)
+
+    monkeypatch.setattr(cli, "THETA_CHUNK", 7)
+    monkeypatch.setattr(cli, "run_scheme", recording_run_scheme)
+    for name, argv in commands.items():
+        batch_sizes.clear()
+        chunked = tmp_path / f"{name}.chunked"
+        assert run_cli(argv + ["--out", str(chunked)], capsys)[0] == 0
+        assert chunked.read_bytes() == whole[name].read_bytes()
+        # 37 angles: five full chunks and a remainder, never more than one chunk at a time
+        assert batch_sizes == [7] * 5 + [2]
+
+
+def test_map_with_non_finite_channel_or_points_exits_2(tmp_path, capsys, monkeypatch):
+    # a NaN channel, and a finite one whose points overflow: z = 0.9 maps to 0.9e308 + 1e308
+    for m, b in ((np.full((3, 3), np.nan), np.zeros(3)), (1e308 * np.eye(3), np.full(3, 1e308))):
+        monkeypatch.setattr(cli, "extract_channel", lambda config, m=m, b=b: StokesChannel(m, b))
+        out = tmp_path / "map.json"
+        with np.errstate(over="ignore"):
+            code, stdout, err = run_cli(["map", "--scheme", "lyot", "--samples", "10", "--out", str(out)], capsys)
+        assert code == 2 and stdout == ""
+        assert isinstance(json.loads(err)["error"], str)
+        assert not out.exists()
+
+
+def reference_map_text(scheme, theta, samples, config):
+    """The map document as one json.dumps call renders it, points included."""
+    channel = extract_channel(config)
+    points = fibonacci_sphere(samples) @ channel.m.T + channel.b
+    report = {
+        "scheme": scheme,
+        "theta_deg": theta,
+        "n_samples": samples,
+        "channel": channel.to_json(),
+        "points": [[float(x) for x in row] for row in points],
+    }
+    return json.dumps(report, indent=2, sort_keys=True, allow_nan=False) + "\n"
+
+
+def test_map_text_equals_one_json_dumps(tmp_path, capsys):
+    config = SchemeConfig.from_json(
+        {"elements": [{"kind": "crystal", "angle_deg": 10.0, "delay_bins": 1},
+                      {"kind": "qwp", "angle_deg": 30.0},
+                      {"kind": "crystal", "angle_deg": 95.0, "delay_bins": 2}]}
+    )
+    odd_dir = tmp_path / 'a "quoted": [dir]'
+    odd_dir.mkdir()
+    path = odd_dir / "s.json"
+    path.write_text(json.dumps(config.to_json()))
+    out = tmp_path / "map.json"
+    assert run_cli(["map", "--scheme", str(path), "--samples", "17", "--out", str(out)], capsys)[0] == 0
+    assert out.read_text() == reference_map_text(str(path), None, 17, config)
+
+
+def test_points_writer_matches_json_on_signed_zeros_and_extremes():
+    points = np.array([[-0.0, 0.0, 1e-320], [-1.0, 1 / 3, 2.5e300], [5e-324, -7.0, 0.1]])
+    expected = json.dumps({"points": points.tolist()}, indent=2)
+    assert "-0.0" in expected
+    assert cli._points_json(points) == expected[len('{\n  "points": '):-len("\n}")]
 
 
 # --- argv fuzzing: every argv exits 0, or 2 with one JSON object on stderr ---

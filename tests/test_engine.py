@@ -4,10 +4,21 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from depolsim import temporal
-from depolsim.channels import affine_from_outputs, extract_channel
-from depolsim.polarization import JONES_H, JONES_P, JONES_R, JONES_V, density_from_jones, stokes_from_density
+from depolsim.channels import SCHEME_NAMES, affine_from_outputs, build_scheme, extract_channel
+from depolsim.polarization import (
+    JONES_H,
+    JONES_P,
+    JONES_R,
+    JONES_STATES,
+    JONES_V,
+    density_from_jones,
+    dop,
+    stokes_from_density,
+)
 from depolsim.temporal import (
     KERNEL_FLOOR,
     OpticalElement,
@@ -186,3 +197,119 @@ def test_occupied_bin_cap(monkeypatch, tmp_path, capsys):
 def test_scheme_json_errors_are_value_errors(doc):
     with pytest.raises(ValueError):
         SchemeConfig.from_json(doc if isinstance(doc, str) else json.dumps(doc))
+
+
+# --- angle batches: one propagation for T configs that differ only in their angles ---
+
+
+def bits(x):
+    return np.ascontiguousarray(x).view(np.uint64)
+
+
+# anchor angles (0, 45, 90 deg, the isotropic point) among generic ones
+BATCH_THETAS = (0.0, 0.1, 12.5, 30.0, 45.0, 54.7356, 67.5, 89.9, 90.0)
+ALL_INPUTS = np.column_stack(list(JONES_STATES.values()))
+
+
+@pytest.mark.parametrize("gamma", (0.0, 0.3))
+@pytest.mark.parametrize("scheme", SCHEME_NAMES)
+def test_batched_run_scheme_equals_per_config_calls_bitwise(scheme, gamma):
+    configs = [build_scheme(scheme, None if scheme == "lyot" else theta, coherence=gamma) for theta in BATCH_THETAS]
+    batched = run_scheme(configs, ALL_INPUTS)
+    assert batched.shape == (len(configs), 6, 2, 2)
+    assert np.array_equal(bits(batched), bits([run_scheme(c, ALL_INPUTS) for c in configs]))
+    one_input = run_scheme(configs, JONES_P)
+    assert one_input.shape == (len(configs), 2, 2)
+    assert np.array_equal(bits(one_input), bits([run_scheme(c, JONES_P) for c in configs]))
+
+
+def test_batch_propagates_each_config_on_its_own_bins():
+    # at theta = 0 the second crystal moves nothing into bin 1, so that config occupies bins {0, 2} only;
+    # the trailing unitary multiplies every bin, and a BLAS product need not give a bin the same bits
+    # when the number of bins changes, so each config must keep exactly its own bins
+    u = random_unitary(np.random.default_rng(25))
+    configs = [SchemeConfig((crystal(theta, 1), crystal(0.0, 1), unitary_element(u))) for theta in BATCH_THETAS]
+    groups = temporal._propagate(configs)
+    assert len(groups) == 2
+    members = np.concatenate([np.arange(len(configs))[m] for m, _, _ in groups])
+    assert sorted(members) == list(range(len(configs)))
+    for m, bins, _ in groups:
+        for t in np.arange(len(configs))[m]:
+            assert np.array_equal(bins, kraus_operators(configs[t])[0])
+    assert np.array_equal(kraus_operators(configs[0])[0], [0, 2])
+    batched = run_scheme(configs, ALL_INPUTS)
+    assert np.array_equal(bits(batched), bits([run_scheme(c, ALL_INPUTS) for c in configs]))
+
+
+# a crystal at exactly 0 deg has exact projectors, so a run of them zeroes some bins for some configs only
+batch_angles = st.one_of(st.just(0.0), st.sampled_from([45.0, 90.0]) | st.floats(-180.0, 180.0, allow_nan=False))
+
+
+@st.composite
+def angle_batches(draw):
+    """T configs on one random element list, with per-config unitaries.
+
+    Each angle of a config is either the list's shared angle or its own draw.
+    """
+    kind_choice = st.sampled_from(["crystal", "crystal", "crystal", "hwp", "qwp", "unitary"])
+    kinds = draw(st.lists(kind_choice, min_size=1, max_size=7))
+    delays = [draw(st.integers(1, 3)) for _ in kinds]
+    shared = [draw(batch_angles) for _ in kinds]
+    gamma = draw(st.sampled_from([0.0, 0.3]))
+    configs = []
+    for _ in range(draw(st.integers(1, 5))):
+        elems = []
+        for kind, delay, angle in zip(kinds, delays, shared):
+            if kind != "unitary" and draw(st.booleans()):
+                angle = draw(batch_angles)
+            if kind == "crystal":
+                elems.append(crystal(angle, delay))
+            elif kind == "unitary":
+                seed = draw(st.integers(0, 2**32 - 1))
+                elems.append(unitary_element(random_unitary(np.random.default_rng(seed))))
+            else:
+                elems.append(OpticalElement(kind, angle_deg=angle))
+        configs.append(SchemeConfig(tuple(elems), coherence=gamma))
+    return configs
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(configs=angle_batches())
+def test_batched_run_scheme_property(configs):
+    batched = run_scheme(configs, ALL_INPUTS)
+    assert np.array_equal(bits(batched), bits([run_scheme(c, ALL_INPUTS) for c in configs]))
+
+
+def test_mismatched_batches_raise():
+    base = SchemeConfig((crystal(0.0, 1), quarter_wave(10.0), crystal(90.0, 2)))
+    for other in (
+        SchemeConfig((crystal(5.0, 1), half_wave(10.0), crystal(90.0, 2))),
+        SchemeConfig((crystal(5.0, 1), quarter_wave(10.0), crystal(90.0, 3))),
+        SchemeConfig((crystal(5.0, 1), quarter_wave(10.0))),
+        SchemeConfig(base.elements, coherence=0.3),
+    ):
+        with pytest.raises(ValueError, match="batch"):
+            run_scheme([base, other], JONES_P)
+    with pytest.raises(ValueError, match="batch"):
+        run_scheme([base, "scheme2"], JONES_P)
+    with pytest.raises(ValueError, match="at least one"):
+        run_scheme([], JONES_P)
+
+
+def test_occupied_bin_cap_applies_to_a_batch(monkeypatch):
+    monkeypatch.setattr(temporal, "MAX_BINS", 8)
+    three = [SchemeConfig(tuple(crystal(10.0 * k + t, 2**k) for k in range(3))) for t in (0.0, 3.0)]
+    assert run_scheme(three, JONES_P).shape == (2, 2, 2)
+    four = [SchemeConfig(tuple(crystal(10.0 * k + t, 2**k) for k in range(4))) for t in (0.0, 3.0)]
+    with pytest.raises(ValueError, match="occupied time bins"):
+        run_scheme(four, JONES_P)
+
+
+def test_stacked_stokes_and_dop_equal_per_matrix_calls_bitwise():
+    configs = [build_scheme("isotropic_triple", theta, coherence=0.3) for theta in BATCH_THETAS]
+    rhos = run_scheme(configs, ALL_INPUTS)
+    s, d = stokes_from_density(rhos), dop(rhos)
+    assert s.shape == (len(configs), 6, 3) and d.shape == (len(configs), 6)
+    assert np.array_equal(bits(s), bits([[stokes_from_density(r) for r in row] for row in rhos]))
+    assert np.array_equal(bits(d), bits([[dop(r) for r in row] for row in rhos]))
+    assert isinstance(dop(rhos[0, 0]), float) and stokes_from_density(rhos[0, 0]).shape == (3,)

@@ -37,6 +37,18 @@ def test_probabilities_examples():
     assert abs(p[0] - (1 + 1 / np.sqrt(3)) / 2) < 1e-12
 
 
+def test_probabilities_equal_the_per_label_traces():
+    rng = np.random.default_rng(8)
+    settings = DEFAULT_SETTINGS + ("r", "h", "h")
+    for _ in range(200):
+        rho = random_density(rng)
+        per_label = np.clip([np.trace(rho @ projector(lbl)).real for lbl in settings], 0.0, 1.0)
+        assert np.array_equal(probabilities(rho, settings).view(np.uint64), per_label.view(np.uint64))
+    assert probabilities(rho, ()).shape == (0,)
+    with pytest.raises(ValueError, match="label"):
+        probabilities(rho, ("h", "x"))
+
+
 def test_complementary_pairs_sum_to_one():
     rng = np.random.default_rng(0)
     for _ in range(100):

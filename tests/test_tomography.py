@@ -27,6 +27,7 @@ from depolsim.tomography import (
     trace_preservation_residual,
 )
 from _helpers import random_density
+import _oracle
 from _oracle import log_likelihood, negative_log_likelihood, rho_from_params
 
 QPT_LABELS = ("h", "v", "p", "r")
@@ -316,6 +317,17 @@ def test_apply_chi_matches_scheme_action():
         for lbl in ("m", "l"):
             expected = run_scheme(cfg, JONES_STATES[lbl])
             assert np.abs(apply_chi(chi, density_from_jones(JONES_STATES[lbl])) - expected).max() < 1e-9
+
+
+def test_chi_maps_match_the_pauli_pair_sums():
+    rng = np.random.default_rng(16)
+    for _ in range(200):
+        chi = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+        for mat in (chi, chi @ chi.conj().T / np.trace(chi @ chi.conj().T).real):
+            rho = random_density(rng)
+            assert np.abs(apply_chi(mat, rho) - _oracle.apply_chi(mat, rho)).max() < 1e-14
+            assert np.array_equal(apply_chi(ChiMatrix(mat), rho), apply_chi(mat, rho))
+            assert abs(trace_preservation_residual(mat) - _oracle.trace_preservation_residual(mat)) < 1e-14
 
 
 def test_process_fidelity_examples():
