@@ -31,7 +31,6 @@ from .temporal import (
     SchemeConfig,
     apply_crystal,
     apply_element,
-    apply_waveplate,
     collapse,
     collapse_with_coherence,
     crystal,
@@ -42,7 +41,6 @@ from .temporal import (
     quarter_wave,
     qwp_matrix,
     run_scheme,
-    unitary_element,
 )
 from .channels import (
     ISOTROPIC_POINT_DEG,
@@ -74,7 +72,6 @@ from .tomography import (
     channel_from_chi,
     process_fidelity,
     qpt,
-    qpt_from_scheme_outputs,
     qst_linear,
     qst_mle,
     trace_preservation_residual,

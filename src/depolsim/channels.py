@@ -33,13 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .polarization import (
-    JONES_H,
-    JONES_P,
-    JONES_R,
-    JONES_V,
-    stokes_from_density,
-)
+from .polarization import JONES_STATES, stokes_from_density
 from .temporal import SchemeConfig, crystal, half_wave, quarter_wave, run_scheme
 
 SCHEME_NAMES = (
@@ -172,7 +166,10 @@ def affine_from_outputs(rho_h, rho_v, rho_p, rho_r) -> StokesChannel:
     return StokesChannel(m, b)
 
 
-_PROBES = np.column_stack((JONES_H, JONES_V, JONES_P, JONES_R))
+# the four inputs whose outputs fix a qubit channel, in the argument order of
+# `affine_from_outputs` and `tomography.qpt`
+PROBE_LABELS = ("h", "v", "p", "r")
+_PROBES = np.column_stack([JONES_STATES[lbl] for lbl in PROBE_LABELS])
 
 
 def extract_channel(config: SchemeConfig) -> StokesChannel:

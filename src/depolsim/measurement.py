@@ -106,13 +106,16 @@ def sample_counts(rho, shots: int, seed: int, settings=DEFAULT_SETTINGS, exact: 
     With ``exact=True`` the Poisson draw is skipped and counts are
     round(shots * p_j), the deterministic noiseless limit; the seed is
     stored but unused.  Identical inputs and seed give identical records.
+    Raises ValueError if a mean count shots * p_j does not fit in int64.
     """
     if shots < 1:
         raise ValueError("shots must be >= 1")
-    p = probabilities(rho, settings)
+    means = shots * probabilities(rho, settings)
+    if not (means < 2.0**63).all():
+        raise ValueError(f"shots = {shots!r} gives mean counts beyond the int64 range")
     if exact:
-        counts = np.rint(shots * p).astype(np.int64)
+        counts = np.rint(means).astype(np.int64)
     else:
         rng = np.random.Generator(np.random.PCG64(seed))
-        counts = rng.poisson(shots * p).astype(np.int64)
+        counts = rng.poisson(means).astype(np.int64)
     return MeasurementRecord(tuple(settings), counts, int(shots), int(seed))

@@ -88,6 +88,11 @@ def stokes_from_density(rho) -> np.ndarray:
     return s
 
 
+def _stokes_to_density(s) -> np.ndarray:
+    """(I + S1*SIGMA1 + S2*SIGMA2 + S3*SIGMA3) / 2 for any three numbers, unvalidated."""
+    return (IDENTITY + s[0] * SIGMA1 + s[1] * SIGMA2 + s[2] * SIGMA3) / 2.0
+
+
 def density_from_stokes(s) -> np.ndarray:
     """Density matrix (I + S1*SIGMA1 + S2*SIGMA2 + S3*SIGMA3) / 2.
 
@@ -98,10 +103,7 @@ def density_from_stokes(s) -> np.ndarray:
     norm = float(np.linalg.norm(s))
     if not norm <= 1.0 + NORM_ATOL:
         raise ValueError(f"Stokes vector of length {norm!r} lies outside the unit ball")
-    rho = IDENTITY.copy()
-    for si, sigma in zip(s, SIGMAS):
-        rho += si * sigma
-    return rho / 2.0
+    return _stokes_to_density(s)
 
 
 def jones_from_stokes(s, atol: float = 1e-6) -> np.ndarray:
@@ -120,20 +122,6 @@ def jones_from_stokes(s, atol: float = 1e-6) -> np.ndarray:
     k = int(np.argmax(np.abs(j)))
     j = j * np.exp(-1j * np.angle(j[k]))
     return as_jones(j)
-
-
-def check_density(rho, name: str = "rho") -> np.ndarray:
-    """Validate Hermiticity, unit trace and positivity of a density matrix."""
-    rho = np.asarray(rho, dtype=complex)
-    if rho.shape != (2, 2):
-        raise ValueError(f"{name} must be 2x2, got shape {rho.shape}")
-    if np.abs(rho - rho.conj().T).max() > 1e-12:
-        raise ValueError(f"{name} is not Hermitian")
-    if abs(np.trace(rho).real - 1.0) > 1e-12 or abs(np.trace(rho).imag) > 1e-12:
-        raise ValueError(f"{name} does not have unit trace")
-    if np.linalg.eigvalsh(rho).min() < -PSD_ATOL:
-        raise ValueError(f"{name} has a negative eigenvalue beyond tolerance")
-    return rho
 
 
 def dop(rho):

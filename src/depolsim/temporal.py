@@ -15,9 +15,10 @@ bin t is a Jones matrix K_t, and the induced channel is
 
 which for gamma = 0 is the Kraus form rho -> sum_t K_t rho K_t^dagger
 (see `kraus_operators` and `run_scheme`).  The dict-based functions
-(`initial_state`, `apply_*`, `collapse`, `collapse_with_coherence`) track
-a single wave packet as {bin: (h, v) amplitude}; they are thin adapters
-over the same crystal step and the same trace-out.
+(`initial_state`, `apply_crystal`, `apply_element`, `collapse`,
+`collapse_with_coherence`) track a single wave packet as
+{bin: (h, v) amplitude}; they are thin adapters over the same crystal
+step and the same trace-out.
 
 Conventions fixed here:
 
@@ -53,10 +54,8 @@ TimeBinState = dict[int, np.ndarray]
 CRYSTAL = "crystal"
 HWP = "hwp"
 QWP = "qwp"
-UNITARY = "unitary"
 
-_WAVE_PLATES = (HWP, QWP)
-_KINDS = (CRYSTAL, HWP, QWP, UNITARY)
+_KINDS = (CRYSTAL, HWP, QWP)
 
 # keeps every bin index, and every sum of delays, far inside int64
 MAX_DELAY_BINS = 2**31
@@ -83,12 +82,11 @@ def _as_delay(value) -> int:
 
 @dataclass(frozen=True, eq=False)
 class OpticalElement:
-    """One element of a depolarizer: a crystal, a wave plate, or a unitary."""
+    """One element of a depolarizer: a crystal or a wave plate."""
 
     kind: str
     angle_deg: float = 0.0
     delay_bins: int | None = None
-    unitary: np.ndarray | None = None
 
     def __post_init__(self):
         if self.kind not in _KINDS:
@@ -101,13 +99,6 @@ class OpticalElement:
             object.__setattr__(self, "delay_bins", _as_delay(self.delay_bins))
         elif self.delay_bins is not None:
             raise ValueError(f"{self.kind} elements carry no delay")
-        if self.kind == UNITARY:
-            u = np.asarray(self.unitary, dtype=complex)
-            if u.shape != (2, 2) or not np.abs(u @ u.conj().T - np.eye(2)).max() <= 1e-12:
-                raise ValueError("general element requires a 2x2 unitary matrix")
-            object.__setattr__(self, "unitary", u)
-        elif self.unitary is not None:
-            raise ValueError(f"{self.kind} elements carry no unitary matrix")
 
 
 def crystal(angle_deg: float, delay_bins: int) -> OpticalElement:
@@ -123,17 +114,10 @@ def quarter_wave(angle_deg: float) -> OpticalElement:
     return OpticalElement(QWP, angle_deg=angle_deg)
 
 
-def unitary_element(u) -> OpticalElement:
-    return OpticalElement(UNITARY, unitary=np.asarray(u, dtype=complex))
-
-
 def _element_from_json(d) -> OpticalElement:
-    kind = d["kind"]
-    if kind == CRYSTAL:
+    if d["kind"] == CRYSTAL:
         return crystal(d["angle_deg"], d["delay_bins"])
-    if kind in _WAVE_PLATES:
-        return OpticalElement(kind, angle_deg=d["angle_deg"])
-    raise ValueError(f"unknown element kind {kind!r}")
+    return OpticalElement(d["kind"], angle_deg=d["angle_deg"])
 
 
 @dataclass(frozen=True)
@@ -159,8 +143,6 @@ class SchemeConfig:
         """JSON form: {"coherence": g, "elements": [{kind, angle_deg, ...}]}."""
         elems = []
         for e in self.elements:
-            if e.kind == UNITARY:
-                raise ValueError("general unitary elements have no JSON form")
             d = {"kind": e.kind, "angle_deg": e.angle_deg}
             if e.kind == CRYSTAL:
                 d["delay_bins"] = e.delay_bins
@@ -205,9 +187,7 @@ def qwp_matrix(angle_deg: float) -> np.ndarray:
 def _jones_entries(element: OpticalElement) -> list:
     if element.kind == HWP:
         return _hwp_entries(element.angle_deg)
-    if element.kind == QWP:
-        return _qwp_entries(element.angle_deg)
-    return element.unitary.ravel().tolist()
+    return _qwp_entries(element.angle_deg)
 
 
 def _projector_entries(axis_deg: float) -> list:
@@ -343,7 +323,7 @@ _IDENTITY_AMPS.flags.writeable = False
 
 
 def _check_batch(configs) -> None:
-    """Raise ValueError unless there are configs and they differ in their angles (and unitaries) only."""
+    """Raise ValueError unless there are configs and they differ in their angles only."""
     if not configs:
         raise ValueError("run_scheme needs at least one config")
     first = configs[0]
@@ -427,11 +407,11 @@ def run_scheme(config, j) -> np.ndarray:
 
     `config` is one `SchemeConfig`, or a sequence of T configs that share
     their element kinds, crystal delays and coherence and differ only in
-    their angles (and unitary matrices); a mismatched batch raises
-    ValueError.  `j` is one normalized Jones vector or a (2, n) stack of
-    them as columns.  The result is the (2, 2) output density matrix, or
-    the (n, 2, 2) outputs for a stack, with a leading axis of length T
-    for a batch: (T, 2, 2) or (T, n, 2, 2).
+    their angles; a mismatched batch raises ValueError.  `j` is one
+    normalized Jones vector or a (2, n) stack of them as columns.  The
+    result is the (2, 2) output density matrix, or the (n, 2, 2) outputs
+    for a stack, with a leading axis of length T for a batch: (T, 2, 2)
+    or (T, n, 2, 2).
 
     The whole batch is propagated at once for all inputs (see
     `kraus_operators`), in groups of configs that occupy the same bins
@@ -487,26 +467,10 @@ def initial_state(j) -> TimeBinState:
     return {0: np.asarray(j, dtype=complex).reshape(2).copy()}
 
 
-def total_norm(state: TimeBinState) -> float:
-    return float(sum(np.vdot(a, a).real for a in state.values()))
-
-
 def apply_crystal(state: TimeBinState, axis_deg: float, delay: int) -> TimeBinState:
     """Delay the slow-axis component of every bin by `delay` bins."""
     projectors = np.array(_projector_entries(axis_deg), dtype=complex).reshape(1, 4, 2)
     return _to_state(*_crystal_step(*_from_state(state), projectors, _as_delay(delay))[:2])
-
-
-def apply_waveplate(state: TimeBinState, kind: str, angle_deg: float) -> TimeBinState:
-    """Multiply every bin by the wave plate's Jones matrix."""
-    if kind not in _WAVE_PLATES:
-        raise ValueError(f"unknown wave plate kind {kind!r}")
-    return apply_element(state, OpticalElement(kind, angle_deg=angle_deg))
-
-
-def apply_unitary(state: TimeBinState, u) -> TimeBinState:
-    bins, amps = _from_state(state)
-    return _to_state(bins, _rotate(amps, np.asarray(u, dtype=complex)))
 
 
 def apply_element(state: TimeBinState, element: OpticalElement) -> TimeBinState:

@@ -38,7 +38,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channels import StokesChannel, affine_from_outputs
+from .channels import PROBE_LABELS, StokesChannel, affine_from_outputs
 from .measurement import SETTING_PAIRS, MeasurementRecord
 from .polarization import (
     IDENTITY,
@@ -47,14 +47,13 @@ from .polarization import (
     SIGMA1,
     SIGMA2,
     SIGMA3,
-    _sqrtm_psd,
+    _stokes_to_density,
     density_from_jones,
+    state_fidelity,
 )
 
 CHI_BASIS = (IDENTITY, SIGMA2, SIGMA3, SIGMA1)
 CHI_BASIS_LABELS = ("I", "X", "Y", "Z")
-
-_QPT_INPUTS = ("h", "v", "p", "r")
 
 
 @dataclass(frozen=True)
@@ -118,10 +117,6 @@ def _pooled_counts(record: MeasurementRecord) -> list[tuple[int, int, int, int]]
     return axes
 
 
-def _density(s) -> np.ndarray:
-    return (IDENTITY + s[0] * SIGMA1 + s[1] * SIGMA2 + s[2] * SIGMA3) / 2.0
-
-
 def _linear_stokes(axes) -> list[float]:
     # per-label rates r+- = a/k+, b/k-, and S = (r+ - r-)/(r+ + r-), in exact integers
     return [(a * k_minus - b * k_plus) / (a * k_minus + b * k_plus) for a, b, k_plus, k_minus in axes]
@@ -137,7 +132,7 @@ def qst_linear(record: MeasurementRecord) -> LinearEstimate:
     may have a negative eigenvalue when counts are noisy; `physical`
     flags that.
     """
-    rho = _density(_linear_stokes(_pooled_counts(record)))
+    rho = _stokes_to_density(_linear_stokes(_pooled_counts(record)))
     physical = bool(np.linalg.eigvalsh(rho).min() >= -PSD_ATOL)
     return LinearEstimate(rho, physical)
 
@@ -213,13 +208,13 @@ def qst_mle(record: MeasurementRecord) -> np.ndarray:
     if all(k_plus == k_minus for _, _, k_plus, k_minus in axes):
         s = _linear_stokes(axes)
         if s[0] * s[0] + s[1] * s[1] + s[2] * s[2] <= 1.0:
-            return _density(s)
+            return _stokes_to_density(s)
     # c = shots (k+ - k-) / 2: the linear term of the expected total count
     coeffs = [(a, b, record.shots * (k_plus - k_minus) / 2.0) for a, b, k_plus, k_minus in axes]
     roots = [_axis_maximizer(a, b, c, 0.0, (a - b) / (a + b)) for a, b, c in coeffs]
     excess = sum(si * si for si, _ in roots) - 1.0
     if excess <= 0.0:
-        return _density([si for si, _ in roots])
+        return _stokes_to_density([si for si, _ in roots])
     lo, hi = 0.0, sum(a + b + abs(c) for a, b, c in coeffs) / 2.0
     mu = 0.0
     for _ in range(_MAX_STEPS):
@@ -239,7 +234,7 @@ def qst_mle(record: MeasurementRecord) -> np.ndarray:
         roots = [_axis_maximizer(a, b, c, mu, si) for (a, b, c), (si, _) in zip(coeffs, roots)]
         excess = sum(si * si for si, _ in roots) - 1.0
     norm = math.sqrt(excess + 1.0)
-    return _density([si / norm for si, _ in roots])
+    return _stokes_to_density([si / norm for si, _ in roots])
 
 
 # --- process tomography ------------------------------------------------
@@ -328,23 +323,14 @@ def qpt(rho_h, rho_v, rho_p, rho_r) -> ChiMatrix:
     return ChiMatrix(chi_psd, clipped)
 
 
-def qpt_from_scheme_outputs(outputs: dict) -> ChiMatrix:
-    """qpt() taking a {'h': rho, 'v': rho, 'p': rho, 'r': rho} mapping."""
-    return qpt(*(outputs[lbl] for lbl in _QPT_INPUTS))
-
-
 def process_fidelity(a, b) -> float:
     """Uhlmann fidelity between two trace-normalized chi matrices.
 
     Treats the chi matrices as states on the 4-dimensional operator
-    space; equals 1 exactly when the channels coincide.
+    space (`state_fidelity`); equals 1 exactly when the channels coincide.
     """
     mat_a, mat_b = _chi_matrix(a), _chi_matrix(b)
-    mat_a = mat_a / np.trace(mat_a).real
-    mat_b = mat_b / np.trace(mat_b).real
-    root = _sqrtm_psd(mat_a)
-    f = np.trace(_sqrtm_psd(root @ mat_b @ root)).real ** 2
-    return float(min(max(f, 0.0), 1.0))
+    return state_fidelity(mat_a / np.trace(mat_a).real, mat_b / np.trace(mat_b).real)
 
 
 def trace_preservation_residual(chi) -> float:
@@ -355,5 +341,5 @@ def trace_preservation_residual(chi) -> float:
 
 def channel_from_chi(chi) -> StokesChannel:
     """Affine Stokes map of the channel encoded by a chi matrix."""
-    outputs = [apply_chi(chi, density_from_jones(JONES_STATES[lbl])) for lbl in _QPT_INPUTS]
+    outputs = [apply_chi(chi, density_from_jones(JONES_STATES[lbl])) for lbl in PROBE_LABELS]
     return affine_from_outputs(*outputs)

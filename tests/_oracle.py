@@ -55,7 +55,7 @@ def apply(element, psi):
         return hwp(element.angle_deg) @ psi
     if element.kind == "qwp":
         return qwp(element.angle_deg) @ psi
-    return element.unitary @ psi
+    raise ValueError(f"unknown element kind {element.kind!r}")
 
 
 def propagate(elements, jones):

@@ -136,6 +136,24 @@ def test_tomo_noisy_fidelity(capsys):
     assert json.loads(out)["process_fidelity"] > 0.97
 
 
+@pytest.mark.filterwarnings("error")
+def test_tomo_leaves_stderr_empty_when_chi_is_clipped(capsys):
+    # three shots per setting give inconsistent estimates; the report carries the clipped mass
+    code, out, err = run_cli(["tomo", "--scheme", "lyot", "--shots", "3", "--seed", "1"], capsys)
+    assert code == 0 and err == ""
+    assert json.loads(out)["chi"]["clipped_mass"] > 0.1
+
+
+@pytest.mark.filterwarnings("error")
+def test_tomo_rejects_shots_beyond_the_int64_count_range(capsys):
+    for exact in (["--exact"], []):
+        code, out, err = run_cli(
+            ["tomo", "--scheme", "scheme1", "--theta", "10", "--shots", str(10**20), *exact], capsys
+        )
+        assert code == 2 and out == ""
+        assert err.count("\n") == 1 and "int64" in json.loads(err)["error"]
+
+
 def test_outputs_are_deterministic(tmp_path, capsys):
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
     for path in (a, b):
@@ -209,6 +227,23 @@ def test_gamma_flag_threads_through(tmp_path, capsys):
     assert code == 0
     _, rows = read_rows(out)
     assert abs(float(rows[0][5]) - 0.5) < 1e-12
+
+
+def test_gamma_overrides_a_scheme_file_and_invalid_values_exit_2(tmp_path, capsys):
+    path = tmp_path / "crystal.json"
+    path.write_text(json.dumps({"coherence": 0.2, "elements": [{"kind": "crystal", "angle_deg": 0.0, "delay_bins": 1}]}))
+    # one crystal at 0 deg scales S2 by the coherence
+    for gamma, expected in (([], 0.2), (["--gamma", "0.5"], 0.5)):
+        code, out, _ = run_cli(["map", "--scheme", str(path), "--samples", "10", *gamma], capsys)
+        assert code == 0
+        assert json.loads(out)["channel"]["m"][1][1] == pytest.approx(expected, abs=1e-15)
+    for gamma in ("nan", "-0.5", "1.5"):
+        for scheme in (str(path), "single_crystal"):
+            for command in (["map", "--samples", "10"], ["tomo", "--shots", "100"]):
+                argv = [command[0], "--scheme", scheme, "--theta", "0", "--gamma", gamma, *command[1:]]
+                code, out, err = run_cli(argv, capsys)
+                assert code == 2 and out == "", argv
+                assert "coherence" in json.loads(err)["error"], argv
 
 
 def test_malformed_scheme_files_exit_2(tmp_path, capsys):
@@ -414,6 +449,7 @@ def fuzz_dir(tmp_path_factory):
     return str(root) + "/"
 
 
+@pytest.mark.filterwarnings("error")
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
 @given(argv=argvs())
 def test_fuzzed_argv_exits_0_or_2_with_a_json_error(fuzz_dir, argv):

@@ -28,11 +28,10 @@ from depolsim.temporal import (
     kraus_operators,
     quarter_wave,
     run_scheme,
-    unitary_element,
 )
 from depolsim.cli import main
 import _oracle
-from _helpers import random_pure_jones, random_unitary
+from _helpers import random_pure_jones
 
 GAMMAS = (0.0, 0.2, 0.7)
 PROBES = (JONES_H, JONES_V, JONES_P, JONES_R)
@@ -41,16 +40,14 @@ PROBES = (JONES_H, JONES_V, JONES_P, JONES_R)
 def random_elements(rng, n_elements, max_delay):
     elems = []
     for _ in range(n_elements):
-        kind = rng.integers(4)
+        kind = rng.integers(3)
         angle = float(rng.uniform(-90, 180))
         if kind == 0:
             elems.append(crystal(angle, int(rng.integers(1, max_delay + 1))))
         elif kind == 1:
             elems.append(half_wave(angle))
-        elif kind == 2:
-            elems.append(quarter_wave(angle))
         else:
-            elems.append(unitary_element(random_unitary(rng)))
+            elems.append(quarter_wave(angle))
     return elems
 
 
@@ -158,8 +155,6 @@ def test_elements_reject_non_finite_and_fractional_values():
         with pytest.raises(ValueError, match="delay"):
             crystal(0.0, delay)
     assert crystal(0.0, 3.0).delay_bins == 3
-    with pytest.raises(ValueError, match="unitary"):
-        OpticalElement("unitary", unitary=np.full((2, 2), np.nan))
 
 
 def test_occupied_bin_cap(monkeypatch, tmp_path, capsys):
@@ -225,10 +220,9 @@ def test_batched_run_scheme_equals_per_config_calls_bitwise(scheme, gamma):
 
 def test_batch_propagates_each_config_on_its_own_bins():
     # at theta = 0 the second crystal moves nothing into bin 1, so that config occupies bins {0, 2} only;
-    # the trailing unitary multiplies every bin, and a BLAS product need not give a bin the same bits
+    # the trailing wave plate multiplies every bin, and a BLAS product need not give a bin the same bits
     # when the number of bins changes, so each config must keep exactly its own bins
-    u = random_unitary(np.random.default_rng(25))
-    configs = [SchemeConfig((crystal(theta, 1), crystal(0.0, 1), unitary_element(u))) for theta in BATCH_THETAS]
+    configs = [SchemeConfig((crystal(theta, 1), crystal(0.0, 1), quarter_wave(37.3))) for theta in BATCH_THETAS]
     groups = temporal._propagate(configs)
     assert len(groups) == 2
     members = np.concatenate([np.arange(len(configs))[m] for m, _, _ in groups])
@@ -247,11 +241,11 @@ batch_angles = st.one_of(st.just(0.0), st.sampled_from([45.0, 90.0]) | st.floats
 
 @st.composite
 def angle_batches(draw):
-    """T configs on one random element list, with per-config unitaries.
+    """T configs on one random element list.
 
     Each angle of a config is either the list's shared angle or its own draw.
     """
-    kind_choice = st.sampled_from(["crystal", "crystal", "crystal", "hwp", "qwp", "unitary"])
+    kind_choice = st.sampled_from(["crystal", "crystal", "crystal", "hwp", "qwp"])
     kinds = draw(st.lists(kind_choice, min_size=1, max_size=7))
     delays = [draw(st.integers(1, 3)) for _ in kinds]
     shared = [draw(batch_angles) for _ in kinds]
@@ -260,13 +254,10 @@ def angle_batches(draw):
     for _ in range(draw(st.integers(1, 5))):
         elems = []
         for kind, delay, angle in zip(kinds, delays, shared):
-            if kind != "unitary" and draw(st.booleans()):
+            if draw(st.booleans()):
                 angle = draw(batch_angles)
             if kind == "crystal":
                 elems.append(crystal(angle, delay))
-            elif kind == "unitary":
-                seed = draw(st.integers(0, 2**32 - 1))
-                elems.append(unitary_element(random_unitary(np.random.default_rng(seed))))
             else:
                 elems.append(OpticalElement(kind, angle_deg=angle))
         configs.append(SchemeConfig(tuple(elems), coherence=gamma))

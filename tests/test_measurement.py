@@ -74,6 +74,16 @@ def test_exact_mode_rounds_expected_counts():
     assert list(rec.counts) == [1000, 0, 500, 500, 500, 500]
 
 
+@pytest.mark.filterwarnings("error")
+def test_mean_counts_beyond_int64_raise_one_value_error():
+    rho = density_from_jones(JONES_H)
+    assert sample_counts(rho, 2**62, seed=0, exact=True).counts[0] == 2**62
+    for exact in (True, False):
+        for shots in (2**63, 10**20):
+            with pytest.raises(ValueError, match="int64"):
+                sample_counts(rho, shots, seed=0, exact=exact)
+
+
 def test_poisson_mean_tracks_probabilities():
     rho = density_from_stokes([0.3, -0.5, 0.2])
     p = probabilities(rho)

@@ -11,7 +11,6 @@ from depolsim.polarization import (
     SIGMA1,
     SIGMA2,
     SIGMA3,
-    check_density,
     density_from_jones,
     density_from_stokes,
     dop,
@@ -134,14 +133,3 @@ def test_jones_from_stokes_round_trip():
         assert np.abs(stokes_from_density(density_from_jones(j2)) - s).max() < 1e-10
     with pytest.raises(ValueError, match="pure"):
         jones_from_stokes([0.5, 0.0, 0.0])
-
-
-def test_check_density_accepts_valid_and_rejects_invalid():
-    rng = np.random.default_rng(6)
-    check_density(random_density(rng))
-    with pytest.raises(ValueError, match="Hermitian"):
-        check_density(np.array([[0.5, 0.2], [0.1, 0.5]]))
-    with pytest.raises(ValueError, match="trace"):
-        check_density(np.eye(2))
-    with pytest.raises(ValueError, match="eigenvalue"):
-        check_density(np.diag([1.2, -0.2]))

@@ -19,21 +19,15 @@ from depolsim.temporal import (
     kraus_operators,
     quarter_wave,
     run_scheme,
-    unitary_element,
 )
 from depolsim.tomography import ChiMatrix, qpt, trace_preservation_residual
-from _helpers import random_unitary
 
 angles = st.floats(-180.0, 180.0, allow_nan=False)
-plain_elements = st.one_of(
-    st.builds(crystal, angles, st.integers(1, 9)),
-    st.builds(half_wave, angles),
-    st.builds(quarter_wave, angles),
-)
 elements = st.lists(
     st.one_of(
-        plain_elements,
-        st.integers(0, 2**32 - 1).map(lambda seed: unitary_element(random_unitary(np.random.default_rng(seed)))),
+        st.builds(crystal, angles, st.integers(1, 9)),
+        st.builds(half_wave, angles),
+        st.builds(quarter_wave, angles),
     ),
     min_size=1,
     max_size=8,
@@ -91,7 +85,7 @@ def json_round_trip(obj):
 
 
 @CHECK
-@given(st.lists(plain_elements, min_size=1, max_size=8), st.floats(0.0, 1.0, exclude_max=True))
+@given(elements, st.floats(0.0, 1.0, exclude_max=True))
 def test_scheme_config_json_round_trip(elems, gamma):
     config = SchemeConfig(tuple(elems), coherence=gamma)
     back = json_round_trip(config)

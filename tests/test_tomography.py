@@ -21,7 +21,6 @@ from depolsim.tomography import (
     channel_from_chi,
     process_fidelity,
     qpt,
-    qpt_from_scheme_outputs,
     qst_linear,
     qst_mle,
     trace_preservation_residual,
@@ -35,6 +34,11 @@ QPT_LABELS = ("h", "v", "p", "r")
 
 def scheme_outputs(cfg):
     return {lbl: run_scheme(cfg, JONES_STATES[lbl]) for lbl in QPT_LABELS}
+
+
+def qpt_from_scheme_outputs(outputs):
+    """qpt() taking a {'h': rho, 'v': rho, 'p': rho, 'r': rho} mapping."""
+    return qpt(*(outputs[lbl] for lbl in QPT_LABELS))
 
 
 def record_for(rho, shots=100_000, seed=0, exact=False):
