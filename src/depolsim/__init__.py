@@ -35,11 +35,9 @@ from .temporal import (
     collapse_with_coherence,
     crystal,
     half_wave,
-    hwp_matrix,
     initial_state,
     kraus_operators,
     quarter_wave,
-    qwp_matrix,
     run_scheme,
 )
 from .channels import (

@@ -34,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .polarization import JONES_STATES, stokes_from_density
-from .temporal import SchemeConfig, crystal, half_wave, quarter_wave, run_scheme
+from .temporal import SchemeConfig, _check_single, crystal, half_wave, quarter_wave, run_scheme
 
 SCHEME_NAMES = (
     "scheme1",
@@ -123,12 +123,13 @@ def isotropic_triple_elements(theta_deg: float):
     return unit1 + unit2 + (quarter_wave(45.0),) + unit3
 
 
-def build_scheme(kind: str, angle_deg: float | None = None, coherence: float = 0.0) -> SchemeConfig:
+def build_scheme(kind: str, angle_deg: float | np.ndarray | None = None, coherence: float = 0.0) -> SchemeConfig:
     """Element list for a named depolarizer scheme.
 
     `angle_deg` is the tuning angle (crystal axis for ``single_crystal``,
     wave-plate or effective rotation angle for the others); ``lyot``
-    takes none.
+    takes none and ignores one.  A 1-D array of T angles gives a config
+    with ``batch`` T (the elements check the angles).
     """
     if kind not in SCHEME_NAMES:
         raise ValueError(f"unknown scheme {kind!r}; expected one of {SCHEME_NAMES}")
@@ -137,9 +138,7 @@ def build_scheme(kind: str, angle_deg: float | None = None, coherence: float = 0
     else:
         if angle_deg is None:
             raise ValueError(f"scheme {kind!r} requires an angle")
-        theta = float(angle_deg)
-        if not np.isfinite(theta):
-            raise ValueError("scheme angle must be finite")
+        theta = angle_deg if isinstance(angle_deg, np.ndarray) else float(angle_deg)
         if kind == "scheme1":
             elements = scheme1_elements(theta)
         elif kind == "scheme2":
@@ -173,7 +172,8 @@ _PROBES = np.column_stack([JONES_STATES[lbl] for lbl in PROBE_LABELS])
 
 
 def extract_channel(config: SchemeConfig) -> StokesChannel:
-    """Affine Stokes map of a scheme: its h, v, p, r outputs from one propagation."""
+    """Affine Stokes map of a single scheme: its h, v, p, r outputs from one propagation."""
+    _check_single(config.batch, "extract_channel")
     return affine_from_outputs(*run_scheme(config, _PROBES))
 
 

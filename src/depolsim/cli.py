@@ -11,12 +11,13 @@ Angles are degrees everywhere.  A scheme is selected either by name
 (scheme1, scheme2, scheme3, lyot, single_crystal, isotropic_triple) or
 by the path of a JSON element-list file.  All commands are deterministic
 for fixed flags and seed; errors are reported as JSON on stderr with a
-nonzero exit code.
+nonzero exit code, and leave no output behind.
 """
 
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import math
 import os
@@ -42,7 +43,7 @@ from .tomography import process_fidelity, qpt, qst_mle
 MAX_POINTS = 1_000_000
 
 # angles propagated in one engine batch by sweep and compare; bounds their memory (a 90 001-angle
-# isotropic_triple sweep peaked at ~1 GB as one batch, 111 MB in chunks of 1024)
+# isotropic_triple sweep peaked at ~1 GB as one batch, 48 MB in chunks of 1024 written one by one)
 THETA_CHUNK = 1024
 
 
@@ -81,17 +82,20 @@ def _parse_theta_range(text: str) -> list[float]:
     return [v for v in candidates if v <= stop + 1e-9]
 
 
-def _load_scheme(name: str, theta_deg, gamma: float) -> SchemeConfig:
-    """Scheme by registered name, or by path of a SchemeConfig JSON file."""
+def _load_scheme(name: str, theta_deg, gamma) -> SchemeConfig:
+    """Scheme by registered name, or by path of a SchemeConfig JSON file (whose coherence a gamma of None keeps)."""
     if name in SCHEME_NAMES:
-        return build_scheme(name, theta_deg, coherence=gamma)
-    if name.endswith(".json") or os.path.exists(name):
+        config = build_scheme(name, theta_deg, coherence=0.0 if gamma is None else gamma)
+    elif name.endswith(".json") or os.path.exists(name):
         with open(name, "r", encoding="utf-8") as fh:
             config = SchemeConfig.from_json(json.load(fh))
-        if gamma != 0.0:
+        if gamma is not None:
             config = SchemeConfig(config.elements, coherence=gamma)
-        return config
-    raise CliError(f"unknown scheme {name!r}: not a scheme name or a config file")
+    else:
+        raise CliError(f"unknown scheme {name!r}: not a scheme name or a config file")
+    if theta_deg is not None and (name == "lyot" or name not in SCHEME_NAMES):
+        raise CliError(f"scheme {name!r} has no angle, so it takes no --theta")
+    return config
 
 
 def _parse_inputs(tokens) -> list[tuple[str, np.ndarray]]:
@@ -124,28 +128,31 @@ def fibonacci_sphere(n: int) -> np.ndarray:
     return np.column_stack([radius * np.cos(azimuth), radius * np.sin(azimuth), z])
 
 
-def _theta_chunks(thetas: list[float]):
-    """The angle grid in slices of at most THETA_CHUNK, so one batch bounds the engine's memory."""
+def _grid_outputs(scheme: str, thetas: list[float], stack: np.ndarray, gamma: float = 0.0):
+    """(chunk, (T, n, 2, 2) outputs) of a named scheme, one batch per THETA_CHUNK angles; lyot's is broadcast."""
     for lo in range(0, len(thetas), THETA_CHUNK):
-        yield thetas[lo : lo + THETA_CHUNK]
+        chunk = thetas[lo : lo + THETA_CHUNK]
+        config = build_scheme(scheme, np.array(chunk), coherence=gamma)
+        rhos = run_scheme(config, stack)
+        yield chunk, (rhos if config.batch else np.broadcast_to(rhos, (len(chunk), *rhos.shape)))
 
 
-def cmd_sweep(args) -> str:
+def cmd_sweep(args):
     if args.scheme not in SCHEME_NAMES:
         raise CliError("sweep needs a named scheme (a config file has no angle knob)")
     thetas = _parse_theta_range(args.theta_range)
     inputs = _parse_inputs(args.inputs)
     names = [name for name, _ in inputs]
     stack = np.column_stack([jones for _, jones in inputs])
-    lines = ["theta_deg,input,s1,s2,s3,dop"]
-    for chunk in _theta_chunks(thetas):
-        rhos = run_scheme([build_scheme(args.scheme, theta, coherence=args.gamma) for theta in chunk], stack)
+    lines = ["theta_deg,input,s1,s2,s3,dop\n"]
+    for chunk, rhos in _grid_outputs(args.scheme, thetas, stack, 0.0 if args.gamma is None else args.gamma):
         stokes, dops = stokes_from_density(rhos).tolist(), dop(rhos).tolist()
         for theta, s_theta, d_theta in zip(chunk, stokes, dops):
             t = _fmt(theta)
             for name, s, d in zip(names, s_theta, d_theta):
-                lines.append(f"{t},{name},{s[0]:.12g},{s[1]:.12g},{s[2]:.12g},{d:.12g}")
-    return "\n".join(lines) + "\n"
+                lines.append(f"{t},{name},{s[0]:.12g},{s[1]:.12g},{s[2]:.12g},{d:.12g}\n")
+        yield "".join(lines)
+        lines = []
 
 
 # one mapped sphere point in json.dumps(indent=2) layout, as the value of a top-level key
@@ -166,7 +173,7 @@ def _points_json(points: np.ndarray) -> str:
     return "[\n" + rows + "\n  ]"
 
 
-def cmd_map(args) -> str:
+def cmd_map(args):
     if not 3 <= args.samples <= MAX_POINTS:
         raise CliError(f"surface samples must lie in [3, {MAX_POINTS}]")
     config = _load_scheme(args.scheme, args.theta, args.gamma)
@@ -182,10 +189,10 @@ def cmd_map(args) -> str:
     text = json.dumps(report, indent=2, sort_keys=True, allow_nan=False)
     # a '"' inside a JSON string is escaped, so the key itself is the only match
     head, _, tail = text.partition('"points": []')
-    return head + '"points": ' + _points_json(points) + tail + "\n"
+    yield head + '"points": ' + _points_json(points) + tail + "\n"
 
 
-def cmd_tomo(args) -> str:
+def cmd_tomo(args):
     if args.shots < 1:
         raise CliError("shots must be >= 1")
     config = _load_scheme(args.scheme, args.theta, args.gamma)
@@ -211,10 +218,10 @@ def cmd_tomo(args) -> str:
         "chi": chi_hat.to_json(),
         "chi_theory": chi_theory.to_json(),
     }
-    return json.dumps(report, indent=2, sort_keys=True, allow_nan=False) + "\n"
+    yield json.dumps(report, indent=2, sort_keys=True, allow_nan=False) + "\n"
 
 
-def cmd_compare(args) -> str:
+def cmd_compare(args):
     thetas = _parse_theta_range(args.theta_range)
     probes = [
         (0.0, JONES_STATES["p"]),
@@ -222,17 +229,17 @@ def cmd_compare(args) -> str:
         (1.0, JONES_STATES["h"]),
     ]
     stack = np.column_stack([jones for _, jones in probes])
-    lines = ["theta_deg,s1_sq,dop_engine,dop_analytic,abs_diff"]
-    for chunk in _theta_chunks(thetas):
-        dops = dop(run_scheme([build_scheme("scheme2", theta) for theta in chunk], stack)).tolist()
-        for theta, d_theta in zip(chunk, dops):
+    lines = ["theta_deg,s1_sq,dop_engine,dop_analytic,abs_diff\n"]
+    for chunk, rhos in _grid_outputs("scheme2", thetas, stack):
+        for theta, d_theta in zip(chunk, dop(rhos).tolist()):
             for (s1_sq, _), d_engine in zip(probes, d_theta):
                 d_analytic = analytic_scheme2_dop(theta, np.sqrt(s1_sq))
                 lines.append(
                     f"{_fmt(theta)},{_fmt(s1_sq)},{_fmt(d_engine)},{_fmt(d_analytic)},"
-                    f"{_fmt(abs(d_engine - d_analytic))}"
+                    f"{_fmt(abs(d_engine - d_analytic))}\n"
                 )
-    return "\n".join(lines) + "\n"
+        yield "".join(lines)
+        lines = []
 
 
 def build_parser() -> _Parser:
@@ -243,7 +250,7 @@ def build_parser() -> _Parser:
     sweep.add_argument("--scheme", required=True)
     sweep.add_argument("--theta-range", required=True, metavar="START:STOP:STEP")
     sweep.add_argument("--inputs", nargs="+", default=["h", "p", "r"])
-    sweep.add_argument("--gamma", type=float, default=0.0)
+    sweep.add_argument("--gamma", type=float)
     sweep.add_argument("--out")
     sweep.set_defaults(func=cmd_sweep)
 
@@ -251,7 +258,7 @@ def build_parser() -> _Parser:
     pmap.add_argument("--scheme", required=True)
     pmap.add_argument("--theta", type=float)
     pmap.add_argument("--samples", type=int, default=200)
-    pmap.add_argument("--gamma", type=float, default=0.0)
+    pmap.add_argument("--gamma", type=float)
     pmap.add_argument("--out")
     pmap.set_defaults(func=cmd_map)
 
@@ -261,7 +268,7 @@ def build_parser() -> _Parser:
     tomo.add_argument("--shots", type=int, default=100_000)
     tomo.add_argument("--exact", action="store_true")
     tomo.add_argument("--seed", type=int, default=0)
-    tomo.add_argument("--gamma", type=float, default=0.0)
+    tomo.add_argument("--gamma", type=float)
     tomo.add_argument("--out")
     tomo.set_defaults(func=cmd_tomo)
 
@@ -277,12 +284,19 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        text = args.func(args)
-        if args.out:
-            with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
-                fh.write(text)
-        else:
-            sys.stdout.write(text)
+        # a command yields its output in pieces, and checks all its arguments before the first one
+        pieces = args.func(args)
+        pieces = itertools.chain([next(pieces)], pieces)
+        if not args.out:
+            sys.stdout.writelines(pieces)
+            return 0
+        with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
+            try:
+                fh.writelines(pieces)
+            except BaseException:  # leave no partial file
+                fh.close()
+                os.remove(args.out)
+                raise
     except SystemExit:  # --help printed the usage; parse errors raise CliError instead
         return 0
     except (CliError, ValueError, OSError) as exc:

@@ -42,7 +42,7 @@ from __future__ import annotations
 import functools
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -82,18 +82,24 @@ def _as_delay(value) -> int:
 
 @dataclass(frozen=True, eq=False)
 class OpticalElement:
-    """One element of a depolarizer: a crystal or a wave plate."""
+    """One element of a depolarizer, a crystal or a wave plate; `angle_deg` may hold per-config angles."""
 
     kind: str
-    angle_deg: float = 0.0
+    angle_deg: float | np.ndarray = 0.0
     delay_bins: int | None = None
 
     def __post_init__(self):
         if self.kind not in _KINDS:
             raise ValueError(f"unknown element kind {self.kind!r}")
-        angle = float(self.angle_deg)
-        if not math.isfinite(angle):
-            raise ValueError(f"element angle must be finite, got {angle!r}")
+        if isinstance(self.angle_deg, np.ndarray) and self.angle_deg.ndim:
+            angle = np.array(self.angle_deg, dtype=float)  # a copy: the caller's array is neither frozen nor shared
+            angle.flags.writeable = False
+            valid = angle.ndim == 1 and angle.size and np.isfinite(angle).all()
+        else:
+            angle = float(self.angle_deg)
+            valid = math.isfinite(angle)
+        if not valid:
+            raise ValueError(f"element angle must be a finite float or a non-empty 1-D array of them, got {angle!r}")
         object.__setattr__(self, "angle_deg", angle)
         if self.kind == CRYSTAL:
             object.__setattr__(self, "delay_bins", _as_delay(self.delay_bins))
@@ -120,6 +126,11 @@ def _element_from_json(d) -> OpticalElement:
     return OpticalElement(d["kind"], angle_deg=d["angle_deg"])
 
 
+def _check_single(batch, consumer: str) -> None:
+    if batch is not None:
+        raise ValueError(f"{consumer} needs scalar angles, got a batch of {batch}")
+
+
 @dataclass(frozen=True)
 class SchemeConfig:
     """Ordered element list plus an optional residual-coherence parameter.
@@ -127,10 +138,15 @@ class SchemeConfig:
     `coherence` is the off-diagonal weight gamma in [0, 1) between
     adjacent time bins; gamma = 0 is the fully walked-off limit where
     bins are perfectly distinguishable.
+
+    `batch` is derived, not passed: None when every angle is a float, else
+    the length T that all array angles share, for T configs that differ in
+    their angles only.
     """
 
     elements: tuple[OpticalElement, ...]
     coherence: float = 0.0
+    batch: int | None = field(init=False, default=None)
 
     def __post_init__(self):
         object.__setattr__(self, "elements", tuple(self.elements))
@@ -138,9 +154,14 @@ class SchemeConfig:
             raise ValueError("scheme needs at least one element")
         if not 0.0 <= self.coherence < 1.0:
             raise ValueError("coherence must lie in [0, 1)")
+        lengths = {len(e.angle_deg) for e in self.elements if isinstance(e.angle_deg, np.ndarray)}
+        if len(lengths) > 1:
+            raise ValueError(f"array angles of one scheme must share their length, got {sorted(lengths)}")
+        object.__setattr__(self, "batch", lengths.pop() if lengths else None)
 
     def to_json(self) -> dict:
         """JSON form: {"coherence": g, "elements": [{kind, angle_deg, ...}]}."""
+        _check_single(self.batch, "to_json")
         elems = []
         for e in self.elements:
             d = {"kind": e.kind, "angle_deg": e.angle_deg}
@@ -176,20 +197,6 @@ def _qwp_entries(angle_deg: float) -> list:
     return [complex(c * c, s * s), off, off, complex(s * s, c * c)]
 
 
-def hwp_matrix(angle_deg: float) -> np.ndarray:
-    return np.array(_hwp_entries(angle_deg), dtype=complex).reshape(2, 2)
-
-
-def qwp_matrix(angle_deg: float) -> np.ndarray:
-    return np.array(_qwp_entries(angle_deg), dtype=complex).reshape(2, 2)
-
-
-def _jones_entries(element: OpticalElement) -> list:
-    if element.kind == HWP:
-        return _hwp_entries(element.angle_deg)
-    return _qwp_entries(element.angle_deg)
-
-
 def _projector_entries(axis_deg: float) -> list:
     """Rows of the fast projector e_f e_f^T, then of the slow projector e_s e_s^T."""
     a = math.radians(axis_deg)
@@ -204,13 +211,13 @@ def _projector_entries(axis_deg: float) -> list:
 # (m = 2 identity columns for Kraus operators, m = 1 for a dict state).
 
 
-def _element_stack(elements) -> np.ndarray:
-    """Per-config matrices of one element position: (T, 4, 2) projectors or (T, 2, 2) Jones matrices."""
-    if elements[0].kind == CRYSTAL:
-        entries = [x for e in elements for x in _projector_entries(e.angle_deg)]
-        return np.array(entries, dtype=complex).reshape(-1, 4, 2)
-    entries = [x for e in elements for x in _jones_entries(e)]
-    return np.array(entries, dtype=complex).reshape(-1, 2, 2)
+def _element_stack(element: OpticalElement, n_configs: int) -> np.ndarray:
+    """(T, 4, 2) projectors or (T, 2, 2) Jones matrices of one element, from the scalar entry code per angle
+    (a float angle's entries are repeated), so that every matrix has the bits of its single-config stack."""
+    entries = {CRYSTAL: _projector_entries, HWP: _hwp_entries, QWP: _qwp_entries}[element.kind]
+    angle = element.angle_deg
+    flat = entries(angle) * n_configs if isinstance(angle, float) else [x for a in angle.tolist() for x in entries(a)]
+    return np.array(flat, dtype=complex).reshape(n_configs, -1, 2)
 
 
 def _rotate(amps: np.ndarray, jmats: np.ndarray) -> np.ndarray:
@@ -322,24 +329,8 @@ _IDENTITY_BINS.flags.writeable = False
 _IDENTITY_AMPS.flags.writeable = False
 
 
-def _check_batch(configs) -> None:
-    """Raise ValueError unless there are configs and they differ in their angles only."""
-    if not configs:
-        raise ValueError("run_scheme needs at least one config")
-    first = configs[0]
-    for config in configs:
-        if not isinstance(config, SchemeConfig):
-            raise ValueError(f"a batch holds SchemeConfig objects, got {type(config).__name__}")
-        if config.coherence != first.coherence:
-            raise ValueError("configs in a batch must share their coherence")
-        if len(config.elements) != len(first.elements) or any(
-            e.kind != f.kind or e.delay_bins != f.delay_bins for e, f in zip(config.elements, first.elements)
-        ):
-            raise ValueError("configs in a batch must share their element kinds and crystal delays")
-
-
-def _propagate(configs) -> list:
-    """Push the 2x2 identity through a batch of configs, in groups that occupy the same bins.
+def _propagate(config: SchemeConfig) -> list:
+    """Push the 2x2 identity through the T = `config.batch` (or 1) configs, in groups that occupy the same bins.
 
     Returns a list of (members, bins, amps): the configs of a group (a
     slice over the whole batch, or an index array), the sorted bins they
@@ -354,10 +345,11 @@ def _propagate(configs) -> list:
     A crystal at most doubles B, so a crystal step that could take B past
     MAX_BINS raises ValueError before it allocates anything.
     """
+    n_configs = config.batch or 1
     groups = [(slice(None), _IDENTITY_BINS, _IDENTITY_AMPS)]
-    for elements in zip(*(config.elements for config in configs)):
-        stack = _element_stack(elements)
-        if elements[0].kind != CRYSTAL:
+    for element in config.elements:
+        stack = _element_stack(element, n_configs)
+        if element.kind != CRYSTAL:
             groups = [(members, bins, _rotate(amps, stack[members])) for members, bins, amps in groups]
             continue
         stepped = []
@@ -366,11 +358,11 @@ def _propagate(configs) -> list:
                 raise ValueError(
                     f"scheme needs more than {MAX_BINS} occupied time bins ({len(bins)} before a crystal)"
                 )
-            bins, amps, occupied = _crystal_step(bins, amps, stack[members], elements[0].delay_bins)
+            bins, amps, occupied = _crystal_step(bins, amps, stack[members], element.delay_bins)
             if occupied is None:
                 stepped.append((members, bins, amps))
                 continue
-            indices = np.arange(len(configs))[members]
+            indices = np.arange(n_configs)[members]
             patterns, inverse = np.unique(occupied, axis=0, return_inverse=True)
             for g, pattern in enumerate(patterns):
                 rows = np.flatnonzero(inverse == g)
@@ -387,9 +379,10 @@ def kraus_operators(config: SchemeConfig) -> tuple[np.ndarray, np.ndarray]:
     (B, 2, 2) complex array whose ops[k] is the Jones matrix K_t taking
     the input into bin t = bins[k].  The gamma = 0 channel is
     rho -> sum_t K_t rho K_t^dagger, and sum_t K_t^dagger K_t = I.
-    Raises ValueError if the scheme needs more than MAX_BINS bins.
+    Raises ValueError on a batch, or if the scheme needs more than MAX_BINS bins.
     """
-    [(_, bins, amps)] = _propagate((config,))
+    _check_single(config.batch, "kraus_operators")
+    [(_, bins, amps)] = _propagate(config)
     return bins.copy(), np.ascontiguousarray(amps[0].transpose(1, 0, 2))
 
 
@@ -402,31 +395,22 @@ def _trace_out_group(bins: np.ndarray, amps: np.ndarray, cols: np.ndarray, gamma
     return _trace_out(bins, a, gamma).reshape(n_configs, cols.shape[1], 2, 2)
 
 
-def run_scheme(config, j) -> np.ndarray:
+def run_scheme(config: SchemeConfig, j) -> np.ndarray:
     """Propagate pure inputs through the element list and trace out time.
 
-    `config` is one `SchemeConfig`, or a sequence of T configs that share
-    their element kinds, crystal delays and coherence and differ only in
-    their angles; a mismatched batch raises ValueError.  `j` is one
-    normalized Jones vector or a (2, n) stack of them as columns.  The
-    result is the (2, 2) output density matrix, or the (n, 2, 2) outputs
-    for a stack, with a leading axis of length T for a batch: (T, 2, 2)
-    or (T, n, 2, 2).
+    `j` is one normalized Jones vector or a (2, n) stack of them as
+    columns.  The result is the (2, 2) output density matrix, or the
+    (n, 2, 2) outputs for a stack, with a leading axis of length T when
+    `config.batch` is T: (T, 2, 2) or (T, n, 2, 2).
 
     The whole batch is propagated at once for all inputs (see
     `kraus_operators`), in groups of configs that occupy the same bins
     (one group unless some angle zeroes a bin), so every output is
-    bit-identical to its config's single call.  Time is traced out with
+    bit-identical to the single call on its angles.  Time is traced out with
     the coherence gamma.  Bin pairs whose weight gamma**(d*d) is below
     2**-60 are dropped, which moves the output by at most B * 2**-60 for
     B occupied bins (see `_trace_out`).
     """
-    single = isinstance(config, SchemeConfig)
-    if single:
-        configs = (config,)
-    else:
-        configs = tuple(config)
-        _check_batch(configs)
     j = np.asarray(j, dtype=complex)
     if j.ndim == 1:
         cols = as_jones(j)[:, None]
@@ -436,17 +420,16 @@ def run_scheme(config, j) -> np.ndarray:
         cols = j
     else:
         raise ValueError(f"inputs must be a Jones vector or a (2, n) stack of them, got shape {j.shape}")
-    gamma = configs[0].coherence
-    outputs = [(members, _trace_out_group(bins, amps, cols, gamma)) for members, bins, amps in _propagate(configs)]
+    outputs = [(m, _trace_out_group(bins, amps, cols, config.coherence)) for m, bins, amps in _propagate(config)]
     if len(outputs) == 1:
         rho = outputs[0][1]
     else:
-        rho = np.empty((len(configs), cols.shape[1], 2, 2), dtype=complex)
+        rho = np.empty((config.batch, cols.shape[1], 2, 2), dtype=complex)
         for members, part in outputs:
             rho[members] = part
     if j.ndim == 1:
         rho = rho[:, 0]
-    return rho[0] if single else rho
+    return rho if config.batch else rho[0]
 
 
 # --- single-wave-packet dict adapters over the same step and trace-out ---
@@ -469,16 +452,18 @@ def initial_state(j) -> TimeBinState:
 
 def apply_crystal(state: TimeBinState, axis_deg: float, delay: int) -> TimeBinState:
     """Delay the slow-axis component of every bin by `delay` bins."""
-    projectors = np.array(_projector_entries(axis_deg), dtype=complex).reshape(1, 4, 2)
-    return _to_state(*_crystal_step(*_from_state(state), projectors, _as_delay(delay))[:2])
+    return apply_element(state, crystal(axis_deg, delay))
 
 
 def apply_element(state: TimeBinState, element: OpticalElement) -> TimeBinState:
+    if isinstance(element.angle_deg, np.ndarray):
+        _check_single(len(element.angle_deg), "apply_element")
     bins, amps = _from_state(state)
+    stack = _element_stack(element, 1)
     if element.kind == CRYSTAL:
-        bins, amps, _ = _crystal_step(bins, amps, _element_stack((element,)), element.delay_bins)
+        bins, amps, _ = _crystal_step(bins, amps, stack, element.delay_bins)
     else:
-        amps = _rotate(amps, _element_stack((element,)))
+        amps = _rotate(amps, stack)
     return _to_state(bins, amps)
 
 

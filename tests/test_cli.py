@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from depolsim import cli
 from depolsim.cli import MAX_POINTS, _parse_theta_range, fibonacci_sphere, main
-from depolsim.channels import ISOTROPIC_POINT_DEG, SCHEME_NAMES, StokesChannel, extract_channel
+from depolsim.channels import ISOTROPIC_POINT_DEG, SCHEME_NAMES, StokesChannel, build_scheme, extract_channel
 from depolsim.temporal import SchemeConfig
 
 
@@ -246,6 +246,28 @@ def test_gamma_overrides_a_scheme_file_and_invalid_values_exit_2(tmp_path, capsy
                 assert "coherence" in json.loads(err)["error"], argv
 
 
+def test_gamma_0_sets_a_scheme_file_coherence_to_0(tmp_path, capsys):
+    path = tmp_path / "crystal.json"
+    path.write_text(json.dumps({"coherence": 0.2, "elements": [{"kind": "crystal", "angle_deg": 0.0, "delay_bins": 1}]}))
+    code, out, _ = run_cli(["map", "--scheme", str(path), "--samples", "10", "--gamma", "0"], capsys)
+    assert code == 0
+    assert json.loads(out)["channel"]["m"][1][1] == 0
+
+
+def test_theta_is_rejected_where_there_is_no_angle(tmp_path, capsys):
+    path = tmp_path / "lyot.json"
+    path.write_text(json.dumps(build_scheme("lyot").to_json()))
+    for scheme in ("lyot", str(path)):
+        for command in (["map", "--samples", "10"], ["tomo", "--shots", "100"]):
+            for theta in ("5", "nan"):
+                argv = [command[0], "--scheme", scheme, "--theta", theta, *command[1:]]
+                code, out, err = run_cli(argv, capsys)
+                assert code == 2 and out == "", argv
+                assert "theta" in json.loads(err)["error"], argv
+            code, out, _ = run_cli([command[0], "--scheme", scheme, *command[1:]], capsys)
+            assert code == 0 and json.loads(out)["theta_deg"] is None
+
+
 def test_malformed_scheme_files_exit_2(tmp_path, capsys):
     docs = {
         "nan_angle": '{"elements": [{"kind": "crystal", "angle_deg": NaN, "delay_bins": 1}]}',
@@ -323,9 +345,9 @@ def test_chunked_grids_match_one_batch(tmp_path, capsys, monkeypatch):
     batch_sizes = []
     batched_run_scheme = cli.run_scheme
 
-    def recording_run_scheme(configs, j):
-        batch_sizes.append(len(configs))
-        return batched_run_scheme(configs, j)
+    def recording_run_scheme(config, j):
+        batch_sizes.append(config.batch)
+        return batched_run_scheme(config, j)
 
     monkeypatch.setattr(cli, "THETA_CHUNK", 7)
     monkeypatch.setattr(cli, "run_scheme", recording_run_scheme)
@@ -336,6 +358,29 @@ def test_chunked_grids_match_one_batch(tmp_path, capsys, monkeypatch):
         assert chunked.read_bytes() == whole[name].read_bytes()
         # 37 angles: five full chunks and a remainder, never more than one chunk at a time
         assert batch_sizes == [7] * 5 + [2]
+
+
+def test_a_failure_while_writing_removes_the_partial_out_file(tmp_path, capsys, monkeypatch):
+    calls = []
+    batched_run_scheme = cli.run_scheme
+
+    def failing_run_scheme(config, j):
+        calls.append(config.batch)
+        if len(calls) == 2:
+            raise ValueError("engine failure in the second chunk")
+        return batched_run_scheme(config, j)
+
+    monkeypatch.setattr(cli, "THETA_CHUNK", 7)
+    monkeypatch.setattr(cli, "run_scheme", failing_run_scheme)
+    for argv in (
+        ["sweep", "--scheme", "scheme1", "--theta-range", "0:90:2.5"],
+        ["compare", "--theta-range", "0:90:2.5"],
+    ):
+        calls.clear()
+        out = tmp_path / f"{argv[0]}.csv"
+        code, stdout, err = run_cli(argv + ["--out", str(out)], capsys)
+        assert code == 2 and stdout == "" and "second chunk" in json.loads(err)["error"]
+        assert calls == [7, 7] and not out.exists()
 
 
 def test_map_with_non_finite_channel_or_points_exits_2(tmp_path, capsys, monkeypatch):
@@ -439,6 +484,22 @@ def argvs(draw):
     return [command] + [token for group in draw(st.permutations(groups)) for token in group]
 
 
+# map with its own flags and mostly valid values, so that many runs exit 0 and their reports can be checked
+MAP_FLAGS = {
+    "--theta": NUMBERS,
+    "--gamma": st.sampled_from(["0", "0.3", "0.999999"]) | NUMBERS,
+    "--samples": st.integers(3, 300).map(str),
+    "--out": st.just("@out.txt"),
+}
+
+
+@st.composite
+def map_argvs(draw):
+    flags = draw(st.lists(st.sampled_from(sorted(MAP_FLAGS)), max_size=4, unique=True))
+    groups = [["--scheme", draw(SCHEME_ARGS)]] + [[flag, draw(MAP_FLAGS[flag])] for flag in flags]
+    return ["map"] + [token for group in draw(st.permutations(groups)) for token in group]
+
+
 @pytest.fixture(scope="module")
 def fuzz_dir(tmp_path_factory):
     root = tmp_path_factory.mktemp("fuzz")
@@ -450,8 +511,8 @@ def fuzz_dir(tmp_path_factory):
 
 
 @pytest.mark.filterwarnings("error")
-@settings(max_examples=300, deadline=None, derandomize=True, database=None)
-@given(argv=argvs())
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(argv=argvs() | map_argvs())
 def test_fuzzed_argv_exits_0_or_2_with_a_json_error(fuzz_dir, argv):
     argv = [token.replace("@", fuzz_dir) for token in argv]
     out, err = io.StringIO(), io.StringIO()
@@ -464,3 +525,19 @@ def test_fuzzed_argv_exits_0_or_2_with_a_json_error(fuzz_dir, argv):
         assert isinstance(json.loads(err.getvalue())["error"], str), argv
     else:
         assert err.getvalue() == "", argv
+        if argv[0] == "map" and "--help" not in argv:
+            check_map_report(argv, out.getvalue())
+
+
+def check_map_report(argv, stdout):
+    """theta_deg is null exactly where there is no angle; a named scheme's channel is reproduced bit for bit."""
+    args = cli.build_parser().parse_args(argv)
+    if args.out:
+        with open(args.out, encoding="utf-8") as fh:
+            stdout = fh.read()
+    report = json.loads(stdout)
+    assert (report["theta_deg"] is None) == (args.scheme == "lyot" or args.scheme not in SCHEME_NAMES), argv
+    if args.scheme in SCHEME_NAMES:
+        config = build_scheme(args.scheme, args.theta, coherence=0.0 if args.gamma is None else args.gamma)
+        expected = extract_channel(config).to_json()
+        assert json.dumps(expected, sort_keys=True) == json.dumps(report["channel"], sort_keys=True), argv

@@ -1,5 +1,6 @@
 """The Kraus-form engine against the brute-force oracle, plus its input boundaries."""
 
+import dataclasses
 import json
 
 import numpy as np
@@ -194,7 +195,7 @@ def test_scheme_json_errors_are_value_errors(doc):
         SchemeConfig.from_json(doc if isinstance(doc, str) else json.dumps(doc))
 
 
-# --- angle batches: one propagation for T configs that differ only in their angles ---
+# --- angle batches: one config whose array angles stand for T configs that differ only in their angles ---
 
 
 def bits(x):
@@ -209,30 +210,36 @@ ALL_INPUTS = np.column_stack(list(JONES_STATES.values()))
 @pytest.mark.parametrize("gamma", (0.0, 0.3))
 @pytest.mark.parametrize("scheme", SCHEME_NAMES)
 def test_batched_run_scheme_equals_per_config_calls_bitwise(scheme, gamma):
-    configs = [build_scheme(scheme, None if scheme == "lyot" else theta, coherence=gamma) for theta in BATCH_THETAS]
-    batched = run_scheme(configs, ALL_INPUTS)
-    assert batched.shape == (len(configs), 6, 2, 2)
-    assert np.array_equal(bits(batched), bits([run_scheme(c, ALL_INPUTS) for c in configs]))
-    one_input = run_scheme(configs, JONES_P)
-    assert one_input.shape == (len(configs), 2, 2)
-    assert np.array_equal(bits(one_input), bits([run_scheme(c, JONES_P) for c in configs]))
+    config = build_scheme(scheme, np.array(BATCH_THETAS), coherence=gamma)
+    singles = [build_scheme(scheme, theta, coherence=gamma) for theta in BATCH_THETAS]
+    batched, one_input = run_scheme(config, ALL_INPUTS), run_scheme(config, JONES_P)
+    if scheme == "lyot":
+        # no angle to batch: the array is ignored and the config is the single one
+        assert config.batch is None
+        batched, one_input, singles = batched[None], one_input[None], singles[:1]
+    else:
+        assert config.batch == len(BATCH_THETAS)
+    assert batched.shape == (len(singles), 6, 2, 2) and one_input.shape == (len(singles), 2, 2)
+    assert np.array_equal(bits(batched), bits([run_scheme(c, ALL_INPUTS) for c in singles]))
+    assert np.array_equal(bits(one_input), bits([run_scheme(c, JONES_P) for c in singles]))
 
 
 def test_batch_propagates_each_config_on_its_own_bins():
     # at theta = 0 the second crystal moves nothing into bin 1, so that config occupies bins {0, 2} only;
     # the trailing wave plate multiplies every bin, and a BLAS product need not give a bin the same bits
     # when the number of bins changes, so each config must keep exactly its own bins
-    configs = [SchemeConfig((crystal(theta, 1), crystal(0.0, 1), quarter_wave(37.3))) for theta in BATCH_THETAS]
-    groups = temporal._propagate(configs)
+    config = SchemeConfig((crystal(np.array(BATCH_THETAS), 1), crystal(0.0, 1), quarter_wave(37.3)))
+    singles = [SchemeConfig((crystal(theta, 1), crystal(0.0, 1), quarter_wave(37.3))) for theta in BATCH_THETAS]
+    groups = temporal._propagate(config)
     assert len(groups) == 2
-    members = np.concatenate([np.arange(len(configs))[m] for m, _, _ in groups])
-    assert sorted(members) == list(range(len(configs)))
+    members = np.concatenate([np.arange(len(singles))[m] for m, _, _ in groups])
+    assert sorted(members) == list(range(len(singles)))
     for m, bins, _ in groups:
-        for t in np.arange(len(configs))[m]:
-            assert np.array_equal(bins, kraus_operators(configs[t])[0])
-    assert np.array_equal(kraus_operators(configs[0])[0], [0, 2])
-    batched = run_scheme(configs, ALL_INPUTS)
-    assert np.array_equal(bits(batched), bits([run_scheme(c, ALL_INPUTS) for c in configs]))
+        for t in np.arange(len(singles))[m]:
+            assert np.array_equal(bins, kraus_operators(singles[t])[0])
+    assert np.array_equal(kraus_operators(singles[0])[0], [0, 2])
+    batched = run_scheme(config, ALL_INPUTS)
+    assert np.array_equal(bits(batched), bits([run_scheme(c, ALL_INPUTS) for c in singles]))
 
 
 # a crystal at exactly 0 deg has exact projectors, so a run of them zeroes some bins for some configs only
@@ -241,66 +248,97 @@ batch_angles = st.one_of(st.just(0.0), st.sampled_from([45.0, 90.0]) | st.floats
 
 @st.composite
 def angle_batches(draw):
-    """T configs on one random element list.
+    """A batched config on a random element list, and the single configs it stands for.
 
-    Each angle of a config is either the list's shared angle or its own draw.
+    Each element's angle is either one float for the whole batch or an
+    array whose entries are that float or their own draw.  When every
+    angle is a float the config is not batched and stands for one single
+    config.
     """
     kind_choice = st.sampled_from(["crystal", "crystal", "crystal", "hwp", "qwp"])
     kinds = draw(st.lists(kind_choice, min_size=1, max_size=7))
     delays = [draw(st.integers(1, 3)) for _ in kinds]
-    shared = [draw(batch_angles) for _ in kinds]
     gamma = draw(st.sampled_from([0.0, 0.3]))
-    configs = []
-    for _ in range(draw(st.integers(1, 5))):
-        elems = []
-        for kind, delay, angle in zip(kinds, delays, shared):
-            if draw(st.booleans()):
-                angle = draw(batch_angles)
-            if kind == "crystal":
-                elems.append(crystal(angle, delay))
-            else:
-                elems.append(OpticalElement(kind, angle_deg=angle))
-        configs.append(SchemeConfig(tuple(elems), coherence=gamma))
-    return configs
+    n_configs = draw(st.integers(1, 5))
+    angles = []
+    for _ in kinds:
+        shared = draw(batch_angles)
+        if draw(st.booleans()):
+            angles.append(shared)
+        else:
+            angles.append([shared if draw(st.booleans()) else draw(batch_angles) for _ in range(n_configs)])
+    if all(isinstance(angle, float) for angle in angles):
+        n_configs = 1
+
+    def element(kind, delay, angle):
+        return crystal(angle, delay) if kind == "crystal" else OpticalElement(kind, angle_deg=angle)
+
+    config = SchemeConfig(
+        tuple(element(k, d, a if isinstance(a, float) else np.array(a)) for k, d, a in zip(kinds, delays, angles)),
+        coherence=gamma,
+    )
+    singles = [
+        SchemeConfig(
+            tuple(element(k, d, a if isinstance(a, float) else a[t]) for k, d, a in zip(kinds, delays, angles)),
+            coherence=gamma,
+        )
+        for t in range(n_configs)
+    ]
+    return config, singles
 
 
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)
-@given(configs=angle_batches())
-def test_batched_run_scheme_property(configs):
-    batched = run_scheme(configs, ALL_INPUTS)
-    assert np.array_equal(bits(batched), bits([run_scheme(c, ALL_INPUTS) for c in configs]))
+@given(batch=angle_batches())
+def test_batched_run_scheme_property(batch):
+    config, singles = batch
+    batched = run_scheme(config, ALL_INPUTS)
+    if config.batch is None:
+        batched = batched[None]
+    assert np.array_equal(bits(batched), bits([run_scheme(c, ALL_INPUTS) for c in singles]))
 
 
 def test_mismatched_batches_raise():
-    base = SchemeConfig((crystal(0.0, 1), quarter_wave(10.0), crystal(90.0, 2)))
-    for other in (
-        SchemeConfig((crystal(5.0, 1), half_wave(10.0), crystal(90.0, 2))),
-        SchemeConfig((crystal(5.0, 1), quarter_wave(10.0), crystal(90.0, 3))),
-        SchemeConfig((crystal(5.0, 1), quarter_wave(10.0))),
-        SchemeConfig(base.elements, coherence=0.3),
-    ):
-        with pytest.raises(ValueError, match="batch"):
-            run_scheme([base, other], JONES_P)
-    with pytest.raises(ValueError, match="batch"):
-        run_scheme([base, "scheme2"], JONES_P)
-    with pytest.raises(ValueError, match="at least one"):
-        run_scheme([], JONES_P)
+    with pytest.raises(ValueError, match="share their length"):
+        SchemeConfig((crystal(np.zeros(2), 1), quarter_wave(np.zeros(3)), crystal(90.0, 2)))
+    for bad in (np.zeros((2, 2)), np.zeros(0), np.array([0.0, np.nan]), np.array([np.inf, 1.0])):
+        for make in (lambda a: crystal(a, 1), half_wave, quarter_wave):
+            with pytest.raises(ValueError, match="non-empty 1-D array"):
+                make(bad)
+
+
+def test_single_config_consumers_reject_a_batch():
+    config = build_scheme("scheme2", np.array([0.0, 10.0]))
+    assert config.batch == 2
+    for consume in (kraus_operators, extract_channel, SchemeConfig.to_json):
+        with pytest.raises(ValueError, match="batch of 2"):
+            consume(config)
+    with pytest.raises(ValueError, match="batch of 2"):
+        temporal.apply_element(temporal.initial_state(JONES_P), config.elements[1])
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        config.batch = None
+    # an element keeps a read-only copy of its angles, and a 0-d angle is a float
+    angles = np.array([1.0, 2.0])
+    plate = quarter_wave(angles)
+    angles[0] = 5.0
+    assert plate.angle_deg.tolist() == [1.0, 2.0] and not plate.angle_deg.flags.writeable
+    assert type(quarter_wave(np.array(3.0)).angle_deg) is float
+    assert SchemeConfig((plate, crystal(0.0, 1))).batch == 2 and SchemeConfig((crystal(0.0, 1),)).batch is None
 
 
 def test_occupied_bin_cap_applies_to_a_batch(monkeypatch):
     monkeypatch.setattr(temporal, "MAX_BINS", 8)
-    three = [SchemeConfig(tuple(crystal(10.0 * k + t, 2**k) for k in range(3))) for t in (0.0, 3.0)]
+    offsets = np.array([0.0, 3.0])
+    three = SchemeConfig(tuple(crystal(10.0 * k + offsets, 2**k) for k in range(3)))
     assert run_scheme(three, JONES_P).shape == (2, 2, 2)
-    four = [SchemeConfig(tuple(crystal(10.0 * k + t, 2**k) for k in range(4))) for t in (0.0, 3.0)]
+    four = SchemeConfig(tuple(crystal(10.0 * k + offsets, 2**k) for k in range(4)))
     with pytest.raises(ValueError, match="occupied time bins"):
         run_scheme(four, JONES_P)
 
 
 def test_stacked_stokes_and_dop_equal_per_matrix_calls_bitwise():
-    configs = [build_scheme("isotropic_triple", theta, coherence=0.3) for theta in BATCH_THETAS]
-    rhos = run_scheme(configs, ALL_INPUTS)
+    rhos = run_scheme(build_scheme("isotropic_triple", np.array(BATCH_THETAS), coherence=0.3), ALL_INPUTS)
     s, d = stokes_from_density(rhos), dop(rhos)
-    assert s.shape == (len(configs), 6, 3) and d.shape == (len(configs), 6)
+    assert s.shape == (len(BATCH_THETAS), 6, 3) and d.shape == (len(BATCH_THETAS), 6)
     assert np.array_equal(bits(s), bits([[stokes_from_density(r) for r in row] for row in rhos]))
     assert np.array_equal(bits(d), bits([[dop(r) for r in row] for row in rhos]))
     assert isinstance(dop(rhos[0, 0]), float) and stokes_from_density(rhos[0, 0]).shape == (3,)

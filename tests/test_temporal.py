@@ -21,10 +21,9 @@ from depolsim.temporal import (
     collapse_with_coherence,
     crystal,
     half_wave,
-    hwp_matrix,
     initial_state,
+    kraus_operators,
     quarter_wave,
-    qwp_matrix,
     run_scheme,
 )
 from _helpers import random_pure_jones
@@ -89,8 +88,10 @@ def test_waveplate_matrices_are_unitary():
     rng = np.random.default_rng(1)
     for _ in range(50):
         angle = rng.uniform(-180, 180)
-        for mat in (hwp_matrix(angle), qwp_matrix(angle)):
-            assert np.abs(mat @ mat.conj().T - np.eye(2)).max() < 1e-12
+        for plate in (half_wave(angle), quarter_wave(angle)):
+            bins, ops = kraus_operators(SchemeConfig((plate,)))
+            assert np.array_equal(bins, [0]) and ops.shape == (1, 2, 2)
+            assert np.abs(ops[0] @ ops[0].conj().T - np.eye(2)).max() < 1e-12
 
 
 def test_hwp_rotates_h_to_p():
