@@ -48,7 +48,6 @@ from .channels import (
     build_scheme,
     compose,
     extract_channel,
-    identity_channel,
     isotropy_report,
     mutually_unbiased_triad,
     s1_projection_channel,
@@ -66,8 +65,6 @@ from .tomography import (
     CHI_BASIS_LABELS,
     ChiMatrix,
     LinearEstimate,
-    apply_chi,
-    channel_from_chi,
     process_fidelity,
     qpt,
     qst_linear,

@@ -72,10 +72,6 @@ class StokesChannel:
         return cls(np.array(data["m"], dtype=float), np.array(data["b"], dtype=float))
 
 
-def identity_channel() -> StokesChannel:
-    return StokesChannel(np.eye(3), np.zeros(3))
-
-
 def s1_projection_channel() -> StokesChannel:
     return StokesChannel(np.diag([1.0, 0.0, 0.0]), np.zeros(3))
 

@@ -27,6 +27,7 @@ import warnings
 import numpy as np
 
 from .channels import (
+    _PROBES,
     PROBE_LABELS,
     SCHEME_NAMES,
     build_scheme,
@@ -88,7 +89,7 @@ def _load_scheme(name: str, theta_deg, gamma) -> SchemeConfig:
         config = build_scheme(name, theta_deg, coherence=0.0 if gamma is None else gamma)
     elif name.endswith(".json") or os.path.exists(name):
         with open(name, "r", encoding="utf-8") as fh:
-            config = SchemeConfig.from_json(json.load(fh))
+            config = SchemeConfig.from_json(fh.read())
         if gamma is not None:
             config = SchemeConfig(config.elements, coherence=gamma)
     else:
@@ -196,8 +197,7 @@ def cmd_tomo(args):
     if args.shots < 1:
         raise CliError("shots must be >= 1")
     config = _load_scheme(args.scheme, args.theta, args.gamma)
-    stack = np.column_stack([JONES_STATES[lbl] for lbl in PROBE_LABELS])
-    true_outputs = run_scheme(config, stack)
+    true_outputs = run_scheme(config, _PROBES)
     chi_theory = qpt(*true_outputs)
     reconstructed = [
         qst_mle(sample_counts(rho, args.shots, args.seed + i, exact=args.exact)) for i, rho in enumerate(true_outputs)

@@ -120,10 +120,18 @@ def quarter_wave(angle_deg: float) -> OpticalElement:
     return OpticalElement(QWP, angle_deg=angle_deg)
 
 
+def _json_number(value, name: str):
+    """A JSON number of a scheme document: an int or a float, not a bool or a string."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"scheme JSON {name} must be a number, got {type(value).__name__}")
+    return value
+
+
 def _element_from_json(d) -> OpticalElement:
+    angle = _json_number(d["angle_deg"], "angle_deg")
     if d["kind"] == CRYSTAL:
-        return crystal(d["angle_deg"], d["delay_bins"])
-    return OpticalElement(d["kind"], angle_deg=d["angle_deg"])
+        return crystal(angle, _json_number(d["delay_bins"], "delay_bins"))
+    return OpticalElement(d["kind"], angle_deg=angle)
 
 
 def _check_single(batch, consumer: str) -> None:
@@ -172,13 +180,16 @@ class SchemeConfig:
 
     @classmethod
     def from_json(cls, data) -> "SchemeConfig":
-        """Parse the JSON form; any malformed document raises ValueError."""
-        if isinstance(data, str):
-            data = json.loads(data)
+        """Parse the JSON form, given as text or as a decoded dict; a malformed document raises ValueError.
+
+        Angles, delays and the coherence must be JSON numbers (int or float, not bool).
+        """
         try:
+            if isinstance(data, str):
+                data = json.loads(data)
             elems = tuple(_element_from_json(d) for d in data["elements"])
-            coherence = float(data.get("coherence", 0.0))
-        except (KeyError, TypeError, AttributeError) as exc:
+            coherence = float(_json_number(data.get("coherence", 0.0), "coherence"))
+        except (KeyError, TypeError, AttributeError, OverflowError, RecursionError) as exc:
             raise ValueError(f"malformed scheme JSON ({type(exc).__name__}: {exc})") from None
         return cls(elems, coherence=coherence)
 

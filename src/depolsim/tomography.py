@@ -38,19 +38,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channels import PROBE_LABELS, StokesChannel, affine_from_outputs
 from .measurement import SETTING_PAIRS, MeasurementRecord
-from .polarization import (
-    IDENTITY,
-    JONES_STATES,
-    PSD_ATOL,
-    SIGMA1,
-    SIGMA2,
-    SIGMA3,
-    _stokes_to_density,
-    density_from_jones,
-    state_fidelity,
-)
+from .polarization import IDENTITY, PSD_ATOL, SIGMA1, SIGMA2, SIGMA3, _stokes_to_density, state_fidelity
 
 CHI_BASIS = (IDENTITY, SIGMA2, SIGMA3, SIGMA1)
 CHI_BASIS_LABELS = ("I", "X", "Y", "Z")
@@ -263,33 +252,19 @@ _CHI_FROM_OUTPUTS = _outputs_to_chi()
 _CHI_FROM_OUTPUTS.flags.writeable = False
 
 
-def _chi_maps() -> tuple[np.ndarray, np.ndarray]:
-    """The two constant linear maps of chi, as matrices on the flattened chi.
-
-    (64, 4): kron(vec chi, vec rho) -> vec sum_{m,n} chi[m,n] E_m rho E_n^dag.
-    (16, 4): vec chi -> vec sum_{m,n} chi[m,n] E_n^dag E_m.
-    """
+def _chi_tp_map() -> np.ndarray:
+    """vec chi -> vec sum_{m,n} chi[m,n] E_n^dag E_m, as a (16, 4) matrix on the flattened chi."""
     basis = np.array(CHI_BASIS)
-    # [m, n, j, k, i, l] = E_m[i, j] conj(E_n[l, k])
-    action = np.einsum("mij,nlk->mnjkil", basis, basis.conj())
     # [m, n, i, l] = (E_n^dag E_m)[i, l]
-    tp = np.einsum("nji,mjl->mnil", basis.conj(), basis)
-    return action.reshape(64, 4), tp.reshape(16, 4)
+    return np.einsum("nji,mjl->mnil", basis.conj(), basis).reshape(16, 4)
 
 
-_CHI_ACTION, _CHI_TP = _chi_maps()
-_CHI_ACTION.flags.writeable = False
+_CHI_TP = _chi_tp_map()
 _CHI_TP.flags.writeable = False
 
 
 def _chi_matrix(chi) -> np.ndarray:
     return chi.matrix if isinstance(chi, ChiMatrix) else np.asarray(chi, dtype=complex)
-
-
-def apply_chi(chi, rho) -> np.ndarray:
-    """Apply the channel sum_{m,n} chi[m,n] E_m rho E_n^dag, as one precomputed contraction."""
-    coeffs = np.multiply.outer(_chi_matrix(chi).reshape(16), np.asarray(rho, dtype=complex).reshape(4))
-    return (coeffs.reshape(64) @ _CHI_ACTION).reshape(2, 2)
 
 
 def qpt(rho_h, rho_v, rho_p, rho_r) -> ChiMatrix:
@@ -337,9 +312,3 @@ def trace_preservation_residual(chi) -> float:
     """Norm of sum_{m,n} chi[m,n] E_n^dag E_m - I (zero for TP channels)."""
     acc = (_chi_matrix(chi).reshape(16) @ _CHI_TP).reshape(2, 2)
     return float(np.linalg.norm(acc - IDENTITY))
-
-
-def channel_from_chi(chi) -> StokesChannel:
-    """Affine Stokes map of the channel encoded by a chi matrix."""
-    outputs = [apply_chi(chi, density_from_jones(JONES_STATES[lbl])) for lbl in PROBE_LABELS]
-    return affine_from_outputs(*outputs)

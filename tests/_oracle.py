@@ -21,8 +21,10 @@ the per-axis closed form in ``depolsim.tomography``.
 
 Chi maps.  The channel action sum_{m,n} chi[m,n] E_m rho E_n^dag and the
 trace-preservation sum sum_{m,n} chi[m,n] E_n^dag E_m are summed one
-Pauli pair at a time over the basis (I, X, Y, Z) written out here, where
-``depolsim.tomography`` folds each into one precomputed contraction.
+Pauli pair at a time over the basis (I, X, Y, Z) written out here.  The
+library has no chi action, since chi is only ever computed from channel
+outputs, and ``depolsim.tomography`` folds the trace-preservation sum
+into one precomputed contraction.
 """
 
 import numpy as np

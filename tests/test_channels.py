@@ -9,7 +9,6 @@ from depolsim.channels import (
     build_scheme,
     compose,
     extract_channel,
-    identity_channel,
     isotropy_report,
     mutually_unbiased_triad,
     s1_projection_channel,
@@ -121,7 +120,7 @@ def test_compose_examples():
     assert np.abs(lyot_map.m).max() < 1e-15 and np.abs(lyot_map.b).max() < 1e-15
 
     ch = extract_channel(build_scheme("scheme2", 33.0))
-    same = compose(identity_channel(), ch)
+    same = compose(StokesChannel(np.eye(3), np.zeros(3)), ch)
     assert np.abs(same.m - ch.m).max() < 1e-15 and np.abs(same.b - ch.b).max() < 1e-15
 
 
@@ -216,7 +215,7 @@ def test_isotropy_report():
     assert isotropic
     assert abs(lam - 1 / 3) < 1e-4
 
-    isotropic, lam = isotropy_report(identity_channel())
+    isotropic, lam = isotropy_report(StokesChannel(np.eye(3), np.zeros(3)))
     assert isotropic and abs(lam - 1.0) < 1e-12
 
     isotropic, _ = isotropy_report(extract_channel(build_scheme("single_crystal", 0.0)))

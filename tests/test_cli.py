@@ -2,6 +2,7 @@ import contextlib
 import hashlib
 import io
 import json
+import math
 
 import numpy as np
 import pytest
@@ -284,6 +285,15 @@ def test_malformed_scheme_files_exit_2(tmp_path, capsys):
             assert "error" in json.loads(err)
 
 
+def test_deeply_nested_scheme_file_exits_2(tmp_path, capsys):
+    path = tmp_path / "nested.json"
+    path.write_text('{"elements":' + "[" * 100_000)
+    for command in (["map", "--samples", "10"], ["tomo", "--shots", "100"]):
+        code, out, err = run_cli([command[0], "--scheme", str(path), *command[1:]], capsys)
+        assert code == 2 and out == ""
+        assert err.count("\n") == 1 and "RecursionError" in json.loads(err)["error"]
+
+
 def test_unbounded_and_non_finite_grids_are_rejected(capsys):
     for args in (
         ["sweep", "--scheme", "scheme1", "--theta-range", "0:inf:1"],
@@ -433,8 +443,10 @@ def test_points_writer_matches_json_on_signed_zeros_and_extremes():
 
 # --- argv fuzzing: every argv exits 0, or 2 with one JSON object on stderr ---
 
-# "@" stands for a scratch directory holding a valid and a malformed scheme file
-SCHEME_ARGS = st.sampled_from(SCHEME_NAMES + ("bogus", "@lyot.json", "@broken.json", "@absent.json", "@"))
+# "@" stands for a scratch directory holding a valid scheme file and three malformed ones
+SCHEME_ARGS = st.sampled_from(
+    SCHEME_NAMES + ("bogus", "@lyot.json", "@broken.json", "@nested.json", "@string_angle.json", "@absent.json", "@")
+)
 NUMBERS = st.one_of(
     st.floats(-1e3, 1e3).map(repr),
     st.sampled_from(["nan", "inf", "-inf", "1e400", "", "x", "0", "1", "0.3", "-1", "0.999999"]),
@@ -484,20 +496,64 @@ def argvs(draw):
     return [command] + [token for group in draw(st.permutations(groups)) for token in group]
 
 
-# map with its own flags and mostly valid values, so that many runs exit 0 and their reports can be checked
-MAP_FLAGS = {
-    "--theta": NUMBERS,
-    "--gamma": st.sampled_from(["0", "0.3", "0.999999"]) | NUMBERS,
-    "--samples": st.integers(3, 300).map(str),
-    "--out": st.just("@out.txt"),
-}
+def one(values):
+    return values.map(lambda value: [value])
 
 
 @st.composite
-def map_argvs(draw):
-    flags = draw(st.lists(st.sampled_from(sorted(MAP_FLAGS)), max_size=4, unique=True))
-    groups = [["--scheme", draw(SCHEME_ARGS)]] + [[flag, draw(MAP_FLAGS[flag])] for flag in flags]
-    return ["map"] + [token for group in draw(st.permutations(groups)) for token in group]
+def command_argvs(draw, command, required, optional):
+    """`command` with all its `required` flags and some `optional` ones in any order; each maps to its value lists."""
+    flags = list(required) + draw(st.lists(st.sampled_from(sorted(optional)), max_size=len(optional), unique=True))
+    groups = [[flag, *draw({**required, **optional}[flag])] for flag in flags]
+    return [command] + [token for group in draw(st.permutations(groups)) for token in group]
+
+
+# each command with its own flags and mostly valid values on small grids, inputs and shot counts, so that
+# many runs exit 0 and their output can be checked
+MOSTLY_NAMED = one(st.sampled_from(SCHEME_NAMES) | SCHEME_ARGS)
+SMALL_RANGES = one(
+    st.builds(
+        lambda start, step, points: f"{start!r}:{start + points * step!r}:{step!r}",
+        st.floats(-360.0, 360.0),
+        st.floats(0.5, 90.0),
+        st.integers(0, 4),
+    )
+)
+GAMMAS = one(st.sampled_from(["0", "0.3", "0.999999"]) | NUMBERS)
+OUT = one(st.just("@out.txt"))
+COMMAND_ARGVS = (
+    command_argvs(
+        "map",
+        {"--scheme": one(SCHEME_ARGS)},
+        {"--theta": one(NUMBERS), "--gamma": GAMMAS, "--samples": one(st.integers(3, 300).map(str)), "--out": OUT},
+    )
+    | command_argvs(
+        "sweep",
+        {"--scheme": MOSTLY_NAMED, "--theta-range": SMALL_RANGES},
+        {
+            "--inputs": st.lists(
+                st.sampled_from(["h", "v", "p", "m", "r", "l", "triad:0.2", "triad:-0.5", "0,0.6,0.8"]) | INPUT_TOKENS,
+                min_size=1,
+                max_size=3,
+            ),
+            "--gamma": GAMMAS,
+            "--out": OUT,
+        },
+    )
+    | command_argvs(
+        "tomo",
+        {"--scheme": MOSTLY_NAMED},
+        {
+            "--theta": one(st.floats(-360.0, 360.0).map(repr) | NUMBERS),
+            "--shots": one(st.integers(1, 10_000).map(str) | COUNTS),
+            "--seed": one(st.integers(0, 2**32).map(str) | SEEDS.map(str)),
+            "--exact": st.just([]),
+            "--gamma": GAMMAS,
+            "--out": OUT,
+        },
+    )
+    | command_argvs("compare", {"--theta-range": SMALL_RANGES}, {"--out": OUT})
+)
 
 
 @pytest.fixture(scope="module")
@@ -507,12 +563,13 @@ def fuzz_dir(tmp_path_factory):
                          {"kind": "crystal", "angle_deg": 45.0, "delay_bins": 2}]}
     (root / "lyot.json").write_text(json.dumps(lyot))
     (root / "broken.json").write_text('{"elements": [{"kind": "crystal"}')
+    (root / "nested.json").write_text('{"elements":' + "[" * 100_000)
+    (root / "string_angle.json").write_text('{"elements": [{"kind": "hwp", "angle_deg": "45"}]}')
     return str(root) + "/"
 
 
-@pytest.mark.filterwarnings("error")
-@settings(max_examples=400, deadline=None, derandomize=True, database=None)
-@given(argv=argvs() | map_argvs())
+@settings(max_examples=500, deadline=None, derandomize=True, database=None)
+@given(argv=argvs() | COMMAND_ARGVS)
 def test_fuzzed_argv_exits_0_or_2_with_a_json_error(fuzz_dir, argv):
     argv = [token.replace("@", fuzz_dir) for token in argv]
     out, err = io.StringIO(), io.StringIO()
@@ -525,19 +582,46 @@ def test_fuzzed_argv_exits_0_or_2_with_a_json_error(fuzz_dir, argv):
         assert isinstance(json.loads(err.getvalue())["error"], str), argv
     else:
         assert err.getvalue() == "", argv
-        if argv[0] == "map" and "--help" not in argv:
-            check_map_report(argv, out.getvalue())
+        if "--help" not in argv and "-h" not in argv:
+            args = cli.build_parser().parse_args(argv)
+            CHECK_OUTPUT[args.command](args, read_output(args, out.getvalue()))
 
 
-def check_map_report(argv, stdout):
-    """theta_deg is null exactly where there is no angle; a named scheme's channel is reproduced bit for bit."""
-    args = cli.build_parser().parse_args(argv)
+def read_output(args, stdout):
     if args.out:
         with open(args.out, encoding="utf-8") as fh:
-            stdout = fh.read()
-    report = json.loads(stdout)
-    assert (report["theta_deg"] is None) == (args.scheme == "lyot" or args.scheme not in SCHEME_NAMES), argv
+            return fh.read()
+    return stdout
+
+
+def check_map_report(args, text):
+    """theta_deg is null exactly where there is no angle; a named scheme's channel is reproduced bit for bit."""
+    report = json.loads(text)
+    assert (report["theta_deg"] is None) == (args.scheme == "lyot" or args.scheme not in SCHEME_NAMES), args
     if args.scheme in SCHEME_NAMES:
         config = build_scheme(args.scheme, args.theta, coherence=0.0 if args.gamma is None else args.gamma)
         expected = extract_channel(config).to_json()
-        assert json.dumps(expected, sort_keys=True) == json.dumps(report["channel"], sort_keys=True), argv
+        assert json.dumps(expected, sort_keys=True) == json.dumps(report["channel"], sort_keys=True), args
+
+
+def check_tomo_report(args, text):
+    assert 0.0 <= json.loads(text)["process_fidelity"] <= 1.0, args
+
+
+CSV_HEADERS = {"sweep": "theta_deg,input,s1,s2,s3,dop", "compare": "theta_deg,s1_sq,dop_engine,dop_analytic,abs_diff"}
+
+
+def check_csv(args, text):
+    """The header, one row per (angle, input), and a finite value in every numeric field."""
+    lines = text.split("\n")
+    assert lines.pop() == "" and lines[0] == CSV_HEADERS[args.command], args
+    per_angle = len(cli._parse_inputs(args.inputs)) if args.command == "sweep" else 3
+    assert len(lines) == 1 + len(_parse_theta_range(args.theta_range)) * per_angle, args
+    for line in lines[1:]:
+        fields = line.split(",")
+        # the name of a Stokes-vector input holds commas of its own, so sweep's numbers are the first and last four
+        numbers = [fields[0], *fields[-4:]] if args.command == "sweep" else fields
+        assert len(numbers) == 5 and all(math.isfinite(float(x)) for x in numbers), args
+
+
+CHECK_OUTPUT = {"map": check_map_report, "tomo": check_tomo_report, "sweep": check_csv, "compare": check_csv}

@@ -195,6 +195,39 @@ def test_scheme_json_errors_are_value_errors(doc):
         SchemeConfig.from_json(doc if isinstance(doc, str) else json.dumps(doc))
 
 
+def test_deeply_nested_scheme_json_is_a_value_error():
+    for text in ('{"elements":' + "[" * 100_000, '{"elements":' + "[" * 100_000 + "]" * 100_000 + "}"):
+        with pytest.raises(ValueError, match="RecursionError"):
+            SchemeConfig.from_json(text)
+
+
+@pytest.mark.parametrize(
+    "coherence, element",
+    [
+        (0.0, {"kind": "crystal", "angle_deg": "45", "delay_bins": 1}),
+        (0.0, {"kind": "hwp", "angle_deg": True}),
+        (0.0, {"kind": "crystal", "angle_deg": 0.0, "delay_bins": True}),
+        (0.0, {"kind": "crystal", "angle_deg": 0.0, "delay_bins": "1"}),
+        ("0.5", {"kind": "qwp", "angle_deg": 0.0}),
+        (False, {"kind": "qwp", "angle_deg": 0.0}),
+    ],
+)
+def test_scheme_json_angles_delays_and_coherence_must_be_numbers(coherence, element):
+    with pytest.raises(ValueError, match="must be a number"):
+        SchemeConfig.from_json(json.dumps({"coherence": coherence, "elements": [element]}))
+
+
+def test_scheme_json_takes_ints_and_rejects_numbers_beyond_the_float_range():
+    config = SchemeConfig.from_json('{"coherence": 0, "elements": [{"kind": "crystal", "angle_deg": 45, "delay_bins": 2}]}')
+    assert config.coherence == 0.0 and config.elements[0].angle_deg == 45.0 and config.elements[0].delay_bins == 2
+    for doc in (
+        {"elements": [{"kind": "hwp", "angle_deg": 10**400}]},
+        {"coherence": 10**400, "elements": [{"kind": "hwp", "angle_deg": 0}]},
+    ):
+        with pytest.raises(ValueError, match="OverflowError"):
+            SchemeConfig.from_json(json.dumps(doc))
+
+
 # --- angle batches: one config whose array angles stand for T configs that differ only in their angles ---
 
 
