@@ -47,6 +47,10 @@ MAX_POINTS = 1_000_000
 # isotropic_triple sweep peaked at ~1 GB as one batch, 48 MB in chunks of 1024 written one by one)
 THETA_CHUNK = 1024
 
+# sphere points map formats into one piece of its JSON; bounds the text held at once (map --samples 1000000
+# peaked at 326 MB with its points as one ~94 MB string, 100 MB in pieces of 8192)
+POINTS_CHUNK = 8192
+
 
 class CliError(Exception):
     pass
@@ -59,6 +63,12 @@ class _Parser(argparse.ArgumentParser):
 
 def _fmt(x: float) -> str:
     return f"{float(x):.12g}"
+
+
+def _csv_field(text: str) -> str:
+    """`text` as one CSV field, as RFC 4180 and csv.QUOTE_MINIMAL write it: quoted, with its quotes doubled,
+    if it holds a comma, a quote or a line break (a Stokes-vector input label such as 0,0.6,0.8 does)."""
+    return '"' + text.replace('"', '""') + '"' if any(c in text for c in ',"\r\n') else text
 
 
 def _parse_theta_range(text: str) -> list[float]:
@@ -143,15 +153,15 @@ def cmd_sweep(args):
         raise CliError("sweep needs a named scheme (a config file has no angle knob)")
     thetas = _parse_theta_range(args.theta_range)
     inputs = _parse_inputs(args.inputs)
-    names = [name for name, _ in inputs]
+    fields = [_csv_field(name) for name, _ in inputs]
     stack = np.column_stack([jones for _, jones in inputs])
     lines = ["theta_deg,input,s1,s2,s3,dop\n"]
     for chunk, rhos in _grid_outputs(args.scheme, thetas, stack, 0.0 if args.gamma is None else args.gamma):
         stokes, dops = stokes_from_density(rhos).tolist(), dop(rhos).tolist()
         for theta, s_theta, d_theta in zip(chunk, stokes, dops):
             t = _fmt(theta)
-            for name, s, d in zip(names, s_theta, d_theta):
-                lines.append(f"{t},{name},{s[0]:.12g},{s[1]:.12g},{s[2]:.12g},{d:.12g}\n")
+            for field, s, d in zip(fields, s_theta, d_theta):
+                lines.append(f"{t},{field},{s[0]:.12g},{s[1]:.12g},{s[2]:.12g},{d:.12g}\n")
         yield "".join(lines)
         lines = []
 
@@ -160,18 +170,23 @@ def cmd_sweep(args):
 _POINT_ROW = "    [\n      %r,\n      %r,\n      %r\n    ]"
 
 
-def _points_json(points: np.ndarray) -> str:
-    """An (n, 3) float array as json.dumps(points.tolist(), indent=2) renders it one level deep.
+def _points_json(points: np.ndarray):
+    """An (n, 3) float array as json.dumps(points.tolist(), indent=2) renders it one level deep,
+    in pieces of POINTS_CHUNK rows.
 
     json writes a finite float with float.__repr__, so formatting every
     value with repr gives the same bytes without the pure-Python encoder
     that indent forces; non-finite values raise ValueError, as with
-    allow_nan=False.
+    allow_nan=False, before the first piece.
     """
     if not np.isfinite(points).all():
         raise ValueError("Out of range float values are not JSON compliant")
-    rows = ",\n".join([_POINT_ROW] * len(points)) % tuple(points.ravel().tolist())
-    return "[\n" + rows + "\n  ]"
+    separator = "[\n"
+    for lo in range(0, len(points), POINTS_CHUNK):
+        chunk = points[lo : lo + POINTS_CHUNK]
+        yield separator + ",\n".join([_POINT_ROW] * len(chunk)) % tuple(chunk.ravel().tolist())
+        separator = ",\n"
+    yield "\n  ]"
 
 
 def cmd_map(args):
@@ -190,7 +205,10 @@ def cmd_map(args):
     text = json.dumps(report, indent=2, sort_keys=True, allow_nan=False)
     # a '"' inside a JSON string is escaped, so the key itself is the only match
     head, _, tail = text.partition('"points": []')
-    yield head + '"points": ' + _points_json(points) + tail + "\n"
+    points_text = _points_json(points)
+    yield head + '"points": ' + next(points_text)  # next() checks every point is finite
+    yield from points_text
+    yield tail + "\n"
 
 
 def cmd_tomo(args):

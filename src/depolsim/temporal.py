@@ -317,15 +317,26 @@ def _trace_out(bins: np.ndarray, a: np.ndarray, gamma: float) -> np.ndarray:
     |d| <= `_band_halfwidth(gamma)` (only d = 0 at gamma = 0).  For a
     normalized input sum_t |a_t|**2 = 1, so by Cauchy-Schwarz the dropped
     pairs change rho by at most 2**-60 * (sum_t |a_t|)**2 <= B * 2**-60
-    in spectral or Frobenius norm.  Bins are sorted and distinct, so pairs
-    k positions apart are at least k bins apart and the band is covered
-    by k = 1 .. halfwidth.
+    in spectral or Frobenius norm.
+
+    The band runs over positions k = 1, 2, ..., pairing bins[i] with
+    bins[i + k], and stops at the first k whose closest pair is beyond
+    the half-width.  That keeps the same pairs, and so the same bound, as
+    running every k: bins are sorted distinct integers, so
+    bins[i + k + 1] - bins[i] >= bins[i + k] - bins[i] + 1, the closest
+    distance grows by at least 1 per position, and no later position
+    holds a pair within reach.  For the same reason k never passes the
+    half-width, and no position runs at gamma = 0.
     """
+    halfwidth = _band_halfwidth(gamma)
     at = a.transpose(0, 2, 1)
     ac = a.conj()
     rho = at @ ac
-    for k in range(1, min(_band_halfwidth(gamma), len(bins) - 1) + 1):
-        w = gamma ** np.square(bins[k:] - bins[:-k], dtype=float)
+    for k in range(1, min(halfwidth, len(bins) - 1) + 1):
+        d = bins[k:] - bins[:-k]
+        if d.min() > halfwidth:
+            break
+        w = gamma ** np.square(d, dtype=float)
         w[w < KERNEL_FLOOR] = 0.0
         cross = (at[:, :, :-k] * w) @ ac[:, k:]
         rho = rho + cross + cross.conj().transpose(0, 2, 1)

@@ -1,5 +1,5 @@
-"""Test-only reference models: a brute-force time-bin engine, a Cholesky-parametrized likelihood
-and the chi-matrix maps term by term.
+"""Test-only reference models: a brute-force time-bin engine, the engine's trace-out over the full
+band, a Cholesky-parametrized likelihood and the chi-matrix maps term by term.
 
 Time-bin engine.  The time register is a dense lattice of
 L = 1 + (sum of crystal delays) bins, so no amplitude ever leaves it.
@@ -12,6 +12,12 @@ in the engine.
 
 It shares no code with ``depolsim.temporal``: no sparse bin index, no
 merging of equal bins, no Kraus operators and no banded contraction.
+
+Full band.  ``full_band_trace_out`` is the engine's banded trace-out
+without its early stop: it runs every position k up to
+min(half-width, B - 1), with weights floored at 2**-60.  Patched in for
+``depolsim.temporal._trace_out``, it gives the output the engine must
+match bit for bit.
 
 Likelihood.  The Poisson log-likelihood of a measurement record is
 evaluated setting by setting from the basis states' Jones vectors, and
@@ -27,7 +33,12 @@ outputs, and ``depolsim.tomography`` folds the trace-preservation sum
 into one precomputed contraction.
 """
 
+import math
+from unittest import mock
+
 import numpy as np
+
+from depolsim import temporal
 
 
 def hwp(angle_deg):
@@ -83,6 +94,37 @@ def kernel_trace(psi, gamma):
 
 def output(elements, gamma, jones):
     return kernel_trace(propagate(elements, jones), gamma)
+
+
+# --- the banded trace-out over the full band --------------------------------
+
+FLOOR = 2.0**-60
+
+
+def band_halfwidth(gamma):
+    """The engine's half-width, at least the largest bin distance d with gamma**(d*d) >= FLOOR (0 at gamma = 0)."""
+    if gamma == 0.0:
+        return 0
+    return math.isqrt(int(math.log(FLOOR) / math.log(gamma))) + 1
+
+
+def full_band_trace_out(bins, a, gamma):
+    """sum_{t,u} w(t - u) a_t a_u^dagger over the pairs of every position k <= min(half-width, B - 1)."""
+    at = a.transpose(0, 2, 1)
+    ac = a.conj()
+    rho = at @ ac
+    for k in range(1, min(band_halfwidth(gamma), len(bins) - 1) + 1):
+        w = gamma ** np.square(bins[k:] - bins[:-k], dtype=float)
+        w[w < FLOOR] = 0.0
+        cross = (at[:, :, :-k] * w) @ ac[:, k:]
+        rho = rho + cross + cross.conj().transpose(0, 2, 1)
+    return (rho + rho.conj().transpose(0, 2, 1)) / 2.0
+
+
+def full_band_run_scheme(config, j):
+    """``depolsim.temporal.run_scheme`` with the full-band trace-out."""
+    with mock.patch.object(temporal, "_trace_out", full_band_trace_out):
+        return temporal.run_scheme(config, j)
 
 
 # --- Poisson likelihood over every setting ------------------------------

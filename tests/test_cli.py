@@ -1,8 +1,10 @@
 import contextlib
+import csv
 import hashlib
 import io
 import json
 import math
+import pathlib
 
 import numpy as np
 import pytest
@@ -323,20 +325,30 @@ PINNED_OUTPUTS = [
      "975494fe6e52d6bff7984e43d957ab62bc7b24b9319e9240505dd85d7f7a6a12"),
     (["sweep", "--scheme", "scheme2", "--gamma", "0.3", "--theta-range", "0:90:0.5",
       "--inputs", "triad:0.3", "0.6,0.8,0"],
-     "ba95d32efe6668fdee641bcab13a73f2594d03ff291f43e9baa46c316d658b27"),
+     "227e3923d3fc1c11b6a8c3f9838a41575bce73789ccf1807f25711df8362cdf6"),
     (["compare", "--theta-range", "0:90:1"],
      "d35d95886bc68709f81e405a0099867e23d675ff8c304189cede46b9e5216557"),
     (["map", "--scheme", "isotropic_triple", "--theta", "33.3", "--samples", "500"],
      "07eddd7bc630006e315477d105d56c7e5c499e85b306a401d98b786dabb97341"),
     (["map", "--scheme", "lyot", "--samples", "3"],
      "163dcd02d59dd3cec14d0c19f8b30e27eedc041652bf6e157cc305ecd76c41b4"),
+    # five plate + crystal pairs with delays 81, 27, 9, 3, 1: 32 sparse bins, whose coherent band at gamma = 0.2
+    # shows in M, b and the points and stops before the half-width
+    (["map", "--scheme", "schemes/chain_3k.json", "--gamma", "0.2", "--samples", "100"],
+     "a7cb7e90cf36917aac94f4fb1dca5e18eefc8011c1a3916ae6825863ec8140e7"),
 ]
+
+TESTS_DIR = pathlib.Path(__file__).parent
 
 
 @pytest.mark.parametrize(
-    "argv, digest", PINNED_OUTPUTS, ids=["sweep-triple", "sweep-scheme2-gamma", "compare", "map-triple", "map-lyot"]
+    "argv, digest",
+    PINNED_OUTPUTS,
+    ids=["sweep-triple", "sweep-scheme2-gamma", "compare", "map-triple", "map-lyot", "map-chain-gamma"],
 )
-def test_out_bytes_are_pinned(tmp_path, capsys, argv, digest):
+def test_out_bytes_are_pinned(tmp_path, capsys, monkeypatch, argv, digest):
+    # a scheme file's path is part of the map report, so it is given relative to the tests directory
+    monkeypatch.chdir(TESTS_DIR)
     out = tmp_path / "out"
     code, stdout, err = run_cli(argv + ["--out", str(out)], capsys)
     assert code == 0 and stdout == "" and err == ""
@@ -438,7 +450,31 @@ def test_points_writer_matches_json_on_signed_zeros_and_extremes():
     points = np.array([[-0.0, 0.0, 1e-320], [-1.0, 1 / 3, 2.5e300], [5e-324, -7.0, 0.1]])
     expected = json.dumps({"points": points.tolist()}, indent=2)
     assert "-0.0" in expected
-    assert cli._points_json(points) == expected[len('{\n  "points": '):-len("\n}")]
+    assert "".join(cli._points_json(points)) == expected[len('{\n  "points": '):-len("\n}")]
+
+
+def test_map_writes_its_points_in_pieces_with_the_bytes_of_one(capsys, monkeypatch):
+    argv = ["map", "--scheme", "isotropic_triple", "--theta", "33.3"]
+    whole = {}
+    for samples in (3, 7, 8, 15):
+        code, whole[samples], _ = run_cli(argv + ["--samples", str(samples)], capsys)
+        assert code == 0
+    monkeypatch.setattr(cli, "POINTS_CHUNK", 7)
+    for samples, pieces in ((3, 1), (7, 1), (8, 2), (15, 3)):
+        assert len(list(cli._points_json(np.zeros((samples, 3))))) == pieces + 1
+        code, stdout, _ = run_cli(argv + ["--samples", str(samples)], capsys)
+        assert code == 0 and stdout == whole[samples]
+
+
+def test_a_stokes_vector_input_is_one_quoted_csv_field(tmp_path, capsys):
+    out = tmp_path / "sweep.csv"
+    argv = ["sweep", "--scheme", "scheme1", "--theta-range", "0:0:1", "--inputs", "h", "0,0.6,0.8", "--out", str(out)]
+    assert run_cli(argv, capsys)[0] == 0
+    with open(out, newline="") as fh:
+        rows = list(csv.reader(fh))
+    assert [len(row) for row in rows] == [6, 6, 6]
+    assert [row[1] for row in rows] == ["input", "h", "0,0.6,0.8"]
+    assert out.read_text().split("\n")[2].startswith('0,"0,0.6,0.8",')
 
 
 # --- argv fuzzing: every argv exits 0, or 2 with one JSON object on stderr ---
@@ -532,7 +568,8 @@ COMMAND_ARGVS = (
         {"--scheme": MOSTLY_NAMED, "--theta-range": SMALL_RANGES},
         {
             "--inputs": st.lists(
-                st.sampled_from(["h", "v", "p", "m", "r", "l", "triad:0.2", "triad:-0.5", "0,0.6,0.8"]) | INPUT_TOKENS,
+                st.sampled_from(["0,0.6,0.8", "h", "v", "p", "m", "r", "l", "triad:0.2", "triad:-0.5", "1,0,0", "-0.6,0,0.8"])
+                | INPUT_TOKENS,
                 min_size=1,
                 max_size=3,
             ),
@@ -612,16 +649,19 @@ CSV_HEADERS = {"sweep": "theta_deg,input,s1,s2,s3,dop", "compare": "theta_deg,s1
 
 
 def check_csv(args, text):
-    """The header, one row per (angle, input), and a finite value in every numeric field."""
-    lines = text.split("\n")
-    assert lines.pop() == "" and lines[0] == CSV_HEADERS[args.command], args
-    per_angle = len(cli._parse_inputs(args.inputs)) if args.command == "sweep" else 3
-    assert len(lines) == 1 + len(_parse_theta_range(args.theta_range)) * per_angle, args
-    for line in lines[1:]:
-        fields = line.split(",")
-        # the name of a Stokes-vector input holds commas of its own, so sweep's numbers are the first and last four
-        numbers = [fields[0], *fields[-4:]] if args.command == "sweep" else fields
-        assert len(numbers) == 5 and all(math.isfinite(float(x)) for x in numbers), args
+    """The header, then one row per (angle, input) of 6 (sweep) or 5 (compare) fields: sweep's input label
+    and a finite number in every other field."""
+    assert text.endswith("\n"), args
+    header, *rows = csv.reader(io.StringIO(text, newline=""))
+    assert ",".join(header) == CSV_HEADERS[args.command], args
+    thetas = _parse_theta_range(args.theta_range)
+    labels = [name for name, _ in cli._parse_inputs(args.inputs)] if args.command == "sweep" else [None] * 3
+    assert len(rows) == len(thetas) * len(labels), args
+    for row, label in zip(rows, labels * len(thetas)):
+        assert len(row) == len(header), args
+        if label is not None:
+            assert row.pop(1) == label, args
+        assert all(math.isfinite(float(x)) for x in row), args
 
 
 CHECK_OUTPUT = {"map": check_map_report, "tomo": check_tomo_report, "sweep": check_csv, "compare": check_csv}

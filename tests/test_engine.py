@@ -375,3 +375,54 @@ def test_stacked_stokes_and_dop_equal_per_matrix_calls_bitwise():
     assert np.array_equal(bits(s), bits([[stokes_from_density(r) for r in row] for row in rhos]))
     assert np.array_equal(bits(d), bits([[dop(r) for r in row] for row in rhos]))
     assert isinstance(dop(rhos[0, 0]), float) and stokes_from_density(rhos[0, 0]).shape == (3,)
+
+
+# --- the coherent band stops at its first position whose closest pair is beyond the kernel's reach ---
+
+# exact anchor angles zero projector entries, and with them amplitudes and whole bins
+band_angles = st.sampled_from([0.0, 45.0, 90.0]) | st.floats(-180.0, 180.0, allow_nan=False)
+# 3**k delays give every bin its own subset sum; other gaps make runs of bins of any spacing
+sparse_delays = st.sampled_from([1, 3, 9, 27, 81]) | st.integers(1, 400)
+
+
+@st.composite
+def sparse_bin_schemes(draw):
+    """Up to 7 crystals with sparse delays, each after an optional wave plate, at gamma in (0, 0.99]."""
+    elements = []
+    for _ in range(draw(st.integers(1, 7))):
+        if draw(st.booleans()):
+            elements.append(OpticalElement(draw(st.sampled_from(["hwp", "qwp"])), angle_deg=draw(band_angles)))
+        elements.append(crystal(draw(band_angles), draw(sparse_delays)))
+    gamma = draw(st.sampled_from([0.2, 0.5, 0.99]) | st.floats(0.0, 0.99, exclude_min=True))
+    return SchemeConfig(tuple(elements), coherence=gamma)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(config=sparse_bin_schemes())
+def test_band_stop_keeps_every_output_bit(config):
+    # signed zeros included: a skipped position could only have added zeros
+    expected = _oracle.full_band_run_scheme(config, ALL_INPUTS)
+    assert np.array_equal(bits(run_scheme(config, ALL_INPUTS)), bits(expected))
+
+
+def test_a_sparse_chain_runs_only_its_live_band_positions(monkeypatch):
+    # the chain's bins are at least 1, 3 and 4 apart at positions 1, 2 and 3, and at least 9 apart from
+    # position 4 on, beyond the half-width 6 at gamma = 0.2
+    config = SchemeConfig(tuple(delay_chain(np.random.default_rng(25), 7)), coherence=0.2)
+    bins, _ = kraus_operators(config)
+    assert len(bins) == 128 and temporal._band_halfwidth(0.2) == 6
+    positions = []
+
+    class RecordingNumpy:
+        """numpy, except that squaring the B - k bin distances of position k records k."""
+
+        def __getattr__(self, name):
+            return getattr(np, name)
+
+        def square(self, distances, **kwargs):
+            positions.append(len(bins) - len(distances))
+            return np.square(distances, **kwargs)
+
+    monkeypatch.setattr(temporal, "np", RecordingNumpy())
+    run_scheme(config, JONES_P)
+    assert positions == [1, 2, 3]
