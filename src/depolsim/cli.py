@@ -212,8 +212,6 @@ def cmd_map(args):
 
 
 def cmd_tomo(args):
-    if args.shots < 1:
-        raise CliError("shots must be >= 1")
     config = _load_scheme(args.scheme, args.theta, args.gamma)
     true_outputs = run_scheme(config, _PROBES)
     chi_theory = qpt(*true_outputs)

@@ -3,10 +3,11 @@
 Measurements follow the six-setting scheme (h, v, p, m, r, l): each
 setting is an independent acquisition window, so counts are Poisson
 with mean shots * tr(rho P).  The over-complete set over-determines the
-state, which conditions the maximum-likelihood reconstruction well.
+state, which conditions the maximum-likelihood reconstruction well.  A
+record holds each of the six settings exactly once, in any order.
 
 Counts are drawn from numpy's PCG64 generator so that a record is fully
-reproducible from (state, settings, shots, seed).
+reproducible from (state, shots, seed).
 """
 
 from __future__ import annotations
@@ -25,12 +26,12 @@ SETTING_PAIRS = (("h", "v"), ("p", "m"), ("r", "l"))
 
 # label -> (Stokes axis, eigenvalue); projector is (I + sign * SIGMA_axis) / 2,
 # exactly the rank-1 projector onto the named basis state
-_LABEL_AXIS = {"h": (0, 1), "v": (0, -1), "p": (1, 1), "m": (1, -1), "r": (2, 1), "l": (2, -1)}
+_LABEL_AXIS = {label: (axis, sign) for axis, pair in enumerate(SETTING_PAIRS) for label, sign in zip(pair, (1, -1))}
 
 
 @dataclass(frozen=True, eq=False)
 class MeasurementRecord:
-    """Raw counts for a list of projector settings."""
+    """Raw counts of the six projector settings, each label exactly once in any order."""
 
     settings: tuple[str, ...]
     counts: np.ndarray
@@ -38,7 +39,14 @@ class MeasurementRecord:
     seed: int
 
     def __post_init__(self):
-        object.__setattr__(self, "settings", tuple(self.settings))
+        settings = tuple(self.settings)
+        if not (
+            len(settings) == len(_LABEL_AXIS)
+            and all(isinstance(label, str) for label in settings)
+            and set(settings) == _LABEL_AXIS.keys()
+        ):
+            raise ValueError(f"settings must be the six labels h, v, p, m, r, l once each, got {settings!r}")
+        object.__setattr__(self, "settings", settings)
         counts = np.asarray(self.counts, dtype=np.int64)
         if counts.shape != (len(self.settings),):
             raise ValueError("need exactly one count per setting")
@@ -49,10 +57,8 @@ class MeasurementRecord:
             raise ValueError("shots must be >= 1")
 
     def count(self, label: str) -> int:
-        """Counts of `label`, summed over every setting that repeats it."""
-        if label not in self.settings:
-            raise ValueError(f"record has no {label!r} setting")
-        return int(sum(n for lbl, n in zip(self.settings, self.counts.tolist()) if lbl == label))
+        """Counts of the setting `label`."""
+        return int(self.counts[self.settings.index(label)])
 
     def to_json(self) -> dict:
         return {
@@ -85,23 +91,16 @@ def projector(label: str) -> np.ndarray:
 # the six projectors as one read-only (6, 2, 2) stack, in DEFAULT_SETTINGS order
 _PROJECTORS = np.stack([projector(label) for label in DEFAULT_SETTINGS])
 _PROJECTORS.flags.writeable = False
-_PROJECTOR_INDEX = {label: k for k, label in enumerate(DEFAULT_SETTINGS)}
 
 
-def probabilities(rho, settings=DEFAULT_SETTINGS) -> np.ndarray:
-    """Born-rule probabilities tr(rho P_j) for each setting, from one stacked product."""
-    rho = np.asarray(rho, dtype=complex)
-    try:
-        index = [_PROJECTOR_INDEX[label] for label in settings]
-    except KeyError as exc:
-        raise ValueError(f"unknown projector label {exc.args[0]!r}") from None
-    products = rho @ _PROJECTORS
-    p = (products[:, 0, 0] + products[:, 1, 1]).real[index]
-    return np.clip(p, 0.0, 1.0)
+def probabilities(rho) -> np.ndarray:
+    """Born-rule probabilities tr(rho P_j) of the six settings in DEFAULT_SETTINGS order, from one stacked product."""
+    products = np.asarray(rho, dtype=complex) @ _PROJECTORS
+    return np.clip((products[:, 0, 0] + products[:, 1, 1]).real, 0.0, 1.0)
 
 
-def sample_counts(rho, shots: int, seed: int, settings=DEFAULT_SETTINGS, exact: bool = False) -> MeasurementRecord:
-    """Simulate photon counting: Poisson counts with mean shots * p_j.
+def sample_counts(rho, shots: int, seed: int, exact: bool = False) -> MeasurementRecord:
+    """Simulate photon counting: Poisson counts with mean shots * p_j, in DEFAULT_SETTINGS order.
 
     With ``exact=True`` the Poisson draw is skipped and counts are
     round(shots * p_j), the deterministic noiseless limit; the seed is
@@ -110,7 +109,7 @@ def sample_counts(rho, shots: int, seed: int, settings=DEFAULT_SETTINGS, exact: 
     """
     if shots < 1:
         raise ValueError("shots must be >= 1")
-    means = shots * probabilities(rho, settings)
+    means = shots * probabilities(rho)
     if not (means < 2.0**63).all():
         raise ValueError(f"shots = {shots!r} gives mean counts beyond the int64 range")
     if exact:
@@ -118,4 +117,4 @@ def sample_counts(rho, shots: int, seed: int, settings=DEFAULT_SETTINGS, exact: 
     else:
         rng = np.random.Generator(np.random.PCG64(seed))
         counts = rng.poisson(means).astype(np.int64)
-    return MeasurementRecord(tuple(settings), counts, int(shots), int(seed))
+    return MeasurementRecord(DEFAULT_SETTINGS, counts, int(shots), int(seed))

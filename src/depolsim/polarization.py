@@ -100,7 +100,8 @@ def density_from_stokes(s) -> np.ndarray:
     Poincare sphere).
     """
     s = np.asarray(s, dtype=float).reshape(3)
-    norm = float(np.linalg.norm(s))
+    with np.errstate(over="ignore"):  # an overflowing norm is inf, which the check rejects
+        norm = float(np.linalg.norm(s))
     if not norm <= 1.0 + NORM_ATOL:
         raise ValueError(f"Stokes vector of length {norm!r} lies outside the unit ball")
     return _stokes_to_density(s)
@@ -113,9 +114,11 @@ def jones_from_stokes(s, atol: float = 1e-6) -> np.ndarray:
     norm 1 within `atol`.
     """
     s = np.asarray(s, dtype=float).reshape(3)
-    if not abs(np.linalg.norm(s) - 1.0) <= atol:
+    with np.errstate(over="ignore"):  # an overflowing norm is inf, which the check rejects
+        norm = np.linalg.norm(s)
+    if not abs(norm - 1.0) <= atol:
         raise ValueError("only unit Stokes vectors correspond to pure states")
-    rho = density_from_stokes(s / np.linalg.norm(s))
+    rho = density_from_stokes(s / norm)
     vals, vecs = np.linalg.eigh(rho)
     j = vecs[:, np.argmax(vals)]
     # fix the global phase so the largest component is real positive

@@ -7,12 +7,10 @@ counts over the Bloch ball.  Each of the six settings (h, v, p, m, r, l)
 is the projector (I +- sigma_i) / 2 on one Stokes axis, so the log
 likelihood splits into one concave term per axis,
 
-    l_i(s_i) = a_i log(1 + s_i) + b_i log(1 - s_i) - c_i s_i,
+    l_i(s_i) = a_i log(1 + s_i) + b_i log(1 - s_i),
 
-with a_i and b_i the counts of the axis' + and - labels, pooled over
-repeated labels, and c_i = shots * (k+ - k-) / 2 for label
-multiplicities k+-, which is 0 for the default settings.  If the
-per-axis maximizers lie in the ball they are the MLE; for c = 0 that is
+with a_i and b_i the counts of the axis' + and - labels.  If the
+per-axis maximizers lie in the ball they are the MLE, and that is
 exactly the linear estimate.  Otherwise the optimum lies on the sphere
 |s| = 1, where the Lagrange condition l_i'(s_i) = 2 mu s_i gives one
 monotone 1-D root per axis for each multiplier mu, and |s(mu)| shrinks
@@ -81,47 +79,30 @@ class ChiMatrix:
         return cls(mat, float(data.get("clipped_mass", 0.0)))
 
 
-def _pooled_counts(record: MeasurementRecord) -> list[tuple[int, int, int, int]]:
-    """Per Stokes axis (a, b, k+, k-): summed counts and multiplicities of its + and - labels.
-
-    The per-label sums are sufficient statistics of the Poisson model, so
-    repeated labels are pooled.  Every label must appear and every axis
-    must have counts.
-    """
-    tally = {lbl: [0, 0] for pair in SETTING_PAIRS for lbl in pair}
-    for lbl, n in zip(record.settings, record.counts.tolist()):
-        if lbl not in tally:
-            raise ValueError(f"unknown projector label {lbl!r}")
-        tally[lbl][0] += n
-        tally[lbl][1] += 1
-    missing = [lbl for lbl, (_, k) in tally.items() if k == 0]
-    if missing:
-        raise ValueError(f"record is missing settings {missing}; all six are required")
+def _axis_counts(record: MeasurementRecord) -> list[tuple[int, int]]:
+    """Per Stokes axis, the counts (a, b) of its + and - labels; every axis must have counts."""
     axes = []
     for plus, minus in SETTING_PAIRS:
-        (a, k_plus), (b, k_minus) = tally[plus], tally[minus]
+        a, b = record.count(plus), record.count(minus)
         if a + b == 0:
             raise ValueError(f"no counts in the ({plus}, {minus}) pair; Stokes estimate undefined")
-        axes.append((a, b, k_plus, k_minus))
+        axes.append((a, b))
     return axes
 
 
 def _linear_stokes(axes) -> list[float]:
-    # per-label rates r+- = a/k+, b/k-, and S = (r+ - r-)/(r+ + r-), in exact integers
-    return [(a * k_minus - b * k_plus) / (a * k_minus + b * k_plus) for a, b, k_plus, k_minus in axes]
+    # S = (a - b) / (a + b) per axis, in exact integers
+    return [(a - b) / (a + b) for a, b in axes]
 
 
 def qst_linear(record: MeasurementRecord) -> LinearEstimate:
-    """Stokes estimate S_i = (r+ - r-)/(r+ + r-) per complementary pair.
+    """Stokes estimate S_i = (a - b)/(a + b) per complementary pair of counts a, b.
 
-    r+- are the per-label rates: the counts of a label summed over its
-    repeats and divided by its multiplicity.  With equal multiplicities
-    this is (a - b)/(a + b) on the pooled counts, the interior point of
-    `qst_mle`.  The returned matrix has unit trace and is Hermitian but
-    may have a negative eigenvalue when counts are noisy; `physical`
-    flags that.
+    This is the interior point of `qst_mle`.  The returned matrix has
+    unit trace and is Hermitian but may have a negative eigenvalue when
+    counts are noisy; `physical` flags that.
     """
-    rho = _stokes_to_density(_linear_stokes(_pooled_counts(record)))
+    rho = _stokes_to_density(_linear_stokes(_axis_counts(record)))
     physical = bool(np.linalg.eigvalsh(rho).min() >= -PSD_ATOL)
     return LinearEstimate(rho, physical)
 
@@ -133,32 +114,32 @@ def qst_linear(record: MeasurementRecord) -> LinearEstimate:
 _MAX_STEPS = 200
 
 
-def _axis_maximizer(a: int, b: int, c: float, mu: float, s: float) -> tuple[float, float]:
-    """Maximizer over [-1, 1] of a log(1+s) + b log(1-s) - c s - mu s**2, and its d/d mu.
+def _axis_maximizer(a: int, b: int, mu: float, s: float) -> tuple[float, float]:
+    """Maximizer over [-1, 1] of a log(1+s) + b log(1-s) - mu s**2, and its d/d mu.
 
-    The derivative F(s) = a/(1+s) - b/(1-s) - c - 2 mu s is strictly
+    The derivative F(s) = a/(1+s) - b/(1-s) - 2 mu s is strictly
     decreasing.  Where it keeps one sign on (-1, 1) the maximizer is an
     end point (only possible when a = 0 or b = 0).  Otherwise it is the
     root of F, found by safeguarded Newton from the guess `s` on the
     cubic P(s) = (1 - s**2) F(s), which has the sign of F inside the
     interval and no poles.
     """
-    if a == 0 and 2.0 * mu - c - b / 2.0 <= 0.0:
+    if a == 0 and 2.0 * mu - b / 2.0 <= 0.0:
         return -1.0, 0.0
-    if b == 0 and a / 2.0 - c - 2.0 * mu >= 0.0:
+    if b == 0 and a / 2.0 - 2.0 * mu >= 0.0:
         return 1.0, 0.0
     lo, hi = -1.0, 1.0
     if not lo < s < hi:
         s = 0.0  # P vanishes at the end points, so start inside
     for _ in range(_MAX_STEPS):
-        p = a * (1.0 - s) - b * (1.0 + s) - (c + 2.0 * mu * s) * ((1.0 - s) * (1.0 + s))
+        p = a * (1.0 - s) - b * (1.0 + s) - 2.0 * mu * s * ((1.0 - s) * (1.0 + s))
         if p > 0.0:
             lo = s
         elif p < 0.0:
             hi = s
         else:
             break
-        slope = 2.0 * c * s - a - b - 2.0 * mu * (1.0 - 3.0 * s * s)
+        slope = -float(a) - b - 2.0 * mu * (1.0 - 3.0 * s * s)
         new = s - p / slope if slope < 0.0 else s
         if not lo < new < hi:
             new = 0.5 * (lo + hi)
@@ -166,7 +147,7 @@ def _axis_maximizer(a: int, b: int, c: float, mu: float, s: float) -> tuple[floa
             break
         s = new
     # implicit derivative of F(s(mu); mu) = 0, with F' = P' / (1 - s**2) at the root
-    slope = 2.0 * c * s - a - b - 2.0 * mu * (1.0 - 3.0 * s * s)
+    slope = -float(a) - b - 2.0 * mu * (1.0 - 3.0 * s * s)
     return s, (2.0 * s * (1.0 - s) * (1.0 + s) / slope if slope < 0.0 else 0.0)
 
 
@@ -179,32 +160,27 @@ def qst_mle(record: MeasurementRecord) -> np.ndarray:
     module docstring), so:
 
     * interior case: if the per-axis maximizers s(0) lie in the ball,
-      they are the MLE.  With equal label multiplicities this is exactly
-      `qst_linear(record).rho`.
+      they are the MLE, exactly `qst_linear(record).rho`.
     * boundary case: otherwise the multiplier mu > 0 solves
       |s(mu)| = 1, where s_i(mu) maximizes l_i(s) - mu s**2 on its axis.
-      |s(mu)| is non-increasing in mu and at most 1 once
-      mu >= (N + sum |c_i|) / 2 for N counts in total, so mu is found by
-      safeguarded Newton on that bracket, and s is normalized at the end.
+      |s(mu)| is non-increasing in mu and at most 1 once mu >= N / 2
+      for N counts in total, so mu is found by safeguarded Newton on
+      that bracket, and s is normalized at the end.
 
-    With c_i = 0, an axis whose + (or -) label has no counts starts at
-    s_i = -1 (or +1) and leaves it only as mu grows.  The result is deterministic:
+    An axis whose + (or -) label has no counts starts at s_i = -1 (or
+    +1) and leaves it only as mu grows.  The result is deterministic:
     both root searches are plain float iterations with fixed stopping
-    rules.  Raises ValueError if a label is missing or an axis has no
-    counts.
+    rules.  Raises ValueError if an axis has no counts.
     """
-    axes = _pooled_counts(record)
-    if all(k_plus == k_minus for _, _, k_plus, k_minus in axes):
-        s = _linear_stokes(axes)
-        if s[0] * s[0] + s[1] * s[1] + s[2] * s[2] <= 1.0:
-            return _stokes_to_density(s)
-    # c = shots (k+ - k-) / 2: the linear term of the expected total count
-    coeffs = [(a, b, record.shots * (k_plus - k_minus) / 2.0) for a, b, k_plus, k_minus in axes]
-    roots = [_axis_maximizer(a, b, c, 0.0, (a - b) / (a + b)) for a, b, c in coeffs]
+    axes = _axis_counts(record)
+    s = _linear_stokes(axes)
+    if s[0] * s[0] + s[1] * s[1] + s[2] * s[2] <= 1.0:
+        return _stokes_to_density(s)
+    roots = [_axis_maximizer(a, b, 0.0, si) for (a, b), si in zip(axes, s)]
     excess = sum(si * si for si, _ in roots) - 1.0
     if excess <= 0.0:
         return _stokes_to_density([si for si, _ in roots])
-    lo, hi = 0.0, sum(a + b + abs(c) for a, b, c in coeffs) / 2.0
+    lo, hi = 0.0, sum(float(a + b) for a, b in axes) / 2.0
     mu = 0.0
     for _ in range(_MAX_STEPS):
         if excess > 0.0:
@@ -220,7 +196,7 @@ def qst_mle(record: MeasurementRecord) -> np.ndarray:
         if new == mu:
             break
         mu = new
-        roots = [_axis_maximizer(a, b, c, mu, si) for (a, b, c), (si, _) in zip(coeffs, roots)]
+        roots = [_axis_maximizer(a, b, mu, si) for (a, b), (si, _) in zip(axes, roots)]
         excess = sum(si * si for si, _ in roots) - 1.0
     norm = math.sqrt(excess + 1.0)
     return _stokes_to_density([si / norm for si, _ in roots])

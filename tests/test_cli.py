@@ -212,6 +212,9 @@ def test_error_paths_emit_json(capsys):
         ["sweep", "--scheme", "scheme1", "--theta-range", "10:0:1"],
         ["sweep", "--scheme", "scheme1", "--theta-range", "0:10:-1"],
         ["sweep", "--scheme", "scheme1", "--theta-range", "0:10:1", "--inputs", "w"],
+        ["sweep", "--scheme", "scheme1", "--theta-range", "0:1"],
+        ["sweep", "--scheme", "scheme1", "--theta-range", "a:b:c"],
+        ["sweep", "--scheme", "scheme1", "--theta-range", "0:10:1", "--inputs", "0.6,0.8"],
         ["tomo", "--scheme", "scheme1", "--theta", "10", "--shots", "0"],
         ["map", "--scheme", "scheme1"],  # named scheme without its angle
     ):
@@ -307,6 +310,7 @@ def test_unbounded_and_non_finite_grids_are_rejected(capsys):
         ["map", "--scheme", "lyot", "--samples", "1000001"],
         ["sweep", "--scheme", "scheme1", "--theta-range", "0:1:1", "--inputs", "nan,0,0"],
         ["sweep", "--scheme", "scheme1", "--theta-range", "0:1:1", "--inputs", "triad:nan"],
+        ["sweep", "--scheme", "scheme1", "--theta-range", "0:0:1", "--inputs", "1e200,1e200,0"],
     ):
         code, out, err = run_cli(args, capsys)
         assert code == 2 and out == "", args

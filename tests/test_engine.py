@@ -426,3 +426,19 @@ def test_a_sparse_chain_runs_only_its_live_band_positions(monkeypatch):
     monkeypatch.setattr(temporal, "np", RecordingNumpy())
     run_scheme(config, JONES_P)
     assert positions == [1, 2, 3]
+
+
+# --- a crystal step from more than _PLAN_CACHE_BINS bins computes its merge plan without the cache ---
+
+
+def test_uncached_merge_plans_keep_every_output_bit(monkeypatch):
+    configs = [build_scheme(name, 22.5, coherence=0.3) for name in SCHEME_NAMES]
+    configs.append(build_scheme("isotropic_triple", np.array(BATCH_THETAS), coherence=0.3))
+    configs.append(SchemeConfig(tuple(delay_chain(np.random.default_rng(23), 10)), coherence=0.2))
+    cached = [run_scheme(config, ALL_INPUTS) for config in configs]
+    # with the cap at 0 every step takes the uncached path, and the cache sees no lookup
+    monkeypatch.setattr(temporal, "_PLAN_CACHE_BINS", 0)
+    lookups = temporal._cached_merge_plan.cache_info()
+    for config, expected in zip(configs, cached):
+        assert np.array_equal(bits(run_scheme(config, ALL_INPUTS)), bits(expected))
+    assert temporal._cached_merge_plan.cache_info() == lookups

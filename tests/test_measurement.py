@@ -39,14 +39,10 @@ def test_probabilities_examples():
 
 def test_probabilities_equal_the_per_label_traces():
     rng = np.random.default_rng(8)
-    settings = DEFAULT_SETTINGS + ("r", "h", "h")
     for _ in range(200):
         rho = random_density(rng)
-        per_label = np.clip([np.trace(rho @ projector(lbl)).real for lbl in settings], 0.0, 1.0)
-        assert np.array_equal(probabilities(rho, settings).view(np.uint64), per_label.view(np.uint64))
-    assert probabilities(rho, ()).shape == (0,)
-    with pytest.raises(ValueError, match="label"):
-        probabilities(rho, ("h", "x"))
+        per_label = np.clip([np.trace(rho @ projector(lbl)).real for lbl in DEFAULT_SETTINGS], 0.0, 1.0)
+        assert np.array_equal(probabilities(rho).view(np.uint64), per_label.view(np.uint64))
 
 
 def test_complementary_pairs_sum_to_one():
@@ -110,15 +106,25 @@ def test_poisson_variance_matches_mean():
 
 
 def test_record_validation_and_json():
-    rec = MeasurementRecord(("h", "v"), np.array([3, 4]), shots=10, seed=7)
+    shuffled = ("r", "v", "m", "h", "l", "p")
+    rec = MeasurementRecord(shuffled, np.array([1, 4, 2, 3, 6, 5]), shots=10, seed=7)
     assert rec.count("v") == 4
     back = MeasurementRecord.from_json(rec.to_json())
     assert back.settings == rec.settings
     assert np.array_equal(back.counts, rec.counts)
     assert (back.shots, back.seed) == (rec.shots, rec.seed)
     with pytest.raises(ValueError, match="per setting"):
-        MeasurementRecord(("h",), np.array([1, 2]), shots=10, seed=0)
+        MeasurementRecord(shuffled, np.array([1, 2]), shots=10, seed=0)
     with pytest.raises(ValueError, match="non-negative"):
-        MeasurementRecord(("h",), np.array([-1]), shots=10, seed=0)
+        MeasurementRecord(shuffled, np.array([1, 2, 3, 4, 5, -1]), shots=10, seed=0)
     with pytest.raises(ValueError, match="shots"):
         sample_counts(np.eye(2) / 2, 0, seed=0)
+    with pytest.raises(ValueError, match="shots"):
+        MeasurementRecord(shuffled, np.ones(6), shots=0, seed=0)
+    # the settings must be h, v, p, m, r and l once each: not repeated, missing, unknown or non-string
+    for settings in (("h", "v", "p", "m", "r", "r"), ("h", "v", "p", "m", "r"), ("h", "v", "p", "m", "r", "x"),
+                     ("h", "v", "p", "m", "r", 5)):
+        with pytest.raises(ValueError, match="once each"):
+            MeasurementRecord(settings, np.ones(len(settings)), shots=10, seed=0)
+        with pytest.raises(ValueError, match="once each"):
+            MeasurementRecord.from_json({"settings": list(settings), "counts": [1] * len(settings), "shots": 10, "seed": 0})

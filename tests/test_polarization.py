@@ -51,6 +51,8 @@ def test_stokes_of_named_states():
     assert np.allclose(stokes_from_density(density_from_jones(JONES_H)), [1, 0, 0], atol=1e-15)
     assert np.allclose(stokes_from_density(I2 / 2), [0, 0, 0], atol=1e-15)
     assert np.allclose(stokes_from_density(density_from_jones(JONES_R)), [0, 0, 1], atol=1e-15)
+    with pytest.raises(ValueError, match="2x2"):
+        stokes_from_density(np.eye(3))
 
 
 def test_density_from_stokes_examples():
@@ -64,6 +66,8 @@ def test_density_from_stokes_examples():
 def test_density_from_stokes_rejects_outside_ball():
     with pytest.raises(ValueError, match="outside"):
         density_from_stokes([0.8, 0.8, 0.0])
+    with pytest.raises(ValueError, match="outside"):
+        density_from_stokes([1e200, 0.0, 0.0])
 
 
 def test_stokes_density_round_trip():
