@@ -29,6 +29,7 @@ Scheme summary (theta is the tuning angle, in degrees):
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -155,7 +156,12 @@ def affine_from_outputs(rho_h, rho_v, rho_p, rho_r) -> StokesChannel:
     outputs give the S2 and S3 columns.  Linearity of the channel in rho
     makes four inputs sufficient.
     """
-    s_h, s_v, s_p, s_r = stokes_from_density(np.array((rho_h, rho_v, rho_p, rho_r), dtype=complex))
+    return _affine_from_stokes(stokes_from_density(np.array((rho_h, rho_v, rho_p, rho_r), dtype=complex)))
+
+
+def _affine_from_stokes(stokes: np.ndarray) -> StokesChannel:
+    """`affine_from_outputs` from the (4, 3) Stokes vectors of the h, v, p, r outputs."""
+    s_h, s_v, s_p, s_r = stokes
     b = (s_h + s_v) / 2.0
     m = np.column_stack([s_h - b, s_p - b, s_r - b])
     return StokesChannel(m, b)
@@ -170,7 +176,7 @@ _PROBES = np.column_stack([JONES_STATES[lbl] for lbl in PROBE_LABELS])
 def extract_channel(config: SchemeConfig) -> StokesChannel:
     """Affine Stokes map of a single scheme: its h, v, p, r outputs from one propagation."""
     _check_single(config.batch, "extract_channel")
-    return affine_from_outputs(*run_scheme(config, _PROBES))
+    return _affine_from_stokes(stokes_from_density(run_scheme(config, _PROBES)))
 
 
 def analytic_scheme2_dop(theta_deg: float, s1: float) -> float:
@@ -180,10 +186,12 @@ def analytic_scheme2_dop(theta_deg: float, s1: float) -> float:
         + (s1^2 / 4) (-7/8 + 1/2 cos 4t + 3/8 cos 8t)
 
     depends on the input only through S1; all inputs sharing |S1| are
-    depolarized identically.
+    depolarized identically.  A non-finite theta or s1 raises ValueError.
     """
-    if abs(s1) > 1.0 + 1e-12:
-        raise ValueError("|s1| must not exceed 1")
+    if not math.isfinite(theta_deg):
+        raise ValueError(f"theta must be a finite number of degrees, got {theta_deg!r}")
+    if not abs(s1) <= 1.0 + 1e-12:
+        raise ValueError(f"|s1| must not exceed 1, got {s1!r}")
     t = np.deg2rad(theta_deg)
     c4, c8 = np.cos(4 * t), np.cos(8 * t)
     d2 = 0.25 * (19.0 / 8.0 + 1.5 * c4 + 0.125 * c8)

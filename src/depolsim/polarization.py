@@ -55,12 +55,23 @@ SIGMAS = (SIGMA1, SIGMA2, SIGMA3)
 IDENTITY = np.eye(2, dtype=complex)
 
 
+def check_normalized(j: np.ndarray) -> None:
+    """Raise ValueError unless |j|^2 = 1 within NORM_ATOL, for a complex Jones vector or each column of a (2, n) stack.
+
+    A vector and a stack's column are judged by the same expression,
+    |a|^2 + |b|^2 summed from the squared real and imaginary parts in
+    Python floats; a norm too large to square reads as inf and fails.
+    """
+    for a, b in j.T.tolist() if j.ndim == 2 else [j.tolist()]:
+        norm2 = (a.real * a.real + a.imag * a.imag) + (b.real * b.real + b.imag * b.imag)
+        if not abs(norm2 - 1.0) <= NORM_ATOL:
+            raise ValueError(f"Jones vector is not normalized: |j|^2 = {norm2!r}")
+
+
 def as_jones(vec) -> np.ndarray:
     """Coerce to a normalized complex 2-vector, raising if the norm is off."""
     j = np.asarray(vec, dtype=complex).reshape(2)
-    norm2 = float(np.vdot(j, j).real)
-    if not abs(norm2 - 1.0) <= NORM_ATOL:
-        raise ValueError(f"Jones vector is not normalized: |j|^2 = {norm2!r}")
+    check_normalized(j)
     return j
 
 

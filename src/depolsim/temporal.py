@@ -46,7 +46,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .polarization import as_jones
+from .polarization import as_jones, check_normalized
 
 # bins: map from non-negative integer bin index to complex (h, v) amplitude
 TimeBinState = dict[int, np.ndarray]
@@ -66,8 +66,12 @@ KERNEL_FLOOR = 2.0**-60
 # most occupied bins a propagation may hold: (B, 2, 2) Kraus operators are 64 MB at 2**20
 MAX_BINS = 2**20
 
-# crystal merge plans are memoized for bin arrays up to this length (a few kB per plan)
+# crystal merge plans and coherent-band plans are memoized for bin arrays up to this length
+# (a few kB per merge plan)
 _PLAN_CACHE_BINS = 1024
+
+# band plans are memoized only while they hold at most this many weights (32 kB of floats)
+_BAND_CACHE_WEIGHTS = 2**12
 
 
 def _as_delay(value) -> int:
@@ -209,10 +213,13 @@ def _qwp_entries(angle_deg: float) -> list:
 
 
 def _projector_entries(axis_deg: float) -> list:
-    """Rows of the fast projector e_f e_f^T, then of the slow projector e_s e_s^T."""
+    """Row 0 of the fast projector e_f e_f^T, row 0 of the slow one e_s e_s^T, then row 1 of each."""
     a = math.radians(axis_deg)
     c, s = math.cos(a), math.sin(a)
-    return [s * s, -s * c, -s * c, c * c, c * c, c * s, c * s, s * s]
+    return [s * s, -s * c, c * c, c * s, -s * c, c * c, c * s, s * s]
+
+
+_ENTRIES = {CRYSTAL: _projector_entries, HWP: _hwp_entries, QWP: _qwp_entries}
 
 
 # The propagation state of a group of configs is (bins, amps): a sorted
@@ -222,13 +229,21 @@ def _projector_entries(axis_deg: float) -> list:
 # (m = 2 identity columns for Kraus operators, m = 1 for a dict state).
 
 
-def _element_stack(element: OpticalElement, n_configs: int) -> np.ndarray:
-    """(T, 4, 2) projectors or (T, 2, 2) Jones matrices of one element, from the scalar entry code per angle
-    (a float angle's entries are repeated), so that every matrix has the bits of its single-config stack."""
-    entries = {CRYSTAL: _projector_entries, HWP: _hwp_entries, QWP: _qwp_entries}[element.kind]
-    angle = element.angle_deg
-    flat = entries(angle) * n_configs if isinstance(angle, float) else [x for a in angle.tolist() for x in entries(a)]
-    return np.array(flat, dtype=complex).reshape(n_configs, -1, 2)
+def _element_table(elements, n_configs: int, rows: int) -> np.ndarray:
+    """(len(elements), T, rows, 2) matrices of elements from one array call: crystal projectors (rows = 4)
+    or wave-plate Jones matrices (rows = 2), not both.
+
+    The entries come from the scalar entry code per angle (a float angle's
+    entries are repeated), so every matrix has the bits of its single-config table.
+    """
+    flat = []
+    for element in elements:
+        entries, angle = _ENTRIES[element.kind], element.angle_deg
+        if isinstance(angle, float):
+            flat += entries(angle) * n_configs
+        else:
+            flat += [x for a in angle.tolist() for x in entries(a)]
+    return np.array(flat, dtype=complex).reshape(len(elements), n_configs, rows, 2)
 
 
 def _rotate(amps: np.ndarray, jmats: np.ndarray) -> np.ndarray:
@@ -282,8 +297,9 @@ def _crystal_step(bins: np.ndarray, amps: np.ndarray, projectors: np.ndarray, de
     is None when every config occupies every kept bin.
     """
     n_configs, _, n_bins, m = amps.shape
-    split = (projectors @ amps.reshape(n_configs, 2, n_bins * m)).reshape(-1, 2, 2, n_bins, m)
-    merged = split.transpose(0, 2, 1, 3, 4).reshape(-1, 2, 2 * n_bins, m)
+    # the projector rows alternate fast and slow, so the product is laid out as (T, h or v, fast or slow, B, m)
+    # and reads as (T, 2, 2B, m) with the fast bins first, without a copy
+    merged = (projectors @ amps.reshape(n_configs, 2, n_bins * m)).reshape(-1, 2, 2 * n_bins, m)
     if n_bins <= _PLAN_CACHE_BINS:
         bins, order, starts = _cached_merge_plan(bins.tobytes(), delay)
     else:
@@ -303,6 +319,39 @@ def _band_halfwidth(gamma: float) -> int:
     if gamma == 0.0:
         return 0
     return math.isqrt(int(math.log(KERNEL_FLOOR) / math.log(gamma))) + 1
+
+
+def _band_plan(bins: np.ndarray, gamma: float) -> tuple:
+    """The live positions of the coherent band over `bins`: a tuple of (k, w), read-only.
+
+    w[i] = gamma**((bins[i + k] - bins[i])**2) weighs the pair of bins[i]
+    and bins[i + k], set to 0 below KERNEL_FLOOR; the positions stop as
+    `_trace_out` describes.
+    """
+    halfwidth = _band_halfwidth(gamma)
+    plan = []
+    for k in range(1, min(halfwidth, len(bins) - 1) + 1):
+        d = bins[k:] - bins[:-k]
+        if d.min() > halfwidth:
+            break
+        w = gamma ** np.square(d, dtype=float)
+        w[w < KERNEL_FLOOR] = 0.0
+        w.flags.writeable = False
+        plan.append((k, w))
+    return tuple(plan)
+
+
+@functools.lru_cache(maxsize=256)
+def _cached_band_plan(bins_key: bytes, gamma: float) -> tuple:
+    """`_band_plan` for the bins of `bins_key`, memoized like merge plans.
+
+    `_trace_out` asks here only for at most _PLAN_CACHE_BINS bins whose
+    band holds at most _BAND_CACHE_WEIGHTS weights (B times the positions
+    it may run), so one entry holds at most 8 kB of key, 32 kB of weights
+    and 63 small arrays: about 41 kB at the worst shapes, and the 256
+    entries stay below 16 MB (about 10 MB).
+    """
+    return _band_plan(np.frombuffer(bins_key, dtype=np.int64), gamma)
 
 
 def _trace_out(bins: np.ndarray, a: np.ndarray, gamma: float) -> np.ndarray:
@@ -326,18 +375,19 @@ def _trace_out(bins: np.ndarray, a: np.ndarray, gamma: float) -> np.ndarray:
     bins[i + k + 1] - bins[i] >= bins[i + k] - bins[i] + 1, the closest
     distance grows by at least 1 per position, and no later position
     holds a pair within reach.  For the same reason k never passes the
-    half-width, and no position runs at gamma = 0.
+    half-width, and no position runs at gamma = 0.  The positions and
+    their weights depend on (bins, gamma) only (see `_band_plan`).
     """
-    halfwidth = _band_halfwidth(gamma)
+    n_bins = len(bins)
+    most_weights = n_bins * min(_band_halfwidth(gamma), n_bins - 1)
+    if n_bins <= _PLAN_CACHE_BINS and 0 < most_weights <= _BAND_CACHE_WEIGHTS:
+        plan = _cached_band_plan(bins.tobytes(), float(gamma))
+    else:
+        plan = _band_plan(bins, gamma)
     at = a.transpose(0, 2, 1)
     ac = a.conj()
     rho = at @ ac
-    for k in range(1, min(halfwidth, len(bins) - 1) + 1):
-        d = bins[k:] - bins[:-k]
-        if d.min() > halfwidth:
-            break
-        w = gamma ** np.square(d, dtype=float)
-        w[w < KERNEL_FLOOR] = 0.0
+    for k, w in plan:
         cross = (at[:, :, :-k] * w) @ ac[:, k:]
         rho = rho + cross + cross.conj().transpose(0, 2, 1)
     return (rho + rho.conj().transpose(0, 2, 1)) / 2.0
@@ -368,12 +418,16 @@ def _propagate(config: SchemeConfig) -> list:
     MAX_BINS raises ValueError before it allocates anything.
     """
     n_configs = config.batch or 1
+    crystals = [e for e in config.elements if e.kind == CRYSTAL]
+    plates = [e for e in config.elements if e.kind != CRYSTAL]
+    projectors, jones = iter(_element_table(crystals, n_configs, 4)), iter(_element_table(plates, n_configs, 2))
     groups = [(slice(None), _IDENTITY_BINS, _IDENTITY_AMPS)]
     for element in config.elements:
-        stack = _element_stack(element, n_configs)
         if element.kind != CRYSTAL:
+            stack = next(jones)
             groups = [(members, bins, _rotate(amps, stack[members])) for members, bins, amps in groups]
             continue
+        stack = next(projectors)
         stepped = []
         for members, bins, amps in groups:
             if 2 * len(bins) > MAX_BINS:
@@ -437,8 +491,7 @@ def run_scheme(config: SchemeConfig, j) -> np.ndarray:
     if j.ndim == 1:
         cols = as_jones(j)[:, None]
     elif j.ndim == 2 and j.shape[0] == 2:
-        for column in j.T:
-            as_jones(column)
+        check_normalized(j)
         cols = j
     else:
         raise ValueError(f"inputs must be a Jones vector or a (2, n) stack of them, got shape {j.shape}")
@@ -481,11 +534,10 @@ def apply_element(state: TimeBinState, element: OpticalElement) -> TimeBinState:
     if isinstance(element.angle_deg, np.ndarray):
         _check_single(len(element.angle_deg), "apply_element")
     bins, amps = _from_state(state)
-    stack = _element_stack(element, 1)
     if element.kind == CRYSTAL:
-        bins, amps, _ = _crystal_step(bins, amps, stack, element.delay_bins)
+        bins, amps, _ = _crystal_step(bins, amps, _element_table([element], 1, 4)[0], element.delay_bins)
     else:
-        amps = _rotate(amps, stack)
+        amps = _rotate(amps, _element_table([element], 1, 2)[0])
     return _to_state(bins, amps)
 
 

@@ -145,6 +145,12 @@ def test_analytic_scheme2_dop_values():
     assert abs(dop(run_scheme(build_scheme("scheme2", 45.0), JONES_H))) < 1e-12
     with pytest.raises(ValueError, match="s1"):
         analytic_scheme2_dop(10.0, 1.2)
+    for s1 in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match="s1"):
+            analytic_scheme2_dop(10.0, s1)
+    for theta in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match="theta"):
+            analytic_scheme2_dop(theta, 0.5)
 
 
 def test_engine_matches_scheme2_closed_form():

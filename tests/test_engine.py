@@ -2,6 +2,8 @@
 
 import dataclasses
 import json
+import re
+import sys
 
 import numpy as np
 import pytest
@@ -16,6 +18,8 @@ from depolsim.polarization import (
     JONES_R,
     JONES_STATES,
     JONES_V,
+    NORM_ATOL,
+    as_jones,
     density_from_jones,
     dop,
     stokes_from_density,
@@ -143,7 +147,38 @@ def test_run_scheme_input_validation():
             run_scheme(config, bad)
     with pytest.raises(ValueError, match="normalized"):
         run_scheme(config, np.column_stack([JONES_H, [np.nan, 0.0]]))
+    # one bad column among good ones raises the as_jones message with its |j|^2
+    for column, norm2 in (([0.0, 2.0], "4.0"), ([np.nan, 0.0], "nan"), ([1e200, 0.0], "inf"), ([np.inf, 0.0], "inf")):
+        with pytest.raises(ValueError, match=re.escape(f"Jones vector is not normalized: |j|^2 = {norm2}")):
+            run_scheme(config, np.column_stack([JONES_H, column, JONES_V]))
+    # within the tolerance of as_jones, a column passes
+    assert run_scheme(config, np.column_stack([JONES_H, [1.0 + 2e-11, 0.0]])).shape == (2, 2, 2)
     assert run_scheme(config, np.zeros((2, 0), dtype=complex)).shape == (0, 2, 2)
+
+
+def test_a_stack_column_and_a_single_vector_meet_the_same_norm_rule():
+    # columns within a few ulps of |j|^2 = 1 -+ NORM_ATOL, where two ways of rounding the norm can disagree
+    config = SchemeConfig((crystal(0.0, 1),))
+    rng = np.random.default_rng(31)
+    outcomes = set()
+    for _ in range(300):
+        unit = random_pure_jones(rng)
+        for edge in (1.0 + NORM_ATOL, 1.0 - NORM_ATOL):
+            column = unit * np.sqrt(edge) * (1.0 + int(rng.integers(-6, 7)) * np.finfo(float).eps)
+            refused = []
+            for call in (
+                lambda: as_jones(column),
+                lambda: run_scheme(config, column),
+                lambda: run_scheme(config, np.column_stack([JONES_H, column])),
+            ):
+                try:
+                    call()
+                    refused.append(False)
+                except ValueError:
+                    refused.append(True)
+            assert len(set(refused)) == 1
+            outcomes.add(refused[0])
+    assert outcomes == {False, True}
 
 
 def test_elements_reject_non_finite_and_fractional_values():
@@ -424,21 +459,49 @@ def test_a_sparse_chain_runs_only_its_live_band_positions(monkeypatch):
             return np.square(distances, **kwargs)
 
     monkeypatch.setattr(temporal, "np", RecordingNumpy())
+    temporal._cached_band_plan.cache_clear()  # a cached plan would square no distances
     run_scheme(config, JONES_P)
     assert positions == [1, 2, 3]
 
 
-# --- a crystal step from more than _PLAN_CACHE_BINS bins computes its merge plan without the cache ---
+# --- band plans are memoized per (bins, gamma), within a stated memory bound ---
+
+
+def test_the_band_plan_cache_stays_below_16_mb():
+    # dense bins keep every position live; each length gets the largest reach the weight cap admits
+    worst = 0
+    for n_bins in (2, 8, 63, 64, 65, 512, 1024):
+        reach = min(n_bins - 1, temporal._BAND_CACHE_WEIGHTS // n_bins)
+        gamma = 2.0 ** (-60.0 / ((reach - 1) ** 2 + 0.5))  # the gamma whose half-width is `reach`
+        assert temporal._band_halfwidth(gamma) == reach
+        bins = np.arange(n_bins, dtype=np.int64)
+        plan = temporal._band_plan(bins, gamma)
+        assert [k for k, _ in plan] == list(range(1, reach + 1))
+        size = sys.getsizeof(bins.tobytes()) + sys.getsizeof(gamma) + sys.getsizeof(plan)
+        size += sum(sys.getsizeof(entry) + sum(map(sys.getsizeof, entry)) for entry in plan)
+        worst = max(worst, size)
+    assert worst * temporal._cached_band_plan.cache_parameters()["maxsize"] < 16 * 2**20
+
+
+# --- more than _PLAN_CACHE_BINS bins get their merge and band plans without the caches ---
 
 
 def test_uncached_merge_plans_keep_every_output_bit(monkeypatch):
     configs = [build_scheme(name, 22.5, coherence=0.3) for name in SCHEME_NAMES]
     configs.append(build_scheme("isotropic_triple", np.array(BATCH_THETAS), coherence=0.3))
     configs.append(SchemeConfig(tuple(delay_chain(np.random.default_rng(23), 10)), coherence=0.2))
+    configs.append(SchemeConfig(tuple(delay_chain(np.random.default_rng(23), 6)), coherence=0.2))
+    caches = (temporal._cached_merge_plan, temporal._cached_band_plan)
+
+    def lookups():
+        return [cache.cache_info().hits + cache.cache_info().misses for cache in caches]
+
+    before = lookups()
     cached = [run_scheme(config, ALL_INPUTS) for config in configs]
-    # with the cap at 0 every step takes the uncached path, and the cache sees no lookup
+    after = lookups()
+    assert all(n > m for n, m in zip(after, before))
+    # with the cap at 0 every step and every trace-out takes the uncached path, and neither cache sees a lookup
     monkeypatch.setattr(temporal, "_PLAN_CACHE_BINS", 0)
-    lookups = temporal._cached_merge_plan.cache_info()
     for config, expected in zip(configs, cached):
         assert np.array_equal(bits(run_scheme(config, ALL_INPUTS)), bits(expected))
-    assert temporal._cached_merge_plan.cache_info() == lookups
+    assert lookups() == after
