@@ -43,6 +43,9 @@ from .tomography import process_fidelity, qpt, qst_mle
 # largest theta grid and largest sphere sample count a command accepts
 MAX_POINTS = 1_000_000
 
+# largest scheme file a command reads (a named file may be endless, such as /dev/zero)
+MAX_SCHEME_BYTES = 2**20
+
 # angles propagated in one engine batch by sweep and compare; bounds their memory (a 90 001-angle
 # isotropic_triple sweep peaked at ~1 GB as one batch, 48 MB in chunks of 1024 written one by one)
 THETA_CHUNK = 1024
@@ -98,8 +101,11 @@ def _load_scheme(name: str, theta_deg, gamma) -> SchemeConfig:
     if name in SCHEME_NAMES:
         config = build_scheme(name, theta_deg, coherence=0.0 if gamma is None else gamma)
     elif name.endswith(".json") or os.path.exists(name):
-        with open(name, "r", encoding="utf-8") as fh:
-            config = SchemeConfig.from_json(fh.read())
+        with open(name, "rb") as fh:
+            data = fh.read(MAX_SCHEME_BYTES + 1)
+        if len(data) > MAX_SCHEME_BYTES:
+            raise CliError(f"scheme file {name!r} is longer than {MAX_SCHEME_BYTES} bytes")
+        config = SchemeConfig.from_json(data.decode("utf-8"))
         if gamma is not None:
             config = SchemeConfig(config.elements, coherence=gamma)
     else:

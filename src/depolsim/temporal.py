@@ -8,8 +8,8 @@ the same bin add coherently, amplitudes in different bins add
 incoherently.
 
 The engine is linear in its input, so it propagates the 2x2 identity
-once instead of one Jones vector per input.  What arrives in occupied
-bin t is a Jones matrix K_t, and the induced channel is
+once instead of one Jones vector per input.  What arrives in bin t is
+a Jones matrix K_t, and the induced channel is
 
     rho -> sum_{t,u} gamma**((t - u)**2) K_t rho K_u^dagger,
 
@@ -63,7 +63,8 @@ MAX_DELAY_BINS = 2**31
 # cross-bin pairs whose kernel weight gamma**(d*d) falls below this are dropped
 KERNEL_FLOOR = 2.0**-60
 
-# most occupied bins a propagation may hold: (B, 2, 2) Kraus operators are 64 MB at 2**20
+# most bins a propagation may hold (they follow from the crystal delays alone):
+# (B, 2, 2) Kraus operators are 64 MB at 2**20
 MAX_BINS = 2**20
 
 # crystal merge plans and coherent-band plans are memoized for bin arrays up to this length
@@ -222,11 +223,13 @@ def _projector_entries(axis_deg: float) -> list:
 _ENTRIES = {CRYSTAL: _projector_entries, HWP: _hwp_entries, QWP: _qwp_entries}
 
 
-# The propagation state of a group of configs is (bins, amps): a sorted
-# int64 array of the B bins the group occupies and a (T, 2, B, m) complex
-# array whose column amps[t, :, k, n] is the (h, v) amplitude in bin
-# bins[k] of the n-th propagated column under config t of the group
+# The propagation state of T configs is (bins, amps): a sorted int64
+# array of B bins, which follow from the crystal delays alone, and a
+# (T, 2, B, m) complex array whose column amps[t, :, k, n] is the (h, v)
+# amplitude in bin bins[k] of the n-th propagated column under config t
 # (m = 2 identity columns for Kraus operators, m = 1 for a dict state).
+# A bin may hold zero amplitude, as where a crystal at exactly 0 deg
+# sends nothing into it.
 
 
 def _element_table(elements, n_configs: int, rows: int) -> np.ndarray:
@@ -291,10 +294,9 @@ def _crystal_step(bins: np.ndarray, amps: np.ndarray, projectors: np.ndarray, de
     e_s = (cos a, sin a), and the fast-axis component e_f = (-sin a, cos a)
     keeps its bin.  Both projections come from one matrix product, the
     slow half is shifted by `delay`, and amplitudes landing in the same
-    output bin are summed (coherently).  Bins whose amplitude is exactly
-    zero for every config are dropped.  Returns (bins, amps, occupied):
-    occupied[t, k] says whether bin bins[k] is nonzero for config t, and
-    is None when every config occupies every kept bin.
+    output bin are summed (coherently).  Returns (bins, amps) with every
+    bin of the merge plan, even one whose amplitude is zero, so the bins
+    depend on the input bins and the delay only.
     """
     n_configs, _, n_bins, m = amps.shape
     # the projector rows alternate fast and slow, so the product is laid out as (T, h or v, fast or slow, B, m)
@@ -306,12 +308,7 @@ def _crystal_step(bins: np.ndarray, amps: np.ndarray, projectors: np.ndarray, de
         bins, order, starts = _merge_plan(bins, delay)
     if order is not None:
         merged = np.add.reduceat(merged[:, :, order], starts, axis=2)
-    occupied = merged.any(axis=(1, 3))
-    kept = occupied[0] if len(occupied) == 1 else occupied.any(axis=0)
-    if np.count_nonzero(kept) < len(kept):
-        bins, merged, occupied = bins[kept], merged[:, :, kept], occupied[:, kept]
-    all_occupied = len(occupied) == 1 or np.count_nonzero(occupied) == occupied.size
-    return bins, merged, (None if all_occupied else occupied)
+    return bins, merged
 
 
 def _band_halfwidth(gamma: float) -> int:
@@ -401,18 +398,13 @@ _IDENTITY_BINS.flags.writeable = False
 _IDENTITY_AMPS.flags.writeable = False
 
 
-def _propagate(config: SchemeConfig) -> list:
-    """Push the 2x2 identity through the T = `config.batch` (or 1) configs, in groups that occupy the same bins.
+def _propagate(config: SchemeConfig) -> tuple[np.ndarray, np.ndarray]:
+    """Push the 2x2 identity through the T = `config.batch` (or 1) configs at once.
 
-    Returns a list of (members, bins, amps): the configs of a group (a
-    slice over the whole batch, or an index array), the sorted bins they
-    occupy and their (len(members), 2, B, 2) amplitudes.  The batch starts
-    as one group, and a crystal that zeroes a bin for some of a group's
-    configs only splits it by occupied bins.  So every config is
-    propagated on exactly the bins of its own single propagation, with
-    matrix products of the same shapes, which keeps the batch
-    bit-identical to one call per config (a BLAS product need not give a
-    column the same bits when the number of columns changes).
+    Returns (bins, amps): the sorted bins, which follow from the crystal
+    delays alone, and the (T, 2, B, 2) amplitudes.  Every config of a
+    batch runs on the same bins with matrix products of the same shapes,
+    so the batch is bit-identical to one call per config.
 
     A crystal at most doubles B, so a crystal step that could take B past
     MAX_BINS raises ValueError before it allocates anything.
@@ -421,54 +413,33 @@ def _propagate(config: SchemeConfig) -> list:
     crystals = [e for e in config.elements if e.kind == CRYSTAL]
     plates = [e for e in config.elements if e.kind != CRYSTAL]
     projectors, jones = iter(_element_table(crystals, n_configs, 4)), iter(_element_table(plates, n_configs, 2))
-    groups = [(slice(None), _IDENTITY_BINS, _IDENTITY_AMPS)]
+    bins, amps = _IDENTITY_BINS, _IDENTITY_AMPS
     for element in config.elements:
         if element.kind != CRYSTAL:
-            stack = next(jones)
-            groups = [(members, bins, _rotate(amps, stack[members])) for members, bins, amps in groups]
+            amps = _rotate(amps, next(jones))
             continue
-        stack = next(projectors)
-        stepped = []
-        for members, bins, amps in groups:
-            if 2 * len(bins) > MAX_BINS:
-                raise ValueError(
-                    f"scheme needs more than {MAX_BINS} occupied time bins ({len(bins)} before a crystal)"
-                )
-            bins, amps, occupied = _crystal_step(bins, amps, stack[members], element.delay_bins)
-            if occupied is None:
-                stepped.append((members, bins, amps))
-                continue
-            indices = np.arange(n_configs)[members]
-            patterns, inverse = np.unique(occupied, axis=0, return_inverse=True)
-            for g, pattern in enumerate(patterns):
-                rows = np.flatnonzero(inverse == g)
-                stepped.append((indices[rows], bins[pattern], amps[rows][:, :, pattern]))
-        groups = stepped
-    return groups
+        if 2 * len(bins) > MAX_BINS:
+            raise ValueError(f"scheme needs more than {MAX_BINS} occupied time bins ({len(bins)} before a crystal)")
+        bins, amps = _crystal_step(bins, amps, next(projectors), element.delay_bins)
+    return bins, amps
 
 
 def kraus_operators(config: SchemeConfig) -> tuple[np.ndarray, np.ndarray]:
-    """Occupied time bins and their Kraus operators, from one propagation.
+    """Time bins and their Kraus operators, from one propagation.
 
     Propagates the 2x2 identity through the element list and returns
-    `(bins, ops)`: a sorted int64 array of the B occupied bins and a
-    (B, 2, 2) complex array whose ops[k] is the Jones matrix K_t taking
-    the input into bin t = bins[k].  The gamma = 0 channel is
-    rho -> sum_t K_t rho K_t^dagger, and sum_t K_t^dagger K_t = I.
+    `(bins, ops)`: a sorted int64 array of the B bins and a (B, 2, 2)
+    complex array whose ops[k] is the Jones matrix K_t taking the input
+    into bin t = bins[k].  The bins are the distinct sums of subsets of
+    the crystal delays and depend on no angle, so some K_t may be exactly
+    zero (a crystal at exactly 0 deg sends nothing into some bins).  The
+    gamma = 0 channel is rho -> sum_t K_t rho K_t^dagger, and
+    sum_t K_t^dagger K_t = I.
     Raises ValueError on a batch, or if the scheme needs more than MAX_BINS bins.
     """
     _check_single(config.batch, "kraus_operators")
-    [(_, bins, amps)] = _propagate(config)
+    bins, amps = _propagate(config)
     return bins.copy(), np.ascontiguousarray(amps[0].transpose(1, 0, 2))
-
-
-def _trace_out_group(bins: np.ndarray, amps: np.ndarray, cols: np.ndarray, gamma: float) -> np.ndarray:
-    """The (T, n, 2, 2) outputs of a group's T configs for the n input columns of `cols`."""
-    n_configs, n_bins = amps.shape[0], len(bins)
-    # ops[t, k] = K_{bins[k]} under config t, and a[t, n, k] = ops[t, k] j_n
-    ops = np.ascontiguousarray(amps.transpose(0, 2, 1, 3)).reshape(n_configs, 2 * n_bins, 2)
-    a = (cols.T @ ops.transpose(0, 2, 1)).reshape(n_configs * cols.shape[1], n_bins, 2)
-    return _trace_out(bins, a, gamma).reshape(n_configs, cols.shape[1], 2, 2)
 
 
 def run_scheme(config: SchemeConfig, j) -> np.ndarray:
@@ -480,12 +451,11 @@ def run_scheme(config: SchemeConfig, j) -> np.ndarray:
     `config.batch` is T: (T, 2, 2) or (T, n, 2, 2).
 
     The whole batch is propagated at once for all inputs (see
-    `kraus_operators`), in groups of configs that occupy the same bins
-    (one group unless some angle zeroes a bin), so every output is
-    bit-identical to the single call on its angles.  Time is traced out with
-    the coherence gamma.  Bin pairs whose weight gamma**(d*d) is below
-    2**-60 are dropped, which moves the output by at most B * 2**-60 for
-    B occupied bins (see `_trace_out`).
+    `kraus_operators`) on bins that depend on the delays only, so every
+    output is bit-identical to the single call on its angles.  Time is
+    traced out with the coherence gamma.  Bin pairs whose weight
+    gamma**(d*d) is below 2**-60 are dropped, which moves the output by
+    at most B * 2**-60 for B bins (see `_trace_out`).
     """
     j = np.asarray(j, dtype=complex)
     if j.ndim == 1:
@@ -495,13 +465,12 @@ def run_scheme(config: SchemeConfig, j) -> np.ndarray:
         cols = j
     else:
         raise ValueError(f"inputs must be a Jones vector or a (2, n) stack of them, got shape {j.shape}")
-    outputs = [(m, _trace_out_group(bins, amps, cols, config.coherence)) for m, bins, amps in _propagate(config)]
-    if len(outputs) == 1:
-        rho = outputs[0][1]
-    else:
-        rho = np.empty((config.batch, cols.shape[1], 2, 2), dtype=complex)
-        for members, part in outputs:
-            rho[members] = part
+    bins, amps = _propagate(config)
+    n_configs, n_bins, n_inputs = amps.shape[0], len(bins), cols.shape[1]
+    # ops[t, k] = K_{bins[k]} under config t, and a[t, n, k] = ops[t, k] j_n
+    ops = np.ascontiguousarray(amps.transpose(0, 2, 1, 3)).reshape(n_configs, 2 * n_bins, 2)
+    a = (cols.T @ ops.transpose(0, 2, 1)).reshape(n_configs * n_inputs, n_bins, 2)
+    rho = _trace_out(bins, a, config.coherence).reshape(n_configs, n_inputs, 2, 2)
     if j.ndim == 1:
         rho = rho[:, 0]
     return rho if config.batch else rho[0]
@@ -517,7 +486,10 @@ def _from_state(state: TimeBinState):
 
 
 def _to_state(bins: np.ndarray, amps: np.ndarray) -> TimeBinState:
-    return dict(zip(bins.tolist(), np.ascontiguousarray(amps[0, :, :, 0].T)))
+    """The dict of the bins whose amplitude is not all zero: a dict state is a sparse map."""
+    rows = amps[0, :, :, 0].T
+    live = rows.any(axis=1)
+    return dict(zip(bins[live].tolist(), rows[live]))
 
 
 def initial_state(j) -> TimeBinState:
@@ -535,7 +507,7 @@ def apply_element(state: TimeBinState, element: OpticalElement) -> TimeBinState:
         _check_single(len(element.angle_deg), "apply_element")
     bins, amps = _from_state(state)
     if element.kind == CRYSTAL:
-        bins, amps, _ = _crystal_step(bins, amps, _element_table([element], 1, 4)[0], element.delay_bins)
+        bins, amps = _crystal_step(bins, amps, _element_table([element], 1, 4)[0], element.delay_bins)
     else:
         amps = _rotate(amps, _element_table([element], 1, 2)[0])
     return _to_state(bins, amps)

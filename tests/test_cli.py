@@ -290,6 +290,19 @@ def test_malformed_scheme_files_exit_2(tmp_path, capsys):
             assert "error" in json.loads(err)
 
 
+def test_a_scheme_file_over_the_size_cap_exits_2(tmp_path, capsys):
+    text = json.dumps(build_scheme("scheme1", 30.0).to_json())
+    path = tmp_path / "padded.json"
+    path.write_text(text.ljust(cli.MAX_SCHEME_BYTES))  # padded with spaces to the cap exactly
+    code, out, _ = run_cli(["map", "--scheme", str(path), "--samples", "10"], capsys)
+    assert code == 0 and json.loads(out)["n_samples"] == 10
+    path.write_text(text.ljust(cli.MAX_SCHEME_BYTES + 1))  # one byte over the cap
+    for command in (["map", "--samples", "10"], ["tomo", "--shots", "100"]):
+        code, out, err = run_cli([command[0], "--scheme", str(path), *command[1:]], capsys)
+        assert code == 2 and out == ""
+        assert err.count("\n") == 1 and "longer than 1048576 bytes" in json.loads(err)["error"]
+
+
 def test_deeply_nested_scheme_file_exits_2(tmp_path, capsys):
     path = tmp_path / "nested.json"
     path.write_text('{"elements":' + "[" * 100_000)

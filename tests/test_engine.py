@@ -128,6 +128,34 @@ def test_kraus_operators_give_the_incoherent_channel():
         assert np.abs(run_scheme(config, j) - kraus_form).max() < 1e-12
 
 
+# exact anchor angles, of either sign at 0 deg, zero projector entries; the bins must not depend on them
+kraus_angles = st.sampled_from([0.0, -0.0, 45.0, 90.0]) | st.floats(-180.0, 180.0, allow_nan=False)
+
+
+@st.composite
+def element_lists(draw):
+    elements = []
+    for _ in range(draw(st.integers(1, 7))):
+        kind, angle = draw(st.sampled_from(["crystal", "crystal", "hwp", "qwp"])), draw(kraus_angles)
+        if kind == "crystal":
+            elements.append(crystal(angle, draw(st.integers(1, 9))))
+        else:
+            elements.append(OpticalElement(kind, angle_deg=angle))
+    return SchemeConfig(tuple(elements))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(config=element_lists())
+def test_kraus_bins_are_the_subset_sums_of_the_delays(config):
+    sums = {0}
+    for element in config.elements:
+        if element.kind == "crystal":
+            sums |= {s + element.delay_bins for s in sums}
+    bins, ops = kraus_operators(config)
+    assert bins.tolist() == sorted(sums)
+    assert np.abs(np.einsum("tji,tjk->ik", ops.conj(), ops) - np.eye(2)).max() < 1e-12
+
+
 def test_kernel_cutoff_drops_pairs_below_the_floor():
     # gamma = 1/2: the weight 2**-(d*d) of one crystal's two bins is kept up to d = 7 (2**-49)
     for delay, weight in ((7, 2.0**-49), (8, 0.0)):
@@ -292,20 +320,14 @@ def test_batched_run_scheme_equals_per_config_calls_bitwise(scheme, gamma):
     assert np.array_equal(bits(one_input), bits([run_scheme(c, JONES_P) for c in singles]))
 
 
-def test_batch_propagates_each_config_on_its_own_bins():
-    # at theta = 0 the second crystal moves nothing into bin 1, so that config occupies bins {0, 2} only;
-    # the trailing wave plate multiplies every bin, and a BLAS product need not give a bin the same bits
-    # when the number of bins changes, so each config must keep exactly its own bins
+def test_batch_keeps_a_bin_emptied_for_one_config():
+    # at theta = 0 the second crystal moves nothing into bin 1, but bins follow from the delays alone:
+    # that config keeps bin 1 with a zero Kraus operator, and the batch runs every config on bins [0, 1, 2]
     config = SchemeConfig((crystal(np.array(BATCH_THETAS), 1), crystal(0.0, 1), quarter_wave(37.3)))
     singles = [SchemeConfig((crystal(theta, 1), crystal(0.0, 1), quarter_wave(37.3))) for theta in BATCH_THETAS]
-    groups = temporal._propagate(config)
-    assert len(groups) == 2
-    members = np.concatenate([np.arange(len(singles))[m] for m, _, _ in groups])
-    assert sorted(members) == list(range(len(singles)))
-    for m, bins, _ in groups:
-        for t in np.arange(len(singles))[m]:
-            assert np.array_equal(bins, kraus_operators(singles[t])[0])
-    assert np.array_equal(kraus_operators(singles[0])[0], [0, 2])
+    bins, ops = kraus_operators(singles[0])
+    assert np.array_equal(bins, [0, 1, 2])
+    assert not ops[1].any() and ops[0].any() and ops[2].any()
     batched = run_scheme(config, ALL_INPUTS)
     assert np.array_equal(bits(batched), bits([run_scheme(c, ALL_INPUTS) for c in singles]))
 
