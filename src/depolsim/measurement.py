@@ -12,6 +12,7 @@ reproducible from (state, shots, seed).
 
 from __future__ import annotations
 
+import cmath
 import json
 from dataclasses import dataclass
 
@@ -29,6 +30,33 @@ SETTING_PAIRS = (("h", "v"), ("p", "m"), ("r", "l"))
 _LABEL_AXIS = {label: (axis, sign) for axis, pair in enumerate(SETTING_PAIRS) for label, sign in zip(pair, (1, -1))}
 
 
+def _as_shots(value) -> int:
+    """`value` as an int shot count >= 1; a non-integral, non-finite or non-number value raises ValueError."""
+    try:
+        shots = int(value)
+    except (TypeError, ValueError, OverflowError):
+        shots = None
+    if shots is None or shots != value or shots < 1:
+        raise ValueError(f"shots must be an integer >= 1, got {value!r}")
+    return shots
+
+
+def _as_counts(values) -> np.ndarray:
+    """`values` as int64 counts: an int64 array as it is, anything else only if every value is integral."""
+    counts = np.asarray(values)
+    if counts.dtype == np.int64:
+        return counts
+    try:
+        with np.errstate(invalid="ignore"):  # a NaN, inf or out-of-range value casts to garbage, which the test rejects
+            as_int = counts.astype(np.int64)
+        integral = bool((as_int == counts).all())
+    except (TypeError, ValueError, OverflowError):
+        integral = False
+    if not integral:
+        raise ValueError(f"counts must be integers, got {counts!r}")
+    return as_int
+
+
 @dataclass(frozen=True, eq=False)
 class MeasurementRecord:
     """Raw counts of the six projector settings, each label exactly once in any order."""
@@ -40,21 +68,20 @@ class MeasurementRecord:
 
     def __post_init__(self):
         settings = tuple(self.settings)
-        if not (
+        if settings != DEFAULT_SETTINGS and not (
             len(settings) == len(_LABEL_AXIS)
             and all(isinstance(label, str) for label in settings)
             and set(settings) == _LABEL_AXIS.keys()
         ):
             raise ValueError(f"settings must be the six labels h, v, p, m, r, l once each, got {settings!r}")
         object.__setattr__(self, "settings", settings)
-        counts = np.asarray(self.counts, dtype=np.int64)
+        counts = _as_counts(self.counts)
         if counts.shape != (len(self.settings),):
             raise ValueError("need exactly one count per setting")
-        if (counts < 0).any():
+        if counts.min() < 0:
             raise ValueError("counts must be non-negative")
         object.__setattr__(self, "counts", counts)
-        if self.shots < 1:
-            raise ValueError("shots must be >= 1")
+        object.__setattr__(self, "shots", _as_shots(self.shots))
 
     def count(self, label: str) -> int:
         """Counts of the setting `label`."""
@@ -72,12 +99,7 @@ class MeasurementRecord:
     def from_json(cls, data) -> "MeasurementRecord":
         if isinstance(data, str):
             data = json.loads(data)
-        return cls(
-            tuple(data["settings"]),
-            np.array(data["counts"], dtype=np.int64),
-            int(data["shots"]),
-            int(data["seed"]),
-        )
+        return cls(tuple(data["settings"]), np.array(data["counts"]), data["shots"], int(data["seed"]))
 
 
 def projector(label: str) -> np.ndarray:
@@ -96,7 +118,8 @@ _PROJECTORS.flags.writeable = False
 def probabilities(rho) -> np.ndarray:
     """Born-rule probabilities tr(rho P_j) of the six settings in DEFAULT_SETTINGS order, from one stacked product."""
     products = np.asarray(rho, dtype=complex) @ _PROJECTORS
-    return np.clip((products[:, 0, 0] + products[:, 1, 1]).real, 0.0, 1.0)
+    # np.clip's bits, -0.0 and NaN included, without its Python-level wrapper: the bound goes first
+    return np.minimum(np.maximum(0.0, (products[:, 0, 0] + products[:, 1, 1]).real), 1.0)
 
 
 def sample_counts(rho, shots: int, seed: int, exact: bool = False) -> MeasurementRecord:
@@ -105,16 +128,20 @@ def sample_counts(rho, shots: int, seed: int, exact: bool = False) -> Measuremen
     With ``exact=True`` the Poisson draw is skipped and counts are
     round(shots * p_j), the deterministic noiseless limit; the seed is
     stored but unused.  Identical inputs and seed give identical records.
-    Raises ValueError if a mean count shots * p_j does not fit in int64.
+    Raises ValueError if `shots` is not an integer >= 1, if `rho` is not
+    finite, or if a mean count shots * p_j does not fit in int64.
     """
-    if shots < 1:
-        raise ValueError("shots must be >= 1")
+    shots = _as_shots(shots)
+    rho = np.asarray(rho, dtype=complex)
+    if not all(map(cmath.isfinite, rho.ravel().tolist())):
+        raise ValueError(f"the state rho must be finite, got {rho!r}")
     means = shots * probabilities(rho)
-    if not (means < 2.0**63).all():
+    if not means.max() < 2.0**63:
         raise ValueError(f"shots = {shots!r} gives mean counts beyond the int64 range")
     if exact:
         counts = np.rint(means).astype(np.int64)
     else:
+        # one scalar draw per setting, in order: the stream of one array call, without its array checks
         rng = np.random.Generator(np.random.PCG64(seed))
-        counts = rng.poisson(means).astype(np.int64)
-    return MeasurementRecord(DEFAULT_SETTINGS, counts, int(shots), int(seed))
+        counts = np.array(list(map(rng.poisson, means.tolist())), dtype=np.int64)
+    return MeasurementRecord(DEFAULT_SETTINGS, counts, shots, int(seed))

@@ -168,7 +168,7 @@ def dop_from_determinant(rho) -> float:
 def _sqrtm_psd(h: np.ndarray) -> np.ndarray:
     """Square root of a Hermitian PSD matrix, clipping eigenvalue noise."""
     vals, vecs = np.linalg.eigh(h)
-    vals = np.clip(vals, 0.0, None)
+    vals = np.maximum(vals, 0.0)
     return (vecs * np.sqrt(vals)) @ vecs.conj().T
 
 
@@ -177,5 +177,5 @@ def state_fidelity(a, b) -> float:
     a = np.asarray(a, dtype=complex)
     b = np.asarray(b, dtype=complex)
     ra = _sqrtm_psd(a)
-    f = np.trace(_sqrtm_psd(ra @ b @ ra)).real ** 2
+    f = _sqrtm_psd(ra @ b @ ra).trace().real ** 2
     return float(min(max(f, 0.0), 1.0))

@@ -74,6 +74,13 @@ _PLAN_CACHE_BINS = 1024
 # band plans are memoized only while they hold at most this many weights (32 kB of floats)
 _BAND_CACHE_WEIGHTS = 2**12
 
+# (config, bins, amps) of the last single config propagated on at most _PLAN_CACHE_BINS bins, with amps
+# read-only: tomography calls run_scheme once per probe on one config object, and only the first call
+# propagates.  The key is the config object itself, held so that its id cannot be reused; a single
+# config is frozen, so its propagation cannot change.  At most 64 kB of amplitudes.  The entry is one
+# tuple, read and replaced whole, so a thread never sees the bins of one config with another's amplitudes.
+_last_propagation: tuple = (None, None, None)
+
 
 def _as_delay(value) -> int:
     try:
@@ -407,8 +414,15 @@ def _propagate(config: SchemeConfig) -> tuple[np.ndarray, np.ndarray]:
     so the batch is bit-identical to one call per config.
 
     A crystal at most doubles B, so a crystal step that could take B past
-    MAX_BINS raises ValueError before it allocates anything.
+    MAX_BINS raises ValueError before it allocates anything.  The result
+    for a single config on at most _PLAN_CACHE_BINS bins is kept read-only
+    and returned again while the same config object comes back (see
+    `_last_propagation`).
     """
+    global _last_propagation
+    held, bins, amps = _last_propagation
+    if config is held and len(bins) <= _PLAN_CACHE_BINS:
+        return bins, amps
     n_configs = config.batch or 1
     crystals = [e for e in config.elements if e.kind == CRYSTAL]
     plates = [e for e in config.elements if e.kind != CRYSTAL]
@@ -421,6 +435,9 @@ def _propagate(config: SchemeConfig) -> tuple[np.ndarray, np.ndarray]:
         if 2 * len(bins) > MAX_BINS:
             raise ValueError(f"scheme needs more than {MAX_BINS} occupied time bins ({len(bins)} before a crystal)")
         bins, amps = _crystal_step(bins, amps, next(projectors), element.delay_bins)
+    if config.batch is None and len(bins) <= _PLAN_CACHE_BINS:
+        amps.flags.writeable = False
+        _last_propagation = (config, bins, amps)
     return bins, amps
 
 
@@ -434,12 +451,13 @@ def kraus_operators(config: SchemeConfig) -> tuple[np.ndarray, np.ndarray]:
     the crystal delays and depend on no angle, so some K_t may be exactly
     zero (a crystal at exactly 0 deg sends nothing into some bins).  The
     gamma = 0 channel is rho -> sum_t K_t rho K_t^dagger, and
-    sum_t K_t^dagger K_t = I.
+    sum_t K_t^dagger K_t = I.  Both arrays are fresh and writable; neither
+    shares memory with a held propagation.
     Raises ValueError on a batch, or if the scheme needs more than MAX_BINS bins.
     """
     _check_single(config.batch, "kraus_operators")
     bins, amps = _propagate(config)
-    return bins.copy(), np.ascontiguousarray(amps[0].transpose(1, 0, 2))
+    return bins.copy(), amps[0].transpose(1, 0, 2).copy()
 
 
 def run_scheme(config: SchemeConfig, j) -> np.ndarray:

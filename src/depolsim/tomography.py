@@ -81,9 +81,10 @@ class ChiMatrix:
 
 def _axis_counts(record: MeasurementRecord) -> list[tuple[int, int]]:
     """Per Stokes axis, the counts (a, b) of its + and - labels; every axis must have counts."""
+    by_label = dict(zip(record.settings, record.counts.tolist()))
     axes = []
     for plus, minus in SETTING_PAIRS:
-        a, b = record.count(plus), record.count(minus)
+        a, b = by_label[plus], by_label[minus]
         if a + b == 0:
             raise ValueError(f"no counts in the ({plus}, {minus}) pair; Stokes estimate undefined")
         axes.append((a, b))
@@ -100,11 +101,13 @@ def qst_linear(record: MeasurementRecord) -> LinearEstimate:
 
     This is the interior point of `qst_mle`.  The returned matrix has
     unit trace and is Hermitian but may have a negative eigenvalue when
-    counts are noisy; `physical` flags that.
+    counts are noisy; `physical` flags that.  The eigenvalues of rho are
+    (1 +- |S|)/2, so rho is physical within PSD_ATOL exactly when
+    |S| <= 1 + 2 PSD_ATOL.
     """
-    rho = _stokes_to_density(_linear_stokes(_axis_counts(record)))
-    physical = bool(np.linalg.eigvalsh(rho).min() >= -PSD_ATOL)
-    return LinearEstimate(rho, physical)
+    s = _linear_stokes(_axis_counts(record))
+    physical = s[0] * s[0] + s[1] * s[1] + s[2] * s[2] <= (1.0 + 2.0 * PSD_ATOL) ** 2
+    return LinearEstimate(_stokes_to_density(s), physical)
 
 
 # --- maximum likelihood ------------------------------------------------
@@ -124,22 +127,25 @@ def _axis_maximizer(a: int, b: int, mu: float, s: float) -> tuple[float, float]:
     cubic P(s) = (1 - s**2) F(s), which has the sign of F inside the
     interval and no poles.
     """
-    if a == 0 and 2.0 * mu - b / 2.0 <= 0.0:
+    two_mu = 2.0 * mu
+    if a == 0 and two_mu - b / 2.0 <= 0.0:
         return -1.0, 0.0
-    if b == 0 and a / 2.0 - 2.0 * mu >= 0.0:
+    if b == 0 and a / 2.0 - two_mu >= 0.0:
         return 1.0, 0.0
+    total = -float(a) - b  # the loop invariants, each evaluated in the order of the written-out formulas
     lo, hi = -1.0, 1.0
     if not lo < s < hi:
         s = 0.0  # P vanishes at the end points, so start inside
     for _ in range(_MAX_STEPS):
-        p = a * (1.0 - s) - b * (1.0 + s) - 2.0 * mu * s * ((1.0 - s) * (1.0 + s))
+        minus, plus = 1.0 - s, 1.0 + s
+        p = a * minus - b * plus - two_mu * s * (minus * plus)
         if p > 0.0:
             lo = s
         elif p < 0.0:
             hi = s
         else:
             break
-        slope = -float(a) - b - 2.0 * mu * (1.0 - 3.0 * s * s)
+        slope = total - two_mu * (1.0 - 3.0 * s * s)
         new = s - p / slope if slope < 0.0 else s
         if not lo < new < hi:
             new = 0.5 * (lo + hi)
@@ -147,7 +153,7 @@ def _axis_maximizer(a: int, b: int, mu: float, s: float) -> tuple[float, float]:
             break
         s = new
     # implicit derivative of F(s(mu); mu) = 0, with F' = P' / (1 - s**2) at the root
-    slope = -float(a) - b - 2.0 * mu * (1.0 - 3.0 * s * s)
+    slope = total - two_mu * (1.0 - 3.0 * s * s)
     return s, (2.0 * s * (1.0 - s) * (1.0 + s) / slope if slope < 0.0 else 0.0)
 
 
@@ -263,9 +269,9 @@ def qpt(rho_h, rho_v, rho_p, rho_r) -> ChiMatrix:
 
     vals, vecs = np.linalg.eigh(chi)
     clipped = float(-vals[vals < 0].sum())
-    vals = np.clip(vals, 0.0, None)
+    vals = np.maximum(vals, 0.0)
     chi_psd = (vecs * vals) @ vecs.conj().T
-    chi_psd /= np.trace(chi_psd).real
+    chi_psd /= chi_psd.trace().real
     if clipped > 0.1:
         warnings.warn(
             f"chi reconstruction clipped {clipped:.3f} of negative mass; inputs look inconsistent",
@@ -279,9 +285,14 @@ def process_fidelity(a, b) -> float:
 
     Treats the chi matrices as states on the 4-dimensional operator
     space (`state_fidelity`); equals 1 exactly when the channels coincide.
+    Raises ValueError if a trace is not positive and finite.
     """
-    mat_a, mat_b = _chi_matrix(a), _chi_matrix(b)
-    return state_fidelity(mat_a / np.trace(mat_a).real, mat_b / np.trace(mat_b).real)
+    mats = _chi_matrix(a), _chi_matrix(b)
+    traces = [mat.trace().real for mat in mats]
+    for trace in traces:
+        if not 0.0 < trace < math.inf:
+            raise ValueError(f"process_fidelity needs chi matrices of positive finite trace, got trace {trace!r}")
+    return state_fidelity(mats[0] / traces[0], mats[1] / traces[1])
 
 
 def trace_preservation_residual(chi) -> float:

@@ -527,3 +527,84 @@ def test_uncached_merge_plans_keep_every_output_bit(monkeypatch):
     for config, expected in zip(configs, cached):
         assert np.array_equal(bits(run_scheme(config, ALL_INPUTS)), bits(expected))
     assert lookups() == after
+
+
+# --- the last single propagation is held, so the probe calls of one tomography run propagate once ---
+
+
+def memo_configs():
+    configs = [build_scheme(name, 22.5, coherence=gamma) for name in SCHEME_NAMES for gamma in (0.0, 0.3)]
+    configs.append(SchemeConfig(tuple(delay_chain(np.random.default_rng(26), 6)), coherence=0.2))
+    return configs
+
+
+def probe_calls(config):
+    return [run_scheme(config, probe) for probe in PROBES]
+
+
+def test_held_propagations_keep_every_output_bit(monkeypatch):
+    configs = memo_configs()
+    held = [probe_calls(config) for config in configs]
+    # A, B, A: a config that comes back after another one is propagated again, not read from a stale entry
+    interleaved = [probe_calls(config) for pair in zip(configs, configs[1:]) for config in pair]
+    monkeypatch.setattr(temporal, "_PLAN_CACHE_BINS", 0)
+    uncached = [probe_calls(config) for config in configs]
+    assert np.array_equal(bits(held), bits(uncached))
+    assert np.array_equal(bits(interleaved), bits([uncached[i] for k in range(len(configs) - 1) for i in (k, k + 1)]))
+
+
+def test_only_the_first_probe_call_propagates(monkeypatch):
+    propagations = []
+    element_table = temporal._element_table
+
+    def counting_table(elements, n_configs, rows):
+        propagations.append(rows)
+        return element_table(elements, n_configs, rows)
+
+    monkeypatch.setattr(temporal, "_element_table", counting_table)
+    for config in memo_configs():
+        propagations.clear()
+        probe_calls(config)
+        assert propagations == [4, 2]  # one propagation builds one crystal table and one plate table
+    # with the cap at 0 the memo is off: every call propagates, the held config included, and nothing new is held
+    assert temporal._last_propagation[0] is config
+    monkeypatch.setattr(temporal, "_PLAN_CACHE_BINS", 0)
+    for config in (config, memo_configs()[0]):
+        propagations.clear()
+        probe_calls(config)
+        assert len(propagations) == 2 * len(PROBES)
+    assert temporal._last_propagation[0] is not config
+
+
+def test_the_memo_holds_one_read_only_single_config():
+    config = build_scheme("isotropic_triple", 30.0)
+    run_scheme(config, JONES_H)
+    held, bins, amps = temporal._last_propagation
+    assert held is config and len(bins) == 27
+    assert not amps.flags.writeable and not bins.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        amps[...] = 0.0
+    # a batch, and a config on more than _PLAN_CACHE_BINS bins, are never held; the last single config stays
+    batch = build_scheme("isotropic_triple", np.array(BATCH_THETAS))
+    wide = SchemeConfig(tuple(delay_chain(np.random.default_rng(27), 11)))
+    for other in (batch, wide):
+        run_scheme(other, ALL_INPUTS)
+        assert temporal._last_propagation[0] is config
+    assert len(kraus_operators(wide)[0]) > temporal._PLAN_CACHE_BINS
+    # the next single config replaces it: one config at most
+    other = build_scheme("scheme1", 30.0)
+    run_scheme(other, JONES_H)
+    assert temporal._last_propagation[0] is other and len(temporal._last_propagation) == 3
+
+
+def test_kraus_operators_are_fresh_and_writable():
+    # plates only: the single bin's operator is already contiguous, so a view would share the held amplitudes
+    for config in (SchemeConfig((half_wave(10.0), quarter_wave(30.0))), build_scheme("scheme1", 30.0, coherence=0.3)):
+        expected = run_scheme(config, ALL_INPUTS)
+        bins, ops = kraus_operators(config)
+        held_amps = temporal._last_propagation[2]
+        assert bins.flags.writeable and ops.flags.writeable
+        assert not np.shares_memory(ops, held_amps) and not np.shares_memory(bins, temporal._last_propagation[1])
+        ops[...] = 7.0
+        bins[...] = 5
+        assert np.array_equal(bits(run_scheme(config, ALL_INPUTS)), bits(expected))

@@ -128,3 +128,60 @@ def test_record_validation_and_json():
             MeasurementRecord(settings, np.ones(len(settings)), shots=10, seed=0)
         with pytest.raises(ValueError, match="once each"):
             MeasurementRecord.from_json({"settings": list(settings), "counts": [1] * len(settings), "shots": 10, "seed": 0})
+
+
+def test_non_integral_shots_and_counts_are_rejected():
+    shuffled = ("r", "v", "m", "h", "l", "p")
+    rho = np.eye(2) / 2
+    for shots in (10.5, 1e5 + 0.25, float("nan"), float("inf"), "10", None):
+        with pytest.raises(ValueError, match="shots must be an integer"):
+            sample_counts(rho, shots, seed=0)
+        with pytest.raises(ValueError, match="shots must be an integer"):
+            MeasurementRecord(shuffled, np.ones(6), shots=shots, seed=0)
+    with pytest.raises(ValueError, match="shots must be an integer"):
+        MeasurementRecord.from_json({"settings": list(shuffled), "counts": [1] * 6, "shots": 10.5, "seed": 0})
+    for counts in ([1.7, 1, 1, 1, 1, 1], [float("nan")] * 6, [float("inf")] * 6, [1e19] * 6, [2**70] * 6):
+        with pytest.raises(ValueError, match="counts must be integers"):
+            MeasurementRecord(shuffled, counts, shots=10, seed=0)
+        with pytest.raises(ValueError, match="counts must be integers"):
+            MeasurementRecord.from_json({"settings": list(shuffled), "counts": counts, "shots": 10, "seed": 0})
+    # integral floats and integral float shots stay accepted, as ints
+    rec = MeasurementRecord(shuffled, np.ones(6), shots=10.0, seed=0)
+    assert rec.counts.dtype == np.int64 and rec.shots == 10 and isinstance(rec.shots, int)
+    assert sample_counts(rho, 1e5, seed=3).shots == 100_000
+    assert np.array_equal(sample_counts(rho, 1e5, seed=3).counts, sample_counts(rho, 100_000, seed=3).counts)
+
+
+@pytest.mark.filterwarnings("error")
+def test_a_non_finite_state_is_named_in_the_error():
+    for position in ((0, 0), (0, 1), (1, 0), (1, 1)):
+        for bad in (np.nan, np.inf, -np.inf, complex(0.0, np.inf), complex(np.nan, 0.0)):
+            rho = np.eye(2, dtype=complex) / 2
+            rho[position] = bad
+            for exact in (True, False):
+                with pytest.raises(ValueError, match="state rho must be finite"):
+                    sample_counts(rho, 10, seed=0, exact=exact)
+
+
+def test_poisson_draws_are_the_stream_of_one_array_call():
+    rng = np.random.default_rng(9)
+    for seed in range(400):
+        rho = random_density(rng) if seed % 4 else density_from_jones(JONES_H)
+        shots = int(10 ** rng.uniform(0, 12))
+        means = shots * probabilities(rho)
+        expected = np.random.Generator(np.random.PCG64(seed)).poisson(means)
+        assert np.array_equal(sample_counts(rho, shots, seed).counts, expected)
+
+
+def test_probabilities_keep_the_bits_of_np_clip():
+    # signed zeros, values beyond [0, 1] and NaN, all where the stacked product puts them
+    from depolsim.measurement import _PROJECTORS
+
+    grid = [0.0, -0.0, 1.0, -1.0, 0.5, 1.5, -1e-300, 5e-324, np.nan]
+    rng = np.random.default_rng(12)
+    for _ in range(2000):
+        rho = rng.choice(grid, size=(2, 2)) + 1j * rng.choice(grid, size=(2, 2))
+        with np.errstate(invalid="ignore"):
+            products = rho @ _PROJECTORS
+            expected = np.clip((products[:, 0, 0] + products[:, 1, 1]).real, 0.0, 1.0)
+            assert np.array_equal(probabilities(rho).view(np.uint64), expected.view(np.uint64))

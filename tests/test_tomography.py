@@ -4,9 +4,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from depolsim.channels import SCHEME_NAMES, ISOTROPIC_POINT_DEG, affine_from_outputs, build_scheme, extract_channel
-from depolsim.measurement import MeasurementRecord, projector, sample_counts
+from depolsim.measurement import DEFAULT_SETTINGS, MeasurementRecord, projector, sample_counts
 from depolsim.polarization import (
     JONES_STATES,
+    PSD_ATOL,
     SIGMAS,
     density_from_jones,
     density_from_stokes,
@@ -62,6 +63,23 @@ def test_qst_linear_flags_unphysical_noise():
             break
     assert flagged is not None
     assert np.linalg.eigvalsh(flagged.rho).min() < 0
+
+
+def test_closed_form_physical_flag_matches_the_eigenvalue_test():
+    # 10**5 random records of 0 to 40 counts per setting, with every pair holding counts; the flag must equal
+    # the eigvalsh test wherever the smallest eigenvalue is not within 1e-13 of -PSD_ATOL
+    rng = np.random.default_rng(31)
+    counts = rng.integers(0, 41, size=(100_000, 6))
+    counts[:, 0::2] += counts[:, 0::2] + counts[:, 1::2] == 0
+    estimates = [qst_linear(MeasurementRecord(DEFAULT_SETTINGS, row, shots=100, seed=0)) for row in counts]
+    smallest = np.linalg.eigvalsh(np.array([est.rho for est in estimates]))[:, 0]
+    away = np.abs(smallest + PSD_ATOL) > 1e-13
+    flags = np.array([est.physical for est in estimates])
+    assert away.all() and np.array_equal(flags, smallest >= -PSD_ATOL)
+    assert 10_000 < flags.sum() < 90_000  # both sides are well represented
+    # unit Stokes vectors lie on the sphere, inside the tolerance
+    for row in ([7, 0, 3, 3, 5, 5], [0, 4, 1, 1, 2, 2]):
+        assert qst_linear(MeasurementRecord(DEFAULT_SETTINGS, row, shots=100, seed=0)).physical
 
 
 def test_qst_linear_requires_counts_in_every_pair():
@@ -340,6 +358,16 @@ def test_process_fidelity_examples():
     # derived on commuting diagonals: F = (sqrt(1 * 1/4))^2 = 1/4
     assert abs(process_fidelity(chi_id, chi_lyot) - 0.25) < 1e-12
     assert abs(process_fidelity(chi_lyot, chi_id) - 0.25) < 1e-12
+
+
+@pytest.mark.filterwarnings("error")
+def test_process_fidelity_rejects_a_chi_without_positive_finite_trace():
+    chi_id = ChiMatrix(np.diag([1.0, 0.0, 0.0, 0.0]))
+    for trace in (0.0, -1.0, np.nan, np.inf):
+        bad = np.diag([trace, 0.0, 0.0, 0.0])
+        for pair in ((bad, chi_id), (chi_id, bad), (ChiMatrix(bad), chi_id)):
+            with pytest.raises(ValueError, match="positive finite trace"):
+                process_fidelity(*pair)
 
 
 def oracle_channel_from_chi(chi):
