@@ -155,10 +155,12 @@ def dop_from_determinant(rho) -> float:
     """Degree of polarization via sqrt(1 - 4 det rho).
 
     Tiny negative radicands (>= -1e-10, floating-point noise around the
-    fully mixed state) are clamped to zero; anything more negative means
-    the input was not a physical state.
+    fully mixed state) are clamped to zero; anything more negative, or a
+    non-finite entry, means the input was not a physical state.
     """
     rho = np.asarray(rho, dtype=complex)
+    if not np.isfinite(rho).all():
+        raise ValueError(f"the state rho must be finite, got {rho!r}")
     radicand = 1.0 - 4.0 * np.linalg.det(rho).real
     if radicand < -1e-10:
         raise ValueError(f"1 - 4 det(rho) = {radicand!r}; not a physical state")

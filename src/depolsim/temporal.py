@@ -48,7 +48,7 @@ import numpy as np
 
 from .polarization import as_jones, check_normalized
 
-# bins: map from non-negative integer bin index to complex (h, v) amplitude
+# bins: map from integer bin index in [0, 2**62] to complex (h, v) amplitude
 TimeBinState = dict[int, np.ndarray]
 
 CRYSTAL = "crystal"
@@ -67,19 +67,18 @@ KERNEL_FLOOR = 2.0**-60
 # (B, 2, 2) Kraus operators are 64 MB at 2**20
 MAX_BINS = 2**20
 
-# crystal merge plans and coherent-band plans are memoized for bin arrays up to this length
-# (a few kB per merge plan)
+# the plan memo (`_cached_plan`) takes at most log2 of this = 10 crystals, so at most 1024 bins; 0 turns it off
 _PLAN_CACHE_BINS = 1024
 
-# band plans are memoized only while they hold at most this many weights (32 kB of floats)
+# ... and only while the band plan may hold at most this many weights (32 kB of floats)
 _BAND_CACHE_WEIGHTS = 2**12
 
-# (config, bins, amps) of the last single config propagated on at most _PLAN_CACHE_BINS bins, with amps
+# (config, bins, amps, band) of the last single config propagated on at most _PLAN_CACHE_BINS bins, with amps
 # read-only: tomography calls run_scheme once per probe on one config object, and only the first call
 # propagates.  The key is the config object itself, held so that its id cannot be reused; a single
 # config is frozen, so its propagation cannot change.  At most 64 kB of amplitudes.  The entry is one
 # tuple, read and replaced whole, so a thread never sees the bins of one config with another's amplitudes.
-_last_propagation: tuple = (None, None, None)
+_last_propagation: tuple = (None, None, None, None)
 
 
 def _as_delay(value) -> int:
@@ -287,32 +286,25 @@ def _merge_plan(bins: np.ndarray, delay: int):
     return new_bins, order, starts
 
 
-@functools.lru_cache(maxsize=256)
-def _cached_merge_plan(bins_key: bytes, delay: int):
-    # a sweep, an extraction or a tomography run meets the same bins at every angle
-    return _merge_plan(np.frombuffer(bins_key, dtype=np.int64), delay)
-
-
-def _crystal_step(bins: np.ndarray, amps: np.ndarray, projectors: np.ndarray, delay: int):
-    """Delay the slow-axis component of every bin by `delay` bins.
+def _crystal_step(amps: np.ndarray, projectors: np.ndarray, merges):
+    """Delay the slow-axis component of every bin, merging bins as the crystal's merge plan says.
 
     `projectors` is the (T, 4, 2) stack of per-config axis projectors (see
     `_projector_entries`): for axis angle a the slow axis is
     e_s = (cos a, sin a), and the fast-axis component e_f = (-sin a, cos a)
     keeps its bin.  Both projections come from one matrix product, the
-    slow half is shifted by `delay`, and amplitudes landing in the same
-    output bin are summed (coherently).  Returns (bins, amps) with every
-    bin of the merge plan, even one whose amplitude is zero, so the bins
-    depend on the input bins and the delay only.
+    next (bins, order, starts) of `merges` (see `_merge_plan`) shifts the
+    slow half, and amplitudes landing in the same output bin are summed
+    (coherently).  Returns (bins, amps) with every bin of the merge plan,
+    even one whose amplitude is zero.
     """
     n_configs, _, n_bins, m = amps.shape
     # the projector rows alternate fast and slow, so the product is laid out as (T, h or v, fast or slow, B, m)
     # and reads as (T, 2, 2B, m) with the fast bins first, without a copy
     merged = (projectors @ amps.reshape(n_configs, 2, n_bins * m)).reshape(-1, 2, 2 * n_bins, m)
-    if n_bins <= _PLAN_CACHE_BINS:
-        bins, order, starts = _cached_merge_plan(bins.tobytes(), delay)
-    else:
-        bins, order, starts = _merge_plan(bins, delay)
+    # drawn after the product: with OpenBLAS's SkylakeX kernel the gather below ran 2-4x slower right after
+    # it than after the numpy loops that build a merge plan (600 delay-1 crystals: 140 ms against 55 ms)
+    bins, order, starts = next(merges)
     if order is not None:
         merged = np.add.reduceat(merged[:, :, order], starts, axis=2)
     return bins, merged
@@ -345,20 +337,7 @@ def _band_plan(bins: np.ndarray, gamma: float) -> tuple:
     return tuple(plan)
 
 
-@functools.lru_cache(maxsize=256)
-def _cached_band_plan(bins_key: bytes, gamma: float) -> tuple:
-    """`_band_plan` for the bins of `bins_key`, memoized like merge plans.
-
-    `_trace_out` asks here only for at most _PLAN_CACHE_BINS bins whose
-    band holds at most _BAND_CACHE_WEIGHTS weights (B times the positions
-    it may run), so one entry holds at most 8 kB of key, 32 kB of weights
-    and 63 small arrays: about 41 kB at the worst shapes, and the 256
-    entries stay below 16 MB (about 10 MB).
-    """
-    return _band_plan(np.frombuffer(bins_key, dtype=np.int64), gamma)
-
-
-def _trace_out(bins: np.ndarray, a: np.ndarray, gamma: float) -> np.ndarray:
+def _trace_out(bins: np.ndarray, a: np.ndarray, gamma: float, band: tuple) -> np.ndarray:
     """Trace out time from per-input bin amplitudes: the banded contraction.
 
     `a` has shape (n, B, 2), with a[n, k] the amplitude of input n in bin
@@ -379,39 +358,52 @@ def _trace_out(bins: np.ndarray, a: np.ndarray, gamma: float) -> np.ndarray:
     bins[i + k + 1] - bins[i] >= bins[i + k] - bins[i] + 1, the closest
     distance grows by at least 1 per position, and no later position
     holds a pair within reach.  For the same reason k never passes the
-    half-width, and no position runs at gamma = 0.  The positions and
-    their weights depend on (bins, gamma) only (see `_band_plan`).
+    half-width, and no position runs at gamma = 0.  The caller passes the
+    positions and their weights as `band`, the `_band_plan(bins, gamma)`.
     """
-    n_bins = len(bins)
-    most_weights = n_bins * min(_band_halfwidth(gamma), n_bins - 1)
-    if n_bins <= _PLAN_CACHE_BINS and 0 < most_weights <= _BAND_CACHE_WEIGHTS:
-        plan = _cached_band_plan(bins.tobytes(), float(gamma))
-    else:
-        plan = _band_plan(bins, gamma)
     at = a.transpose(0, 2, 1)
     ac = a.conj()
     rho = at @ ac
-    for k, w in plan:
+    for k, w in band:
         cross = (at[:, :, :-k] * w) @ ac[:, k:]
         rho = rho + cross + cross.conj().transpose(0, 2, 1)
     return (rho + rho.conj().transpose(0, 2, 1)) / 2.0
 
 
-# the starting state: the identity in bin 0, one copy that every config of a batch broadcasts against
-# (read-only, as wave plates pass `bins` through)
+# the starting state, shared and so read-only: the identity in bin 0, which every config of a batch broadcasts against
 _IDENTITY_BINS = np.zeros(1, dtype=np.int64)
 _IDENTITY_AMPS = np.eye(2, dtype=complex).reshape(1, 2, 1, 2)
 _IDENTITY_BINS.flags.writeable = False
 _IDENTITY_AMPS.flags.writeable = False
 
 
-def _propagate(config: SchemeConfig) -> tuple[np.ndarray, np.ndarray]:
+def _merges(delays: tuple):
+    """Each crystal's (bins, order, starts) from `_merge_plan` in turn, from bin 0; a crystal at most
+    doubles B, so one that could take B past MAX_BINS raises ValueError before anything on its bins is built.
+    """
+    bins = _IDENTITY_BINS
+    for delay in delays:
+        if 2 * len(bins) > MAX_BINS:
+            raise ValueError(f"scheme needs more than {MAX_BINS} occupied time bins ({len(bins)} before a crystal)")
+        bins, order, starts = _merge_plan(bins, delay)
+        yield bins, order, starts
+
+
+@functools.lru_cache(maxsize=128)
+def _cached_plan(delays: tuple, gamma: float) -> tuple:
+    # asked only for at most 10 crystals whose band may hold at most 4096 weights: an entry holds at most
+    # 1024 + 2046 bins, 4088 merge indices and 4096 weights, about 90 kB, so 128 entries stay below 16 MB
+    merges = tuple(_merges(delays))
+    return merges, _band_plan(merges[-1][0] if merges else _IDENTITY_BINS, gamma)
+
+
+def _propagate(config: SchemeConfig) -> tuple[np.ndarray, np.ndarray, tuple]:
     """Push the 2x2 identity through the T = `config.batch` (or 1) configs at once.
 
-    Returns (bins, amps): the sorted bins, which follow from the crystal
-    delays alone, and the (T, 2, B, 2) amplitudes.  Every config of a
-    batch runs on the same bins with matrix products of the same shapes,
-    so the batch is bit-identical to one call per config.
+    Returns (bins, amps, band): the sorted bins, which follow from the
+    crystal delays alone, the (T, 2, B, 2) amplitudes and the band plan.
+    Every config of a batch runs on the same bins with matrix products of
+    the same shapes, so the batch is bit-identical to one call per config.
 
     A crystal at most doubles B, so a crystal step that could take B past
     MAX_BINS raises ValueError before it allocates anything.  The result
@@ -420,25 +412,31 @@ def _propagate(config: SchemeConfig) -> tuple[np.ndarray, np.ndarray]:
     `_last_propagation`).
     """
     global _last_propagation
-    held, bins, amps = _last_propagation
+    held, bins, amps, band = _last_propagation
     if config is held and len(bins) <= _PLAN_CACHE_BINS:
-        return bins, amps
+        return bins, amps, band
     n_configs = config.batch or 1
     crystals = [e for e in config.elements if e.kind == CRYSTAL]
     plates = [e for e in config.elements if e.kind != CRYSTAL]
+    # tuple() of a list: of a generator it shrinks its result in place, stranding freed tuples on a free list
+    delays, gamma = tuple([e.delay_bins for e in crystals]), float(config.coherence)
+    most_bins = min(2 ** len(delays), sum(delays) + 1)  # n crystals make at most 2**n and sum + 1 bins
+    most_weights = most_bins * min(_band_halfwidth(gamma), most_bins - 1)
+    memoize = 2 ** len(delays) <= _PLAN_CACHE_BINS and most_weights <= _BAND_CACHE_WEIGHTS
+    # unmemoized, one crystal's merge plan at a time: those of n short crystals together grow as n**2
+    merges, band = _cached_plan(delays, gamma) if memoize else (_merges(delays), None)
     projectors, jones = iter(_element_table(crystals, n_configs, 4)), iter(_element_table(plates, n_configs, 2))
-    bins, amps = _IDENTITY_BINS, _IDENTITY_AMPS
+    bins, amps, merges = _IDENTITY_BINS, _IDENTITY_AMPS, iter(merges)
     for element in config.elements:
         if element.kind != CRYSTAL:
             amps = _rotate(amps, next(jones))
             continue
-        if 2 * len(bins) > MAX_BINS:
-            raise ValueError(f"scheme needs more than {MAX_BINS} occupied time bins ({len(bins)} before a crystal)")
-        bins, amps = _crystal_step(bins, amps, next(projectors), element.delay_bins)
+        bins, amps = _crystal_step(amps, next(projectors), merges)
+    band = _band_plan(bins, gamma) if band is None else band
     if config.batch is None and len(bins) <= _PLAN_CACHE_BINS:
         amps.flags.writeable = False
-        _last_propagation = (config, bins, amps)
-    return bins, amps
+        _last_propagation = (config, bins, amps, band)
+    return bins, amps, band
 
 
 def kraus_operators(config: SchemeConfig) -> tuple[np.ndarray, np.ndarray]:
@@ -456,7 +454,7 @@ def kraus_operators(config: SchemeConfig) -> tuple[np.ndarray, np.ndarray]:
     Raises ValueError on a batch, or if the scheme needs more than MAX_BINS bins.
     """
     _check_single(config.batch, "kraus_operators")
-    bins, amps = _propagate(config)
+    bins, amps, _ = _propagate(config)
     return bins.copy(), amps[0].transpose(1, 0, 2).copy()
 
 
@@ -483,12 +481,12 @@ def run_scheme(config: SchemeConfig, j) -> np.ndarray:
         cols = j
     else:
         raise ValueError(f"inputs must be a Jones vector or a (2, n) stack of them, got shape {j.shape}")
-    bins, amps = _propagate(config)
+    bins, amps, band = _propagate(config)
     n_configs, n_bins, n_inputs = amps.shape[0], len(bins), cols.shape[1]
     # ops[t, k] = K_{bins[k]} under config t, and a[t, n, k] = ops[t, k] j_n
     ops = np.ascontiguousarray(amps.transpose(0, 2, 1, 3)).reshape(n_configs, 2 * n_bins, 2)
     a = (cols.T @ ops.transpose(0, 2, 1)).reshape(n_configs * n_inputs, n_bins, 2)
-    rho = _trace_out(bins, a, config.coherence).reshape(n_configs, n_inputs, 2, 2)
+    rho = _trace_out(bins, a, config.coherence, band).reshape(n_configs, n_inputs, 2, 2)
     if j.ndim == 1:
         rho = rho[:, 0]
     return rho if config.batch else rho[0]
@@ -498,6 +496,10 @@ def run_scheme(config: SchemeConfig, j) -> np.ndarray:
 
 
 def _from_state(state: TimeBinState):
+    # a bin stays far inside int64 after the largest delay: no bool, no float, nothing negative
+    for t in state:
+        if isinstance(t, bool) or not isinstance(t, (int, np.integer)) or not 0 <= t <= 2**62:
+            raise ValueError(f"time-bin keys must be integers in [0, 2**62], got {t!r}")
     ts = sorted(state)
     amps = np.array([state[t] for t in ts], dtype=complex).reshape(len(ts), 2)
     return np.array(ts, dtype=np.int64), amps.T.reshape(1, 2, len(ts), 1)
@@ -525,7 +527,8 @@ def apply_element(state: TimeBinState, element: OpticalElement) -> TimeBinState:
         _check_single(len(element.angle_deg), "apply_element")
     bins, amps = _from_state(state)
     if element.kind == CRYSTAL:
-        bins, amps = _crystal_step(bins, amps, _element_table([element], 1, 4)[0], element.delay_bins)
+        merge = _merge_plan(bins, element.delay_bins)
+        bins, amps = _crystal_step(amps, _element_table([element], 1, 4)[0], iter([merge]))
     else:
         amps = _rotate(amps, _element_table([element], 1, 2)[0])
     return _to_state(bins, amps)
@@ -549,4 +552,4 @@ def collapse_with_coherence(state: TimeBinState, gamma: float) -> np.ndarray:
     if not 0.0 <= gamma < 1.0:
         raise ValueError("gamma must lie in [0, 1)")
     bins, amps = _from_state(state)
-    return _trace_out(bins, amps[0].transpose(2, 1, 0), gamma)[0]
+    return _trace_out(bins, amps[0].transpose(2, 1, 0), gamma, _band_plan(bins, gamma))[0]

@@ -108,8 +108,11 @@ def band_halfwidth(gamma):
     return math.isqrt(int(math.log(FLOOR) / math.log(gamma))) + 1
 
 
-def full_band_trace_out(bins, a, gamma):
-    """sum_{t,u} w(t - u) a_t a_u^dagger over the pairs of every position k <= min(half-width, B - 1)."""
+def full_band_trace_out(bins, a, gamma, band):
+    """sum_{t,u} w(t - u) a_t a_u^dagger over the pairs of every position k <= min(half-width, B - 1).
+
+    The engine's `band` is not read: the positions and weights come from bins and gamma here.
+    """
     at = a.transpose(0, 2, 1)
     ac = a.conj()
     rho = at @ ac

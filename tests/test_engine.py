@@ -4,6 +4,7 @@ import dataclasses
 import json
 import re
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -225,6 +226,7 @@ def test_occupied_bin_cap(monkeypatch, tmp_path, capsys):
     # delays 2**k with generic axes double the occupied bins at every crystal
     chain = SchemeConfig(tuple(crystal(10.0 * k, 2**k) for k in range(5)))
     monkeypatch.setattr(temporal, "MAX_BINS", 8)
+    temporal._cached_plan.cache_clear()  # a plan memoized under the real cap would skip the check
     bins, _ = kraus_operators(SchemeConfig(chain.elements[:3]))
     assert len(bins) == 8
     with pytest.raises(ValueError, match="occupied time bins"):
@@ -417,6 +419,7 @@ def test_single_config_consumers_reject_a_batch():
 
 def test_occupied_bin_cap_applies_to_a_batch(monkeypatch):
     monkeypatch.setattr(temporal, "MAX_BINS", 8)
+    temporal._cached_plan.cache_clear()  # a plan memoized under the real cap would skip the check
     offsets = np.array([0.0, 3.0])
     three = SchemeConfig(tuple(crystal(10.0 * k + offsets, 2**k) for k in range(3)))
     assert run_scheme(three, JONES_P).shape == (2, 2, 2)
@@ -465,8 +468,8 @@ def test_band_stop_keeps_every_output_bit(config):
 def test_a_sparse_chain_runs_only_its_live_band_positions(monkeypatch):
     # the chain's bins are at least 1, 3 and 4 apart at positions 1, 2 and 3, and at least 9 apart from
     # position 4 on, beyond the half-width 6 at gamma = 0.2
-    config = SchemeConfig(tuple(delay_chain(np.random.default_rng(25), 7)), coherence=0.2)
-    bins, _ = kraus_operators(config)
+    elements = tuple(delay_chain(np.random.default_rng(25), 7))
+    bins, _ = kraus_operators(SchemeConfig(elements, coherence=0.2))
     assert len(bins) == 128 and temporal._band_halfwidth(0.2) == 6
     positions = []
 
@@ -481,31 +484,102 @@ def test_a_sparse_chain_runs_only_its_live_band_positions(monkeypatch):
             return np.square(distances, **kwargs)
 
     monkeypatch.setattr(temporal, "np", RecordingNumpy())
-    temporal._cached_band_plan.cache_clear()  # a cached plan would square no distances
-    run_scheme(config, JONES_P)
+    temporal._cached_plan.cache_clear()  # a memoized plan would square no distances
+    run_scheme(SchemeConfig(elements, coherence=0.2), JONES_P)  # a new config object: none is held
     assert positions == [1, 2, 3]
 
 
-# --- band plans are memoized per (bins, gamma), within a stated memory bound ---
+# --- a propagation's plan is memoized per (crystal delays, gamma), within a stated memory bound ---
 
 
-def test_the_band_plan_cache_stays_below_16_mb():
-    # dense bins keep every position live; each length gets the largest reach the weight cap admits
+def held_bytes(value):
+    """Bytes that `value` keeps alive: tuples member by member, arrays with the base a view keeps."""
+    if isinstance(value, tuple):
+        return sys.getsizeof(value) + sum(map(held_bytes, value))
+    if isinstance(value, np.ndarray) and value.base is not None:
+        return sys.getsizeof(value) + held_bytes(value.base)
+    return sys.getsizeof(value)
+
+
+def test_the_plan_memo_stays_below_16_mb():
+    # delays 2**(n-1), ..., 2, 1 double the bins at every crystal and interleave them from the second one on,
+    # the most merge indices n crystals can make; each gets the largest band reach the weight cap admits
     worst = 0
-    for n_bins in (2, 8, 63, 64, 65, 512, 1024):
+    for n_crystals in range(1, 11):
+        delays = tuple(2**k for k in reversed(range(n_crystals)))
+        n_bins = 2**n_crystals
         reach = min(n_bins - 1, temporal._BAND_CACHE_WEIGHTS // n_bins)
         gamma = 2.0 ** (-60.0 / ((reach - 1) ** 2 + 0.5))  # the gamma whose half-width is `reach`
         assert temporal._band_halfwidth(gamma) == reach
-        bins = np.arange(n_bins, dtype=np.int64)
-        plan = temporal._band_plan(bins, gamma)
-        assert [k for k, _ in plan] == list(range(1, reach + 1))
-        size = sys.getsizeof(bins.tobytes()) + sys.getsizeof(gamma) + sys.getsizeof(plan)
-        size += sum(sys.getsizeof(entry) + sum(map(sys.getsizeof, entry)) for entry in plan)
+        temporal._cached_plan.cache_clear()
+        kraus_operators(SchemeConfig(tuple(crystal(10.0, d) for d in delays), coherence=gamma))
+        assert temporal._cached_plan.cache_info().currsize == 1  # the gate admits it
+        merges, band = entry = temporal._cached_plan(delays, gamma)
+        assert len(merges[-1][0]) == n_bins and all(order is not None for _, order, _ in merges[1:])
+        assert [k for k, _ in band] == list(range(1, reach + 1))
+        # the key and the cache's link record [prev, next, key, result] count too
+        size = held_bytes(entry) + held_bytes(delays) + sys.getsizeof(gamma) + 2 * sys.getsizeof([None] * 4)
         worst = max(worst, size)
-    assert worst * temporal._cached_band_plan.cache_parameters()["maxsize"] < 16 * 2**20
+    assert worst * temporal._cached_plan.cache_parameters()["maxsize"] < 16 * 2**20
 
 
-# --- more than _PLAN_CACHE_BINS bins get their merge and band plans without the caches ---
+def test_configs_with_the_same_delays_share_one_plan(monkeypatch):
+    # the same delays and gamma under other angles and other plates: one entry, looked up twice
+    first = SchemeConfig((crystal(10.0, 1), half_wave(20.0), crystal(70.0, 3), crystal(45.0, 2)), coherence=0.3)
+    second = SchemeConfig(
+        (quarter_wave(5.0), crystal(0.0, 1), crystal(90.0, 3), half_wave(-40.0), crystal(0.0, 2)), coherence=0.3
+    )
+    temporal._cached_plan.cache_clear()
+    memoized = [run_scheme(config, ALL_INPUTS) for config in (first, second)]
+    info = temporal._cached_plan.cache_info()
+    assert (info.currsize, info.misses, info.hits) == (1, 1, 1)
+    monkeypatch.setattr(temporal, "_PLAN_CACHE_BINS", 0)
+    for config, expected in zip((first, second), memoized):
+        assert np.array_equal(bits(run_scheme(config, ALL_INPUTS)), bits(expected))
+    assert temporal._cached_plan.cache_info() == info
+
+
+@pytest.mark.parametrize(
+    "config",
+    [
+        # 601 bins only, but merge plans of 4.4 MB: the gate counts crystals, not bins
+        SchemeConfig(tuple(crystal(30.0, 1) for _ in range(600)), coherence=0.2),
+        # 11 crystals, 2048 bins, and no band at gamma = 0 to stop it otherwise
+        SchemeConfig(tuple(delay_chain(np.random.default_rng(28), 11))),
+    ],
+    ids=["600-delay-1-crystals", "11-crystal-chain"],
+)
+def test_more_than_ten_crystals_make_no_memo_entry(config):
+    temporal._cached_plan.cache_clear()
+    run_scheme(config, ALL_INPUTS)
+    assert temporal._cached_plan.cache_info().currsize == 0
+
+
+def test_an_unmemoized_propagation_builds_one_merge_plan_at_a_time():
+    # the merge plans of 1200 delay-1 crystals hold 17 MB together; one at a time they peak below 1 MB
+    config = SchemeConfig(tuple(crystal(30.0, 1) for _ in range(1200)))
+    tracemalloc.start()
+    try:
+        kraus_operators(config)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20
+
+
+def test_a_scheme_over_max_bins_raises_the_same_error_with_and_without_the_memo(monkeypatch):
+    # delays 2**k double the bins at every crystal: the fourth would pass 8; no plan is left memoized
+    monkeypatch.setattr(temporal, "MAX_BINS", 8)
+    config = SchemeConfig(tuple(crystal(10.0 * k, 2**k) for k in range(4)), coherence=0.3)
+    temporal._cached_plan.cache_clear()
+    for cap in (temporal._PLAN_CACHE_BINS, 0):
+        monkeypatch.setattr(temporal, "_PLAN_CACHE_BINS", cap)
+        with pytest.raises(ValueError, match=re.escape("more than 8 occupied time bins (8 before a crystal)")):
+            run_scheme(config, JONES_P)
+    assert temporal._cached_plan.cache_info().currsize == 0
+
+
+# --- past 10 crystals, past 4096 band weights or with the cap at 0, a plan is built without the memo ---
 
 
 def test_uncached_merge_plans_keep_every_output_bit(monkeypatch):
@@ -513,16 +587,18 @@ def test_uncached_merge_plans_keep_every_output_bit(monkeypatch):
     configs.append(build_scheme("isotropic_triple", np.array(BATCH_THETAS), coherence=0.3))
     configs.append(SchemeConfig(tuple(delay_chain(np.random.default_rng(23), 10)), coherence=0.2))
     configs.append(SchemeConfig(tuple(delay_chain(np.random.default_rng(23), 6)), coherence=0.2))
-    caches = (temporal._cached_merge_plan, temporal._cached_band_plan)
 
     def lookups():
-        return [cache.cache_info().hits + cache.cache_info().misses for cache in caches]
+        info = temporal._cached_plan.cache_info()
+        return info.hits + info.misses
 
     before = lookups()
     cached = [run_scheme(config, ALL_INPUTS) for config in configs]
+    # one lookup per config, but none for the 10-crystal chain: its 1024 bins at gamma = 0.2 may hold
+    # 6144 band weights, past _BAND_CACHE_WEIGHTS
+    assert lookups() - before == len(configs) - 1
+    # with the cap at 0 every plan is built afresh, and the memo sees no lookup
     after = lookups()
-    assert all(n > m for n, m in zip(after, before))
-    # with the cap at 0 every step and every trace-out takes the uncached path, and neither cache sees a lookup
     monkeypatch.setattr(temporal, "_PLAN_CACHE_BINS", 0)
     for config, expected in zip(configs, cached):
         assert np.array_equal(bits(run_scheme(config, ALL_INPUTS)), bits(expected))
@@ -579,8 +655,8 @@ def test_only_the_first_probe_call_propagates(monkeypatch):
 def test_the_memo_holds_one_read_only_single_config():
     config = build_scheme("isotropic_triple", 30.0)
     run_scheme(config, JONES_H)
-    held, bins, amps = temporal._last_propagation
-    assert held is config and len(bins) == 27
+    held, bins, amps, band = temporal._last_propagation
+    assert held is config and len(bins) == 27 and band == ()  # no band at gamma = 0
     assert not amps.flags.writeable and not bins.flags.writeable
     with pytest.raises(ValueError, match="read-only"):
         amps[...] = 0.0
@@ -594,7 +670,7 @@ def test_the_memo_holds_one_read_only_single_config():
     # the next single config replaces it: one config at most
     other = build_scheme("scheme1", 30.0)
     run_scheme(other, JONES_H)
-    assert temporal._last_propagation[0] is other and len(temporal._last_propagation) == 3
+    assert temporal._last_propagation[0] is other and len(temporal._last_propagation) == 4
 
 
 def test_kraus_operators_are_fresh_and_writable():

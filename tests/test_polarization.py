@@ -111,6 +111,10 @@ def test_dop_from_determinant_clamps_and_rejects():
     assert dop_from_determinant(rho) == 0.0
     with pytest.raises(ValueError, match="physical"):
         dop_from_determinant(I2 / 2 + np.diag([1e-4, -1e-4]) * 1j)
+    # an all-NaN rho gave nan with a RuntimeWarning, and an infinite one gave 1.0
+    for rho in (np.full((2, 2), np.nan), np.array([[np.inf, 0.0], [0.0, 0.0]])):
+        with pytest.raises(ValueError, match="finite"):
+            dop_from_determinant(rho)
 
 
 def test_state_fidelity_examples():

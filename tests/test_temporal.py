@@ -84,6 +84,26 @@ def test_crystal_rejects_bad_delay():
         crystal(0.0, 0)
 
 
+@pytest.mark.parametrize("key", [2**63 - 10, 1.5, -1, True, 2**64, 2**62 + 1, np.int64(-3), "0"], ids=repr)
+def test_dict_state_bins_must_be_integers_in_range(key):
+    # 2**63 - 10 came back delayed to a negative bin, 1.5 was truncated to bin 1, -1 and True were accepted,
+    # and 2**64 raised OverflowError
+    calls = (
+        lambda state: apply_crystal(state, 30.0, 2**31),
+        lambda state: apply_element(state, half_wave(10.0)),
+        collapse,
+        lambda state: collapse_with_coherence(state, 0.3),
+    )
+    for call in calls:
+        with pytest.raises(ValueError, match="time-bin keys"):
+            call({key: JONES_P})
+
+
+def test_dict_state_bins_reach_2_to_the_62():
+    out = apply_crystal({2**62: JONES_P, np.int64(3): JONES_P}, 0.0, 2**31)
+    assert sorted(out) == [3, 2**31 + 3, 2**62, 2**62 + 2**31]
+
+
 def test_waveplate_matrices_are_unitary():
     rng = np.random.default_rng(1)
     for _ in range(50):
