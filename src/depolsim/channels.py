@@ -161,9 +161,9 @@ def affine_from_outputs(rho_h, rho_v, rho_p, rho_r) -> StokesChannel:
 
 def _affine_from_stokes(stokes: np.ndarray) -> StokesChannel:
     """`affine_from_outputs` from the (4, 3) Stokes vectors of the h, v, p, r outputs."""
-    s_h, s_v, s_p, s_r = stokes
-    b = (s_h + s_v) / 2.0
-    m = np.column_stack([s_h - b, s_p - b, s_r - b])
+    b = (stokes[0] + stokes[1]) / 2.0
+    # the columns of m are the h, p and r outputs less b, written C-contiguous by one subtraction
+    m = np.subtract(stokes.take((0, 2, 3), axis=0).T, b[:, None], order="C")
     return StokesChannel(m, b)
 
 

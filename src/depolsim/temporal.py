@@ -67,6 +67,11 @@ KERNEL_FLOOR = 2.0**-60
 # (B, 2, 2) Kraus operators are 64 MB at 2**20
 MAX_BINS = 2**20
 
+# most bins all crystal steps of a propagation may handle together, each step counting the bins it starts
+# from: a step costs time in its bins, so a stack of n short crystals costs n**2 / 2 (4000 delay-1 crystals
+# handle 8.0e6 bins in about a second)
+MAX_TOTAL_BINS = 2**23
+
 # the plan memo (`_cached_plan`) takes at most log2 of this = 10 crystals, so at most 1024 bins; 0 turns it off
 _PLAN_CACHE_BINS = 1024
 
@@ -230,10 +235,11 @@ _ENTRIES = {CRYSTAL: _projector_entries, HWP: _hwp_entries, QWP: _qwp_entries}
 
 
 # The propagation state of T configs is (bins, amps): a sorted int64
-# array of B bins, which follow from the crystal delays alone, and a
-# (T, 2, B, m) complex array whose column amps[t, :, k, n] is the (h, v)
-# amplitude in bin bins[k] of the n-th propagated column under config t
-# (m = 2 identity columns for Kraus operators, m = 1 for a dict state).
+# array of B bins, which follow from the crystal delays alone, and a flat
+# (T, 2, B * m) complex array whose entry amps[t, :, k * m + n] is the
+# (h, v) amplitude in bin bins[k] of the n-th propagated column under
+# config t (m = 2 identity columns for Kraus operators, m = 1 for a dict
+# state).  Both matrix products of a step read that layout as it is.
 # A bin may hold zero amplitude, as where a crystal at exactly 0 deg
 # sends nothing into it.
 
@@ -252,13 +258,8 @@ def _element_table(elements, n_configs: int, rows: int) -> np.ndarray:
             flat += entries(angle) * n_configs
         else:
             flat += [x for a in angle.tolist() for x in entries(a)]
-    return np.array(flat, dtype=complex).reshape(len(elements), n_configs, rows, 2)
-
-
-def _rotate(amps: np.ndarray, jmats: np.ndarray) -> np.ndarray:
-    """Apply a (T, 2, 2) stack of Jones matrices, jmats[t] to every bin of config t."""
-    n_configs, _, n_bins, m = amps.shape
-    return (jmats @ amps.reshape(n_configs, 2, n_bins * m)).reshape(-1, 2, n_bins, m)
+    # a list of floats converts on numpy's fast path, and widening it to complex is exact
+    return np.array(flat).astype(complex, copy=False).reshape(len(elements), n_configs, rows, 2)
 
 
 def _merge_plan(bins: np.ndarray, delay: int):
@@ -295,19 +296,19 @@ def _crystal_step(amps: np.ndarray, projectors: np.ndarray, merges):
     keeps its bin.  Both projections come from one matrix product, the
     next (bins, order, starts) of `merges` (see `_merge_plan`) shifts the
     slow half, and amplitudes landing in the same output bin are summed
-    (coherently).  Returns (bins, amps) with every bin of the merge plan,
-    even one whose amplitude is zero.
+    (coherently).  Takes and returns flat amplitudes; returns (bins, amps)
+    with every bin of the merge plan, even one whose amplitude is zero.
     """
-    n_configs, _, n_bins, m = amps.shape
-    # the projector rows alternate fast and slow, so the product is laid out as (T, h or v, fast or slow, B, m)
-    # and reads as (T, 2, 2B, m) with the fast bins first, without a copy
-    merged = (projectors @ amps.reshape(n_configs, 2, n_bins * m)).reshape(-1, 2, 2 * n_bins, m)
-    # drawn after the product: with OpenBLAS's SkylakeX kernel the gather below ran 2-4x slower right after
-    # it than after the numpy loops that build a merge plan (600 delay-1 crystals: 140 ms against 55 ms)
+    # the projector rows alternate fast and slow, so the product is laid out as (T, h or v, fast or slow, B * m)
+    # and reads as (T, 2, 2B * m) with the fast bins first, without a copy
+    merged = projectors @ amps
+    n_configs = len(merged)
     bins, order, starts = next(merges)
-    if order is not None:
-        merged = np.add.reduceat(merged[:, :, order], starts, axis=2)
-    return bins, merged
+    if order is None:
+        return bins, merged.reshape(n_configs, 2, -1)
+    # take is numpy's direct gather; indexing with `order` runs its generic path, 50-70x slower after the product
+    merged = merged.reshape(n_configs, 2, len(order), -1).take(order, axis=2)
+    return bins, np.add.reduceat(merged, starts, axis=2).reshape(n_configs, 2, -1)
 
 
 def _band_halfwidth(gamma: float) -> int:
@@ -364,27 +365,37 @@ def _trace_out(bins: np.ndarray, a: np.ndarray, gamma: float, band: tuple) -> np
     at = a.transpose(0, 2, 1)
     ac = a.conj()
     rho = at @ ac
+    if band:
+        at = np.ascontiguousarray(at)  # weighting a contiguous copy runs numpy's contiguous loop, not its strided one
     for k, w in band:
         cross = (at[:, :, :-k] * w) @ ac[:, k:]
-        rho = rho + cross + cross.conj().transpose(0, 2, 1)
+        rho += cross
+        rho += cross.conj().transpose(0, 2, 1)
     return (rho + rho.conj().transpose(0, 2, 1)) / 2.0
 
 
 # the starting state, shared and so read-only: the identity in bin 0, which every config of a batch broadcasts against
 _IDENTITY_BINS = np.zeros(1, dtype=np.int64)
-_IDENTITY_AMPS = np.eye(2, dtype=complex).reshape(1, 2, 1, 2)
+_IDENTITY_AMPS = np.eye(2, dtype=complex).reshape(1, 2, 2)
 _IDENTITY_BINS.flags.writeable = False
 _IDENTITY_AMPS.flags.writeable = False
 
 
 def _merges(delays: tuple):
-    """Each crystal's (bins, order, starts) from `_merge_plan` in turn, from bin 0; a crystal at most
-    doubles B, so one that could take B past MAX_BINS raises ValueError before anything on its bins is built.
+    """Each crystal's (bins, order, starts) from `_merge_plan` in turn, from bin 0.
+
+    A crystal at most doubles B, so one that could take B past MAX_BINS
+    raises ValueError before anything on its bins is built; so does one
+    whose bins would take the running sum of the bins every step starts
+    from past MAX_TOTAL_BINS.
     """
-    bins = _IDENTITY_BINS
+    bins, total = _IDENTITY_BINS, 0
     for delay in delays:
         if 2 * len(bins) > MAX_BINS:
             raise ValueError(f"scheme needs more than {MAX_BINS} occupied time bins ({len(bins)} before a crystal)")
+        total += len(bins)
+        if total > MAX_TOTAL_BINS:
+            raise ValueError(f"scheme's crystal steps handle more than {MAX_TOTAL_BINS} time bins in all")
         bins, order, starts = _merge_plan(bins, delay)
         yield bins, order, starts
 
@@ -402,11 +413,13 @@ def _propagate(config: SchemeConfig) -> tuple[np.ndarray, np.ndarray, tuple]:
 
     Returns (bins, amps, band): the sorted bins, which follow from the
     crystal delays alone, the (T, 2, B, 2) amplitudes and the band plan.
+    The steps run on flat amplitudes, reshaped once at the end.
     Every config of a batch runs on the same bins with matrix products of
     the same shapes, so the batch is bit-identical to one call per config.
 
-    A crystal at most doubles B, so a crystal step that could take B past
-    MAX_BINS raises ValueError before it allocates anything.  The result
+    A crystal step that could take B past MAX_BINS, or the bins of all
+    steps past MAX_TOTAL_BINS, raises ValueError before it allocates
+    anything (see `_merges`).  The result
     for a single config on at most _PLAN_CACHE_BINS bins is kept read-only
     and returned again while the same config object comes back (see
     `_last_propagation`).
@@ -429,9 +442,10 @@ def _propagate(config: SchemeConfig) -> tuple[np.ndarray, np.ndarray, tuple]:
     bins, amps, merges = _IDENTITY_BINS, _IDENTITY_AMPS, iter(merges)
     for element in config.elements:
         if element.kind != CRYSTAL:
-            amps = _rotate(amps, next(jones))
+            amps = next(jones) @ amps  # a wave plate: jones[t] on every bin of config t
             continue
         bins, amps = _crystal_step(amps, next(projectors), merges)
+    amps = amps.reshape(n_configs, 2, len(bins), 2)
     band = _band_plan(bins, gamma) if band is None else band
     if config.batch is None and len(bins) <= _PLAN_CACHE_BINS:
         amps.flags.writeable = False
@@ -502,12 +516,12 @@ def _from_state(state: TimeBinState):
             raise ValueError(f"time-bin keys must be integers in [0, 2**62], got {t!r}")
     ts = sorted(state)
     amps = np.array([state[t] for t in ts], dtype=complex).reshape(len(ts), 2)
-    return np.array(ts, dtype=np.int64), amps.T.reshape(1, 2, len(ts), 1)
+    return np.array(ts, dtype=np.int64), amps.T.reshape(1, 2, len(ts))
 
 
 def _to_state(bins: np.ndarray, amps: np.ndarray) -> TimeBinState:
     """The dict of the bins whose amplitude is not all zero: a dict state is a sparse map."""
-    rows = amps[0, :, :, 0].T
+    rows = amps[0].T
     live = rows.any(axis=1)
     return dict(zip(bins[live].tolist(), rows[live]))
 
@@ -530,7 +544,7 @@ def apply_element(state: TimeBinState, element: OpticalElement) -> TimeBinState:
         merge = _merge_plan(bins, element.delay_bins)
         bins, amps = _crystal_step(amps, _element_table([element], 1, 4)[0], iter([merge]))
     else:
-        amps = _rotate(amps, _element_table([element], 1, 2)[0])
+        amps = _element_table([element], 1, 2)[0] @ amps
     return _to_state(bins, amps)
 
 
@@ -552,4 +566,4 @@ def collapse_with_coherence(state: TimeBinState, gamma: float) -> np.ndarray:
     if not 0.0 <= gamma < 1.0:
         raise ValueError("gamma must lie in [0, 1)")
     bins, amps = _from_state(state)
-    return _trace_out(bins, amps[0].transpose(2, 1, 0), gamma, _band_plan(bins, gamma))[0]
+    return _trace_out(bins, amps.transpose(0, 2, 1), gamma, _band_plan(bins, gamma))[0]

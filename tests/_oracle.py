@@ -19,6 +19,14 @@ min(half-width, B - 1), with weights floored at 2**-60.  Patched in for
 ``depolsim.temporal._trace_out``, it gives the output the engine must
 match bit for bit.
 
+Former forms.  ``former_crystal_step``, ``former_trace_out`` and
+``former_affine_from_stokes`` are the engine's earlier numpy forms of a
+crystal step (a gather by advanced indexing), of the trace-out (weights
+on a strided view, rho summed out of place) and of the Stokes map (built
+by ``np.column_stack``).  The engine replaced them with faster forms that
+do the same floating-point operations, so patched in, they must give its
+output bit for bit.
+
 Likelihood.  The Poisson log-likelihood of a measurement record is
 evaluated setting by setting from the basis states' Jones vectors, and
 over the parametrization rho(T) = T^dag T / tr(T^dag T) with T lower
@@ -33,12 +41,13 @@ outputs, and ``depolsim.tomography`` folds the trace-preservation sum
 into one precomputed contraction.
 """
 
+import contextlib
 import math
 from unittest import mock
 
 import numpy as np
 
-from depolsim import temporal
+from depolsim import channels, temporal
 
 
 def hwp(angle_deg):
@@ -128,6 +137,48 @@ def full_band_run_scheme(config, j):
     """``depolsim.temporal.run_scheme`` with the full-band trace-out."""
     with mock.patch.object(temporal, "_trace_out", full_band_trace_out):
         return temporal.run_scheme(config, j)
+
+
+# --- the engine's former numpy forms --------------------------------------
+
+
+def former_crystal_step(amps, projectors, merges):
+    """`temporal._crystal_step` gathering the bins by advanced indexing on (T, 2, 2B, m) amplitudes."""
+    n_configs = amps.shape[0]
+    bins, order, starts = next(merges)
+    n_bins = (len(bins) if order is None else len(order)) // 2
+    m = amps.shape[2] // n_bins
+    merged = (projectors @ amps.reshape(n_configs, 2, n_bins * m)).reshape(-1, 2, 2 * n_bins, m)
+    if order is not None:
+        merged = np.add.reduceat(merged[:, :, order], starts, axis=2)
+    return bins, merged.reshape(len(merged), 2, -1)
+
+
+def former_trace_out(bins, a, gamma, band):
+    """`temporal._trace_out` weighting the strided view of the amplitudes and summing rho out of place."""
+    at = a.transpose(0, 2, 1)
+    ac = a.conj()
+    rho = at @ ac
+    for k, w in band:
+        cross = (at[:, :, :-k] * w) @ ac[:, k:]
+        rho = rho + cross + cross.conj().transpose(0, 2, 1)
+    return (rho + rho.conj().transpose(0, 2, 1)) / 2.0
+
+
+def former_affine_from_stokes(stokes):
+    """`channels._affine_from_stokes` building m with np.column_stack."""
+    s_h, s_v, s_p, s_r = stokes
+    b = (s_h + s_v) / 2.0
+    return channels.StokesChannel(np.column_stack([s_h - b, s_p - b, s_r - b]), b)
+
+
+def former_forms():
+    """A context manager patching the three former forms into the engine."""
+    stack = contextlib.ExitStack()
+    stack.enter_context(mock.patch.object(temporal, "_crystal_step", former_crystal_step))
+    stack.enter_context(mock.patch.object(temporal, "_trace_out", former_trace_out))
+    stack.enter_context(mock.patch.object(channels, "_affine_from_stokes", former_affine_from_stokes))
+    return stack
 
 
 # --- Poisson likelihood over every setting ------------------------------

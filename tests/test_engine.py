@@ -238,6 +238,31 @@ def test_occupied_bin_cap(monkeypatch, tmp_path, capsys):
     assert captured.out == "" and "occupied time bins" in json.loads(captured.err)["error"]
 
 
+def test_total_bin_cap_counts_the_bins_each_crystal_step_starts_from(monkeypatch):
+    # n crystals of one delay make bins 0..n, so their steps start from 1, 2, ..., n bins: 10 in all for n = 4.
+    # At delay 1000 that is 10 too, where 2**k bins per step would be 15
+    monkeypatch.setattr(temporal, "MAX_TOTAL_BINS", 10)
+    temporal._cached_plan.cache_clear()  # a plan memoized under the real cap would skip the check
+    for delay in (1, 1000):
+        bins, _ = kraus_operators(SchemeConfig(tuple(crystal(30.0, delay) for _ in range(4))))
+        assert len(bins) == 5
+        with pytest.raises(ValueError, match="handle more than 10 time bins in all"):
+            kraus_operators(SchemeConfig(tuple(crystal(30.0, delay) for _ in range(5))))
+
+
+def test_a_scheme_file_of_16000_short_crystals_is_refused(tmp_path, capsys):
+    # below the 1 MiB file cap, but its steps would handle 1.3e8 bins, for minutes; 4000 such crystals
+    # (8.0e6 bins) stay admitted
+    assert 4000 * 4001 // 2 <= temporal.MAX_TOTAL_BINS < 16000 * 16001 // 2
+    path = tmp_path / "stack.json"
+    path.write_text(json.dumps(SchemeConfig(tuple(crystal(30.0, 1) for _ in range(16000))).to_json()))
+    assert path.stat().st_size < 2**20
+    assert main(["map", "--scheme", str(path), "--samples", "10"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and len(captured.err.splitlines()) == 1
+    assert "time bins in all" in json.loads(captured.err)["error"]
+
+
 @pytest.mark.parametrize(
     "doc",
     [
@@ -463,6 +488,55 @@ def test_band_stop_keeps_every_output_bit(config):
     # signed zeros included: a skipped position could only have added zeros
     expected = _oracle.full_band_run_scheme(config, ALL_INPUTS)
     assert np.array_equal(bits(run_scheme(config, ALL_INPUTS)), bits(expected))
+
+
+# --- the engine's numpy forms against its former ones, which do the same floating-point operations ---
+
+# signed and exact zeros zero projector entries and amplitudes; 1 to 4 interleave, 3**k spread the bins
+former_angles = st.sampled_from([0.0, -0.0, 45.0, 90.0]) | st.floats(-180.0, 180.0, allow_nan=False)
+former_delays = st.integers(1, 4) | st.sampled_from([1, 3, 9, 27, 81])
+
+
+@st.composite
+def former_form_schemes(draw):
+    """(kind, T angles, delay) of up to 6 crystals, each after an optional wave plate, for T in 1..3, and gamma."""
+    n_configs = draw(st.integers(1, 3))
+    angles = st.lists(former_angles, min_size=n_configs, max_size=n_configs)
+    elements = []
+    for _ in range(draw(st.integers(1, 6))):
+        if draw(st.booleans()):
+            elements.append((draw(st.sampled_from([temporal.HWP, temporal.QWP])), draw(angles), None))
+        elements.append((temporal.CRYSTAL, draw(angles), draw(former_delays)))
+    return elements, draw(st.sampled_from([0.0, 0.2, 0.9]))
+
+
+def engine_outputs(spec, gamma):
+    """Every consumer of the crystal step, the trace-out and the Stokes map, on new config objects."""
+    n_configs = len(spec[0][1])
+    batch = SchemeConfig(tuple(OpticalElement(k, np.array(a), d) for k, a, d in spec), coherence=gamma)
+    outputs = [run_scheme(batch, ALL_INPUTS)]
+    for t in range(n_configs):
+        elements = tuple(OpticalElement(k, a[t], d) for k, a, d in spec)
+        config = SchemeConfig(elements, coherence=gamma)
+        channel = extract_channel(config)
+        outputs += [run_scheme(config, JONES_P), run_scheme(config, ALL_INPUTS), *kraus_operators(config)]
+        assert channel.m.flags.c_contiguous
+        outputs += [channel.m, channel.b]
+        state = temporal.initial_state(JONES_R)
+        for element in elements:
+            state = temporal.apply_element(state, element)
+        outputs += [np.array(list(state)), np.array(list(state.values()))]
+        outputs += [temporal.collapse(state), temporal.collapse_with_coherence(state, gamma)]
+    return [np.ascontiguousarray(x).tobytes() for x in outputs]
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(scheme=former_form_schemes())
+def test_former_numpy_forms_give_the_same_bytes(scheme):
+    expected = engine_outputs(*scheme)
+    with _oracle.former_forms():
+        former = engine_outputs(*scheme)
+    assert former == expected
 
 
 def test_a_sparse_chain_runs_only_its_live_band_positions(monkeypatch):
