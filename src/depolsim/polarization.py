@@ -100,8 +100,21 @@ def stokes_from_density(rho) -> np.ndarray:
 
 
 def _stokes_to_density(s) -> np.ndarray:
-    """(I + S1*SIGMA1 + S2*SIGMA2 + S3*SIGMA3) / 2 for any three numbers, unvalidated."""
-    return (IDENTITY + s[0] * SIGMA1 + s[1] * SIGMA2 + s[2] * SIGMA3) / 2.0
+    """(I + S1*SIGMA1 + S2*SIGMA2 + S3*SIGMA3) / 2 for any three finite numbers, unvalidated.
+
+    Built from its four entries, with the bits of the matrix sum: a zero
+    real part of an off-diagonal entry, and a zero imaginary part, is +0.0
+    as the complex additions leave it, so each is formed as 0.0 + y,
+    0.0 - z or z + 0.0.
+    """
+    x, y, z = s[0], s[1], s[2]
+    re = (y + 0.0) * 0.5
+    return np.array(
+        [
+            [complex((1.0 + x) * 0.5, 0.0), complex(re, (0.0 - z) * 0.5)],
+            [complex(re, (z + 0.0) * 0.5), complex((1.0 - x) * 0.5, 0.0)],
+        ]
+    )
 
 
 def density_from_stokes(s) -> np.ndarray:

@@ -72,6 +72,9 @@ MAX_BINS = 2**20
 # handle 8.0e6 bins in about a second)
 MAX_TOTAL_BINS = 2**23
 
+# most bit positions the up-front bin count of `_merges` may shift, a few ms of big-int work
+_COUNT_WORK = 2**24
+
 # the plan memo (`_cached_plan`) takes at most log2 of this = 10 crystals, so at most 1024 bins; 0 turns it off
 _PLAN_CACHE_BINS = 1024
 
@@ -381,21 +384,46 @@ _IDENTITY_BINS.flags.writeable = False
 _IDENTITY_AMPS.flags.writeable = False
 
 
+def _check_bins(n_bins: int, total: int) -> None:
+    """Refuse a crystal step from `n_bins` bins that could take B past MAX_BINS, or a total past MAX_TOTAL_BINS."""
+    if 2 * n_bins > MAX_BINS:
+        raise ValueError(f"scheme needs more than {MAX_BINS} occupied time bins ({n_bins} before a crystal)")
+    if total > MAX_TOTAL_BINS:
+        raise ValueError(f"scheme's crystal steps handle more than {MAX_TOTAL_BINS} time bins in all")
+
+
 def _merges(delays: tuple):
-    """Each crystal's (bins, order, starts) from `_merge_plan` in turn, from bin 0.
+    """Each crystal's (bins, order, starts) from `_merge_plan` in turn, from bin 0, as an iterator.
 
     A crystal at most doubles B, so one that could take B past MAX_BINS
-    raises ValueError before anything on its bins is built; so does one
-    whose bins would take the running sum of the bins every step starts
-    from past MAX_TOTAL_BINS.
+    raises ValueError; so does one whose bins would take the running sum
+    of the bins every step starts from past MAX_TOTAL_BINS.  The bins a
+    step starts from are the distinct sums of the earlier delays, so they
+    are counted first, as the popcounts of a bitset of subset sums, and a
+    refused stack raises before any plan or amplitude step.  Each shift
+    of the bitset costs its length, so the count stops once it has cost
+    _COUNT_WORK bit positions in all (as for 4000 crystals of delay 4000,
+    whose count would outlast their propagation); past that, each step
+    checks its own bins before it builds anything.
     """
+    bits, total, work = 1, 0, 0
+    for delay in delays:
+        n_bins = bits.bit_count()
+        total += n_bins
+        _check_bins(n_bins, total)
+        work += bits.bit_length() + delay
+        if work > _COUNT_WORK:
+            break
+        bits |= bits << delay
+    return _merge_steps(delays)
+
+
+def _merge_steps(delays: tuple):
+    """The plans of `_merges`, one crystal at a time, each step checking the bins it starts from."""
     bins, total = _IDENTITY_BINS, 0
     for delay in delays:
-        if 2 * len(bins) > MAX_BINS:
-            raise ValueError(f"scheme needs more than {MAX_BINS} occupied time bins ({len(bins)} before a crystal)")
         total += len(bins)
-        if total > MAX_TOTAL_BINS:
-            raise ValueError(f"scheme's crystal steps handle more than {MAX_TOTAL_BINS} time bins in all")
+        _check_bins(len(bins), total)
         bins, order, starts = _merge_plan(bins, delay)
         yield bins, order, starts
 
@@ -419,7 +447,8 @@ def _propagate(config: SchemeConfig) -> tuple[np.ndarray, np.ndarray, tuple]:
 
     A crystal step that could take B past MAX_BINS, or the bins of all
     steps past MAX_TOTAL_BINS, raises ValueError before it allocates
-    anything (see `_merges`).  The result
+    anything, and before the first step where the bins can be counted
+    cheaply up front (see `_merges`).  The result
     for a single config on at most _PLAN_CACHE_BINS bins is kept read-only
     and returned again while the same config object comes back (see
     `_last_propagation`).

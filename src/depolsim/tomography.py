@@ -13,8 +13,11 @@ with a_i and b_i the counts of the axis' + and - labels.  If the
 per-axis maximizers lie in the ball they are the MLE, and that is
 exactly the linear estimate.  Otherwise the optimum lies on the sphere
 |s| = 1, where the Lagrange condition l_i'(s_i) = 2 mu s_i gives one
-monotone 1-D root per axis for each multiplier mu, and |s(mu)| shrinks
-as mu grows (see `qst_mle`).
+monotone root per axis for each multiplier mu, and |s(mu)| shrinks as
+mu grows.  Each root is a closed form, a square root where the axis has
+a zero count and otherwise the middle root of a cubic, so only mu is
+searched, by Newton from the largest corner where a zero-count axis
+leaves its end point (see `qst_mle`).
 
 Process tomography expresses a channel as
 
@@ -112,49 +115,172 @@ def qst_linear(record: MeasurementRecord) -> LinearEstimate:
 
 # --- maximum likelihood ------------------------------------------------
 
-# cap on safeguarded-Newton steps per root; each step shrinks a bracket,
-# and the loops stop earlier once the iterate stops changing
+# cap on Newton steps per root; the loops stop far earlier
 _MAX_STEPS = 200
 
+# keeps a trigonometric start inside [0, 1), so that its gap 1 - s is positive
+_BELOW_ONE = math.nextafter(1.0, 0.0)
 
-def _axis_maximizer(a: int, b: int, mu: float, s: float) -> tuple[float, float]:
-    """Maximizer over [-1, 1] of a log(1+s) + b log(1-s) - mu s**2, and its d/d mu.
+# a Newton step on an axis root ends the polish once the relative error it leaves is estimated below this
+_NEWTON_DONE = 2.0**-60
 
-    The derivative F(s) = a/(1+s) - b/(1-s) - 2 mu s is strictly
-    decreasing.  Where it keeps one sign on (-1, 1) the maximizer is an
-    end point (only possible when a = 0 or b = 0).  Otherwise it is the
-    root of F, found by safeguarded Newton from the guess `s` on the
-    cubic P(s) = (1 - s**2) F(s), which has the sign of F inside the
-    interval and no poles.
+# |s(mu)|**2 - 1 is rounded to a few units in the last place of its terms (see `_excess`), so Newton on mu
+# wanders in that noise rather than settle; from within this much of 0, relative to the terms, one more
+# step squares the error to far below the noise, and the search stops after it
+_LAST_STEP_FROM = 2.0**-40
+
+
+def _increasing_root(c3: float, c2: float, c1: float, c0: float, t: float) -> tuple[float, float]:
+    """Root in (0, 1] of the cubic f(t) = c3 t**3 + c2 t**2 + c1 t + c0, which increases through it, and f' there.
+
+    Newton from the guess `t`, keeping a sign bracket and bisecting only
+    when a step would leave it, until the error a step leaves,
+    |f''/(2 f')| step**2, is estimated below _NEWTON_DONE relative to t.
     """
-    two_mu = 2.0 * mu
-    if a == 0 and two_mu - b / 2.0 <= 0.0:
-        return -1.0, 0.0
-    if b == 0 and a / 2.0 - two_mu >= 0.0:
-        return 1.0, 0.0
-    total = -float(a) - b  # the loop invariants, each evaluated in the order of the written-out formulas
-    lo, hi = -1.0, 1.0
-    if not lo < s < hi:
-        s = 0.0  # P vanishes at the end points, so start inside
+    lo, hi = 0.0, 1.0
     for _ in range(_MAX_STEPS):
-        minus, plus = 1.0 - s, 1.0 + s
-        p = a * minus - b * plus - two_mu * s * (minus * plus)
-        if p > 0.0:
-            lo = s
-        elif p < 0.0:
-            hi = s
+        f = ((c3 * t + c2) * t + c1) * t + c0
+        if f < 0.0:
+            lo = t
+        elif f > 0.0:
+            hi = t
         else:
             break
-        slope = total - two_mu * (1.0 - 3.0 * s * s)
-        new = s - p / slope if slope < 0.0 else s
+        slope = (3.0 * c3 * t + 2.0 * c2) * t + c1
+        step = -f / slope if slope > 0.0 else math.inf  # no Newton step: bisect
+        new = t + step
+        if new == t:
+            break
         if not lo < new < hi:
             new = 0.5 * (lo + hi)
-        if new == s:
+            if not lo < new < hi:
+                break
+            t = new
+            continue
+        t = new
+        if abs((3.0 * c3 * t + c2) / slope) * step * step <= _NEWTON_DONE * t:
             break
-        s = new
-    # implicit derivative of F(s(mu); mu) = 0, with F' = P' / (1 - s**2) at the root
-    slope = total - two_mu * (1.0 - 3.0 * s * s)
-    return s, (2.0 * s * (1.0 - s) * (1.0 + s) / slope if slope < 0.0 else 0.0)
+    return t, (3.0 * c3 * t + 2.0 * c2) * t + c1
+
+
+def _axis_root(a: int, b: int, mu: float) -> tuple[float, float, float]:
+    """Maximizer s over [-1, 1] of a log(1+s) + b log(1-s) - mu s**2 for mu >= 0: (s, 1 - |s|, ds/dmu).
+
+    The derivative F(s) = a/(1+s) - b/(1-s) - 2 mu s is strictly
+    decreasing, and P(s) = (1 - s**2) F(s) = 2 mu s**3 - (2 mu + a + b) s
+    + (a - b) has its sign inside the interval.  Say a >= b, so s >= 0
+    (a < b mirrors it), and let u = 1 - s.  In closed form:
+
+    * b = 0: P = (1 - s)(a - 2 mu s (1 + s)), so s is the end point 1 up
+      to the corner mu = a/4, and past it
+      u = (4 mu - a) / (mu (3 + sqrt(1 + 2a/mu)));
+    * otherwise s is the middle of P's three real roots (P(-1) = 2a > 0 >
+      -2b = P(1)), in trigonometric form, polished by Newton in the
+      smaller of s and u, so that it keeps its digits: on -P(s), or near
+      the pole on P(1 - u) = -2 mu u**3 + 6 mu u**2 + (a + b - 4 mu) u - 2b,
+      whose coefficients do not cancel; both increase through the root.
+
+    The derivative is ds/dmu = 2 s (1 - s**2) / P'(s); at a corner it is
+    the right one, -s (1 + s) / (mu (2s + 1)) with s = 1.
+    """
+    sign = 1.0
+    if a < b:
+        a, b, sign = b, a, -1.0
+    if a == b:
+        return 0.0, 1.0, 0.0
+    if b == 0:
+        if 4.0 * mu < a:
+            return sign, 0.0, 0.0
+        u = (4.0 * mu - a) / (mu * (3.0 + math.sqrt(1.0 + 2.0 * a / mu)))
+        s = 1.0 - u
+        return sign * s, u, sign * -s * (1.0 + s) / (mu * (2.0 * s + 1.0))
+    if mu == 0.0:
+        s, u, slope = (a - b) / (a + b), 2 * b / (a + b), float(a + b)
+    else:
+        # s**3 - 3 m s + q = 0 with m = (2 mu + a + b)/(6 mu) and q = (a - b)/(2 mu): s = 2 sqrt(m) cos(phi/3 - 2 pi/3)
+        m = (2.0 * mu + a + b) / (6.0 * mu)
+        root_m = math.sqrt(m)
+        cos_3t = (b - a) / (4.0 * mu * m * root_m)
+        s = 2.0 * root_m * math.cos((math.acos(max(-1.0, cos_3t)) - 2.0 * math.pi) / 3.0)
+        s = min(max(s, 0.0), _BELOW_ONE)
+        if s <= 0.5:
+            s, slope = _increasing_root(-2.0 * mu, 0.0, 2.0 * mu + a + b, float(b - a), s)
+            u = 1.0 - s
+        else:
+            u, slope = _increasing_root(-2.0 * mu, 6.0 * mu, a + b - 4.0 * mu, -2.0 * b, 1.0 - s)
+            s = 1.0 - u
+    return sign * s, u, sign * -2.0 * s * u * (2.0 - u) / slope
+
+
+def _excess(roots) -> tuple[float, float]:
+    """(|s|**2 - 1, w) for the (s, 1 - |s|, ds/dmu) of the three axes, with w = 1 - s**2 of the axis nearest a pole.
+
+    That axis enters as -w = -u (2 - u), so a Stokes vector near its pole
+    keeps the digits that s**2 - 1 would cancel; the excess is the
+    difference of two terms of size about w, so it is rounded to about w
+    times a unit in the last place.
+    """
+    (_, u, _), (s1, _, _), (s2, _, _) = sorted(roots, key=lambda root: root[1])
+    w = u * (2.0 - u)
+    return (s1 * s1 + s2 * s2) - w, w
+
+
+def _sphere_mle(axes) -> tuple[list[float], float, tuple[str, ...]]:
+    """The MLE on the sphere |s| = 1 for per-axis counts (a, b): (s, mu, steps).
+
+    The multiplier mu solves g(mu) = |s(mu)|**2 - 1 = 0, with s_i(mu)
+    from `_axis_root` and g from `_excess`.  g is non-increasing, and at
+    most 0 once mu >= N/2 for N counts in total.  An axis with a zero
+    count sits at its end point up to its corner mu = (a + b)/4, where g
+    has a kink; at every corner that axis alone gives |s|**2 >= 1, so the
+    root lies at or past the largest corner, and g is smooth there.
+    Newton runs from that corner (from 0 if no axis has a zero count)
+    with the right derivative.  It stops when its step rounds to zero, or
+    one step after |g| falls within _LAST_STEP_FROM of 0 relative to
+    g's terms, and bisects only when a step would leave the bracket.  s is
+    normalized at the end.
+
+    `steps` names each multiplier iteration in turn: "newton" or "bisect"
+    for a step taken, then how the search stopped: "converged" (after the
+    last step), "zero step" (the Newton step rounded to zero), "root" (g
+    is exactly 0) or "bracket" (no float is left strictly inside the
+    bracket).
+    """
+    mu = max([(a + b) / 4.0 for a, b in axes if a == 0 or b == 0], default=0.0)
+    lo, hi = mu, sum(a + b for a, b in axes) / 2.0
+    roots = [_axis_root(a, b, mu) for a, b in axes]
+    excess, width = _excess(roots)
+    steps = []
+    for _ in range(_MAX_STEPS):
+        if excess > 0.0:
+            lo = mu
+        elif excess < 0.0:
+            hi = mu
+        else:
+            steps.append("root")
+            break
+        slope = 2.0 * sum(s * ds for s, _, ds in roots)
+        new = mu - excess / slope if slope < 0.0 else math.inf  # no Newton step: bisect
+        if new == mu:
+            steps.append("zero step")
+            break
+        if lo < new < hi:
+            steps.append("newton")
+        else:
+            new = 0.5 * (lo + hi)
+            if not lo < new < hi:
+                steps.append("bracket")
+                break
+            steps.append("bisect")
+        last = steps[-1] == "newton" and abs(excess) <= _LAST_STEP_FROM * width
+        mu = new
+        roots = [_axis_root(a, b, mu) for a, b in axes]
+        excess, width = _excess(roots)
+        if last:
+            steps.append("converged")
+            break
+    norm = math.sqrt(excess + 1.0)
+    return [s / norm for s, _, _ in roots], mu, tuple(steps)
 
 
 def qst_mle(record: MeasurementRecord) -> np.ndarray:
@@ -169,43 +295,22 @@ def qst_mle(record: MeasurementRecord) -> np.ndarray:
       they are the MLE, exactly `qst_linear(record).rho`.
     * boundary case: otherwise the multiplier mu > 0 solves
       |s(mu)| = 1, where s_i(mu) maximizes l_i(s) - mu s**2 on its axis.
-      |s(mu)| is non-increasing in mu and at most 1 once mu >= N / 2
-      for N counts in total, so mu is found by safeguarded Newton on
-      that bracket, and s is normalized at the end.
+      Each s_i(mu) is a closed form: a square root where the axis has a
+      zero count, else the middle root of a cubic in trigonometric form,
+      polished by Newton.  mu is found by Newton from the largest corner
+      mu = (a + b)/4 of a zero-count axis, past which |s(mu)| is smooth,
+      and s is normalized at the end (see `_sphere_mle`).
 
-    An axis whose + (or -) label has no counts starts at s_i = -1 (or
-    +1) and leaves it only as mu grows.  The result is deterministic:
-    both root searches are plain float iterations with fixed stopping
-    rules.  Raises ValueError if an axis has no counts.
+    An axis whose + (or -) label has no counts sits at s_i = -1 (or +1)
+    up to its corner and leaves it only as mu grows past it.  The result
+    is deterministic: every iteration is a plain float loop with fixed
+    stopping rules.  Raises ValueError if an axis has no counts.
     """
     axes = _axis_counts(record)
     s = _linear_stokes(axes)
     if s[0] * s[0] + s[1] * s[1] + s[2] * s[2] <= 1.0:
         return _stokes_to_density(s)
-    roots = [_axis_maximizer(a, b, 0.0, si) for (a, b), si in zip(axes, s)]
-    excess = sum(si * si for si, _ in roots) - 1.0
-    if excess <= 0.0:
-        return _stokes_to_density([si for si, _ in roots])
-    lo, hi = 0.0, sum(float(a + b) for a, b in axes) / 2.0
-    mu = 0.0
-    for _ in range(_MAX_STEPS):
-        if excess > 0.0:
-            lo = mu
-        elif excess < 0.0:
-            hi = mu
-        else:
-            break
-        slope = 2.0 * sum(si * dsi for si, dsi in roots)
-        new = mu - excess / slope if slope < 0.0 else mu
-        if not lo < new < hi:
-            new = 0.5 * (lo + hi)
-        if new == mu:
-            break
-        mu = new
-        roots = [_axis_maximizer(a, b, mu, si) for (a, b), (si, _) in zip(axes, roots)]
-        excess = sum(si * si for si, _ in roots) - 1.0
-    norm = math.sqrt(excess + 1.0)
-    return _stokes_to_density([si / norm for si, _ in roots])
+    return _stokes_to_density(_sphere_mle(axes)[0])
 
 
 # --- process tomography ------------------------------------------------
@@ -268,7 +373,7 @@ def qpt(rho_h, rho_v, rho_p, rho_r) -> ChiMatrix:
     chi = (chi + chi.conj().T) / 2.0
 
     vals, vecs = np.linalg.eigh(chi)
-    clipped = float(-vals[vals < 0].sum())
+    clipped = float(0.0 - vals[vals < 0].sum())  # 0.0 when nothing is clipped, where negating the empty sum gives -0.0
     vals = np.maximum(vals, 0.0)
     chi_psd = (vecs * vals) @ vecs.conj().T
     chi_psd /= chi_psd.trace().real

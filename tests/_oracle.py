@@ -25,13 +25,21 @@ crystal step (a gather by advanced indexing), of the trace-out (weights
 on a strided view, rho summed out of place) and of the Stokes map (built
 by ``np.column_stack``).  The engine replaced them with faster forms that
 do the same floating-point operations, so patched in, they must give its
-output bit for bit.
+output bit for bit.  ``former_stokes_to_density`` is the density matrix
+of a Stokes vector as a sum of Pauli matrices, which the library now
+builds from its four entries with the same bits.
 
 Likelihood.  The Poisson log-likelihood of a measurement record is
 evaluated setting by setting from the basis states' Jones vectors, and
 over the parametrization rho(T) = T^dag T / tr(T^dag T) with T lower
 triangular, which covers every density matrix.  It shares no code with
 the per-axis closed form in ``depolsim.tomography``.
+
+Boundary MLE.  ``sphere_mle`` maximizes the likelihood of per-axis
+counts on the sphere |s| = 1 by nested bisection in 40-digit decimals:
+on the multiplier, and on each axis' stationarity condition.  It shares
+no code with the closed forms and Newton steps of
+``depolsim.tomography``.
 
 Chi maps.  The channel action sum_{m,n} chi[m,n] E_m rho E_n^dag and the
 trace-preservation sum sum_{m,n} chi[m,n] E_n^dag E_m are summed one
@@ -42,12 +50,13 @@ into one precomputed contraction.
 """
 
 import contextlib
+import decimal
 import math
 from unittest import mock
 
 import numpy as np
 
-from depolsim import channels, temporal
+from depolsim import channels, polarization, temporal
 
 
 def hwp(angle_deg):
@@ -172,6 +181,12 @@ def former_affine_from_stokes(stokes):
     return channels.StokesChannel(np.column_stack([s_h - b, s_p - b, s_r - b]), b)
 
 
+def former_stokes_to_density(s):
+    """`polarization._stokes_to_density` as the matrix sum (I + S1 SIGMA1 + S2 SIGMA2 + S3 SIGMA3) / 2."""
+    sigma1, sigma2, sigma3 = polarization.SIGMAS
+    return (polarization.IDENTITY + s[0] * sigma1 + s[1] * sigma2 + s[2] * sigma3) / 2.0
+
+
 def former_forms():
     """A context manager patching the three former forms into the engine."""
     stack = contextlib.ExitStack()
@@ -278,3 +293,59 @@ def trace_preservation_residual(chi):
         for n in range(4):
             acc += chi[m, n] * (PAULI_BASIS[n].conj().T @ PAULI_BASIS[m])
     return float(np.linalg.norm(acc - np.eye(2)))
+
+
+# --- the boundary MLE by nested bisection in 40 digits ----------------------
+
+# each root is bisected down to a bracket this wide, far below a float's resolution
+ROOT_WIDTH = decimal.Decimal(2) ** -72
+
+
+def _decimal_axis_root(a, b, mu, lo=-1, hi=1):
+    """The maximizer over [-1, 1] of a log(1+s) + b log(1-s) - mu s**2, in the current decimal context.
+
+    It is the end point where F(s) = a/(1+s) - b/(1-s) - 2 mu s keeps one
+    sign on (-1, 1), else the root of the decreasing F, bisected within
+    [lo, hi].
+    """
+    if b == 0 and a / 2 - 2 * mu >= 0:
+        return decimal.Decimal(1)
+    if a == 0 and 2 * mu - b / 2 <= 0:
+        return decimal.Decimal(-1)
+    lo, hi = decimal.Decimal(lo), decimal.Decimal(hi)
+    while hi - lo > ROOT_WIDTH:
+        s = (lo + hi) / 2
+        if a / (1 + s) - b / (1 - s) - 2 * mu * s > 0:
+            lo = s
+        else:
+            hi = s
+    return (lo + hi) / 2
+
+
+def sphere_mle(axes) -> list[float]:
+    """The Stokes vector maximizing the likelihood on |s| = 1, for per-axis counts (a, b).
+
+    The multiplier mu solves sum_i s_i(mu)**2 = 1 by 120 bisections of
+    [0, N/2] for N counts in all, each s_i(mu) by bisection on F, all in
+    40-digit decimals; s is normalized at the end.  Each s_i is monotone
+    in mu, so while mu is bracketed by [lo, hi], s_i(mu) is bracketed by
+    s_i(lo) and s_i(hi), widened by the roots' own width.  It shares no
+    code with the closed forms and the Newton steps of
+    ``depolsim.tomography``.
+    """
+    with decimal.localcontext(decimal.Context(prec=40)):
+        axes = [(decimal.Decimal(a), decimal.Decimal(b)) for a, b in axes]
+        lo, hi = decimal.Decimal(0), sum(a + b for a, b in axes) / 2
+        at_lo, at_hi = ([_decimal_axis_root(a, b, mu) for a, b in axes] for mu in (lo, hi))
+        for _ in range(120):
+            mu = (lo + hi) / 2
+            s = [
+                _decimal_axis_root(a, b, mu, max(-1, min(x, y) - ROOT_WIDTH), min(1, max(x, y) + ROOT_WIDTH))
+                for (a, b), x, y in zip(axes, at_lo, at_hi)
+            ]
+            if sum(x * x for x in s) > 1:
+                lo, at_lo = mu, s
+            else:
+                hi, at_hi = mu, s
+        norm = sum(x * x for x in at_hi).sqrt()
+        return [float(x / norm) for x in at_hi]

@@ -147,6 +147,14 @@ def test_tomo_leaves_stderr_empty_when_chi_is_clipped(capsys):
     assert json.loads(out)["chi"]["clipped_mass"] > 0.1
 
 
+def test_tomo_writes_a_clipped_mass_of_nothing_as_0(capsys):
+    # with no negative chi eigenvalue the clipped mass is the negated empty sum, written as 0.0, not -0.0
+    code, out, _ = run_cli(["tomo", "--scheme", "lyot", "--exact"], capsys)
+    assert code == 0
+    assert out.count('"clipped_mass": 0.0,') == 2
+    assert math.copysign(1.0, json.loads(out)["chi"]["clipped_mass"]) == 1.0
+
+
 @pytest.mark.filterwarnings("error")
 def test_tomo_rejects_shots_beyond_the_int64_count_range(capsys):
     for exact in (["--exact"], []):

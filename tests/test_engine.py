@@ -240,27 +240,34 @@ def test_occupied_bin_cap(monkeypatch, tmp_path, capsys):
 
 def test_total_bin_cap_counts_the_bins_each_crystal_step_starts_from(monkeypatch):
     # n crystals of one delay make bins 0..n, so their steps start from 1, 2, ..., n bins: 10 in all for n = 4.
-    # At delay 1000 that is 10 too, where 2**k bins per step would be 15
+    # At delay 1000 that is 10 too, where 2**k bins per step would be 15.  Counted up front, and with the
+    # up-front count cut off at once, by each step
     monkeypatch.setattr(temporal, "MAX_TOTAL_BINS", 10)
-    temporal._cached_plan.cache_clear()  # a plan memoized under the real cap would skip the check
-    for delay in (1, 1000):
-        bins, _ = kraus_operators(SchemeConfig(tuple(crystal(30.0, delay) for _ in range(4))))
-        assert len(bins) == 5
-        with pytest.raises(ValueError, match="handle more than 10 time bins in all"):
-            kraus_operators(SchemeConfig(tuple(crystal(30.0, delay) for _ in range(5))))
+    for work in (temporal._COUNT_WORK, 0):
+        monkeypatch.setattr(temporal, "_COUNT_WORK", work)
+        temporal._cached_plan.cache_clear()  # a plan memoized under the real cap would skip the check
+        for delay in (1, 1000):
+            bins, _ = kraus_operators(SchemeConfig(tuple(crystal(30.0, delay) for _ in range(4))))
+            assert len(bins) == 5
+            with pytest.raises(ValueError, match="handle more than 10 time bins in all"):
+                kraus_operators(SchemeConfig(tuple(crystal(30.0, delay) for _ in range(5))))
 
 
-def test_a_scheme_file_of_16000_short_crystals_is_refused(tmp_path, capsys):
+def test_a_scheme_file_of_16000_short_crystals_is_refused(tmp_path, capsys, monkeypatch):
     # below the 1 MiB file cap, but its steps would handle 1.3e8 bins, for minutes; 4000 such crystals
-    # (8.0e6 bins) stay admitted
+    # (8.0e6 bins) stay admitted.  The bins are counted before the first amplitude step
     assert 4000 * 4001 // 2 <= temporal.MAX_TOTAL_BINS < 16000 * 16001 // 2
     path = tmp_path / "stack.json"
     path.write_text(json.dumps(SchemeConfig(tuple(crystal(30.0, 1) for _ in range(16000))).to_json()))
     assert path.stat().st_size < 2**20
+    steps = []
+    step = temporal._crystal_step
+    monkeypatch.setattr(temporal, "_crystal_step", lambda *args: steps.append(1) or step(*args))
     assert main(["map", "--scheme", str(path), "--samples", "10"]) == 2
     captured = capsys.readouterr()
     assert captured.out == "" and len(captured.err.splitlines()) == 1
     assert "time bins in all" in json.loads(captured.err)["error"]
+    assert steps == []
 
 
 @pytest.mark.parametrize(

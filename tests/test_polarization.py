@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -19,7 +21,9 @@ from depolsim.polarization import (
     state_fidelity,
     stokes_from_density,
 )
+from depolsim.polarization import _stokes_to_density
 from _helpers import random_density, random_pure_jones, random_unitary
+import _oracle
 
 I2 = np.eye(2)
 
@@ -141,3 +145,17 @@ def test_jones_from_stokes_round_trip():
         assert np.abs(stokes_from_density(density_from_jones(j2)) - s).max() < 1e-10
     with pytest.raises(ValueError, match="pure"):
         jones_from_stokes([0.5, 0.0, 0.0])
+
+
+def test_stokes_to_density_keeps_the_bits_of_the_matrix_sum():
+    # signed zeros and subnormals are where building the four entries could differ from the sum of matrices
+    grid = [0.0, -0.0, 1.0, -1.0, 5e-324, -5e-324, 1e-310, -1e-310, 2.0**-1074 * 3, 0.5, -0.25]
+    rng = np.random.default_rng(43)
+    vectors = [list(s) for s in itertools.product(grid, repeat=3)]
+    vectors += rng.uniform(-1.0, 1.0, size=(2000, 3)).tolist()
+    vectors += (rng.normal(size=(500, 3)) * 10.0 ** rng.integers(-300, 1, size=(500, 1))).tolist()
+    for s in vectors:
+        for form in (s, np.array(s)):
+            got, expected = _stokes_to_density(form), _oracle.former_stokes_to_density(form)
+            assert got.dtype == expected.dtype and got.shape == expected.shape
+            assert got.tobytes() == expected.tobytes(), s

@@ -18,6 +18,7 @@ from depolsim.temporal import run_scheme
 from depolsim.tomography import (
     CHI_BASIS,
     ChiMatrix,
+    _sphere_mle,
     process_fidelity,
     qpt,
     qst_linear,
@@ -274,6 +275,87 @@ def test_qst_mle_maximizes_the_likelihood_over_the_ball(rec, seed):
     lin = qst_linear(rec).rho
     if np.linalg.eigvalsh(lin).min() >= 0.0:
         assert np.abs(est - lin).max() <= 1e-15
+
+
+def boundary_axes(rng):
+    """Per-axis counts (a, b) of 110 records whose linear estimate lies outside the ball, in three groups.
+
+    60 sampled from pure states (a third on a Stokes axis, where a zero
+    count is likely) at 10**2 to 10**6 shots; 30 near a pole at 10**3 to
+    10**9 counts per axis, with 0 to 3 counts on its far side, where 1 - s
+    of that axis is far below the float resolution of s**2 - 1; and 20
+    pure states on a Stokes axis with no count on its far side, whose
+    multiplier lies just past that axis' corner.  Three records from the
+    last group are written out.
+    """
+    def outside(axes):
+        return sum(((a - b) / (a + b)) ** 2 for a, b in axes) > 1.0
+
+    def pair(n, s):
+        a = int(rng.binomial(n, (1.0 + s) / 2.0))
+        return a, n - a
+
+    sampled, near_pole, past_corner = [], [], [[(100170, 0), (50113, 50136), (49992, 49889)]]
+    past_corner += [[(10078, 0), (4996, 5025), (5027, 5074)], [(1076, 0), (494, 488), (506, 500)]]
+    while len(sampled) < 60:
+        s = rng.normal(size=3)
+        if rng.random() < 1 / 3:
+            s = np.eye(3)[rng.integers(3)] * rng.choice([-1.0, 1.0])
+        shots = int(10 ** rng.integers(2, 7))
+        axes = [pair(shots, si) for si in s / np.linalg.norm(s)]
+        if all(a + b for a, b in axes) and outside(axes):
+            sampled.append(axes)
+    while len(near_pole) < 30:
+        n = int(10 ** rng.uniform(3, 9))
+        far = int(rng.integers(4))
+        axes = [pair(n, rng.normal() * 3 / np.sqrt(n)) for _ in range(2)]
+        axes.insert(int(rng.integers(3)), (n - far, far) if rng.random() < 0.5 else (far, n - far))
+        if outside(axes):
+            near_pole.append(axes)
+    while len(past_corner) < 22:
+        shots = int(10 ** rng.uniform(3, 6))
+        axes = [pair(shots, 0.0), pair(shots, 0.0)]
+        axes.insert(int(rng.integers(3)), (shots, 0) if rng.random() < 0.5 else (0, shots))
+        if outside(axes):
+            past_corner.append(axes)
+    return sampled, near_pole, past_corner
+
+
+def record_of(axes):
+    counts = np.array([n for pair in axes for n in pair])
+    return MeasurementRecord(LABELS, counts, max(a + b for a, b in axes), 0)
+
+
+@pytest.fixture(scope="module")
+def boundary_groups():
+    return boundary_axes(np.random.default_rng(47))
+
+
+def test_boundary_mle_matches_a_40_digit_oracle(boundary_groups):
+    # within 2 units in the last place of 1, near a pole too, against nested bisection in decimals
+    records = [axes for group in boundary_groups for axes in group]
+    assert len(records) >= 100
+    for axes in records:
+        s = stokes_from_density(qst_mle(record_of(axes)))
+        assert np.abs(s - _oracle.sphere_mle(axes)).max() <= 4.5e-16, axes
+
+
+def test_boundary_mle_takes_a_handful_of_newton_steps(boundary_groups):
+    # the multiplier search takes Newton steps only, and stops on its own criteria: no bisection follows a
+    # Newton step that rounds to zero, or one within the noise of the root ("bracket" ends a search whose
+    # Newton steps closed the bracket onto two adjacent floats)
+    for axes in (axes for group in boundary_groups for axes in group):
+        s, mu, steps = _sphere_mle(axes)
+        taken, end = steps[:-1], steps[-1]
+        assert len(taken) <= 8 and set(taken) == {"newton"}, (axes, steps)
+        assert end in ("converged", "zero step", "root", "bracket"), (axes, steps)
+    # a zero-count axis leaves its end point at the corner mu = (a + b)/4: these roots lie just past it
+    for axes in boundary_groups[2]:
+        corner = max((a + b) / 4.0 for a, b in axes if a * b == 0)
+        s, mu, steps = _sphere_mle(axes)
+        assert corner < mu < corner * (1 + 1e-3), (axes, mu)
+    s, mu, steps = _sphere_mle([(100170, 0), (50113, 50136), (49992, 49889)])
+    assert abs(mu - 25042.509) < 1e-3
 
 
 def test_rho_from_params_is_normalized():
