@@ -82,6 +82,12 @@ def compose(outer: StokesChannel, inner: StokesChannel) -> StokesChannel:
     return StokesChannel(outer.m @ inner.m, outer.m @ inner.b + outer.b)
 
 
+# the named schemes' fixed elements, built once: elements are frozen, so every config shares them
+_CRYSTAL_0_1, _CRYSTAL_90_1, _CRYSTAL_45_2 = crystal(0.0, 1), crystal(90.0, 1), crystal(45.0, 2)
+_CRYSTAL_90_2, _CRYSTAL_45_3, _CRYSTAL_0_9 = crystal(90.0, 2), crystal(45.0, 3), crystal(0.0, 9)
+_QWP_45 = quarter_wave(45.0)
+
+
 def scheme1_elements(theta_deg: float):
     """Half-wave-plate sandwich realizing an effective first-crystal rotation.
 
@@ -91,15 +97,15 @@ def scheme1_elements(theta_deg: float):
     """
     return (
         half_wave(theta_deg / 2.0),
-        crystal(0.0, 1),
+        _CRYSTAL_0_1,
         half_wave(-theta_deg / 2.0),
-        crystal(90.0, 1),
+        _CRYSTAL_90_1,
     )
 
 
 def scheme1_rotated_crystal(theta_deg: float) -> SchemeConfig:
     """Rotated-crystal form of scheme 1: [crystal(theta, 1), crystal(90, 1)]."""
-    return SchemeConfig((crystal(theta_deg, 1), crystal(90.0, 1)))
+    return SchemeConfig((crystal(theta_deg, 1), _CRYSTAL_90_1))
 
 
 def isotropic_triple_elements(theta_deg: float):
@@ -115,9 +121,9 @@ def isotropic_triple_elements(theta_deg: float):
     |cos 2*theta| * cos(theta)**4 at every theta.
     """
     unit1 = scheme1_elements(theta_deg)
-    unit2 = (crystal(45.0, 3), crystal(135.0 + theta_deg, 3))
-    unit3 = (crystal(0.0, 9), crystal(90.0 + theta_deg, 9))
-    return unit1 + unit2 + (quarter_wave(45.0),) + unit3
+    unit2 = (_CRYSTAL_45_3, crystal(135.0 + theta_deg, 3))
+    unit3 = (_CRYSTAL_0_9, crystal(90.0 + theta_deg, 9))
+    return unit1 + unit2 + (_QWP_45,) + unit3
 
 
 def build_scheme(kind: str, angle_deg: float | np.ndarray | None = None, coherence: float = 0.0) -> SchemeConfig:
@@ -131,7 +137,7 @@ def build_scheme(kind: str, angle_deg: float | np.ndarray | None = None, coheren
     if kind not in SCHEME_NAMES:
         raise ValueError(f"unknown scheme {kind!r}; expected one of {SCHEME_NAMES}")
     if kind == "lyot":
-        elements = (crystal(0.0, 1), crystal(45.0, 2))
+        elements = (_CRYSTAL_0_1, _CRYSTAL_45_2)
     else:
         if angle_deg is None:
             raise ValueError(f"scheme {kind!r} requires an angle")
@@ -139,9 +145,9 @@ def build_scheme(kind: str, angle_deg: float | np.ndarray | None = None, coheren
         if kind == "scheme1":
             elements = scheme1_elements(theta)
         elif kind == "scheme2":
-            elements = (crystal(0.0, 1), quarter_wave(theta), crystal(90.0, 1))
+            elements = (_CRYSTAL_0_1, quarter_wave(theta), _CRYSTAL_90_1)
         elif kind == "scheme3":
-            elements = (crystal(0.0, 1), quarter_wave(theta), crystal(90.0, 2))
+            elements = (_CRYSTAL_0_1, quarter_wave(theta), _CRYSTAL_90_2)
         elif kind == "single_crystal":
             elements = (crystal(theta, 1),)
         else:

@@ -41,6 +41,17 @@ def _as_shots(value) -> int:
     return shots
 
 
+def _as_seed(value) -> int:
+    """`value` as an int seed >= 0; a non-integral, non-finite or non-number value raises ValueError."""
+    try:
+        seed = int(value)
+    except (TypeError, ValueError, OverflowError):
+        seed = None
+    if seed is None or seed != value or seed < 0:
+        raise ValueError(f"seed must be an integer >= 0, got {value!r}")
+    return seed
+
+
 def _as_counts(values) -> np.ndarray:
     """`values` as int64 counts: an int64 array as it is, anything else only if every value is integral."""
     counts = np.asarray(values)
@@ -128,10 +139,11 @@ def sample_counts(rho, shots: int, seed: int, exact: bool = False) -> Measuremen
     With ``exact=True`` the Poisson draw is skipped and counts are
     round(shots * p_j), the deterministic noiseless limit; the seed is
     stored but unused.  Identical inputs and seed give identical records.
-    Raises ValueError if `shots` is not an integer >= 1, if `rho` is not
-    finite, or if a mean count shots * p_j does not fit in int64.
+    Raises ValueError if `shots` is not an integer >= 1, if `seed` is not
+    an integer >= 0 (in either mode), if `rho` is not finite, or if a mean
+    count shots * p_j does not fit in int64.
     """
-    shots = _as_shots(shots)
+    shots, seed = _as_shots(shots), _as_seed(seed)
     rho = np.asarray(rho, dtype=complex)
     if not all(map(cmath.isfinite, rho.ravel().tolist())):
         raise ValueError(f"the state rho must be finite, got {rho!r}")
@@ -144,4 +156,4 @@ def sample_counts(rho, shots: int, seed: int, exact: bool = False) -> Measuremen
         # one scalar draw per setting, in order: the stream of one array call, without its array checks
         rng = np.random.Generator(np.random.PCG64(seed))
         counts = np.array(list(map(rng.poisson, means.tolist())), dtype=np.int64)
-    return MeasurementRecord(DEFAULT_SETTINGS, counts, shots, int(seed))
+    return MeasurementRecord(DEFAULT_SETTINGS, counts, shots, seed)

@@ -81,22 +81,27 @@ def density_from_jones(j) -> np.ndarray:
     return np.outer(j, j.conj())
 
 
+# positions in the float view (re00, im00, re01, im01, re10, im10, re11, im11) of a density matrix:
+# S = x[minuend] - x[subtrahend] * signs, that is re00 - re11, re01 - (-re10) and im10 - im01
+_STOKES_MINUEND = np.array([0, 2, 5])
+_STOKES_SUBTRAHEND = np.array([6, 4, 3])
+_STOKES_SIGNS = np.array([1.0, -1.0, 1.0])
+
+
 def stokes_from_density(rho) -> np.ndarray:
     """Stokes vector (S1, S2, S3) of a density matrix, S_i = tr(rho SIGMA_i).
 
     Also takes a (..., 2, 2) stack and returns the (..., 3) Stokes vectors.
     The traces are read off the entries: S1 = Re rho00 - Re rho11,
-    S2 = Re rho01 + Re rho10 and S3 = Im rho10 - Im rho01.
+    S2 = Re rho01 + Re rho10 and S3 = Im rho10 - Im rho01.  All three are
+    one subtraction on the (..., 8) float view of a C-contiguous stack;
+    S2 as Re rho01 - (-Re rho10), which is the same IEEE operation.
     """
     rho = np.asarray(rho, dtype=complex)
     if rho.shape[-2:] != (2, 2):
         raise ValueError(f"density matrices must be 2x2, got shape {rho.shape}")
-    re, im = rho.real, rho.imag
-    s = np.empty(rho.shape[:-2] + (3,))
-    np.subtract(re[..., 0, 0], re[..., 1, 1], out=s[..., 0])
-    np.add(re[..., 0, 1], re[..., 1, 0], out=s[..., 1])
-    np.subtract(im[..., 1, 0], im[..., 0, 1], out=s[..., 2])
-    return s
+    x = np.ascontiguousarray(rho).reshape(rho.shape[:-2] + (4,)).view(float)
+    return x.take(_STOKES_MINUEND, axis=-1) - x.take(_STOKES_SUBTRAHEND, axis=-1) * _STOKES_SIGNS
 
 
 def _stokes_to_density(s) -> np.ndarray:

@@ -101,11 +101,19 @@ def _as_delay(value) -> int:
 
 @dataclass(frozen=True, eq=False)
 class OpticalElement:
-    """One element of a depolarizer, a crystal or a wave plate; `angle_deg` may hold per-config angles."""
+    """One element of a depolarizer, a crystal or a wave plate; `angle_deg` may hold per-config angles.
+
+    An element computes its matrix once, from its angle: a read-only
+    (T, rows, 2) complex array, with T = 1 for a float angle, holding the
+    crystal's axis projectors (rows = 4, see `_projector_entries`) or the
+    plate's Jones matrix (rows = 2).  A single matrix broadcasts against
+    every config of a batch.
+    """
 
     kind: str
     angle_deg: float | np.ndarray = 0.0
     delay_bins: int | None = None
+    _matrix: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         if self.kind not in _KINDS:
@@ -124,6 +132,7 @@ class OpticalElement:
             object.__setattr__(self, "delay_bins", _as_delay(self.delay_bins))
         elif self.delay_bins is not None:
             raise ValueError(f"{self.kind} elements carry no delay")
+        object.__setattr__(self, "_matrix", _element_matrix(self.kind, angle))
 
 
 def crystal(angle_deg: float, delay_bins: int) -> OpticalElement:
@@ -237,32 +246,28 @@ def _projector_entries(axis_deg: float) -> list:
 _ENTRIES = {CRYSTAL: _projector_entries, HWP: _hwp_entries, QWP: _qwp_entries}
 
 
+def _element_matrix(kind: str, angle: float | np.ndarray) -> np.ndarray:
+    """An element's read-only (T, rows, 2) matrices, one per angle (T = 1 for a float angle): crystal projectors
+    (rows = 4) or wave-plate Jones matrices (rows = 2), from the scalar entry code."""
+    entries = _ENTRIES[kind]
+    flat = entries(angle) if isinstance(angle, float) else [x for a in angle.tolist() for x in entries(a)]
+    # complex() of a float is exact, with a +0.0 imaginary part
+    matrix = np.array(flat, dtype=complex).reshape(-1, 4 if kind == CRYSTAL else 2, 2)
+    matrix.flags.writeable = False
+    return matrix
+
+
 # The propagation state of T configs is (bins, amps): a sorted int64
 # array of B bins, which follow from the crystal delays alone, and a flat
 # (T, 2, B * m) complex array whose entry amps[t, :, k * m + n] is the
 # (h, v) amplitude in bin bins[k] of the n-th propagated column under
 # config t (m = 2 identity columns for Kraus operators, m = 1 for a dict
 # state).  Both matrix products of a step read that layout as it is.
-# A bin may hold zero amplitude, as where a crystal at exactly 0 deg
-# sends nothing into it.
-
-
-def _element_table(elements, n_configs: int, rows: int) -> np.ndarray:
-    """(len(elements), T, rows, 2) matrices of elements from one array call: crystal projectors (rows = 4)
-    or wave-plate Jones matrices (rows = 2), not both.
-
-    The entries come from the scalar entry code per angle (a float angle's
-    entries are repeated), so every matrix has the bits of its single-config table.
-    """
-    flat = []
-    for element in elements:
-        entries, angle = _ENTRIES[element.kind], element.angle_deg
-        if isinstance(angle, float):
-            flat += entries(angle) * n_configs
-        else:
-            flat += [x for a in angle.tolist() for x in entries(a)]
-    # a list of floats converts on numpy's fast path, and widening it to complex is exact
-    return np.array(flat).astype(complex, copy=False).reshape(len(elements), n_configs, rows, 2)
+# Until the first element with an array angle, every config holds the
+# same amplitudes and the leading axis has length 1: an element's single
+# matrix and the amplitudes broadcast against each other, the same
+# product per config.  A bin may hold zero amplitude, as where a crystal
+# at exactly 0 deg sends nothing into it.
 
 
 def _merge_plan(bins: np.ndarray, delay: int):
@@ -293,8 +298,8 @@ def _merge_plan(bins: np.ndarray, delay: int):
 def _crystal_step(amps: np.ndarray, projectors: np.ndarray, merges):
     """Delay the slow-axis component of every bin, merging bins as the crystal's merge plan says.
 
-    `projectors` is the (T, 4, 2) stack of per-config axis projectors (see
-    `_projector_entries`): for axis angle a the slow axis is
+    `projectors` is the crystal's (T or 1, 4, 2) stack of axis projectors
+    (see `_projector_entries`): for axis angle a the slow axis is
     e_s = (cos a, sin a), and the fast-axis component e_f = (-sin a, cos a)
     keeps its bin.  Both projections come from one matrix product, the
     next (bins, order, starts) of `merges` (see `_merge_plan`) shifts the
@@ -442,8 +447,11 @@ def _propagate(config: SchemeConfig) -> tuple[np.ndarray, np.ndarray, tuple]:
     Returns (bins, amps, band): the sorted bins, which follow from the
     crystal delays alone, the (T, 2, B, 2) amplitudes and the band plan.
     The steps run on flat amplitudes, reshaped once at the end.
-    Every config of a batch runs on the same bins with matrix products of
-    the same shapes, so the batch is bit-identical to one call per config.
+    Every config of a batch runs on the same bins with the same matrix
+    product per config: each element multiplies by its own matrix, a
+    float-angle element's single one broadcasting over the configs, and
+    the elements before the first array angle run once for all of them.
+    So the batch is bit-identical to one call per config.
 
     A crystal step that could take B past MAX_BINS, or the bins of all
     steps past MAX_TOTAL_BINS, raises ValueError before it allocates
@@ -457,24 +465,21 @@ def _propagate(config: SchemeConfig) -> tuple[np.ndarray, np.ndarray, tuple]:
     held, bins, amps, band = _last_propagation
     if config is held and len(bins) <= _PLAN_CACHE_BINS:
         return bins, amps, band
-    n_configs = config.batch or 1
-    crystals = [e for e in config.elements if e.kind == CRYSTAL]
-    plates = [e for e in config.elements if e.kind != CRYSTAL]
     # tuple() of a list: of a generator it shrinks its result in place, stranding freed tuples on a free list
-    delays, gamma = tuple([e.delay_bins for e in crystals]), float(config.coherence)
+    delays = tuple([e.delay_bins for e in config.elements if e.kind == CRYSTAL])
+    gamma = float(config.coherence)
     most_bins = min(2 ** len(delays), sum(delays) + 1)  # n crystals make at most 2**n and sum + 1 bins
     most_weights = most_bins * min(_band_halfwidth(gamma), most_bins - 1)
     memoize = 2 ** len(delays) <= _PLAN_CACHE_BINS and most_weights <= _BAND_CACHE_WEIGHTS
     # unmemoized, one crystal's merge plan at a time: those of n short crystals together grow as n**2
     merges, band = _cached_plan(delays, gamma) if memoize else (_merges(delays), None)
-    projectors, jones = iter(_element_table(crystals, n_configs, 4)), iter(_element_table(plates, n_configs, 2))
     bins, amps, merges = _IDENTITY_BINS, _IDENTITY_AMPS, iter(merges)
     for element in config.elements:
         if element.kind != CRYSTAL:
-            amps = next(jones) @ amps  # a wave plate: jones[t] on every bin of config t
+            amps = element._matrix @ amps  # a wave plate: its Jones matrix for config t on every bin of config t
             continue
-        bins, amps = _crystal_step(amps, next(projectors), merges)
-    amps = amps.reshape(n_configs, 2, len(bins), 2)
+        bins, amps = _crystal_step(amps, element._matrix, merges)
+    amps = amps.reshape(config.batch or 1, 2, len(bins), 2)
     band = _band_plan(bins, gamma) if band is None else band
     if config.batch is None and len(bins) <= _PLAN_CACHE_BINS:
         amps.flags.writeable = False
@@ -571,9 +576,9 @@ def apply_element(state: TimeBinState, element: OpticalElement) -> TimeBinState:
     bins, amps = _from_state(state)
     if element.kind == CRYSTAL:
         merge = _merge_plan(bins, element.delay_bins)
-        bins, amps = _crystal_step(amps, _element_table([element], 1, 4)[0], iter([merge]))
+        bins, amps = _crystal_step(amps, element._matrix, iter([merge]))
     else:
-        amps = _element_table([element], 1, 2)[0] @ amps
+        amps = element._matrix @ amps
     return _to_state(bins, amps)
 
 

@@ -25,9 +25,12 @@ crystal step (a gather by advanced indexing), of the trace-out (weights
 on a strided view, rho summed out of place) and of the Stokes map (built
 by ``np.column_stack``).  The engine replaced them with faster forms that
 do the same floating-point operations, so patched in, they must give its
-output bit for bit.  ``former_stokes_to_density`` is the density matrix
-of a Stokes vector as a sum of Pauli matrices, which the library now
-builds from its four entries with the same bits.
+output bit for bit.  ``former_stokes_from_density`` reads the Stokes
+vector off the real and imaginary views with three ``out=`` ufuncs,
+where the library now makes one subtraction on the float view.
+``former_stokes_to_density`` is the density matrix of a Stokes vector as
+a sum of Pauli matrices, which the library now builds from its four
+entries with the same bits.
 
 Likelihood.  The Poisson log-likelihood of a measurement record is
 evaluated setting by setting from the basis states' Jones vectors, and
@@ -181,6 +184,19 @@ def former_affine_from_stokes(stokes):
     return channels.StokesChannel(np.column_stack([s_h - b, s_p - b, s_r - b]), b)
 
 
+def former_stokes_from_density(rho):
+    """`polarization.stokes_from_density` as three `out=` ufuncs on the real and imaginary views."""
+    rho = np.asarray(rho, dtype=complex)
+    if rho.shape[-2:] != (2, 2):
+        raise ValueError(f"density matrices must be 2x2, got shape {rho.shape}")
+    re, im = rho.real, rho.imag
+    s = np.empty(rho.shape[:-2] + (3,))
+    np.subtract(re[..., 0, 0], re[..., 1, 1], out=s[..., 0])
+    np.add(re[..., 0, 1], re[..., 1, 0], out=s[..., 1])
+    np.subtract(im[..., 1, 0], im[..., 0, 1], out=s[..., 2])
+    return s
+
+
 def former_stokes_to_density(s):
     """`polarization._stokes_to_density` as the matrix sum (I + S1 SIGMA1 + S2 SIGMA2 + S3 SIGMA3) / 2."""
     sigma1, sigma2, sigma3 = polarization.SIGMAS
@@ -188,11 +204,14 @@ def former_stokes_to_density(s):
 
 
 def former_forms():
-    """A context manager patching the three former forms into the engine."""
+    """A context manager patching the former forms of the crystal step, the trace-out, the Stokes map and the
+    Stokes read-out into the engine (`channels` binds `stokes_from_density` at import, so it is patched there too)."""
     stack = contextlib.ExitStack()
     stack.enter_context(mock.patch.object(temporal, "_crystal_step", former_crystal_step))
     stack.enter_context(mock.patch.object(temporal, "_trace_out", former_trace_out))
     stack.enter_context(mock.patch.object(channels, "_affine_from_stokes", former_affine_from_stokes))
+    for module in (polarization, channels):
+        stack.enter_context(mock.patch.object(module, "stokes_from_density", former_stokes_from_density))
     return stack
 
 

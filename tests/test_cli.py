@@ -165,6 +165,13 @@ def test_tomo_rejects_shots_beyond_the_int64_count_range(capsys):
         assert err.count("\n") == 1 and "int64" in json.loads(err)["error"]
 
 
+def test_tomo_rejects_a_negative_seed_naming_it(capsys):
+    for exact in (["--exact"], []):
+        code, out, err = run_cli(["tomo", "--scheme", "scheme1", "--theta", "10", "--seed", "-1", *exact], capsys)
+        assert code == 2 and out == ""
+        assert err.count("\n") == 1 and json.loads(err)["error"] == "seed must be an integer >= 0, got -1"
+
+
 def test_outputs_are_deterministic(tmp_path, capsys):
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
     for path in (a, b):

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from depolsim import temporal
+from depolsim import polarization, temporal
 from depolsim.channels import SCHEME_NAMES, affine_from_outputs, build_scheme, extract_channel
 from depolsim.polarization import (
     JONES_H,
@@ -430,6 +430,54 @@ def test_mismatched_batches_raise():
                 make(bad)
 
 
+@pytest.mark.parametrize("last", ("crystal", "plate"))
+@pytest.mark.parametrize("gamma", (0.0, 0.3))
+def test_a_batch_whose_last_element_alone_has_array_angles_equals_its_single_calls(monkeypatch, last, gamma):
+    # every earlier element has one matrix, which broadcasts: those steps run once for the whole batch
+    def config(angle):
+        final = crystal(angle, 3) if last == "crystal" else quarter_wave(angle)
+        return SchemeConfig((half_wave(10.0), crystal(30.0, 1), quarter_wave(20.0), crystal(0.0, 2), final), gamma)
+
+    singles = [run_scheme(config(theta), ALL_INPUTS) for theta in BATCH_THETAS]
+    crystal_step, leading = temporal._crystal_step, []
+
+    def recording_step(amps, projectors, merges):
+        leading.append((len(amps), len(projectors)))
+        return crystal_step(amps, projectors, merges)
+
+    monkeypatch.setattr(temporal, "_crystal_step", recording_step)
+    batched = run_scheme(config(np.array(BATCH_THETAS)), ALL_INPUTS)
+    assert np.array_equal(bits(batched), bits(singles))
+    assert leading[:2] == [(1, 1), (1, 1)]
+    if last == "crystal":
+        assert leading[2] == (1, len(BATCH_THETAS))
+
+
+def test_an_element_holds_the_read_only_matrix_of_its_angle():
+    for make, rows in ((lambda a: crystal(a, 3), 4), (half_wave, 2), (quarter_wave, 2)):
+        element = make(10.0)
+        assert element._matrix.shape == (1, rows, 2) and element._matrix.dtype == complex
+        with pytest.raises(ValueError, match="read-only"):
+            element._matrix[...] = 0.0
+        # a replaced angle brings its own matrix, not the old one
+        moved = dataclasses.replace(element, angle_deg=35.0)
+        assert moved._matrix.tobytes() == make(35.0)._matrix.tobytes() != element._matrix.tobytes()
+        stacked = dataclasses.replace(element, angle_deg=np.array([35.0, 10.0]))
+        assert stacked._matrix.shape == (2, rows, 2) and not stacked._matrix.flags.writeable
+        assert stacked._matrix.tobytes() == moved._matrix.tobytes() + element._matrix.tobytes()
+        assert "_matrix" not in repr(element)
+
+
+def test_named_schemes_share_their_fixed_elements():
+    # the elements whose angle does not follow theta are built once and shared by every config
+    fixed = {"scheme1": 2, "scheme2": 2, "scheme3": 2, "lyot": 2, "single_crystal": 0, "isotropic_triple": 5}
+    for name in SCHEME_NAMES:
+        first, second = build_scheme(name, 10.0).elements, build_scheme(name, np.array([20.0, 30.0])).elements
+        assert sum(a is b for a, b in zip(first, second)) == fixed[name]
+        for a, b in zip(first, second):
+            assert (a is b) == (not isinstance(b.angle_deg, np.ndarray))
+
+
 def test_single_config_consumers_reject_a_batch():
     config = build_scheme("scheme2", np.array([0.0, 10.0]))
     assert config.batch == 2
@@ -518,22 +566,26 @@ def former_form_schemes(draw):
 
 
 def engine_outputs(spec, gamma):
-    """Every consumer of the crystal step, the trace-out and the Stokes map, on new config objects."""
+    """Every consumer of the crystal step, the trace-out, the Stokes map and the Stokes read-out, on new config
+    objects; the read-out through the polarization module, where the former forms patch it."""
     n_configs = len(spec[0][1])
     batch = SchemeConfig(tuple(OpticalElement(k, np.array(a), d) for k, a, d in spec), coherence=gamma)
-    outputs = [run_scheme(batch, ALL_INPUTS)]
+    rhos = [run_scheme(batch, ALL_INPUTS)]
+    outputs = []
     for t in range(n_configs):
         elements = tuple(OpticalElement(k, a[t], d) for k, a, d in spec)
         config = SchemeConfig(elements, coherence=gamma)
         channel = extract_channel(config)
-        outputs += [run_scheme(config, JONES_P), run_scheme(config, ALL_INPUTS), *kraus_operators(config)]
+        rhos += [run_scheme(config, JONES_P), run_scheme(config, ALL_INPUTS)]
+        outputs += kraus_operators(config)
         assert channel.m.flags.c_contiguous
         outputs += [channel.m, channel.b]
         state = temporal.initial_state(JONES_R)
         for element in elements:
             state = temporal.apply_element(state, element)
         outputs += [np.array(list(state)), np.array(list(state.values()))]
-        outputs += [temporal.collapse(state), temporal.collapse_with_coherence(state, gamma)]
+        rhos += [temporal.collapse(state), temporal.collapse_with_coherence(state, gamma)]
+    outputs += rhos + [polarization.stokes_from_density(rho) for rho in rhos] + [polarization.dop(rho) for rho in rhos]
     return [np.ascontiguousarray(x).tobytes() for x in outputs]
 
 
@@ -711,25 +763,28 @@ def test_held_propagations_keep_every_output_bit(monkeypatch):
 
 
 def test_only_the_first_probe_call_propagates(monkeypatch):
-    propagations = []
-    element_table = temporal._element_table
+    steps = []
+    crystal_step = temporal._crystal_step
 
-    def counting_table(elements, n_configs, rows):
-        propagations.append(rows)
-        return element_table(elements, n_configs, rows)
+    def counting_step(amps, projectors, merges):
+        steps.append(projectors)
+        return crystal_step(amps, projectors, merges)
 
-    monkeypatch.setattr(temporal, "_element_table", counting_table)
+    def n_crystals(config):
+        return sum(e.kind == temporal.CRYSTAL for e in config.elements)
+
+    monkeypatch.setattr(temporal, "_crystal_step", counting_step)
     for config in memo_configs():
-        propagations.clear()
+        steps.clear()
         probe_calls(config)
-        assert propagations == [4, 2]  # one propagation builds one crystal table and one plate table
+        assert len(steps) == n_crystals(config)  # one propagation: one step per crystal
     # with the cap at 0 the memo is off: every call propagates, the held config included, and nothing new is held
     assert temporal._last_propagation[0] is config
     monkeypatch.setattr(temporal, "_PLAN_CACHE_BINS", 0)
     for config in (config, memo_configs()[0]):
-        propagations.clear()
+        steps.clear()
         probe_calls(config)
-        assert len(propagations) == 2 * len(PROBES)
+        assert len(steps) == len(PROBES) * n_crystals(config)
     assert temporal._last_propagation[0] is not config
 
 

@@ -152,6 +152,22 @@ def test_non_integral_shots_and_counts_are_rejected():
     assert np.array_equal(sample_counts(rho, 1e5, seed=3).counts, sample_counts(rho, 100_000, seed=3).counts)
 
 
+def test_seeds_are_checked_at_the_boundary_in_both_modes():
+    rho = np.eye(2) / 2
+    for exact in (False, True):
+        for seed in (-1, -(2**70), 1.5, -0.5, float("nan"), float("inf"), "3", None, [3]):
+            with pytest.raises(ValueError, match="seed must be an integer >= 0"):
+                sample_counts(rho, 100, seed, exact=exact)
+        # integral values of any numeric type stay accepted, stored as ints
+        for seed, as_int in ((3.0, 3), (np.int64(7), 7), (np.uint64(2**63), 2**63), (2**70, 2**70), (True, 1)):
+            record = sample_counts(rho, 100, seed, exact=exact)
+            assert record.seed == as_int and type(record.seed) is int
+    # a valid seed draws PCG64's stream of that integer, whatever its type
+    for seed, as_int in ((0, 0), (3.0, 3), (np.int64(7), 7), (2**70, 2**70)):
+        expected = np.random.Generator(np.random.PCG64(as_int)).poisson(1000 * probabilities(rho))
+        assert np.array_equal(sample_counts(rho, 1000, seed).counts, expected)
+
+
 @pytest.mark.filterwarnings("error")
 def test_a_non_finite_state_is_named_in_the_error():
     for position in ((0, 0), (0, 1), (1, 0), (1, 1)):

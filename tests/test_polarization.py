@@ -159,3 +159,32 @@ def test_stokes_to_density_keeps_the_bits_of_the_matrix_sum():
             got, expected = _stokes_to_density(form), _oracle.former_stokes_to_density(form)
             assert got.dtype == expected.dtype and got.shape == expected.shape
             assert got.tobytes() == expected.tobytes(), s
+
+
+def test_stokes_from_density_keeps_the_bits_of_the_three_ufuncs():
+    # signed zeros are where re01 - (-re10) could differ from re01 + re10: all 256 sign patterns of zeros
+    # come first; a strided, a broadcast and a Fortran-ordered array and nested lists are read through a copy
+    grid = np.array([0.0, -0.0, 1.0, -1.0, 5e-324, -5e-324, 0.5, -0.25])
+    rng = np.random.default_rng(44)
+    signed = rng.choice(grid, size=(4000, 2, 2)) + 1j * rng.choice(grid, size=(4000, 2, 2))
+    signed[:256] = np.array(list(itertools.product([0.0, -0.0], repeat=8))).view(complex).reshape(256, 2, 2)
+    uniform = rng.uniform(-1.0, 1.0, size=(3, 250, 2, 2)) + 1j * rng.uniform(-1.0, 1.0, size=(3, 250, 2, 2))
+    forms = [
+        signed,
+        signed[0],
+        signed.reshape(1000, 4, 2, 2)[:, 0],
+        uniform[:, ::3],
+        np.broadcast_to(signed[5], (7, 3, 2, 2)),
+        np.asfortranarray(signed[7]),
+        np.asfortranarray(uniform),
+        signed[:3].tolist(),
+        signed[9].tolist(),
+        signed[:0],
+    ]
+    for form in forms:
+        got, expected = stokes_from_density(form), _oracle.former_stokes_from_density(form)
+        assert got.dtype == expected.dtype and got.shape == expected.shape == np.shape(form)[:-2] + (3,)
+        assert got.tobytes() == expected.tobytes()
+    for bad in (np.zeros(4), np.zeros((2, 3)), np.zeros((3, 2, 2, 1)), signed[:10, 0], [[1.0, 0.0]]):
+        with pytest.raises(ValueError, match="must be 2x2"):
+            stokes_from_density(bad)
