@@ -200,7 +200,7 @@ def cmd_map(args):
         raise CliError(f"surface samples must lie in [3, {MAX_POINTS}]")
     config = _load_scheme(args.scheme, args.theta, args.gamma)
     channel = extract_channel(config)
-    points = fibonacci_sphere(args.samples) @ channel.m.T + channel.b
+    points = np.einsum("nj,ij->ni", fibonacci_sphere(args.samples), channel.m) + channel.b
     report = {
         "scheme": args.scheme,
         "theta_deg": args.theta,

@@ -24,6 +24,8 @@ display convention must relabel at the presentation layer only.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 NORM_ATOL = 1e-10
@@ -140,20 +142,20 @@ def jones_from_stokes(s, atol: float = 1e-6) -> np.ndarray:
     """Jones vector of the pure state with unit Stokes vector `s`.
 
     Only unit-length Stokes vectors describe pure states, so `s` must have
-    norm 1 within `atol`.
+    norm 1 within `atol`.  After s /= |s| it is (a, (S2 + i S3) / 2a) with
+    a = sqrt((1 + S1) / 2) for S1 >= 0, else ((S2 - i S3) / 2b, b) with
+    b = sqrt((1 - S1) / 2): the larger component real positive, h on a tie.
     """
-    s = np.asarray(s, dtype=float).reshape(3)
-    with np.errstate(over="ignore"):  # an overflowing norm is inf, which the check rejects
-        norm = np.linalg.norm(s)
+    x, y, z = np.asarray(s, dtype=float).reshape(3).tolist()
+    norm = math.hypot(x, y, z)
     if not abs(norm - 1.0) <= atol:
         raise ValueError("only unit Stokes vectors correspond to pure states")
-    rho = density_from_stokes(s / norm)
-    vals, vecs = np.linalg.eigh(rho)
-    j = vecs[:, np.argmax(vals)]
-    # fix the global phase so the largest component is real positive
-    k = int(np.argmax(np.abs(j)))
-    j = j * np.exp(-1j * np.angle(j[k]))
-    return as_jones(j)
+    x, y, z = x / norm, y / norm, z / norm
+    if x >= 0.0:
+        a = math.sqrt((1.0 + x) / 2.0)
+        return as_jones([a, complex(y / (2.0 * a), z / (2.0 * a))])
+    b = math.sqrt((1.0 - x) / 2.0)
+    return as_jones([complex(y / (2.0 * b), -z / (2.0 * b)), b])
 
 
 def dop(rho):
@@ -165,7 +167,7 @@ def dop(rho):
     significant digits near D = 0 where the radicand cancels.
     """
     s = stokes_from_density(rho)
-    d = np.minimum(np.sqrt(np.vecdot(s, s)), 1.0)
+    d = np.minimum(np.sqrt(np.einsum("...i,...i->...", s, s)), 1.0)
     return float(d) if d.ndim == 0 else d
 
 

@@ -14,11 +14,14 @@ a Jones matrix K_t, and the induced channel is
     rho -> sum_{t,u} gamma**((t - u)**2) K_t rho K_u^dagger,
 
 which for gamma = 0 is the Kraus form rho -> sum_t K_t rho K_t^dagger
-(see `kraus_operators` and `run_scheme`).  The dict-based functions
-(`initial_state`, `apply_crystal`, `apply_element`, `collapse`,
-`collapse_with_coherence`) track a single wave packet as
-{bin: (h, v) amplitude}; they are thin adapters over the same crystal
-step and the same trace-out.
+(see `kraus_operators`).  `run_scheme` traces time out once per config,
+into the channel's 4x4 Choi matrix, and reads every output from it.
+Every product is an `np.einsum`, never a BLAS call or a SIMD-dispatched
+complex multiply, so no output bit depends on the host's BLAS kernel or
+CPU features.  The dict-based functions (`initial_state`,
+`apply_crystal`, `apply_element`, `collapse`, `collapse_with_coherence`)
+track a single wave packet as {bin: (h, v) amplitude}; they are thin
+adapters over the same crystal step and the same trace-out.
 
 Conventions fixed here:
 
@@ -78,15 +81,14 @@ _COUNT_WORK = 2**24
 # the plan memo (`_cached_plan`) takes at most log2 of this = 10 crystals, so at most 1024 bins; 0 turns it off
 _PLAN_CACHE_BINS = 1024
 
-# ... and only while the band plan may hold at most this many weights (32 kB of floats)
-_BAND_CACHE_WEIGHTS = 2**12
+# ... and only while the band plan may hold at most this many pairs (64 kB of indices and weights)
+_BAND_CACHE_PAIRS = 2**11
 
-# (config, bins, amps, band) of the last single config propagated on at most _PLAN_CACHE_BINS bins, with amps
-# read-only: tomography calls run_scheme once per probe on one config object, and only the first call
-# propagates.  The key is the config object itself, held so that its id cannot be reused; a single
-# config is frozen, so its propagation cannot change.  At most 64 kB of amplitudes.  The entry is one
-# tuple, read and replaced whole, so a thread never sees the bins of one config with another's amplitudes.
-_last_propagation: tuple = (None, None, None, None)
+# (config, S) of the last single config run, S read-only and 256 bytes: tomography calls run_scheme once per
+# probe on one config object, and only the first call propagates.  The key is the config object itself, held
+# so that its id cannot be reused; a single config is frozen, so its S cannot change.  The entry is one
+# tuple, read and replaced whole, so a thread never sees one config with another's S.
+_last_propagation: tuple = (None, None)
 
 
 def _as_delay(value) -> int:
@@ -258,11 +260,12 @@ def _element_matrix(kind: str, angle: float | np.ndarray) -> np.ndarray:
 
 
 # The propagation state of T configs is (bins, amps): a sorted int64
-# array of B bins, which follow from the crystal delays alone, and a flat
-# (T, 2, B * m) complex array whose entry amps[t, :, k * m + n] is the
-# (h, v) amplitude in bin bins[k] of the n-th propagated column under
-# config t (m = 2 identity columns for Kraus operators, m = 1 for a dict
-# state).  Both matrix products of a step read that layout as it is.
+# array of B bins, which follow from the crystal delays alone, and a
+# (T, m, 2, B) complex array whose entry amps[t, n, :, k] is the (h, v)
+# amplitude in bin bins[k] of the n-th propagated column under config t
+# (m = 2 identity columns for Kraus operators, m = 1 for a dict state).
+# Both products of a step read that layout as it is, and the Kraus
+# entries are its (T, 4, B) reshape, with row 2c + r holding K[r, c].
 # Until the first element with an array angle, every config holds the
 # same amplitudes and the leading axis has length 1: an element's single
 # matrix and the amplitudes broadcast against each other, the same
@@ -301,22 +304,20 @@ def _crystal_step(amps: np.ndarray, projectors: np.ndarray, merges):
     `projectors` is the crystal's (T or 1, 4, 2) stack of axis projectors
     (see `_projector_entries`): for axis angle a the slow axis is
     e_s = (cos a, sin a), and the fast-axis component e_f = (-sin a, cos a)
-    keeps its bin.  Both projections come from one matrix product, the
+    keeps its bin.  Both projections come from one product, the
     next (bins, order, starts) of `merges` (see `_merge_plan`) shifts the
     slow half, and amplitudes landing in the same output bin are summed
-    (coherently).  Takes and returns flat amplitudes; returns (bins, amps)
-    with every bin of the merge plan, even one whose amplitude is zero.
+    (coherently).  Returns (bins, amps) with every bin of the merge plan,
+    even one whose amplitude is zero.
     """
-    # the projector rows alternate fast and slow, so the product is laid out as (T, h or v, fast or slow, B * m)
-    # and reads as (T, 2, 2B * m) with the fast bins first, without a copy
-    merged = projectors @ amps
-    n_configs = len(merged)
+    # the projector rows alternate fast and slow, so the product is laid out as (T, m, h or v, fast or slow, B)
+    # and reads as (T, m, 2, 2B) with the fast bins first, without a copy
+    merged = np.einsum("trc,tmcn->tmrn", projectors, amps).reshape(-1, amps.shape[1], 2, 2 * amps.shape[3])
     bins, order, starts = next(merges)
     if order is None:
-        return bins, merged.reshape(n_configs, 2, -1)
+        return bins, merged
     # take is numpy's direct gather; indexing with `order` runs its generic path, 50-70x slower after the product
-    merged = merged.reshape(n_configs, 2, len(order), -1).take(order, axis=2)
-    return bins, np.add.reduceat(merged, starts, axis=2).reshape(n_configs, 2, -1)
+    return bins, np.add.reduceat(merged.take(order, axis=3), starts, axis=3)
 
 
 def _band_halfwidth(gamma: float) -> int:
@@ -327,38 +328,40 @@ def _band_halfwidth(gamma: float) -> int:
 
 
 def _band_plan(bins: np.ndarray, gamma: float) -> tuple:
-    """The live positions of the coherent band over `bins`: a tuple of (k, w), read-only.
+    """The live pairs of the coherent band over `bins`: () or (left, right, w), read-only.
 
-    w[i] = gamma**((bins[i + k] - bins[i])**2) weighs the pair of bins[i]
-    and bins[i + k], set to 0 below KERNEL_FLOOR; the positions stop as
-    `_trace_out` describes.
+    left and right list the bin indices of the pairs (i, i + k) of each
+    live position k in turn, stopping as `_trace_out` describes, and
+    w[2p] = w[2p + 1] = gamma**(d*d), 0 below KERNEL_FLOOR, weighs the real
+    and imaginary parts of pair p at distance d.
     """
     halfwidth = _band_halfwidth(gamma)
-    plan = []
+    positions = []
     for k in range(1, min(halfwidth, len(bins) - 1) + 1):
         d = bins[k:] - bins[:-k]
         if d.min() > halfwidth:
             break
-        w = gamma ** np.square(d, dtype=float)
+        w = np.repeat(gamma ** np.square(d, dtype=float), 2)
         w[w < KERNEL_FLOOR] = 0.0
-        w.flags.writeable = False
-        plan.append((k, w))
-    return tuple(plan)
+        positions.append((np.arange(len(d)), np.arange(k, len(bins)), w))
+    plan = tuple(np.concatenate(part) for part in zip(*positions))
+    for array in plan:
+        array.flags.writeable = False
+    return plan
 
 
-def _trace_out(bins: np.ndarray, a: np.ndarray, gamma: float, band: tuple) -> np.ndarray:
-    """Trace out time from per-input bin amplitudes: the banded contraction.
+def _trace_out(x: np.ndarray, band: tuple) -> np.ndarray:
+    """Trace out time: the banded contraction S = sum_{t,u} w(t - u) x_t x_u^dagger, w(d) = gamma**(d*d).
 
-    `a` has shape (n, B, 2), with a[n, k] the amplitude of input n in bin
-    bins[k]; the result is the (n, 2, 2) stack
-
-        rho_n = sum_{t,u} w(t - u) a_t a_u^dagger,   w(d) = gamma**(d*d),
-
-    keeping only pairs with w(d) >= KERNEL_FLOOR = 2**-60, i.e. the band
-    |d| <= `_band_halfwidth(gamma)` (only d = 0 at gamma = 0).  For a
-    normalized input sum_t |a_t|**2 = 1, so by Cauchy-Schwarz the dropped
-    pairs change rho by at most 2**-60 * (sum_t |a_t|)**2 <= B * 2**-60
-    in spectral or Frobenius norm.
+    `x` is (T, R, B) for any number R of rows, x[:, :, k] holding bin
+    bins[k]: the (T, 4, B) Kraus entries or the (1, 2, B) amplitudes of a
+    wave packet.  S, a Hermitian (T, R, R) stack, is the t = u term, whose
+    products pair up as complex conjugates, plus the term C of the band
+    pairs t < u and C^dagger.  It keeps only pairs with
+    w(d) >= KERNEL_FLOOR = 2**-60, i.e. |d| <= `_band_halfwidth(gamma)`.
+    An output is S contracted with a normalized input, whose bin amplitudes
+    a_t have sum_t |a_t|**2 = 1, so by Cauchy-Schwarz the dropped pairs
+    change it by at most 2**-60 * (sum_t |a_t|)**2 <= B * 2**-60.
 
     The band runs over positions k = 1, 2, ..., pairing bins[i] with
     bins[i + k], and stops at the first k whose closest pair is beyond
@@ -368,23 +371,23 @@ def _trace_out(bins: np.ndarray, a: np.ndarray, gamma: float, band: tuple) -> np
     distance grows by at least 1 per position, and no later position
     holds a pair within reach.  For the same reason k never passes the
     half-width, and no position runs at gamma = 0.  The caller passes the
-    positions and their weights as `band`, the `_band_plan(bins, gamma)`.
+    pairs and their weights as `band`, the `_band_plan(bins, gamma)`.
     """
-    at = a.transpose(0, 2, 1)
-    ac = a.conj()
-    rho = at @ ac
+    xc = x.conj()
+    s = np.einsum("trk,tsk->trs", x, xc)
     if band:
-        at = np.ascontiguousarray(at)  # weighting a contiguous copy runs numpy's contiguous loop, not its strided one
-    for k, w in band:
-        cross = (at[:, :, :-k] * w) @ ac[:, k:]
-        rho += cross
-        rho += cross.conj().transpose(0, 2, 1)
-    return (rho + rho.conj().transpose(0, 2, 1)) / 2.0
+        left, right, w = band
+        # the weights multiply the float view of the gathered rows, a real product
+        weighted = (x.take(left, axis=2).view(float) * w).view(complex)
+        cross = np.einsum("trk,tsk->trs", weighted, xc.take(right, axis=2))
+        s += cross
+        s += cross.conj().transpose(0, 2, 1)
+    return s
 
 
 # the starting state, shared and so read-only: the identity in bin 0, which every config of a batch broadcasts against
 _IDENTITY_BINS = np.zeros(1, dtype=np.int64)
-_IDENTITY_AMPS = np.eye(2, dtype=complex).reshape(1, 2, 2)
+_IDENTITY_AMPS = np.eye(2, dtype=complex).reshape(1, 2, 2, 1)
 _IDENTITY_BINS.flags.writeable = False
 _IDENTITY_AMPS.flags.writeable = False
 
@@ -435,8 +438,9 @@ def _merge_steps(delays: tuple):
 
 @functools.lru_cache(maxsize=128)
 def _cached_plan(delays: tuple, gamma: float) -> tuple:
-    # asked only for at most 10 crystals whose band may hold at most 4096 weights: an entry holds at most
-    # 1024 + 2046 bins, 4088 merge indices and 4096 weights, about 90 kB, so 128 entries stay below 16 MB
+    # asked only for at most 10 crystals whose band may hold at most 2048 pairs: an entry holds at most
+    # 1024 + 2046 bins, 4088 merge indices and 2048 pairs of two indices and two weights, about 120 kB,
+    # so 128 entries stay below 16 MB
     merges = tuple(_merges(delays))
     return merges, _band_plan(merges[-1][0] if merges else _IDENTITY_BINS, gamma)
 
@@ -445,10 +449,9 @@ def _propagate(config: SchemeConfig) -> tuple[np.ndarray, np.ndarray, tuple]:
     """Push the 2x2 identity through the T = `config.batch` (or 1) configs at once.
 
     Returns (bins, amps, band): the sorted bins, which follow from the
-    crystal delays alone, the (T, 2, B, 2) amplitudes and the band plan.
-    The steps run on flat amplitudes, reshaped once at the end.
-    Every config of a batch runs on the same bins with the same matrix
-    product per config: each element multiplies by its own matrix, a
+    crystal delays alone, the (T, 2, 2, B) amplitudes and the band plan.
+    Every config of a batch runs on the same bins with the same product
+    per config: each element multiplies by its own matrix, a
     float-angle element's single one broadcasting over the configs, and
     the elements before the first array angle run once for all of them.
     So the batch is bit-identical to one call per config.
@@ -456,35 +459,23 @@ def _propagate(config: SchemeConfig) -> tuple[np.ndarray, np.ndarray, tuple]:
     A crystal step that could take B past MAX_BINS, or the bins of all
     steps past MAX_TOTAL_BINS, raises ValueError before it allocates
     anything, and before the first step where the bins can be counted
-    cheaply up front (see `_merges`).  The result
-    for a single config on at most _PLAN_CACHE_BINS bins is kept read-only
-    and returned again while the same config object comes back (see
-    `_last_propagation`).
+    cheaply up front (see `_merges`).
     """
-    global _last_propagation
-    held, bins, amps, band = _last_propagation
-    if config is held and len(bins) <= _PLAN_CACHE_BINS:
-        return bins, amps, band
     # tuple() of a list: of a generator it shrinks its result in place, stranding freed tuples on a free list
     delays = tuple([e.delay_bins for e in config.elements if e.kind == CRYSTAL])
     gamma = float(config.coherence)
     most_bins = min(2 ** len(delays), sum(delays) + 1)  # n crystals make at most 2**n and sum + 1 bins
-    most_weights = most_bins * min(_band_halfwidth(gamma), most_bins - 1)
-    memoize = 2 ** len(delays) <= _PLAN_CACHE_BINS and most_weights <= _BAND_CACHE_WEIGHTS
+    most_pairs = most_bins * min(_band_halfwidth(gamma), most_bins - 1)
+    memoize = 2 ** len(delays) <= _PLAN_CACHE_BINS and most_pairs <= _BAND_CACHE_PAIRS
     # unmemoized, one crystal's merge plan at a time: those of n short crystals together grow as n**2
     merges, band = _cached_plan(delays, gamma) if memoize else (_merges(delays), None)
     bins, amps, merges = _IDENTITY_BINS, _IDENTITY_AMPS, iter(merges)
     for element in config.elements:
         if element.kind != CRYSTAL:
-            amps = element._matrix @ amps  # a wave plate: its Jones matrix for config t on every bin of config t
+            amps = np.einsum("trc,tmcn->tmrn", element._matrix, amps)  # a wave plate, on every bin of config t
             continue
         bins, amps = _crystal_step(amps, element._matrix, merges)
-    amps = amps.reshape(config.batch or 1, 2, len(bins), 2)
-    band = _band_plan(bins, gamma) if band is None else band
-    if config.batch is None and len(bins) <= _PLAN_CACHE_BINS:
-        amps.flags.writeable = False
-        _last_propagation = (config, bins, amps, band)
-    return bins, amps, band
+    return bins, amps, _band_plan(bins, gamma) if band is None else band
 
 
 def kraus_operators(config: SchemeConfig) -> tuple[np.ndarray, np.ndarray]:
@@ -497,13 +488,13 @@ def kraus_operators(config: SchemeConfig) -> tuple[np.ndarray, np.ndarray]:
     the crystal delays and depend on no angle, so some K_t may be exactly
     zero (a crystal at exactly 0 deg sends nothing into some bins).  The
     gamma = 0 channel is rho -> sum_t K_t rho K_t^dagger, and
-    sum_t K_t^dagger K_t = I.  Both arrays are fresh and writable; neither
-    shares memory with a held propagation.
+    sum_t K_t^dagger K_t = I.  Both arrays are fresh and writable: every
+    call propagates afresh, and neither shares memory with a memoized plan.
     Raises ValueError on a batch, or if the scheme needs more than MAX_BINS bins.
     """
     _check_single(config.batch, "kraus_operators")
     bins, amps, _ = _propagate(config)
-    return bins.copy(), amps[0].transpose(1, 0, 2).copy()
+    return bins.copy(), amps[0].transpose(2, 1, 0).copy()
 
 
 def run_scheme(config: SchemeConfig, j) -> np.ndarray:
@@ -514,13 +505,17 @@ def run_scheme(config: SchemeConfig, j) -> np.ndarray:
     (n, 2, 2) outputs for a stack, with a leading axis of length T when
     `config.batch` is T: (T, 2, 2) or (T, n, 2, 2).
 
-    The whole batch is propagated at once for all inputs (see
-    `kraus_operators`) on bins that depend on the delays only, so every
-    output is bit-identical to the single call on its angles.  Time is
-    traced out with the coherence gamma.  Bin pairs whose weight
-    gamma**(d*d) is below 2**-60 are dropped, which moves the output by
-    at most B * 2**-60 for B bins (see `_trace_out`).
+    The whole batch is propagated at once (see `kraus_operators`) on
+    bins that depend on the delays only, and time is traced out once per
+    config, into the Choi matrix S[t, 2c + r, 2q + p] =
+    sum_{k,l} w(bins[k] - bins[l]) K_k[r, c] conj(K_l[p, q]), held for a
+    single config (see `_last_propagation`).  Each output is
+    rho[a, c] = sum_{b,d} S[2b + a, 2d + c] j_b conj(j_d), averaged with its
+    conjugate transpose, so it is bit-identical to the single call on its
+    angles.  Bin pairs whose weight gamma**(d*d) is below 2**-60 are
+    dropped, which moves the output by at most B * 2**-60 for B bins.
     """
+    global _last_propagation
     j = np.asarray(j, dtype=complex)
     if j.ndim == 1:
         cols = as_jones(j)[:, None]
@@ -529,12 +524,15 @@ def run_scheme(config: SchemeConfig, j) -> np.ndarray:
         cols = j
     else:
         raise ValueError(f"inputs must be a Jones vector or a (2, n) stack of them, got shape {j.shape}")
-    bins, amps, band = _propagate(config)
-    n_configs, n_bins, n_inputs = amps.shape[0], len(bins), cols.shape[1]
-    # ops[t, k] = K_{bins[k]} under config t, and a[t, n, k] = ops[t, k] j_n
-    ops = np.ascontiguousarray(amps.transpose(0, 2, 1, 3)).reshape(n_configs, 2 * n_bins, 2)
-    a = (cols.T @ ops.transpose(0, 2, 1)).reshape(n_configs * n_inputs, n_bins, 2)
-    rho = _trace_out(bins, a, config.coherence, band).reshape(n_configs, n_inputs, 2, 2)
+    held, s = _last_propagation
+    if config is not held:
+        bins, amps, band = _propagate(config)
+        s = _trace_out(amps.reshape(len(amps), 4, len(bins)), band)
+        if config.batch is None:
+            s.flags.writeable = False
+            _last_propagation = (config, s)
+    rho = np.einsum("tbadc,bn,dn->tnac", s.reshape(-1, 2, 2, 2, 2), cols, cols.conj())
+    rho = (rho + rho.conj().transpose(0, 1, 3, 2)) / 2.0
     if j.ndim == 1:
         rho = rho[:, 0]
     return rho if config.batch else rho[0]
@@ -550,12 +548,12 @@ def _from_state(state: TimeBinState):
             raise ValueError(f"time-bin keys must be integers in [0, 2**62], got {t!r}")
     ts = sorted(state)
     amps = np.array([state[t] for t in ts], dtype=complex).reshape(len(ts), 2)
-    return np.array(ts, dtype=np.int64), amps.T.reshape(1, 2, len(ts))
+    return np.array(ts, dtype=np.int64), np.ascontiguousarray(amps.T).reshape(1, 1, 2, len(ts))
 
 
 def _to_state(bins: np.ndarray, amps: np.ndarray) -> TimeBinState:
     """The dict of the bins whose amplitude is not all zero: a dict state is a sparse map."""
-    rows = amps[0].T
+    rows = amps[0, 0].T
     live = rows.any(axis=1)
     return dict(zip(bins[live].tolist(), rows[live]))
 
@@ -578,7 +576,7 @@ def apply_element(state: TimeBinState, element: OpticalElement) -> TimeBinState:
         merge = _merge_plan(bins, element.delay_bins)
         bins, amps = _crystal_step(amps, element._matrix, iter([merge]))
     else:
-        amps = element._matrix @ amps
+        amps = np.einsum("trc,tmcn->tmrn", element._matrix, amps)
     return _to_state(bins, amps)
 
 
@@ -600,4 +598,4 @@ def collapse_with_coherence(state: TimeBinState, gamma: float) -> np.ndarray:
     if not 0.0 <= gamma < 1.0:
         raise ValueError("gamma must lie in [0, 1)")
     bins, amps = _from_state(state)
-    return _trace_out(bins, amps.transpose(0, 2, 1), gamma, _band_plan(bins, gamma))[0]
+    return _trace_out(amps.reshape(1, 2, len(bins)), _band_plan(bins, gamma))[0]

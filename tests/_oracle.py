@@ -1,5 +1,5 @@
-"""Test-only reference models: a brute-force time-bin engine, the engine's trace-out over the full
-band, a Cholesky-parametrized likelihood and the chi-matrix maps term by term.
+"""Test-only reference models: a brute-force time-bin engine, the engine's band plan without its
+early stop, a Cholesky-parametrized likelihood and the chi-matrix maps term by term.
 
 Time-bin engine.  The time register is a dense lattice of
 L = 1 + (sum of crystal delays) bins, so no amplitude ever leaves it.
@@ -13,24 +13,20 @@ in the engine.
 It shares no code with ``depolsim.temporal``: no sparse bin index, no
 merging of equal bins, no Kraus operators and no banded contraction.
 
-Full band.  ``full_band_trace_out`` is the engine's banded trace-out
-without its early stop: it runs every position k up to
+Full band.  ``full_band_plan`` is the engine's band plan without its
+early stop: it lists the pairs of every position k up to
 min(half-width, B - 1), with weights floored at 2**-60.  Patched in for
-``depolsim.temporal._trace_out``, it gives the output the engine must
+``depolsim.temporal._band_plan``, it gives the output the engine must
 match bit for bit.
 
-Former forms.  ``former_crystal_step``, ``former_trace_out`` and
-``former_affine_from_stokes`` are the engine's earlier numpy forms of a
-crystal step (a gather by advanced indexing), of the trace-out (weights
-on a strided view, rho summed out of place) and of the Stokes map (built
-by ``np.column_stack``).  The engine replaced them with faster forms that
-do the same floating-point operations, so patched in, they must give its
-output bit for bit.  ``former_stokes_from_density`` reads the Stokes
+Former forms.  ``former_affine_from_stokes`` builds the Stokes map with
+``np.column_stack``.  ``former_stokes_from_density`` reads the Stokes
 vector off the real and imaginary views with three ``out=`` ufuncs,
 where the library now makes one subtraction on the float view.
 ``former_stokes_to_density`` is the density matrix of a Stokes vector as
 a sum of Pauli matrices, which the library now builds from its four
-entries with the same bits.
+entries.  The library's forms do the same floating-point operations, so
+patched in, the former ones must give its output bit for bit.
 
 Likelihood.  The Poisson log-likelihood of a measurement record is
 evaluated setting by setting from the basis states' Jones vectors, and
@@ -59,7 +55,7 @@ from unittest import mock
 
 import numpy as np
 
-from depolsim import channels, polarization, temporal
+from depolsim import channels, polarization, temporal, tomography
 
 
 def hwp(angle_deg):
@@ -117,7 +113,7 @@ def output(elements, gamma, jones):
     return kernel_trace(propagate(elements, jones), gamma)
 
 
-# --- the banded trace-out over the full band --------------------------------
+# --- the band plan over the full band --------------------------------------
 
 FLOOR = 2.0**-60
 
@@ -129,52 +125,35 @@ def band_halfwidth(gamma):
     return math.isqrt(int(math.log(FLOOR) / math.log(gamma))) + 1
 
 
-def full_band_trace_out(bins, a, gamma, band):
-    """sum_{t,u} w(t - u) a_t a_u^dagger over the pairs of every position k <= min(half-width, B - 1).
-
-    The engine's `band` is not read: the positions and weights come from bins and gamma here.
-    """
-    at = a.transpose(0, 2, 1)
-    ac = a.conj()
-    rho = at @ ac
+def full_band_plan(bins, gamma):
+    """The (left, right, w) pairs of every position k <= min(half-width, B - 1), in the engine's layout:
+    position k pairs bins[i] with bins[i + k], and each floored weight appears twice."""
+    lefts, rights, weights = [], [], []
     for k in range(1, min(band_halfwidth(gamma), len(bins) - 1) + 1):
-        w = gamma ** np.square(bins[k:] - bins[:-k], dtype=float)
-        w[w < FLOOR] = 0.0
-        cross = (at[:, :, :-k] * w) @ ac[:, k:]
-        rho = rho + cross + cross.conj().transpose(0, 2, 1)
-    return (rho + rho.conj().transpose(0, 2, 1)) / 2.0
+        lefts.append(np.arange(len(bins) - k))
+        rights.append(np.arange(k, len(bins)))
+        weights.append(gamma ** np.square(bins[k:] - bins[:-k], dtype=float))
+    if not weights:
+        return ()
+    w = np.repeat(np.concatenate(weights), 2)
+    w[w < FLOOR] = 0.0
+    return np.concatenate(lefts), np.concatenate(rights), w
 
 
 def full_band_run_scheme(config, j):
-    """``depolsim.temporal.run_scheme`` with the full-band trace-out."""
-    with mock.patch.object(temporal, "_trace_out", full_band_trace_out):
-        return temporal.run_scheme(config, j)
+    """``depolsim.temporal.run_scheme`` with the full-band plan, on an emptied plan memo and no held channel,
+    both emptied again after the call so that no full-band plan or channel outlives it."""
+    with mock.patch.object(temporal, "_band_plan", full_band_plan), mock.patch.object(
+        temporal, "_last_propagation", (None, None)
+    ):
+        temporal._cached_plan.cache_clear()
+        try:
+            return temporal.run_scheme(config, j)
+        finally:
+            temporal._cached_plan.cache_clear()
 
 
-# --- the engine's former numpy forms --------------------------------------
-
-
-def former_crystal_step(amps, projectors, merges):
-    """`temporal._crystal_step` gathering the bins by advanced indexing on (T, 2, 2B, m) amplitudes."""
-    n_configs = amps.shape[0]
-    bins, order, starts = next(merges)
-    n_bins = (len(bins) if order is None else len(order)) // 2
-    m = amps.shape[2] // n_bins
-    merged = (projectors @ amps.reshape(n_configs, 2, n_bins * m)).reshape(-1, 2, 2 * n_bins, m)
-    if order is not None:
-        merged = np.add.reduceat(merged[:, :, order], starts, axis=2)
-    return bins, merged.reshape(len(merged), 2, -1)
-
-
-def former_trace_out(bins, a, gamma, band):
-    """`temporal._trace_out` weighting the strided view of the amplitudes and summing rho out of place."""
-    at = a.transpose(0, 2, 1)
-    ac = a.conj()
-    rho = at @ ac
-    for k, w in band:
-        cross = (at[:, :, :-k] * w) @ ac[:, k:]
-        rho = rho + cross + cross.conj().transpose(0, 2, 1)
-    return (rho + rho.conj().transpose(0, 2, 1)) / 2.0
+# --- the library's former numpy forms --------------------------------------
 
 
 def former_affine_from_stokes(stokes):
@@ -204,14 +183,14 @@ def former_stokes_to_density(s):
 
 
 def former_forms():
-    """A context manager patching the former forms of the crystal step, the trace-out, the Stokes map and the
-    Stokes read-out into the engine (`channels` binds `stokes_from_density` at import, so it is patched there too)."""
+    """A context manager patching the former forms of the Stokes map, the Stokes read-out and the density matrix
+    of a Stokes vector into the library, in every module that binds them at import."""
     stack = contextlib.ExitStack()
-    stack.enter_context(mock.patch.object(temporal, "_crystal_step", former_crystal_step))
-    stack.enter_context(mock.patch.object(temporal, "_trace_out", former_trace_out))
     stack.enter_context(mock.patch.object(channels, "_affine_from_stokes", former_affine_from_stokes))
     for module in (polarization, channels):
         stack.enter_context(mock.patch.object(module, "stokes_from_density", former_stokes_from_density))
+    for module in (polarization, tomography):
+        stack.enter_context(mock.patch.object(module, "_stokes_to_density", former_stokes_to_density))
     return stack
 
 

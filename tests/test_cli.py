@@ -4,7 +4,11 @@ import hashlib
 import io
 import json
 import math
+import os
 import pathlib
+import re
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -350,24 +354,24 @@ def test_theta_grid_cap_and_endpoint_rounding():
     assert _parse_theta_range("0:0.3:0.1") == [0.0, 0.1, 0.2, 0.30000000000000004]
 
 
-# --- byte guards: --out files pinned by sha256 ---
+# --- byte guards: --out files pinned by sha256, the same bytes on every BLAS kernel and SIMD dispatch ---
 
 PINNED_OUTPUTS = [
     (["sweep", "--scheme", "isotropic_triple", "--theta-range", "0:90:0.5", "--inputs", "h", "p", "r"],
-     "975494fe6e52d6bff7984e43d957ab62bc7b24b9319e9240505dd85d7f7a6a12"),
+     "24720de98d69481e990e25fdea116bb4cb1a0e5ca8ed1ea55b303e2ecbf504f8"),
     (["sweep", "--scheme", "scheme2", "--gamma", "0.3", "--theta-range", "0:90:0.5",
       "--inputs", "triad:0.3", "0.6,0.8,0"],
-     "227e3923d3fc1c11b6a8c3f9838a41575bce73789ccf1807f25711df8362cdf6"),
+     "c2832c627b1bc651a98eb6597287478255b172363402b8469570494f8c512ffa"),
     (["compare", "--theta-range", "0:90:1"],
-     "d35d95886bc68709f81e405a0099867e23d675ff8c304189cede46b9e5216557"),
+     "8b481f46b6d292a020c57ed34c31a441bb4e7dc9cbf6d6cb6f5f6413aa83ce62"),
     (["map", "--scheme", "isotropic_triple", "--theta", "33.3", "--samples", "500"],
-     "07eddd7bc630006e315477d105d56c7e5c499e85b306a401d98b786dabb97341"),
+     "3a674c0a545932763ac2d268dd81a70a82353d4ca36a6d59c3f2df43f4004e6b"),
     (["map", "--scheme", "lyot", "--samples", "3"],
-     "163dcd02d59dd3cec14d0c19f8b30e27eedc041652bf6e157cc305ecd76c41b4"),
+     "c271109f831430cb5005b8d4f7ecb3083b0c65f33e65ac8ad6c366df8d81dd6f"),
     # five plate + crystal pairs with delays 81, 27, 9, 3, 1: 32 sparse bins, whose coherent band at gamma = 0.2
     # shows in M, b and the points and stops before the half-width
     (["map", "--scheme", "schemes/chain_3k.json", "--gamma", "0.2", "--samples", "100"],
-     "a7cb7e90cf36917aac94f4fb1dca5e18eefc8011c1a3916ae6825863ec8140e7"),
+     "d7af5ae75831575b244261cb19e3df47af5ebdfb80d1a7efacacc5e811fa99cb"),
 ]
 
 TESTS_DIR = pathlib.Path(__file__).parent
@@ -385,6 +389,71 @@ def test_out_bytes_are_pinned(tmp_path, capsys, monkeypatch, argv, digest):
     code, stdout, err = run_cli(argv + ["--out", str(out)], capsys)
     assert code == 0 and stdout == "" and err == ""
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
+# the settings the pinned bytes must hold under, each applied to a fresh interpreter: two more OpenBLAS kernels,
+# the host's own, and numpy's dispatch without its AVX2 and AVX-512 targets or without its AVX-512 ones
+KERNEL_SETTINGS = [
+    ("OPENBLAS_CORETYPE=Haswell", {"OPENBLAS_CORETYPE": "Haswell"}),
+    ("OPENBLAS_CORETYPE=Prescott", {"OPENBLAS_CORETYPE": "Prescott"}),
+    ("native core", {}),
+    ('NPY_DISABLE_CPU_FEATURES="X86_V3 X86_V4 AVX512_ICL AVX512_SPR"',
+     {"NPY_DISABLE_CPU_FEATURES": "X86_V3 X86_V4 AVX512_ICL AVX512_SPR"}),
+    ('NPY_DISABLE_CPU_FEATURES="X86_V4 AVX512_ICL AVX512_SPR"', {"NPY_DISABLE_CPU_FEATURES": "X86_V4 AVX512_ICL AVX512_SPR"}),
+]
+
+# runs each argv read from stdin through depolsim.cli.main into the file named by argv[1]; prints numpy's CPU
+# features once numpy has started, then the sha256 of every output
+KERNEL_RUN = """
+import hashlib, json, sys
+from numpy._core import _multiarray_umath
+print("FEATURES", json.dumps({k: bool(v) for k, v in _multiarray_umath.__cpu_features__.items()}), flush=True)
+from depolsim.cli import main
+digests = []
+for argv in json.loads(sys.stdin.read()):
+    if main(argv + ["--out", sys.argv[1]]) != 0:
+        sys.exit(1)
+    with open(sys.argv[1], "rb") as fh:
+        digests.append(hashlib.sha256(fh.read()).hexdigest())
+print("DIGESTS", json.dumps(digests))
+"""
+
+
+def run_under(variables, script, *args, stdin=""):
+    """`script` in a fresh interpreter with `variables` set, the kernel variables otherwise unset, OpenBLAS
+    reporting its core on stderr, and this checkout's depolsim first on the path."""
+    env = {k: v for k, v in os.environ.items() if k not in ("OPENBLAS_CORETYPE", "NPY_DISABLE_CPU_FEATURES")}
+    src = str(pathlib.Path(cli.__file__).resolve().parents[1])
+    env.update(variables, OPENBLAS_VERBOSE="2", OPENBLAS_NUM_THREADS="1")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-c", script, *args], input=stdin, capture_output=True, text=True, cwd=TESTS_DIR, env=env,
+        timeout=600,
+    )
+
+
+def openblas_core(stderr):
+    match = re.search(r"^Core: (\S+)", stderr, re.MULTILINE)
+    return match and match.group(1)
+
+
+@pytest.mark.parametrize("setting", KERNEL_SETTINGS, ids=[name for name, _ in KERNEL_SETTINGS])
+def test_pinned_outputs_hold_on_every_kernel(tmp_path, setting):
+    name, variables = setting
+    proc = run_under(variables, KERNEL_RUN, str(tmp_path / "out"), stdin=json.dumps([a for a, _ in PINNED_OUTPUTS]))
+    report = dict(line.split(" ", 1) for line in proc.stdout.splitlines() if " " in line)
+    if "FEATURES" not in report:
+        pytest.skip(f"{name}: numpy does not start under it: {proc.stderr.strip()[-300:]}")
+    if "OPENBLAS_CORETYPE" in variables:
+        core, native = openblas_core(proc.stderr), openblas_core(run_under({}, "import numpy").stderr)
+        if core is None or (core == native and core.lower() != variables["OPENBLAS_CORETYPE"].lower()):
+            pytest.skip(f"{name}: OpenBLAS here does not take it (core {core}, natively {native})")
+    if "NPY_DISABLE_CPU_FEATURES" in variables:
+        features = json.loads(report["FEATURES"])
+        if any(features.get(f, True) for f in variables["NPY_DISABLE_CPU_FEATURES"].split()):
+            pytest.skip(f"{name}: numpy here does not know, or does not turn off, every feature named")
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(report["DIGESTS"]) == [digest for _, digest in PINNED_OUTPUTS]
 
 
 def test_chunked_grids_match_one_batch(tmp_path, capsys, monkeypatch):
@@ -452,7 +521,7 @@ def test_map_with_non_finite_channel_or_points_exits_2(tmp_path, capsys, monkeyp
 def reference_map_text(scheme, theta, samples, config):
     """The map document as one json.dumps call renders it, points included."""
     channel = extract_channel(config)
-    points = fibonacci_sphere(samples) @ channel.m.T + channel.b
+    points = np.einsum("nj,ij->ni", fibonacci_sphere(samples), channel.m) + channel.b
     report = {
         "scheme": scheme,
         "theta_deg": theta,

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from depolsim import polarization, temporal
+from depolsim import measurement, polarization, temporal, tomography
 from depolsim.channels import SCHEME_NAMES, affine_from_outputs, build_scheme, extract_channel
 from depolsim.polarization import (
     JONES_H,
@@ -545,7 +545,7 @@ def test_band_stop_keeps_every_output_bit(config):
     assert np.array_equal(bits(run_scheme(config, ALL_INPUTS)), bits(expected))
 
 
-# --- the engine's numpy forms against its former ones, which do the same floating-point operations ---
+# --- the library's numpy forms against its former ones, which do the same floating-point operations ---
 
 # signed and exact zeros zero projector entries and amplitudes; 1 to 4 interleave, 3**k spread the bins
 former_angles = st.sampled_from([0.0, -0.0, 45.0, 90.0]) | st.floats(-180.0, 180.0, allow_nan=False)
@@ -566,8 +566,8 @@ def former_form_schemes(draw):
 
 
 def engine_outputs(spec, gamma):
-    """Every consumer of the crystal step, the trace-out, the Stokes map and the Stokes read-out, on new config
-    objects; the read-out through the polarization module, where the former forms patch it."""
+    """Every consumer of the Stokes map, the Stokes read-out and the density matrix of a Stokes vector, on the
+    outputs of new config objects; the read-out through the polarization module, where the former forms patch it."""
     n_configs = len(spec[0][1])
     batch = SchemeConfig(tuple(OpticalElement(k, np.array(a), d) for k, a, d in spec), coherence=gamma)
     rhos = [run_scheme(batch, ALL_INPUTS)]
@@ -577,15 +577,15 @@ def engine_outputs(spec, gamma):
         config = SchemeConfig(elements, coherence=gamma)
         channel = extract_channel(config)
         rhos += [run_scheme(config, JONES_P), run_scheme(config, ALL_INPUTS)]
-        outputs += kraus_operators(config)
         assert channel.m.flags.c_contiguous
-        outputs += [channel.m, channel.b]
+        outputs += [channel.m, channel.b, tomography.qst_mle(measurement.sample_counts(rhos[-2], 10**4, 0, exact=True))]
         state = temporal.initial_state(JONES_R)
         for element in elements:
             state = temporal.apply_element(state, element)
-        outputs += [np.array(list(state)), np.array(list(state.values()))]
         rhos += [temporal.collapse(state), temporal.collapse_with_coherence(state, gamma)]
-    outputs += rhos + [polarization.stokes_from_density(rho) for rho in rhos] + [polarization.dop(rho) for rho in rhos]
+    stokes = [polarization.stokes_from_density(rho) for rho in rhos]
+    outputs += rhos + stokes + [polarization.dop(rho) for rho in rhos]
+    outputs += [polarization.density_from_stokes(v) for s in stokes[1:] for v in s.reshape(-1, 3)]
     return [np.ascontiguousarray(x).tobytes() for x in outputs]
 
 
@@ -641,7 +641,7 @@ def test_the_plan_memo_stays_below_16_mb():
     for n_crystals in range(1, 11):
         delays = tuple(2**k for k in reversed(range(n_crystals)))
         n_bins = 2**n_crystals
-        reach = min(n_bins - 1, temporal._BAND_CACHE_WEIGHTS // n_bins)
+        reach = min(n_bins - 1, temporal._BAND_CACHE_PAIRS // n_bins)
         gamma = 2.0 ** (-60.0 / ((reach - 1) ** 2 + 0.5))  # the gamma whose half-width is `reach`
         assert temporal._band_halfwidth(gamma) == reach
         temporal._cached_plan.cache_clear()
@@ -649,7 +649,8 @@ def test_the_plan_memo_stays_below_16_mb():
         assert temporal._cached_plan.cache_info().currsize == 1  # the gate admits it
         merges, band = entry = temporal._cached_plan(delays, gamma)
         assert len(merges[-1][0]) == n_bins and all(order is not None for _, order, _ in merges[1:])
-        assert [k for k, _ in band] == list(range(1, reach + 1))
+        left, right, _ = band
+        assert np.unique(right - left).tolist() == list(range(1, reach + 1))
         # the key and the cache's link record [prev, next, key, result] count too
         size = held_bytes(entry) + held_bytes(delays) + sys.getsizeof(gamma) + 2 * sys.getsizeof([None] * 4)
         worst = max(worst, size)
@@ -712,7 +713,7 @@ def test_a_scheme_over_max_bins_raises_the_same_error_with_and_without_the_memo(
     assert temporal._cached_plan.cache_info().currsize == 0
 
 
-# --- past 10 crystals, past 4096 band weights or with the cap at 0, a plan is built without the memo ---
+# --- past 10 crystals, past 2048 band pairs or with the cap at 0, a plan is built without the memo ---
 
 
 def test_uncached_merge_plans_keep_every_output_bit(monkeypatch):
@@ -728,7 +729,7 @@ def test_uncached_merge_plans_keep_every_output_bit(monkeypatch):
     before = lookups()
     cached = [run_scheme(config, ALL_INPUTS) for config in configs]
     # one lookup per config, but none for the 10-crystal chain: its 1024 bins at gamma = 0.2 may hold
-    # 6144 band weights, past _BAND_CACHE_WEIGHTS
+    # 6144 band pairs, past _BAND_CACHE_PAIRS
     assert lookups() - before == len(configs) - 1
     # with the cap at 0 every plan is built afresh, and the memo sees no lookup
     after = lookups()
@@ -738,12 +739,14 @@ def test_uncached_merge_plans_keep_every_output_bit(monkeypatch):
     assert lookups() == after
 
 
-# --- the last single propagation is held, so the probe calls of one tomography run propagate once ---
+# --- the last single config's channel is held, so the probe calls of one tomography run propagate once ---
 
 
 def memo_configs():
     configs = [build_scheme(name, 22.5, coherence=gamma) for name in SCHEME_NAMES for gamma in (0.0, 0.3)]
     configs.append(SchemeConfig(tuple(delay_chain(np.random.default_rng(26), 6)), coherence=0.2))
+    # 2048 bins: held like any other single config, as its channel is 256 bytes too
+    configs.append(SchemeConfig(tuple(delay_chain(np.random.default_rng(27), 11)), coherence=0.2))
     return configs
 
 
@@ -751,15 +754,15 @@ def probe_calls(config):
     return [run_scheme(config, probe) for probe in PROBES]
 
 
-def test_held_propagations_keep_every_output_bit(monkeypatch):
+def test_held_propagations_keep_every_output_bit():
     configs = memo_configs()
     held = [probe_calls(config) for config in configs]
     # A, B, A: a config that comes back after another one is propagated again, not read from a stale entry
     interleaved = [probe_calls(config) for pair in zip(configs, configs[1:]) for config in pair]
-    monkeypatch.setattr(temporal, "_PLAN_CACHE_BINS", 0)
-    uncached = [probe_calls(config) for config in configs]
-    assert np.array_equal(bits(held), bits(uncached))
-    assert np.array_equal(bits(interleaved), bits([uncached[i] for k in range(len(configs) - 1) for i in (k, k + 1)]))
+    # a new config object per call is never held: every call propagates and traces out time afresh
+    fresh = [[run_scheme(SchemeConfig(c.elements, c.coherence), probe) for probe in PROBES] for c in configs]
+    assert np.array_equal(bits(held), bits(fresh))
+    assert np.array_equal(bits(interleaved), bits([fresh[i] for k in range(len(configs) - 1) for i in (k, k + 1)]))
 
 
 def test_only_the_first_probe_call_propagates(monkeypatch):
@@ -774,49 +777,53 @@ def test_only_the_first_probe_call_propagates(monkeypatch):
         return sum(e.kind == temporal.CRYSTAL for e in config.elements)
 
     monkeypatch.setattr(temporal, "_crystal_step", counting_step)
-    for config in memo_configs():
+    configs = memo_configs()
+    for config in configs:
         steps.clear()
         probe_calls(config)
         assert len(steps) == n_crystals(config)  # one propagation: one step per crystal
-    # with the cap at 0 the memo is off: every call propagates, the held config included, and nothing new is held
-    assert temporal._last_propagation[0] is config
-    monkeypatch.setattr(temporal, "_PLAN_CACHE_BINS", 0)
-    for config in (config, memo_configs()[0]):
-        steps.clear()
-        probe_calls(config)
-        assert len(steps) == len(PROBES) * n_crystals(config)
-    assert temporal._last_propagation[0] is not config
+        # kraus_operators propagates afresh, whatever is held
+        kraus_operators(config)
+        assert len(steps) == 2 * n_crystals(config)
+    # one config is held at a time: calls that alternate between two configs propagate every time
+    first, second = configs[:2]
+    steps.clear()
+    for probe in PROBES:
+        run_scheme(first, probe)
+        run_scheme(second, probe)
+    assert len(steps) == len(PROBES) * (n_crystals(first) + n_crystals(second))
 
 
 def test_the_memo_holds_one_read_only_single_config():
     config = build_scheme("isotropic_triple", 30.0)
     run_scheme(config, JONES_H)
-    held, bins, amps, band = temporal._last_propagation
-    assert held is config and len(bins) == 27 and band == ()  # no band at gamma = 0
-    assert not amps.flags.writeable and not bins.flags.writeable
+    held, s = temporal._last_propagation
+    assert held is config and s.shape == (1, 4, 4) and s.nbytes == 256
+    assert not s.flags.writeable
     with pytest.raises(ValueError, match="read-only"):
-        amps[...] = 0.0
-    # a batch, and a config on more than _PLAN_CACHE_BINS bins, are never held; the last single config stays
-    batch = build_scheme("isotropic_triple", np.array(BATCH_THETAS))
+        s[...] = 0.0
+    # a batch is never held; the last single config stays
+    run_scheme(build_scheme("isotropic_triple", np.array(BATCH_THETAS)), ALL_INPUTS)
+    assert temporal._last_propagation[0] is config
+    # a single config on more than 1024 bins is held too
     wide = SchemeConfig(tuple(delay_chain(np.random.default_rng(27), 11)))
-    for other in (batch, wide):
-        run_scheme(other, ALL_INPUTS)
-        assert temporal._last_propagation[0] is config
-    assert len(kraus_operators(wide)[0]) > temporal._PLAN_CACHE_BINS
+    run_scheme(wide, ALL_INPUTS)
+    assert temporal._last_propagation[0] is wide and len(kraus_operators(wide)[0]) == 2048
     # the next single config replaces it: one config at most
     other = build_scheme("scheme1", 30.0)
     run_scheme(other, JONES_H)
-    assert temporal._last_propagation[0] is other and len(temporal._last_propagation) == 4
+    assert temporal._last_propagation[0] is other and len(temporal._last_propagation) == 2
 
 
 def test_kraus_operators_are_fresh_and_writable():
-    # plates only: the single bin's operator is already contiguous, so a view would share the held amplitudes
+    # plates only: the single bin's operator is already contiguous, so a view could share the amplitudes
     for config in (SchemeConfig((half_wave(10.0), quarter_wave(30.0))), build_scheme("scheme1", 30.0, coherence=0.3)):
         expected = run_scheme(config, ALL_INPUTS)
         bins, ops = kraus_operators(config)
-        held_amps = temporal._last_propagation[2]
+        again = kraus_operators(config)
         assert bins.flags.writeable and ops.flags.writeable
-        assert not np.shares_memory(ops, held_amps) and not np.shares_memory(bins, temporal._last_propagation[1])
+        assert not np.shares_memory(ops, again[1]) and not np.shares_memory(bins, again[0])
         ops[...] = 7.0
         bins[...] = 5
+        assert np.array_equal(bits(kraus_operators(config)[1]), bits(again[1]))
         assert np.array_equal(bits(run_scheme(config, ALL_INPUTS)), bits(expected))

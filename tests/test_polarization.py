@@ -147,6 +147,32 @@ def test_jones_from_stokes_round_trip():
         jones_from_stokes([0.5, 0.0, 0.0])
 
 
+def eigh_jones_from_stokes(s):
+    """The former form of jones_from_stokes: the top eigenvector of rho(s / |s|), its largest component made real
+    and positive."""
+    s = np.asarray(s, dtype=float)
+    vals, vecs = np.linalg.eigh(density_from_stokes(s / np.linalg.norm(s)))
+    j = vecs[:, np.argmax(vals)]
+    return j * np.exp(-1j * np.angle(j[int(np.argmax(np.abs(j)))]))
+
+
+def test_jones_from_stokes_matches_the_eigh_form():
+    rng = np.random.default_rng(47)
+    vectors = rng.normal(size=(2000, 3))
+    vectors /= np.linalg.norm(vectors, axis=1, keepdims=True)
+    # the poles, and vectors off unit length within the tolerance
+    vectors = np.vstack([vectors, [[1.0, 0.0, 0.0], [-1.0, 0.0, 0.0]], vectors[:100] * (1.0 + 1e-7)])
+    for s in vectors:
+        assert np.abs(jones_from_stokes(s) - eigh_jones_from_stokes(s)).max() <= 1e-15, s
+    # on a tie the h component is the real positive one; past the tolerance, or not finite, is no pure state
+    for s, expected in (([0.0, 0.0, 1.0], JONES_R), ([0.0, -1.0, 0.0], JONES_M * -1.0)):
+        j = jones_from_stokes(s)
+        assert j[0].imag == 0.0 and j[0].real > 0.0 and np.abs(j - expected).max() <= 1e-15
+    for bad in ([1.0 + 2e-6, 0.0, 0.0], [np.nan, 0.0, 1.0], [1e200, 1e200, 0.0], [0.0, np.inf, 0.0]):
+        with pytest.raises(ValueError, match="pure"):
+            jones_from_stokes(bad)
+
+
 def test_stokes_to_density_keeps_the_bits_of_the_matrix_sum():
     # signed zeros and subnormals are where building the four entries could differ from the sum of matrices
     grid = [0.0, -0.0, 1.0, -1.0, 5e-324, -5e-324, 1e-310, -1e-310, 2.0**-1074 * 3, 0.5, -0.25]
