@@ -34,8 +34,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .polarization import JONES_STATES, stokes_from_density
-from .temporal import SchemeConfig, _check_single, crystal, half_wave, quarter_wave, run_scheme
+from .polarization import CHOI_TO_PTM, OUTPUTS_TO_CHOI
+from .temporal import SchemeConfig, _check_single, _choi, crystal, half_wave, quarter_wave
 
 SCHEME_NAMES = (
     "scheme1",
@@ -155,34 +155,29 @@ def build_scheme(kind: str, angle_deg: float | np.ndarray | None = None, coheren
     return SchemeConfig(elements, coherence=coherence)
 
 
-def affine_from_outputs(rho_h, rho_v, rho_p, rho_r) -> StokesChannel:
-    """Affine Stokes map of a channel from its action on the h, v, p, r inputs.
-
-    The h/v pair fixes the offset b and the S1 column; the p and r
-    outputs give the S2 and S3 columns.  Linearity of the channel in rho
-    makes four inputs sufficient.
-    """
-    return _affine_from_stokes(stokes_from_density(np.array((rho_h, rho_v, rho_p, rho_r), dtype=complex)))
-
-
-def _affine_from_stokes(stokes: np.ndarray) -> StokesChannel:
-    """`affine_from_outputs` from the (4, 3) Stokes vectors of the h, v, p, r outputs."""
-    b = (stokes[0] + stokes[1]) / 2.0
-    # the columns of m are the h, p and r outputs less b, written C-contiguous by one subtraction
-    m = np.subtract(stokes.take((0, 2, 3), axis=0).T, b[:, None], order="C")
-    return StokesChannel(m, b)
-
-
 # the four inputs whose outputs fix a qubit channel, in the argument order of
 # `affine_from_outputs` and `tomography.qpt`
 PROBE_LABELS = ("h", "v", "p", "r")
-_PROBES = np.column_stack([JONES_STATES[lbl] for lbl in PROBE_LABELS])
+
+
+def _affine_from_choi(s: np.ndarray) -> StokesChannel:
+    """The Stokes map b = R[1:, 0], M = R[1:, 1:] of the Pauli transfer matrix R of a C-contiguous Choi matrix."""
+    r = np.einsum("ijxy,xy->ij", CHOI_TO_PTM, s.view(float))
+    return StokesChannel(np.ascontiguousarray(r[1:, 1:]), r[1:, 0])
+
+
+def affine_from_outputs(rho_h, rho_v, rho_p, rho_r) -> StokesChannel:
+    """Affine Stokes map of a channel from its outputs for the h, v, p, r inputs, which fix it by linearity."""
+    outputs = np.array((rho_h, rho_v, rho_p, rho_r), dtype=complex)
+    if outputs.shape != (4, 2, 2):
+        raise ValueError(f"affine_from_outputs needs four 2x2 output states, got shape {outputs.shape}")
+    return _affine_from_choi(np.einsum("xykac,kac->xy", OUTPUTS_TO_CHOI, outputs))
 
 
 def extract_channel(config: SchemeConfig) -> StokesChannel:
-    """Affine Stokes map of a single scheme: its h, v, p, r outputs from one propagation."""
+    """Affine Stokes map of a single scheme, read from its Choi matrix."""
     _check_single(config.batch, "extract_channel")
-    return _affine_from_stokes(stokes_from_density(run_scheme(config, _PROBES)))
+    return _affine_from_choi(_choi(config)[0])
 
 
 def analytic_scheme2_dop(theta_deg: float, s1: float) -> float:

@@ -27,7 +27,6 @@ import warnings
 import numpy as np
 
 from .channels import (
-    _PROBES,
     PROBE_LABELS,
     SCHEME_NAMES,
     build_scheme,
@@ -37,8 +36,8 @@ from .channels import (
 )
 from .measurement import sample_counts
 from .polarization import JONES_STATES, dop, jones_from_stokes, stokes_from_density
-from .temporal import SchemeConfig, run_scheme
-from .tomography import process_fidelity, qpt, qst_mle
+from .temporal import SchemeConfig, _choi, run_scheme
+from .tomography import _chi_from_choi, process_fidelity, qpt, qst_mle
 
 # largest theta grid and largest sphere sample count a command accepts
 MAX_POINTS = 1_000_000
@@ -53,6 +52,9 @@ THETA_CHUNK = 1024
 # sphere points map formats into one piece of its JSON; bounds the text held at once (map --samples 1000000
 # peaked at 326 MB with its points as one ~94 MB string, 100 MB in pieces of 8192)
 POINTS_CHUNK = 8192
+
+# the h, v, p, r probe inputs of `tomo`, as the columns of one stack
+_PROBES = np.column_stack([JONES_STATES[lbl] for lbl in PROBE_LABELS])
 
 
 class CliError(Exception):
@@ -219,8 +221,8 @@ def cmd_map(args):
 
 def cmd_tomo(args):
     config = _load_scheme(args.scheme, args.theta, args.gamma)
+    chi_theory = _chi_from_choi(_choi(config)[0])
     true_outputs = run_scheme(config, _PROBES)
-    chi_theory = qpt(*true_outputs)
     reconstructed = [
         qst_mle(sample_counts(rho, args.shots, args.seed + i, exact=args.exact)) for i, rho in enumerate(true_outputs)
     ]

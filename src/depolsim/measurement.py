@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .polarization import IDENTITY, SIGMAS
+from .polarization import IDENTITY, SIGMAS, _as_integer
 
 DEFAULT_SETTINGS = ("h", "v", "p", "m", "r", "l")
 
@@ -28,28 +28,6 @@ SETTING_PAIRS = (("h", "v"), ("p", "m"), ("r", "l"))
 # label -> (Stokes axis, eigenvalue); projector is (I + sign * SIGMA_axis) / 2,
 # exactly the rank-1 projector onto the named basis state
 _LABEL_AXIS = {label: (axis, sign) for axis, pair in enumerate(SETTING_PAIRS) for label, sign in zip(pair, (1, -1))}
-
-
-def _as_shots(value) -> int:
-    """`value` as an int shot count >= 1; a non-integral, non-finite or non-number value raises ValueError."""
-    try:
-        shots = int(value)
-    except (TypeError, ValueError, OverflowError):
-        shots = None
-    if shots is None or shots != value or shots < 1:
-        raise ValueError(f"shots must be an integer >= 1, got {value!r}")
-    return shots
-
-
-def _as_seed(value) -> int:
-    """`value` as an int seed >= 0; a non-integral, non-finite or non-number value raises ValueError."""
-    try:
-        seed = int(value)
-    except (TypeError, ValueError, OverflowError):
-        seed = None
-    if seed is None or seed != value or seed < 0:
-        raise ValueError(f"seed must be an integer >= 0, got {value!r}")
-    return seed
 
 
 def _as_counts(values) -> np.ndarray:
@@ -70,7 +48,8 @@ def _as_counts(values) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class MeasurementRecord:
-    """Raw counts of the six projector settings, each label exactly once in any order."""
+    """Raw counts of the six projector settings, each label exactly once in any order, with integral shots >= 1
+    and seed >= 0, as `sample_counts` takes them."""
 
     settings: tuple[str, ...]
     counts: np.ndarray
@@ -92,7 +71,8 @@ class MeasurementRecord:
         if counts.min() < 0:
             raise ValueError("counts must be non-negative")
         object.__setattr__(self, "counts", counts)
-        object.__setattr__(self, "shots", _as_shots(self.shots))
+        object.__setattr__(self, "shots", _as_integer(self.shots, "shots", 1))
+        object.__setattr__(self, "seed", _as_integer(self.seed, "seed", 0))
 
     def count(self, label: str) -> int:
         """Counts of the setting `label`."""
@@ -108,9 +88,13 @@ class MeasurementRecord:
 
     @classmethod
     def from_json(cls, data) -> "MeasurementRecord":
-        if isinstance(data, str):
-            data = json.loads(data)
-        return cls(tuple(data["settings"]), np.array(data["counts"]), data["shots"], int(data["seed"]))
+        """Parse the JSON form, given as text or as a decoded dict; a malformed document raises ValueError."""
+        try:
+            if isinstance(data, str):
+                data = json.loads(data)
+            return cls(tuple(data["settings"]), np.array(data["counts"]), data["shots"], data["seed"])
+        except (KeyError, TypeError, AttributeError, OverflowError, RecursionError) as exc:
+            raise ValueError(f"malformed measurement record JSON ({type(exc).__name__}: {exc})") from None
 
 
 def projector(label: str) -> np.ndarray:
@@ -143,7 +127,7 @@ def sample_counts(rho, shots: int, seed: int, exact: bool = False) -> Measuremen
     an integer >= 0 (in either mode), if `rho` is not finite, or if a mean
     count shots * p_j does not fit in int64.
     """
-    shots, seed = _as_shots(shots), _as_seed(seed)
+    shots, seed = _as_integer(shots, "shots", 1), _as_integer(seed, "seed", 0)
     rho = np.asarray(rho, dtype=complex)
     if not all(map(cmath.isfinite, rho.ravel().tolist())):
         raise ValueError(f"the state rho must be finite, got {rho!r}")

@@ -56,6 +56,40 @@ SIGMAS = (SIGMA1, SIGMA2, SIGMA3)
 
 IDENTITY = np.eye(2, dtype=complex)
 
+# the operator basis (I, X, Y, Z) of chi matrices (see `depolsim.tomography`)
+CHI_BASIS = (IDENTITY, SIGMA2, SIGMA3, SIGMA1)
+
+# A qubit channel E is held as its Choi matrix S[2b + a, 2d + c] = E(|b><d|)[a, c], the layout the time-bin
+# engine writes, and every read-out is one of these constant linear maps, applied by np.einsum:
+# * CHOI_TO_PTM: S's (4, 8) float view -> the real Pauli transfer matrix R[i, j] = tr(P_i E(P_j)) / 2 over
+#   P = (I, SIGMA1, SIGMA2, SIGMA3), whose Stokes map is b = R[1:, 0], M = R[1:, 1:];
+# * CHOI_TO_CHI: S -> chi[m, n] = sum conj(E_m[a, b]) S[2b + a, 2d + c] E_n[c, d] / 4 over CHI_BASIS, so that
+#   E(rho) = sum_{m,n} chi[m, n] E_m rho E_n^dagger;
+# * OUTPUTS_TO_CHOI: the outputs rho_k of the h, v, p, r inputs -> S, by E(|b><d|) = sum_k w[k, b, d] rho_k:
+#   E(|h><h|) = rho_h, E(|v><v|) = rho_v, and with A = 2 rho_p - rho_h - rho_v and C = 2 rho_r - rho_h - rho_v,
+#   E(|h><v|) = (A + iC)/2 and E(|v><h|) = (A - iC)/2.
+_PAULIS = np.array((IDENTITY,) + SIGMAS)
+_PTM = np.einsum("ica,jbd->ijbadc", _PAULIS, _PAULIS).reshape(4, 4, 4, 4) / 2.0
+CHOI_TO_PTM = np.stack((_PTM.real, -_PTM.imag), axis=-1).reshape(4, 4, 4, 8)  # Re(k s) = Re k Re s - Im k Im s
+CHOI_TO_CHI = np.einsum("mab,ncd->mnbadc", np.conj(CHI_BASIS), CHI_BASIS).reshape(4, 4, 4, 4) / 4.0
+_W = np.array([[[1, -0.5 - 0.5j], [-0.5 + 0.5j, 0]], [[0, -0.5 - 0.5j], [-0.5 + 0.5j, 1]],  # h, v
+               [[0, 1], [1, 0]], [[0, 1j], [-1j, 0]]])  # p, r
+OUTPUTS_TO_CHOI = np.einsum("kbd,ap,cq->badckpq", _W, IDENTITY, IDENTITY).reshape(4, 4, 4, 2, 2)
+for _map in (CHOI_TO_PTM, CHOI_TO_CHI, OUTPUTS_TO_CHOI):
+    _map.flags.writeable = False
+
+
+def _as_integer(value, name: str, least: int, most: int | None = None) -> int:
+    """`value` as an int in [least, most] (no upper bound for None), else ValueError naming `name` and the range."""
+    try:
+        number = int(value)
+    except (TypeError, ValueError, OverflowError):
+        number = None
+    if number is None or number != value or number < least or (most is not None and number > most):
+        bound = f">= {least}" if most is None else f"in [{least}, {most}]"
+        raise ValueError(f"{name} must be an integer {bound}, got {value!r}")
+    return number
+
 
 def check_normalized(j: np.ndarray) -> None:
     """Raise ValueError unless |j|^2 = 1 within NORM_ATOL, for a complex Jones vector or each column of a (2, n) stack.

@@ -14,14 +14,14 @@ a Jones matrix K_t, and the induced channel is
     rho -> sum_{t,u} gamma**((t - u)**2) K_t rho K_u^dagger,
 
 which for gamma = 0 is the Kraus form rho -> sum_t K_t rho K_t^dagger
-(see `kraus_operators`).  `run_scheme` traces time out once per config,
-into the channel's 4x4 Choi matrix, and reads every output from it.
+(see `kraus_operators`).  Time is traced out once per config, into the
+4x4 Choi matrix that `run_scheme` and `channels.extract_channel` read.
 Every product is an `np.einsum`, never a BLAS call or a SIMD-dispatched
-complex multiply, so no output bit depends on the host's BLAS kernel or
-CPU features.  The dict-based functions (`initial_state`,
-`apply_crystal`, `apply_element`, `collapse`, `collapse_with_coherence`)
-track a single wave packet as {bin: (h, v) amplitude}; they are thin
-adapters over the same crystal step and the same trace-out.
+complex multiply, and every band weight a libm `pow`, so no output bit
+depends on the host's BLAS kernel or CPU features.  The dict-based
+functions (`initial_state`, `apply_crystal`, `apply_element`, `collapse`,
+`collapse_with_coherence`) track a single wave packet as {bin: (h, v)
+amplitude}; they are thin adapters over the same crystal step and trace-out.
 
 Conventions fixed here:
 
@@ -49,7 +49,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .polarization import as_jones, check_normalized
+from .polarization import _as_integer, as_jones, check_normalized
 
 # bins: map from integer bin index in [0, 2**62] to complex (h, v) amplitude
 TimeBinState = dict[int, np.ndarray]
@@ -75,6 +75,10 @@ MAX_BINS = 2**20
 # handle 8.0e6 bins in about a second)
 MAX_TOTAL_BINS = 2**23
 
+# most bin pairs the coherent band may hold: the trace-out gathers about 167 bytes per pair, 350 MB at 2**21
+# (12 crystals of delays 2**k at gamma = 0.9999 pair 2.4e6 bins, 13 of them 5.1e6)
+MAX_BAND_PAIRS = 2**21
+
 # most bit positions the up-front bin count of `_merges` may shift, a few ms of big-int work
 _COUNT_WORK = 2**24
 
@@ -89,16 +93,6 @@ _BAND_CACHE_PAIRS = 2**11
 # so that its id cannot be reused; a single config is frozen, so its S cannot change.  The entry is one
 # tuple, read and replaced whole, so a thread never sees one config with another's S.
 _last_propagation: tuple = (None, None)
-
-
-def _as_delay(value) -> int:
-    try:
-        delay = int(value)
-    except (TypeError, ValueError, OverflowError):
-        delay = None
-    if delay is None or delay != value or not 1 <= delay <= MAX_DELAY_BINS:
-        raise ValueError(f"crystal delay must be an integer in [1, {MAX_DELAY_BINS}], got {value!r}")
-    return delay
 
 
 @dataclass(frozen=True, eq=False)
@@ -131,7 +125,7 @@ class OpticalElement:
             raise ValueError(f"element angle must be a finite float or a non-empty 1-D array of them, got {angle!r}")
         object.__setattr__(self, "angle_deg", angle)
         if self.kind == CRYSTAL:
-            object.__setattr__(self, "delay_bins", _as_delay(self.delay_bins))
+            object.__setattr__(self, "delay_bins", _as_integer(self.delay_bins, "crystal delay", 1, MAX_DELAY_BINS))
         elif self.delay_bins is not None:
             raise ValueError(f"{self.kind} elements carry no delay")
         object.__setattr__(self, "_matrix", _element_matrix(self.kind, angle))
@@ -333,18 +327,29 @@ def _band_plan(bins: np.ndarray, gamma: float) -> tuple:
     left and right list the bin indices of the pairs (i, i + k) of each
     live position k in turn, stopping as `_trace_out` describes, and
     w[2p] = w[2p + 1] = gamma**(d*d), 0 below KERNEL_FLOOR, weighs the real
-    and imaginary parts of pair p at distance d.
+    and imaginary parts of pair p at distance d.  Each weight is one Python
+    float power (libm's `pow`) per distinct distance: numpy's float64
+    `power` is SIMD code whose last bit varies between CPUs.  A band of
+    more than MAX_BAND_PAIRS pairs raises ValueError before any pair array
+    is concatenated.
     """
     halfwidth = _band_halfwidth(gamma)
-    positions = []
+    positions, n_pairs = [], 0
     for k in range(1, min(halfwidth, len(bins) - 1) + 1):
         d = bins[k:] - bins[:-k]
         if d.min() > halfwidth:
             break
-        w = np.repeat(gamma ** np.square(d, dtype=float), 2)
-        w[w < KERNEL_FLOOR] = 0.0
-        positions.append((np.arange(len(d)), np.arange(k, len(bins)), w))
-    plan = tuple(np.concatenate(part) for part in zip(*positions))
+        n_pairs += len(d)
+        if n_pairs > MAX_BAND_PAIRS:
+            raise ValueError(f"scheme's coherent band at gamma = {gamma!r} holds more than {MAX_BAND_PAIRS} bin pairs")
+        positions.append((np.arange(len(d)), np.arange(k, len(bins)), d))
+    if not positions:
+        return ()
+    left, right, d = (np.concatenate(part) for part in zip(*positions))
+    distances, index = np.unique(d, return_inverse=True)
+    w = np.array([gamma ** float(x * x) for x in distances.tolist()])
+    w[w < KERNEL_FLOOR] = 0.0
+    plan = left, right, np.repeat(w.take(index), 2)
     for array in plan:
         array.flags.writeable = False
     return plan
@@ -497,6 +502,21 @@ def kraus_operators(config: SchemeConfig) -> tuple[np.ndarray, np.ndarray]:
     return bins.copy(), amps[0].transpose(2, 1, 0).copy()
 
 
+def _choi(config: SchemeConfig) -> np.ndarray:
+    """The (T, 4, 4) Choi matrices S[t, 2c + r, 2q + p] = sum_{k,l} w(bins[k] - bins[l]) K_k[r, c] conj(K_l[p, q])
+    of the T = `config.batch` (or 1) configs, from one propagation; a single config's S is read-only and held
+    (see `_last_propagation`), so the next call on the same config object returns it."""
+    global _last_propagation
+    held, s = _last_propagation
+    if config is not held:
+        bins, amps, band = _propagate(config)
+        s = _trace_out(amps.reshape(len(amps), 4, len(bins)), band)
+        if config.batch is None:
+            s.flags.writeable = False
+            _last_propagation = (config, s)
+    return s
+
+
 def run_scheme(config: SchemeConfig, j) -> np.ndarray:
     """Propagate pure inputs through the element list and trace out time.
 
@@ -507,15 +527,12 @@ def run_scheme(config: SchemeConfig, j) -> np.ndarray:
 
     The whole batch is propagated at once (see `kraus_operators`) on
     bins that depend on the delays only, and time is traced out once per
-    config, into the Choi matrix S[t, 2c + r, 2q + p] =
-    sum_{k,l} w(bins[k] - bins[l]) K_k[r, c] conj(K_l[p, q]), held for a
-    single config (see `_last_propagation`).  Each output is
+    config, into the Choi matrix S of `_choi`.  Each output is
     rho[a, c] = sum_{b,d} S[2b + a, 2d + c] j_b conj(j_d), averaged with its
     conjugate transpose, so it is bit-identical to the single call on its
     angles.  Bin pairs whose weight gamma**(d*d) is below 2**-60 are
     dropped, which moves the output by at most B * 2**-60 for B bins.
     """
-    global _last_propagation
     j = np.asarray(j, dtype=complex)
     if j.ndim == 1:
         cols = as_jones(j)[:, None]
@@ -524,14 +541,7 @@ def run_scheme(config: SchemeConfig, j) -> np.ndarray:
         cols = j
     else:
         raise ValueError(f"inputs must be a Jones vector or a (2, n) stack of them, got shape {j.shape}")
-    held, s = _last_propagation
-    if config is not held:
-        bins, amps, band = _propagate(config)
-        s = _trace_out(amps.reshape(len(amps), 4, len(bins)), band)
-        if config.batch is None:
-            s.flags.writeable = False
-            _last_propagation = (config, s)
-    rho = np.einsum("tbadc,bn,dn->tnac", s.reshape(-1, 2, 2, 2, 2), cols, cols.conj())
+    rho = np.einsum("tbadc,bn,dn->tnac", _choi(config).reshape(-1, 2, 2, 2, 2), cols, cols.conj())
     rho = (rho + rho.conj().transpose(0, 1, 3, 2)) / 2.0
     if j.ndim == 1:
         rho = rho[:, 0]

@@ -40,9 +40,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .measurement import SETTING_PAIRS, MeasurementRecord
-from .polarization import IDENTITY, PSD_ATOL, SIGMA1, SIGMA2, SIGMA3, _stokes_to_density, state_fidelity
+from .polarization import CHI_BASIS, CHOI_TO_CHI, IDENTITY, OUTPUTS_TO_CHOI, PSD_ATOL, _stokes_to_density
+from .polarization import state_fidelity
 
-CHI_BASIS = (IDENTITY, SIGMA2, SIGMA3, SIGMA1)
 CHI_BASIS_LABELS = ("I", "X", "Y", "Z")
 
 
@@ -316,38 +316,20 @@ def qst_mle(record: MeasurementRecord) -> np.ndarray:
 # --- process tomography ------------------------------------------------
 
 
-def _outputs_to_chi() -> np.ndarray:
-    """The linear map from the (h, v, p, r) outputs to the raw chi matrix, as a (16, 16) matrix.
-
-    The outputs give the channel images of I, X, Y and Z by linearity;
-    the superoperator on column-stacked matrices is S = [vec images]
-    inv([vec basis]), and chi[m, n] = tr(kron(conj(E_n), E_m)^dag S) / 4.
-    Folding those constant factors leaves one product per call.
-    """
-    # rows I, X, Y, Z of the images in terms of the outputs h, v, p, r
-    images_from_outputs = np.array([[1, 1, 0, 0], [-1, -1, 2, 0], [-1, -1, 0, 2], [1, -1, 0, 0]], dtype=float)
-    basis_cols = np.column_stack([b.flatten(order="F") for b in CHI_BASIS])
-    basis_inv = np.linalg.inv(basis_cols)
-    pauli_pairs = np.array([[np.kron(en.conj(), em) for en in CHI_BASIS] for em in CHI_BASIS])
-    # pauli_pairs[m, n, i, j] with i = row + 2 col of the column-stacked vec: split i into (col, row)
-    pairs = pauli_pairs.conj().reshape(4, 4, 2, 2, 4) / 4.0
-    tensor = np.einsum("mncrj,qj,qk->mnkrc", pairs, basis_inv, images_from_outputs)
-    return tensor.reshape(16, 16)
-
-
-_CHI_FROM_OUTPUTS = _outputs_to_chi()
+# the (h, v, p, r) outputs -> chi: the outputs' Choi matrix (OUTPUTS_TO_CHOI), read as chi (CHOI_TO_CHI)
+_CHI_FROM_OUTPUTS = np.einsum("mnxy,xykac->mnkac", CHOI_TO_CHI, OUTPUTS_TO_CHOI)
 _CHI_FROM_OUTPUTS.flags.writeable = False
 
 
-def _chi_tp_map() -> np.ndarray:
-    """vec chi -> vec sum_{m,n} chi[m,n] E_n^dag E_m, as a (16, 4) matrix on the flattened chi."""
-    basis = np.array(CHI_BASIS)
-    # [m, n, i, l] = (E_n^dag E_m)[i, l]
-    return np.einsum("nji,mjl->mnil", basis.conj(), basis).reshape(16, 4)
-
-
-_CHI_TP = _chi_tp_map()
+# vec chi -> vec sum_{m,n} chi[m,n] E_n^dag E_m on the flattened chi, [m, n, i, l] = (E_n^dag E_m)[i, l]
+_CHI_TP = np.einsum("nji,mjl->mnil", np.conj(CHI_BASIS), CHI_BASIS).reshape(16, 4)
 _CHI_TP.flags.writeable = False
+
+
+def _chi_from_choi(s: np.ndarray) -> ChiMatrix:
+    """The chi matrix of a channel's Choi matrix, Hermitian-averaged: PSD as S is, so nothing is clipped."""
+    chi = np.einsum("mnxy,xy->mn", CHOI_TO_CHI, s)
+    return ChiMatrix((chi + chi.conj().T) / 2.0)
 
 
 def _chi_matrix(chi) -> np.ndarray:
@@ -357,10 +339,9 @@ def _chi_matrix(chi) -> np.ndarray:
 def qpt(rho_h, rho_v, rho_p, rho_r) -> ChiMatrix:
     """Process matrix from the channel outputs for the h, v, p, r inputs.
 
-    Linearity turns the four outputs into the channel images of I, X, Y
-    and Z, which fix the superoperator; chi follows by projecting onto
-    the Pauli product basis.  Both steps are constant linear maps, folded
-    at import into one (16, 16) matrix applied to the stacked outputs.
+    Linearity turns the four outputs into the channel's Choi matrix, and
+    chi is a constant linear map of that; the two maps are folded at
+    import into one, applied to the stacked outputs by `np.einsum`.
     The raw solution is then projected onto the completely positive cone
     (negative eigenvalues clipped, trace renormalized to 1) and the
     clipped mass is kept as a quality diagnostic; more than 0.1 of
@@ -369,7 +350,7 @@ def qpt(rho_h, rho_v, rho_p, rho_r) -> ChiMatrix:
     outputs = np.array((rho_h, rho_v, rho_p, rho_r), dtype=complex)
     if outputs.shape != (4, 2, 2):
         raise ValueError(f"qpt needs four 2x2 output states, got shape {outputs.shape}")
-    chi = (_CHI_FROM_OUTPUTS @ outputs.reshape(16)).reshape(4, 4)
+    chi = np.einsum("mnkac,kac->mn", _CHI_FROM_OUTPUTS, outputs)
     chi = (chi + chi.conj().T) / 2.0
 
     vals, vecs = np.linalg.eigh(chi)

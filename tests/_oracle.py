@@ -15,12 +15,17 @@ merging of equal bins, no Kraus operators and no banded contraction.
 
 Full band.  ``full_band_plan`` is the engine's band plan without its
 early stop: it lists the pairs of every position k up to
-min(half-width, B - 1), with weights floored at 2**-60.  Patched in for
-``depolsim.temporal._band_plan``, it gives the output the engine must
-match bit for bit.
+min(half-width, B - 1), with one Python float power per pair, floored
+at 2**-60.  Patched in for ``depolsim.temporal._band_plan``, it gives
+the output the engine must match bit for bit.
 
-Former forms.  ``former_affine_from_stokes`` builds the Stokes map with
-``np.column_stack``.  ``former_stokes_from_density`` reads the Stokes
+Probe channel.  ``probe_channel`` is the Stokes map as it was read
+before the Choi maps: from the Stokes vectors of the h, v, p, r outputs
+of ``run_scheme``, b = (s_h + s_v)/2 and the columns s_h - b, s_p - b,
+s_r - b.  ``former_outputs_to_chi`` is the former outputs -> chi matrix
+of ``qpt``, through the superoperator, ``np.linalg.inv`` and ``np.kron``.
+
+Former forms.  ``former_stokes_from_density`` reads the Stokes
 vector off the real and imaginary views with three ``out=`` ufuncs,
 where the library now makes one subtraction on the float view.
 ``former_stokes_to_density`` is the density matrix of a Stokes vector as
@@ -44,8 +49,8 @@ Chi maps.  The channel action sum_{m,n} chi[m,n] E_m rho E_n^dag and the
 trace-preservation sum sum_{m,n} chi[m,n] E_n^dag E_m are summed one
 Pauli pair at a time over the basis (I, X, Y, Z) written out here.  The
 library has no chi action, since chi is only ever computed from channel
-outputs, and ``depolsim.tomography`` folds the trace-preservation sum
-into one precomputed contraction.
+outputs or the Choi matrix, and ``depolsim.tomography`` folds the
+trace-preservation sum into one precomputed contraction.
 """
 
 import contextlib
@@ -132,10 +137,10 @@ def full_band_plan(bins, gamma):
     for k in range(1, min(band_halfwidth(gamma), len(bins) - 1) + 1):
         lefts.append(np.arange(len(bins) - k))
         rights.append(np.arange(k, len(bins)))
-        weights.append(gamma ** np.square(bins[k:] - bins[:-k], dtype=float))
+        weights.append([gamma ** float(d * d) for d in (bins[k:] - bins[:-k]).tolist()])
     if not weights:
         return ()
-    w = np.repeat(np.concatenate(weights), 2)
+    w = np.repeat(np.concatenate(weights).astype(float), 2)
     w[w < FLOOR] = 0.0
     return np.concatenate(lefts), np.concatenate(rights), w
 
@@ -153,14 +158,33 @@ def full_band_run_scheme(config, j):
             temporal._cached_plan.cache_clear()
 
 
-# --- the library's former numpy forms --------------------------------------
+# --- the channel read from probe outputs ----------------------------------
+
+# the h, v, p, r inputs as columns
+PROBES = np.array([[1.0, 0.0, 1.0, 1.0], [0.0, 1.0, 1.0, 1.0j]]) / np.sqrt([1.0, 1.0, 2.0, 2.0])
 
 
-def former_affine_from_stokes(stokes):
-    """`channels._affine_from_stokes` building m with np.column_stack."""
-    s_h, s_v, s_p, s_r = stokes
+def probe_channel(config):
+    """The Stokes map of a single config from the Stokes vectors of its h, v, p, r outputs."""
+    s_h, s_v, s_p, s_r = polarization.stokes_from_density(temporal.run_scheme(config, PROBES))
     b = (s_h + s_v) / 2.0
     return channels.StokesChannel(np.column_stack([s_h - b, s_p - b, s_r - b]), b)
+
+
+def former_outputs_to_chi():
+    """The former (16, 16) map of `qpt` from the stacked (h, v, p, r) outputs to the raw chi matrix: the images
+    of I, X, Y, Z by linearity, the superoperator S = [vec images] inv([vec basis]) on column-stacked matrices,
+    and chi[m, n] = tr(kron(conj(E_n), E_m)^dag S) / 4."""
+    images_from_outputs = np.array([[1, 1, 0, 0], [-1, -1, 2, 0], [-1, -1, 0, 2], [1, -1, 0, 0]], dtype=float)
+    basis_cols = np.column_stack([b.flatten(order="F") for b in PAULI_BASIS])
+    basis_inv = np.linalg.inv(basis_cols)
+    pauli_pairs = np.array([[np.kron(en.conj(), em) for en in PAULI_BASIS] for em in PAULI_BASIS])
+    # pauli_pairs[m, n, i, j] with i = row + 2 col of the column-stacked vec: split i into (col, row)
+    pairs = pauli_pairs.conj().reshape(4, 4, 2, 2, 4) / 4.0
+    return np.einsum("mncrj,qj,qk->mnkrc", pairs, basis_inv, images_from_outputs).reshape(16, 16)
+
+
+# --- the library's former numpy forms --------------------------------------
 
 
 def former_stokes_from_density(rho):
@@ -183,12 +207,10 @@ def former_stokes_to_density(s):
 
 
 def former_forms():
-    """A context manager patching the former forms of the Stokes map, the Stokes read-out and the density matrix
-    of a Stokes vector into the library, in every module that binds them at import."""
+    """A context manager patching the former forms of the Stokes read-out and the density matrix of a Stokes
+    vector into the library, in every module that binds them at import."""
     stack = contextlib.ExitStack()
-    stack.enter_context(mock.patch.object(channels, "_affine_from_stokes", former_affine_from_stokes))
-    for module in (polarization, channels):
-        stack.enter_context(mock.patch.object(module, "stokes_from_density", former_stokes_from_density))
+    stack.enter_context(mock.patch.object(polarization, "stokes_from_density", former_stokes_from_density))
     for module in (polarization, tomography):
         stack.enter_context(mock.patch.object(module, "_stokes_to_density", former_stokes_to_density))
     return stack

@@ -5,6 +5,7 @@ from depolsim.channels import (
     ISOTROPIC_POINT_DEG,
     SCHEME_NAMES,
     StokesChannel,
+    affine_from_outputs,
     analytic_scheme2_dop,
     build_scheme,
     compose,
@@ -87,6 +88,12 @@ def test_extract_channel_examples():
     ch = extract_channel(build_scheme("lyot"))
     assert np.abs(ch.m).max() < 1e-12
     assert np.abs(ch.b).max() < 1e-12
+
+
+def test_affine_from_outputs_needs_four_2x2_states():
+    for rho in (np.eye(3) / 3, np.ones(4) / 4):
+        with pytest.raises(ValueError, match="four 2x2 output states"):
+            affine_from_outputs(rho, rho, rho, rho)
 
 
 def test_extract_channel_linearity_for_all_schemes():

@@ -238,6 +238,18 @@ def test_occupied_bin_cap(monkeypatch, tmp_path, capsys):
     assert captured.out == "" and "occupied time bins" in json.loads(captured.err)["error"]
 
 
+def test_a_coherent_band_past_max_band_pairs_is_refused(tmp_path, capsys):
+    # 12 crystals of delays 2**k fill 4096 bins 1 apart, which at gamma = 0.9999 (half-width 645) would pair
+    # 2.4e6 times, about 420 MB of gathered rows: more than the 2**21 pairs of the cap
+    assert temporal._band_halfwidth(0.9999) == 645 and sum(4096 - k for k in range(1, 646)) > temporal.MAX_BAND_PAIRS
+    path = tmp_path / "chain.json"
+    path.write_text(json.dumps(SchemeConfig(tuple(crystal(10.0 * k, 2**k) for k in range(12))).to_json()))
+    assert main(["map", "--scheme", str(path), "--gamma", "0.9999", "--samples", "10"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and len(captured.err.splitlines()) == 1
+    assert f"holds more than {temporal.MAX_BAND_PAIRS} bin pairs" in json.loads(captured.err)["error"]
+
+
 def test_total_bin_cap_counts_the_bins_each_crystal_step_starts_from(monkeypatch):
     # n crystals of one delay make bins 0..n, so their steps start from 1, 2, ..., n bins: 10 in all for n = 4.
     # At delay 1000 that is 10 too, where 2**k bins per step would be 15.  Counted up front, and with the
@@ -566,7 +578,7 @@ def former_form_schemes(draw):
 
 
 def engine_outputs(spec, gamma):
-    """Every consumer of the Stokes map, the Stokes read-out and the density matrix of a Stokes vector, on the
+    """Every consumer of the Stokes read-out and the density matrix of a Stokes vector, and the Stokes map, on the
     outputs of new config objects; the read-out through the polarization module, where the former forms patch it."""
     n_configs = len(spec[0][1])
     batch = SchemeConfig(tuple(OpticalElement(k, np.array(a), d) for k, a, d in spec), coherence=gamma)
@@ -598,28 +610,85 @@ def test_former_numpy_forms_give_the_same_bytes(scheme):
     assert former == expected
 
 
-def test_a_sparse_chain_runs_only_its_live_band_positions(monkeypatch):
+# --- every channel read-out is a constant map of the one Choi matrix ---
+
+
+@st.composite
+def choi_schemes(draw):
+    """Up to 6 crystals, each after an optional wave plate, at gamma in {0, 0.2, 0.9}."""
+    elements = []
+    for _ in range(draw(st.integers(1, 6))):
+        if draw(st.booleans()):
+            elements.append(OpticalElement(draw(st.sampled_from([temporal.HWP, temporal.QWP])), draw(former_angles)))
+        elements.append(crystal(draw(former_angles), draw(former_delays)))
+    return SchemeConfig(tuple(elements), coherence=draw(st.sampled_from([0.0, 0.2, 0.9])))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(config=choi_schemes())
+def test_choi_maps_match_the_probe_outputs(config):
+    channel = extract_channel(config)
+    expected = _oracle.probe_channel(config)  # the same S: extract_channel holds it
+    outputs = run_scheme(config, _oracle.PROBES)
+    for got in (channel, affine_from_outputs(*outputs)):
+        assert np.abs(got.m - expected.m).max() <= 4.4e-16 and np.abs(got.b - expected.b).max() <= 4.4e-16
+    chi = tomography._chi_from_choi(temporal._choi(config)[0])
+    assert chi.clipped_mass == 0.0
+    assert np.abs(chi.matrix - tomography.qpt(*outputs).matrix).max() <= 1e-15
+    assert abs(np.trace(chi.matrix) - 1.0) <= 1e-15
+    assert np.linalg.eigvalsh(chi.matrix).min() >= -1e-15
+
+
+def test_choi_maps_fold_into_the_former_qpt_map():
+    assert np.array_equal(tomography._CHI_FROM_OUTPUTS.reshape(16, 16), _oracle.former_outputs_to_chi())
+
+
+def test_a_sparse_chain_runs_only_its_live_band_positions():
     # the chain's bins are at least 1, 3 and 4 apart at positions 1, 2 and 3, and at least 9 apart from
     # position 4 on, beyond the half-width 6 at gamma = 0.2
     elements = tuple(delay_chain(np.random.default_rng(25), 7))
     bins, _ = kraus_operators(SchemeConfig(elements, coherence=0.2))
     assert len(bins) == 128 and temporal._band_halfwidth(0.2) == 6
-    positions = []
+    left, right, _ = temporal._band_plan(bins, 0.2)
+    assert np.unique(right - left).tolist() == [1, 2, 3]
+    assert len(_oracle.full_band_plan(bins, 0.2)[0]) > len(left)
+
+
+def test_band_weights_are_python_float_powers():
+    # numpy's float64 power is SIMD code: under AVX-512 it rounds 0.3**4 to 0.008099999999999998, libm to 0.0081
+    assert temporal._band_plan(np.array([0, 2]), 0.3)[2].tolist() == [0.3**4.0] * 2 == [0.0081] * 2
+    for bins in ([0, 1, 2, 4, 7, 12, 20, 33, 54, 88], [0, 1, 400, 401], [0, 3, 9, 12, 27, 30, 36, 39]):
+        bins = np.array(bins)
+        for gamma in (0.2, 0.3, 0.5, 0.9, 0.99):
+            left, right, w = temporal._band_plan(bins, gamma)
+            expected = [gamma ** float(d * d) for d in (bins[right] - bins[left]).tolist()]
+            expected = [x if x >= KERNEL_FLOOR else 0.0 for x in expected]
+            assert w[::2].tolist() == expected and w[1::2].tolist() == expected
+
+
+def test_a_band_past_max_band_pairs_raises_before_it_is_built(monkeypatch):
+    # 64 bins 1 apart at gamma = 0.9 (half-width 20) hold 63 pairs at position 1, 62 more at position 2, and
+    # 1070 at all 20 positions
+    concatenated = []
 
     class RecordingNumpy:
-        """numpy, except that squaring the B - k bin distances of position k records k."""
+        """numpy, except that a concatenation is recorded."""
 
         def __getattr__(self, name):
             return getattr(np, name)
 
-        def square(self, distances, **kwargs):
-            positions.append(len(bins) - len(distances))
-            return np.square(distances, **kwargs)
+        def concatenate(self, arrays, **kwargs):
+            concatenated.append(len(arrays))
+            return np.concatenate(arrays, **kwargs)
 
     monkeypatch.setattr(temporal, "np", RecordingNumpy())
-    temporal._cached_plan.cache_clear()  # a memoized plan would square no distances
-    run_scheme(SchemeConfig(elements, coherence=0.2), JONES_P)  # a new config object: none is held
-    assert positions == [1, 2, 3]
+    monkeypatch.setattr(temporal, "MAX_BAND_PAIRS", 124)
+    with pytest.raises(ValueError, match=re.escape("at gamma = 0.9 holds more than 124 bin pairs")):
+        temporal._band_plan(np.arange(64), 0.9)
+    assert concatenated == []
+    assert temporal._band_halfwidth(0.9) == 20
+    monkeypatch.setattr(temporal, "MAX_BAND_PAIRS", 1070)
+    assert len(temporal._band_plan(np.arange(64), 0.9)[0]) == 1070 and concatenated
 
 
 # --- a propagation's plan is memoized per (crystal delays, gamma), within a stated memory bound ---
@@ -781,6 +850,7 @@ def test_only_the_first_probe_call_propagates(monkeypatch):
     for config in configs:
         steps.clear()
         probe_calls(config)
+        extract_channel(config)
         assert len(steps) == n_crystals(config)  # one propagation: one step per crystal
         # kraus_operators propagates afresh, whatever is held
         kraus_operators(config)
@@ -799,6 +869,7 @@ def test_the_memo_holds_one_read_only_single_config():
     run_scheme(config, JONES_H)
     held, s = temporal._last_propagation
     assert held is config and s.shape == (1, 4, 4) and s.nbytes == 256
+    assert temporal._choi(config) is s
     assert not s.flags.writeable
     with pytest.raises(ValueError, match="read-only"):
         s[...] = 0.0
@@ -809,10 +880,12 @@ def test_the_memo_holds_one_read_only_single_config():
     wide = SchemeConfig(tuple(delay_chain(np.random.default_rng(27), 11)))
     run_scheme(wide, ALL_INPUTS)
     assert temporal._last_propagation[0] is wide and len(kraus_operators(wide)[0]) == 2048
-    # the next single config replaces it: one config at most
+    # the next single config replaces it, whether run_scheme or extract_channel reads it: one config at most
     other = build_scheme("scheme1", 30.0)
     run_scheme(other, JONES_H)
     assert temporal._last_propagation[0] is other and len(temporal._last_propagation) == 2
+    extract_channel(config)
+    assert temporal._last_propagation[0] is config
 
 
 def test_kraus_operators_are_fresh_and_writable():

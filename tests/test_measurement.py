@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -130,6 +132,23 @@ def test_record_validation_and_json():
             MeasurementRecord.from_json({"settings": list(settings), "counts": [1] * len(settings), "shots": 10, "seed": 0})
 
 
+def test_a_malformed_record_document_raises_value_error():
+    record = {"settings": list(DEFAULT_SETTINGS), "counts": [1] * 6, "shots": 10, "seed": 0}
+    for document in (
+        {k: v for k, v in record.items() if k != "seed"},
+        {k: v for k, v in record.items() if k != "counts"},
+        {**record, "settings": 5},
+        [1],
+        "[1]",
+        "null",
+        "{",
+        5,
+    ):
+        with pytest.raises(ValueError, match="malformed measurement record JSON|Expecting"):
+            MeasurementRecord.from_json(document)
+    assert MeasurementRecord.from_json(json.dumps(record)).seed == 0
+
+
 def test_non_integral_shots_and_counts_are_rejected():
     shuffled = ("r", "v", "m", "h", "l", "p")
     rho = np.eye(2) / 2
@@ -162,6 +181,14 @@ def test_seeds_are_checked_at_the_boundary_in_both_modes():
         for seed, as_int in ((3.0, 3), (np.int64(7), 7), (np.uint64(2**63), 2**63), (2**70, 2**70), (True, 1)):
             record = sample_counts(rho, 100, seed, exact=exact)
             assert record.seed == as_int and type(record.seed) is int
+    # a record checks its seed as sample_counts does, built directly or from JSON, which no longer truncates it
+    shuffled = ("r", "v", "m", "h", "l", "p")
+    for seed in (-7, 1.5, "abc", None, [3]):
+        with pytest.raises(ValueError, match="seed must be an integer >= 0"):
+            MeasurementRecord(shuffled, np.ones(6), shots=10, seed=seed)
+        with pytest.raises(ValueError, match="seed must be an integer >= 0"):
+            MeasurementRecord.from_json({"settings": list(shuffled), "counts": [1] * 6, "shots": 10, "seed": seed})
+    assert MeasurementRecord(shuffled, np.ones(6), shots=10, seed=np.int64(7)).seed == 7
     # a valid seed draws PCG64's stream of that integer, whatever its type
     for seed, as_int in ((0, 0), (3.0, 3), (np.int64(7), 7), (2**70, 2**70)):
         expected = np.random.Generator(np.random.PCG64(as_int)).poisson(1000 * probabilities(rho))
