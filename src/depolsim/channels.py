@@ -34,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .polarization import CHOI_TO_PTM, OUTPUTS_TO_CHOI
+from .polarization import CHOI_TO_PTM, OUTPUTS_TO_CHOI, _einsum
 from .temporal import SchemeConfig, _check_single, _choi, crystal, half_wave, quarter_wave
 
 SCHEME_NAMES = (
@@ -68,9 +68,21 @@ class StokesChannel:
 
     @classmethod
     def from_json(cls, data) -> "StokesChannel":
-        if isinstance(data, str):
-            data = json.loads(data)
-        return cls(np.array(data["m"], dtype=float), np.array(data["b"], dtype=float))
+        """Parse the JSON form, given as text or as a decoded dict; a malformed document raises ValueError.
+
+        m must be a 3x3 and b a 3-vector of finite numbers.
+        """
+        try:
+            if isinstance(data, str):
+                data = json.loads(data)
+            m, b = np.array(data["m"], dtype=float), np.array(data["b"], dtype=float)
+        except (KeyError, TypeError, AttributeError, OverflowError, RecursionError) as exc:
+            raise ValueError(f"malformed channel JSON ({type(exc).__name__}: {exc})") from None
+        if m.shape != (3, 3) or b.shape != (3,):
+            raise ValueError(f"channel JSON needs a 3x3 m and a 3-vector b, got shapes {m.shape} and {b.shape}")
+        if not (np.isfinite(m).all() and np.isfinite(b).all()):
+            raise ValueError("channel JSON entries must be finite")
+        return cls(m, b)
 
 
 def s1_projection_channel() -> StokesChannel:
@@ -162,7 +174,7 @@ PROBE_LABELS = ("h", "v", "p", "r")
 
 def _affine_from_choi(s: np.ndarray) -> StokesChannel:
     """The Stokes map b = R[1:, 0], M = R[1:, 1:] of the Pauli transfer matrix R of a C-contiguous Choi matrix."""
-    r = np.einsum("ijxy,xy->ij", CHOI_TO_PTM, s.view(float))
+    r = _einsum("ijxy,xy->ij", CHOI_TO_PTM, s.view(float))
     return StokesChannel(np.ascontiguousarray(r[1:, 1:]), r[1:, 0])
 
 
@@ -171,7 +183,7 @@ def affine_from_outputs(rho_h, rho_v, rho_p, rho_r) -> StokesChannel:
     outputs = np.array((rho_h, rho_v, rho_p, rho_r), dtype=complex)
     if outputs.shape != (4, 2, 2):
         raise ValueError(f"affine_from_outputs needs four 2x2 output states, got shape {outputs.shape}")
-    return _affine_from_choi(np.einsum("xykac,kac->xy", OUTPUTS_TO_CHOI, outputs))
+    return _affine_from_choi(_einsum("xykac,kac->xy", OUTPUTS_TO_CHOI, outputs))
 
 
 def extract_channel(config: SchemeConfig) -> StokesChannel:

@@ -35,7 +35,7 @@ from .channels import (
     mutually_unbiased_triad,
 )
 from .measurement import sample_counts
-from .polarization import JONES_STATES, dop, jones_from_stokes, stokes_from_density
+from .polarization import JONES_STATES, _einsum, dop, jones_from_stokes, stokes_from_density
 from .temporal import SchemeConfig, _choi, run_scheme
 from .tomography import _chi_from_choi, process_fidelity, qpt, qst_mle
 
@@ -202,7 +202,7 @@ def cmd_map(args):
         raise CliError(f"surface samples must lie in [3, {MAX_POINTS}]")
     config = _load_scheme(args.scheme, args.theta, args.gamma)
     channel = extract_channel(config)
-    points = np.einsum("nj,ij->ni", fibonacci_sphere(args.samples), channel.m) + channel.b
+    points = _einsum("nj,ij->ni", fibonacci_sphere(args.samples), channel.m) + channel.b
     report = {
         "scheme": args.scheme,
         "theta_deg": args.theta,

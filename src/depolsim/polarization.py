@@ -28,6 +28,15 @@ import math
 
 import numpy as np
 
+try:
+    # numpy's einsum kernel, bound once.  np.einsum(..., optimize=False) is this very call behind two Python
+    # frames, the __array_function__ dispatcher and einsumfunc.einsum; on the few dozen entries of the
+    # engine's products they are a quarter of the call (interleaved timeit medians on a (1, 2, 2) x
+    # (1, 2, 2, 32) product: 4.3 us through np.einsum, 3.3 us here).  Same kernel, same operands: same bytes.
+    from numpy._core.multiarray import c_einsum as _einsum
+except ImportError:
+    _einsum = np.einsum
+
 NORM_ATOL = 1e-10
 PSD_ATOL = 1e-10
 
@@ -60,7 +69,7 @@ IDENTITY = np.eye(2, dtype=complex)
 CHI_BASIS = (IDENTITY, SIGMA2, SIGMA3, SIGMA1)
 
 # A qubit channel E is held as its Choi matrix S[2b + a, 2d + c] = E(|b><d|)[a, c], the layout the time-bin
-# engine writes, and every read-out is one of these constant linear maps, applied by np.einsum:
+# engine writes, and every read-out is one of these constant linear maps, applied by numpy's einsum kernel (`_einsum`):
 # * CHOI_TO_PTM: S's (4, 8) float view -> the real Pauli transfer matrix R[i, j] = tr(P_i E(P_j)) / 2 over
 #   P = (I, SIGMA1, SIGMA2, SIGMA3), whose Stokes map is b = R[1:, 0], M = R[1:, 1:];
 # * CHOI_TO_CHI: S -> chi[m, n] = sum conj(E_m[a, b]) S[2b + a, 2d + c] E_n[c, d] / 4 over CHI_BASIS, so that
@@ -69,12 +78,12 @@ CHI_BASIS = (IDENTITY, SIGMA2, SIGMA3, SIGMA1)
 #   E(|h><h|) = rho_h, E(|v><v|) = rho_v, and with A = 2 rho_p - rho_h - rho_v and C = 2 rho_r - rho_h - rho_v,
 #   E(|h><v|) = (A + iC)/2 and E(|v><h|) = (A - iC)/2.
 _PAULIS = np.array((IDENTITY,) + SIGMAS)
-_PTM = np.einsum("ica,jbd->ijbadc", _PAULIS, _PAULIS).reshape(4, 4, 4, 4) / 2.0
+_PTM = _einsum("ica,jbd->ijbadc", _PAULIS, _PAULIS).reshape(4, 4, 4, 4) / 2.0
 CHOI_TO_PTM = np.stack((_PTM.real, -_PTM.imag), axis=-1).reshape(4, 4, 4, 8)  # Re(k s) = Re k Re s - Im k Im s
-CHOI_TO_CHI = np.einsum("mab,ncd->mnbadc", np.conj(CHI_BASIS), CHI_BASIS).reshape(4, 4, 4, 4) / 4.0
+CHOI_TO_CHI = _einsum("mab,ncd->mnbadc", np.conj(CHI_BASIS), CHI_BASIS).reshape(4, 4, 4, 4) / 4.0
 _W = np.array([[[1, -0.5 - 0.5j], [-0.5 + 0.5j, 0]], [[0, -0.5 - 0.5j], [-0.5 + 0.5j, 1]],  # h, v
                [[0, 1], [1, 0]], [[0, 1j], [-1j, 0]]])  # p, r
-OUTPUTS_TO_CHOI = np.einsum("kbd,ap,cq->badckpq", _W, IDENTITY, IDENTITY).reshape(4, 4, 4, 2, 2)
+OUTPUTS_TO_CHOI = _einsum("kbd,ap,cq->badckpq", _W, IDENTITY, IDENTITY).reshape(4, 4, 4, 2, 2)
 for _map in (CHOI_TO_PTM, CHOI_TO_CHI, OUTPUTS_TO_CHOI):
     _map.flags.writeable = False
 
@@ -201,7 +210,7 @@ def dop(rho):
     significant digits near D = 0 where the radicand cancels.
     """
     s = stokes_from_density(rho)
-    d = np.minimum(np.sqrt(np.einsum("...i,...i->...", s, s)), 1.0)
+    d = np.minimum(np.sqrt(_einsum("...i,...i->...", s, s)), 1.0)
     return float(d) if d.ndim == 0 else d
 
 

@@ -16,9 +16,13 @@ a Jones matrix K_t, and the induced channel is
 which for gamma = 0 is the Kraus form rho -> sum_t K_t rho K_t^dagger
 (see `kraus_operators`).  Time is traced out once per config, into the
 4x4 Choi matrix that `run_scheme` and `channels.extract_channel` read.
-Every product is an `np.einsum`, never a BLAS call or a SIMD-dispatched
-complex multiply, and every band weight a libm `pow`, so no output bit
-depends on the host's BLAS kernel or CPU features.  The dict-based
+Every product runs numpy's einsum kernel, never a BLAS call or a
+SIMD-dispatched complex multiply, and every band weight is a libm `pow`,
+so no output bit depends on the host's BLAS kernel or CPU features.  The
+kernel is bound once (`polarization._einsum`) and called directly: on
+these few-dozen-entry products `np.einsum`'s Python dispatch around the
+same kernel would be about a quarter of each call, and skipping it
+changes no byte.  The dict-based
 functions (`initial_state`, `apply_crystal`, `apply_element`, `collapse`,
 `collapse_with_coherence`) track a single wave packet as {bin: (h, v)
 amplitude}; they are thin adapters over the same crystal step and trace-out.
@@ -49,7 +53,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .polarization import _as_integer, as_jones, check_normalized
+from .polarization import _as_integer, _einsum, as_jones, check_normalized
 
 # bins: map from integer bin index in [0, 2**62] to complex (h, v) amplitude
 TimeBinState = dict[int, np.ndarray]
@@ -306,7 +310,7 @@ def _crystal_step(amps: np.ndarray, projectors: np.ndarray, merges):
     """
     # the projector rows alternate fast and slow, so the product is laid out as (T, m, h or v, fast or slow, B)
     # and reads as (T, m, 2, 2B) with the fast bins first, without a copy
-    merged = np.einsum("trc,tmcn->tmrn", projectors, amps).reshape(-1, amps.shape[1], 2, 2 * amps.shape[3])
+    merged = _einsum("trc,tmcn->tmrn", projectors, amps).reshape(-1, amps.shape[1], 2, 2 * amps.shape[3])
     bins, order, starts = next(merges)
     if order is None:
         return bins, merged
@@ -379,12 +383,12 @@ def _trace_out(x: np.ndarray, band: tuple) -> np.ndarray:
     pairs and their weights as `band`, the `_band_plan(bins, gamma)`.
     """
     xc = x.conj()
-    s = np.einsum("trk,tsk->trs", x, xc)
+    s = _einsum("trk,tsk->trs", x, xc)
     if band:
         left, right, w = band
         # the weights multiply the float view of the gathered rows, a real product
         weighted = (x.take(left, axis=2).view(float) * w).view(complex)
-        cross = np.einsum("trk,tsk->trs", weighted, xc.take(right, axis=2))
+        cross = _einsum("trk,tsk->trs", weighted, xc.take(right, axis=2))
         s += cross
         s += cross.conj().transpose(0, 2, 1)
     return s
@@ -477,7 +481,7 @@ def _propagate(config: SchemeConfig) -> tuple[np.ndarray, np.ndarray, tuple]:
     bins, amps, merges = _IDENTITY_BINS, _IDENTITY_AMPS, iter(merges)
     for element in config.elements:
         if element.kind != CRYSTAL:
-            amps = np.einsum("trc,tmcn->tmrn", element._matrix, amps)  # a wave plate, on every bin of config t
+            amps = _einsum("trc,tmcn->tmrn", element._matrix, amps)  # a wave plate, on every bin of config t
             continue
         bins, amps = _crystal_step(amps, element._matrix, merges)
     return bins, amps, _band_plan(bins, gamma) if band is None else band
@@ -541,7 +545,7 @@ def run_scheme(config: SchemeConfig, j) -> np.ndarray:
         cols = j
     else:
         raise ValueError(f"inputs must be a Jones vector or a (2, n) stack of them, got shape {j.shape}")
-    rho = np.einsum("tbadc,bn,dn->tnac", _choi(config).reshape(-1, 2, 2, 2, 2), cols, cols.conj())
+    rho = _einsum("tbadc,bn,dn->tnac", _choi(config).reshape(-1, 2, 2, 2, 2), cols, cols.conj())
     rho = (rho + rho.conj().transpose(0, 1, 3, 2)) / 2.0
     if j.ndim == 1:
         rho = rho[:, 0]
@@ -586,7 +590,7 @@ def apply_element(state: TimeBinState, element: OpticalElement) -> TimeBinState:
         merge = _merge_plan(bins, element.delay_bins)
         bins, amps = _crystal_step(amps, element._matrix, iter([merge]))
     else:
-        amps = np.einsum("trc,tmcn->tmrn", element._matrix, amps)
+        amps = _einsum("trc,tmcn->tmrn", element._matrix, amps)
     return _to_state(bins, amps)
 
 

@@ -40,7 +40,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .measurement import SETTING_PAIRS, MeasurementRecord
-from .polarization import CHI_BASIS, CHOI_TO_CHI, IDENTITY, OUTPUTS_TO_CHOI, PSD_ATOL, _stokes_to_density
+from .polarization import CHI_BASIS, CHOI_TO_CHI, IDENTITY, OUTPUTS_TO_CHOI, PSD_ATOL, _einsum, _stokes_to_density
 from .polarization import state_fidelity
 
 CHI_BASIS_LABELS = ("I", "X", "Y", "Z")
@@ -74,12 +74,25 @@ class ChiMatrix:
 
     @classmethod
     def from_json(cls, data) -> "ChiMatrix":
-        if isinstance(data, str):
-            data = json.loads(data)
-        if list(data.get("basis", CHI_BASIS_LABELS)) != list(CHI_BASIS_LABELS):
+        """Parse the JSON form, given as text or as a decoded dict; a malformed document raises ValueError.
+
+        re and im must be 4x4 and clipped_mass a number, all finite; basis, if given, must be I, X, Y, Z.
+        """
+        try:
+            if isinstance(data, str):
+                data = json.loads(data)
+            basis = list(data.get("basis", CHI_BASIS_LABELS))
+            re, im = np.array(data["re"], dtype=float), np.array(data["im"], dtype=float)
+            clipped = float(data.get("clipped_mass", 0.0))
+        except (KeyError, TypeError, AttributeError, OverflowError, RecursionError) as exc:
+            raise ValueError(f"malformed chi matrix JSON ({type(exc).__name__}: {exc})") from None
+        if basis != list(CHI_BASIS_LABELS):
             raise ValueError("chi matrix uses an unexpected operator basis")
-        mat = np.array(data["re"], dtype=float) + 1j * np.array(data["im"], dtype=float)
-        return cls(mat, float(data.get("clipped_mass", 0.0)))
+        if re.shape != (4, 4) or im.shape != (4, 4):
+            raise ValueError(f"chi matrix JSON needs 4x4 re and im, got shapes {re.shape} and {im.shape}")
+        if not (np.isfinite(re).all() and np.isfinite(im).all() and math.isfinite(clipped)):
+            raise ValueError("chi matrix JSON entries must be finite")
+        return cls(re + 1j * im, clipped)
 
 
 def _axis_counts(record: MeasurementRecord) -> list[tuple[int, int]]:
@@ -317,18 +330,18 @@ def qst_mle(record: MeasurementRecord) -> np.ndarray:
 
 
 # the (h, v, p, r) outputs -> chi: the outputs' Choi matrix (OUTPUTS_TO_CHOI), read as chi (CHOI_TO_CHI)
-_CHI_FROM_OUTPUTS = np.einsum("mnxy,xykac->mnkac", CHOI_TO_CHI, OUTPUTS_TO_CHOI)
+_CHI_FROM_OUTPUTS = _einsum("mnxy,xykac->mnkac", CHOI_TO_CHI, OUTPUTS_TO_CHOI)
 _CHI_FROM_OUTPUTS.flags.writeable = False
 
 
 # vec chi -> vec sum_{m,n} chi[m,n] E_n^dag E_m on the flattened chi, [m, n, i, l] = (E_n^dag E_m)[i, l]
-_CHI_TP = np.einsum("nji,mjl->mnil", np.conj(CHI_BASIS), CHI_BASIS).reshape(16, 4)
+_CHI_TP = _einsum("nji,mjl->mnil", np.conj(CHI_BASIS), CHI_BASIS).reshape(16, 4)
 _CHI_TP.flags.writeable = False
 
 
 def _chi_from_choi(s: np.ndarray) -> ChiMatrix:
     """The chi matrix of a channel's Choi matrix, Hermitian-averaged: PSD as S is, so nothing is clipped."""
-    chi = np.einsum("mnxy,xy->mn", CHOI_TO_CHI, s)
+    chi = _einsum("mnxy,xy->mn", CHOI_TO_CHI, s)
     return ChiMatrix((chi + chi.conj().T) / 2.0)
 
 
@@ -341,7 +354,7 @@ def qpt(rho_h, rho_v, rho_p, rho_r) -> ChiMatrix:
 
     Linearity turns the four outputs into the channel's Choi matrix, and
     chi is a constant linear map of that; the two maps are folded at
-    import into one, applied to the stacked outputs by `np.einsum`.
+    import into one, applied to the stacked outputs by numpy's einsum kernel.
     The raw solution is then projected onto the completely positive cone
     (negative eigenvalues clipped, trace renormalized to 1) and the
     clipped mass is kept as a quality diagnostic; more than 0.1 of
@@ -350,7 +363,7 @@ def qpt(rho_h, rho_v, rho_p, rho_r) -> ChiMatrix:
     outputs = np.array((rho_h, rho_v, rho_p, rho_r), dtype=complex)
     if outputs.shape != (4, 2, 2):
         raise ValueError(f"qpt needs four 2x2 output states, got shape {outputs.shape}")
-    chi = np.einsum("mnkac,kac->mn", _CHI_FROM_OUTPUTS, outputs)
+    chi = _einsum("mnkac,kac->mn", _CHI_FROM_OUTPUTS, outputs)
     chi = (chi + chi.conj().T) / 2.0
 
     vals, vecs = np.linalg.eigh(chi)

@@ -268,3 +268,26 @@ def test_stokes_channel_json_round_trip():
     back = StokesChannel.from_json(ch.to_json())
     assert np.array_equal(back.m, ch.m)
     assert np.array_equal(back.b, ch.b)
+
+
+def test_stokes_channel_json_errors_are_value_errors():
+    good = {"m": np.eye(3).tolist(), "b": [0.0, 0.0, 0.0]}
+    documents = [
+        {},
+        [],
+        None,
+        "[]",
+        "null",
+        '{"m": [[1e999, 0, 0], [0, 1, 0], [0, 0, 1]], "b": [0, 0, 0]}',
+        {"m": [[1.0, 0.0, 0.0]], "b": [0.0, 0.0, 0.0]},
+        {"m": good["m"]},
+        {"m": good["m"], "b": [0.0, 0.0, float("nan")]},
+        {"m": good["m"], "b": "abc"},
+        {"m": good["m"], "b": [10**400, 0, 0]},
+        {"m": good["m"], "b": {"x": 1}},
+        "[" * 100_000,
+    ]
+    for document in documents:
+        with pytest.raises(ValueError):
+            StokesChannel.from_json(document)
+    assert np.array_equal(StokesChannel.from_json(good).m, np.eye(3))

@@ -1,8 +1,12 @@
 import itertools
+import re
+from pathlib import Path
 
 import numpy as np
+import numpy._core.einsumfunc
 import pytest
 
+import depolsim.polarization
 from depolsim.polarization import (
     JONES_H,
     JONES_L,
@@ -214,3 +218,57 @@ def test_stokes_from_density_keeps_the_bits_of_the_three_ufuncs():
     for bad in (np.zeros(4), np.zeros((2, 3)), np.zeros((3, 2, 2, 1)), signed[:10, 0], [[1.0, 0.0]]):
         with pytest.raises(ValueError, match="must be 2x2"):
             stokes_from_density(bad)
+
+
+# every subscript string the library hands its einsum kernel, with operand shapes as the library passes them
+LIBRARY_EINSUMS = {
+    "ica,jbd->ijbadc": [(4, 2, 2), (4, 2, 2)],
+    "mab,ncd->mnbadc": [(4, 2, 2), (4, 2, 2)],
+    "kbd,ap,cq->badckpq": [(4, 2, 2), (2, 2), (2, 2)],
+    "...i,...i->...": [(5, 3), (5, 3)],
+    "trc,tmcn->tmrn": [(3, 4, 2), (3, 1, 2, 16)],
+    "trk,tsk->trs": [(3, 4, 16), (3, 4, 16)],
+    "tbadc,bn,dn->tnac": [(3, 2, 2, 2, 2), (2, 4), (2, 4)],
+    "ijxy,xy->ij": [(4, 4, 4, 8), (4, 8)],
+    "xykac,kac->xy": [(4, 4, 4, 2, 2), (4, 2, 2)],
+    "mnxy,xykac->mnkac": [(4, 4, 4, 4), (4, 4, 4, 2, 2)],
+    "nji,mjl->mnil": [(4, 2, 2), (4, 2, 2)],
+    "mnxy,xy->mn": [(4, 4, 4, 4), (4, 4)],
+    "mnkac,kac->mn": [(4, 4, 4, 2, 2), (4, 2, 2)],
+    "nj,ij->ni": [(50, 3), (3, 3)],
+}
+
+
+def test_einsum_kernel_binding_gives_np_einsum_bytes():
+    # the library calls numpy's einsum kernel without np.einsum's dispatch; the kernel is the same object
+    # np.einsum ends in, and on every subscript string in the package's source its bits are np.einsum's
+    assert depolsim.polarization._einsum is numpy._core.einsumfunc.c_einsum
+    sources = Path(depolsim.polarization.__file__).parent.glob("*.py")
+    used = {m for path in sources for m in re.findall(r'_einsum\(\s*"([^"]+)"', path.read_text())}
+    assert used == LIBRARY_EINSUMS.keys()
+    rng = np.random.default_rng(45)
+
+    def part(shape):
+        # about a third of the entries are +0.0 or -0.0
+        x = rng.normal(size=shape)
+        zero = rng.random(shape) < 0.3
+        x[zero] = rng.choice([0.0, -0.0], size=int(zero.sum()))
+        return x
+
+    def operand(shape, kind):
+        if kind == "real":
+            return part(shape)
+        z = np.empty(shape, dtype=complex)
+        z.real, z.imag = part(shape), part(shape)
+        return z
+
+    for subscripts, shapes in LIBRARY_EINSUMS.items():
+        for first, others in (("real", "real"), ("complex", "complex"), ("real", "complex"), ("complex", "real")):
+            kinds = [first] + [others] * (len(shapes) - 1)
+            for _ in range(20):
+                operands = [operand(shape, kind) for shape, kind in zip(shapes, kinds)]
+                got = np.asarray(depolsim.polarization._einsum(subscripts, *operands))
+                expected = np.asarray(np.einsum(subscripts, *operands))
+                assert got.dtype == expected.dtype and got.shape == expected.shape
+                assert np.array_equal(got.reshape(-1).view(np.uint64), expected.reshape(-1).view(np.uint64)), (
+                    subscripts, kinds)

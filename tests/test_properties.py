@@ -80,6 +80,23 @@ def test_theory_chi_is_completely_positive_and_trace_preserving(elems, gamma):
     assert trace_preservation_residual(chi) < 1e-9
 
 
+@CHECK
+@given(elements, st.sampled_from([0.5, 0.9, 0.99, 0.999, 0.9999]), jones_vectors)
+def test_near_full_coherence_approaches_the_plate_product(elems, gamma, j):
+    # the gamma -> 1 twin of the gamma = 0 collapse: with W = sum_t K_t, the product of the wave plates, every
+    # output is within sum_{t,u} (1 - gamma**((t - u)**2)) |a_t| |a_u| <= (1 - gamma**(D*D)) (sum_t |a_t|)**2
+    # of W rho W^dagger (Frobenius norm, a_t = K_t j, D the bin span), plus B * 2**-60 for the dropped band pairs
+    config = SchemeConfig(tuple(elems), coherence=gamma)
+    bins, ops = kraus_operators(config)
+    w = ops.sum(axis=0)
+    assert np.linalg.norm(w.conj().T @ w - np.eye(2)) < 1e-12
+    span = float(bins[-1] - bins[0])
+    reach = np.linalg.norm(ops @ j, axis=1).sum()
+    bound = (1.0 - gamma ** (span * span)) * reach**2 + len(bins) * 2.0**-60 + 1e-14
+    target = w @ np.outer(j, j.conj()) @ w.conj().T
+    assert np.linalg.norm(run_scheme(config, j) - target) <= bound
+
+
 def json_round_trip(obj):
     return type(obj).from_json(json.loads(json.dumps(obj.to_json(), allow_nan=False)))
 

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -493,6 +495,32 @@ def test_chi_json_round_trip():
     assert back.clipped_mass == chi.clipped_mass
     with pytest.raises(ValueError, match="basis"):
         ChiMatrix.from_json({"basis": ["I", "Z", "X", "Y"], "re": np.eye(4).tolist(), "im": np.zeros((4, 4)).tolist()})
+
+
+def test_chi_json_errors_are_value_errors():
+    re, im = (np.eye(4) / 4.0).tolist(), np.zeros((4, 4)).tolist()
+    documents = [
+        {},
+        [],
+        None,
+        "[]",
+        "null",
+        json.dumps({"re": re, "im": im}).replace("0.25", "1e999", 1),
+        {"re": re[:1], "im": im},
+        {"re": "abc", "im": im},
+        {"re": re, "im": "abc"},
+        {"re": re},
+        {"re": re, "im": im, "clipped_mass": "1e999"},
+        {"re": re, "im": im, "clipped_mass": float("inf")},
+        {"re": re, "im": im, "clipped_mass": None},
+        {"re": re, "im": im, "basis": 3},
+        {"re": [[10**400] * 4] * 4, "im": im},
+        "[" * 100_000,
+    ]
+    for document in documents:
+        with pytest.raises(ValueError):
+            ChiMatrix.from_json(document)
+    assert ChiMatrix.from_json({"re": re, "im": im}).clipped_mass == 0.0
 
 
 def test_noiseless_pipeline_reaches_theory_fidelity():
