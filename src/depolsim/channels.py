@@ -34,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .polarization import CHOI_TO_PTM, OUTPUTS_TO_CHOI, _einsum
+from .polarization import CHOI_TO_PTM, OUTPUTS_TO_CHOI, _einsum, _has_bool
 from .temporal import SchemeConfig, _check_single, _choi, crystal, half_wave, quarter_wave
 
 SCHEME_NAMES = (
@@ -70,12 +70,14 @@ class StokesChannel:
     def from_json(cls, data) -> "StokesChannel":
         """Parse the JSON form, given as text or as a decoded dict; a malformed document raises ValueError.
 
-        m must be a 3x3 and b a 3-vector of finite numbers.
+        m must be a 3x3 and b a 3-vector of finite numbers; JSON true and false are not numbers.
         """
         try:
             if isinstance(data, str):
                 data = json.loads(data)
             m, b = np.array(data["m"], dtype=float), np.array(data["b"], dtype=float)
+            if _has_bool([data["m"], data["b"]]):
+                raise ValueError("channel JSON entries must be numbers, not true or false")
         except (KeyError, TypeError, AttributeError, OverflowError, RecursionError) as exc:
             raise ValueError(f"malformed channel JSON ({type(exc).__name__}: {exc})") from None
         if m.shape != (3, 3) or b.shape != (3,):

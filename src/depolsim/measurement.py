@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .polarization import IDENTITY, SIGMAS, _as_integer
+from .polarization import IDENTITY, SIGMAS, _as_integer, _has_bool
 
 DEFAULT_SETTINGS = ("h", "v", "p", "m", "r", "l")
 
@@ -68,7 +68,7 @@ class MeasurementRecord:
         counts = _as_counts(self.counts)
         if counts.shape != (len(self.settings),):
             raise ValueError("need exactly one count per setting")
-        if counts.min() < 0:
+        if min(counts.tolist()) < 0:
             raise ValueError("counts must be non-negative")
         object.__setattr__(self, "counts", counts)
         object.__setattr__(self, "shots", _as_integer(self.shots, "shots", 1))
@@ -88,11 +88,17 @@ class MeasurementRecord:
 
     @classmethod
     def from_json(cls, data) -> "MeasurementRecord":
-        """Parse the JSON form, given as text or as a decoded dict; a malformed document raises ValueError."""
+        """Parse the JSON form, given as text or as a decoded dict; a malformed document raises ValueError.
+
+        JSON true and false are refused as counts, shots and seed.
+        """
         try:
             if isinstance(data, str):
                 data = json.loads(data)
-            return cls(tuple(data["settings"]), np.array(data["counts"]), data["shots"], data["seed"])
+            counts, shots, seed = data["counts"], data["shots"], data["seed"]
+            if _has_bool([counts, shots, seed]):
+                raise ValueError("measurement record JSON counts, shots and seed must be numbers, not true or false")
+            return cls(tuple(data["settings"]), np.array(counts), shots, seed)
         except (KeyError, TypeError, AttributeError, OverflowError, RecursionError) as exc:
             raise ValueError(f"malformed measurement record JSON ({type(exc).__name__}: {exc})") from None
 
@@ -132,12 +138,13 @@ def sample_counts(rho, shots: int, seed: int, exact: bool = False) -> Measuremen
     if not all(map(cmath.isfinite, rho.ravel().tolist())):
         raise ValueError(f"the state rho must be finite, got {rho!r}")
     means = shots * probabilities(rho)
-    if not means.max() < 2.0**63:
+    mean_list = means.tolist()
+    if not all(mean < 2.0**63 for mean in mean_list):  # a NaN mean fails the test too
         raise ValueError(f"shots = {shots!r} gives mean counts beyond the int64 range")
     if exact:
         counts = np.rint(means).astype(np.int64)
     else:
         # one scalar draw per setting, in order: the stream of one array call, without its array checks
         rng = np.random.Generator(np.random.PCG64(seed))
-        counts = np.array(list(map(rng.poisson, means.tolist())), dtype=np.int64)
+        counts = np.array(list(map(rng.poisson, mean_list)), dtype=np.int64)
     return MeasurementRecord(DEFAULT_SETTINGS, counts, shots, seed)

@@ -546,7 +546,8 @@ def run_scheme(config: SchemeConfig, j) -> np.ndarray:
     else:
         raise ValueError(f"inputs must be a Jones vector or a (2, n) stack of them, got shape {j.shape}")
     rho = _einsum("tbadc,bn,dn->tnac", _choi(config).reshape(-1, 2, 2, 2, 2), cols, cols.conj())
-    rho = (rho + rho.conj().transpose(0, 1, 3, 2)) / 2.0
+    rho += rho.conj().transpose(0, 1, 3, 2)  # a fresh conjugate: in place, the bits of (rho + rho^dag) / 2
+    rho /= 2.0
     if j.ndim == 1:
         rho = rho[:, 0]
     return rho if config.batch else rho[0]

@@ -40,8 +40,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .measurement import SETTING_PAIRS, MeasurementRecord
-from .polarization import CHI_BASIS, CHOI_TO_CHI, IDENTITY, OUTPUTS_TO_CHOI, PSD_ATOL, _einsum, _stokes_to_density
-from .polarization import state_fidelity
+from .polarization import CHI_BASIS, CHOI_TO_CHI, IDENTITY, OUTPUTS_TO_CHOI, PSD_ATOL, _eigh, _einsum
+from .polarization import _has_bool, _stokes_to_density, state_fidelity
 
 CHI_BASIS_LABELS = ("I", "X", "Y", "Z")
 
@@ -56,13 +56,15 @@ class LinearEstimate:
 
 @dataclass(frozen=True)
 class ChiMatrix:
-    """Process matrix in the (I, X, Y, Z) basis, with the mass removed by CP projection."""
+    """Process matrix in the (I, X, Y, Z) basis, with the mass removed by CP projection (finite and >= 0)."""
 
     matrix: np.ndarray
     clipped_mass: float = 0.0
 
     def __post_init__(self):
         object.__setattr__(self, "matrix", np.asarray(self.matrix, dtype=complex).reshape(4, 4))
+        if not 0.0 <= self.clipped_mass < math.inf:
+            raise ValueError(f"clipped_mass must be a finite number >= 0, got {self.clipped_mass!r}")
 
     def to_json(self) -> dict:
         return {
@@ -76,14 +78,18 @@ class ChiMatrix:
     def from_json(cls, data) -> "ChiMatrix":
         """Parse the JSON form, given as text or as a decoded dict; a malformed document raises ValueError.
 
-        re and im must be 4x4 and clipped_mass a number, all finite; basis, if given, must be I, X, Y, Z.
+        re and im must be 4x4 and clipped_mass a number >= 0, all finite and none of them JSON true or false;
+        basis, if given, must be I, X, Y, Z.
         """
         try:
             if isinstance(data, str):
                 data = json.loads(data)
             basis = list(data.get("basis", CHI_BASIS_LABELS))
             re, im = np.array(data["re"], dtype=float), np.array(data["im"], dtype=float)
-            clipped = float(data.get("clipped_mass", 0.0))
+            clipped = data.get("clipped_mass", 0.0)
+            if _has_bool([data["re"], data["im"], clipped]):
+                raise ValueError("chi matrix JSON entries must be numbers, not true or false")
+            clipped = float(clipped)
         except (KeyError, TypeError, AttributeError, OverflowError, RecursionError) as exc:
             raise ValueError(f"malformed chi matrix JSON ({type(exc).__name__}: {exc})") from None
         if basis != list(CHI_BASIS_LABELS):
@@ -342,7 +348,9 @@ _CHI_TP.flags.writeable = False
 def _chi_from_choi(s: np.ndarray) -> ChiMatrix:
     """The chi matrix of a channel's Choi matrix, Hermitian-averaged: PSD as S is, so nothing is clipped."""
     chi = _einsum("mnxy,xy->mn", CHOI_TO_CHI, s)
-    return ChiMatrix((chi + chi.conj().T) / 2.0)
+    chi += chi.conj().T
+    chi /= 2.0
+    return ChiMatrix(chi)
 
 
 def _chi_matrix(chi) -> np.ndarray:
@@ -364,11 +372,13 @@ def qpt(rho_h, rho_v, rho_p, rho_r) -> ChiMatrix:
     if outputs.shape != (4, 2, 2):
         raise ValueError(f"qpt needs four 2x2 output states, got shape {outputs.shape}")
     chi = _einsum("mnkac,kac->mn", _CHI_FROM_OUTPUTS, outputs)
-    chi = (chi + chi.conj().T) / 2.0
+    chi += chi.conj().T  # the conjugate is a fresh array; in place, the average has the bits of (chi + chi^dag) / 2
+    chi /= 2.0
 
-    vals, vecs = np.linalg.eigh(chi)
-    clipped = float(0.0 - vals[vals < 0].sum())  # 0.0 when nothing is clipped, where negating the empty sum gives -0.0
-    vals = np.maximum(vals, 0.0)
+    vals, vecs = _eigh(chi)
+    # eigh sorts its eigenvalues ascending, so only the first needs a look; with nothing clipped the mass is +0.0
+    clipped = float(0.0 - vals[vals < 0].sum()) if vals[0] < 0.0 else 0.0
+    vals = np.maximum(vals, 0.0)  # always: it also turns a -0.0 eigenvalue into +0.0, a sign chi's zeros can carry
     chi_psd = (vecs * vals) @ vecs.conj().T
     chi_psd /= chi_psd.trace().real
     if clipped > 0.1:

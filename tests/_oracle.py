@@ -33,6 +33,14 @@ a sum of Pauli matrices, which the library now builds from its four
 entries.  The library's forms do the same floating-point operations, so
 patched in, the former ones must give its output bit for bit.
 
+Wrapped tomography.  ``wrapped_sample_counts``, ``wrapped_qpt`` and
+``wrapped_state_fidelity`` are ``sample_counts``, ``qpt`` and
+``state_fidelity`` as they were while they went through numpy's Python
+wrappers: ``np.linalg.eigh``, ``np.einsum``, array reductions over six
+numbers and out-of-place Hermitian averages.  The library calls the same
+LAPACK and einsum kernels on the same operands, so it must give their
+output bit for bit.
+
 Likelihood.  The Poisson log-likelihood of a measurement record is
 evaluated setting by setting from the basis states' Jones vectors, and
 over the parametrization rho(T) = T^dag T / tr(T^dag T) with T lower
@@ -60,7 +68,7 @@ from unittest import mock
 
 import numpy as np
 
-from depolsim import channels, polarization, temporal, tomography
+from depolsim import channels, measurement, polarization, temporal, tomography
 
 
 def hwp(angle_deg):
@@ -214,6 +222,54 @@ def former_forms():
     for module in (polarization, tomography):
         stack.enter_context(mock.patch.object(module, "_stokes_to_density", former_stokes_to_density))
     return stack
+
+
+# --- the tomography pipeline through numpy's wrappers -----------------------
+
+
+def wrapped_sample_counts(rho, shots, seed, exact=False):
+    """`measurement.sample_counts`, checking the int64 range with `means.max()`."""
+    shots, seed = polarization._as_integer(shots, "shots", 1), polarization._as_integer(seed, "seed", 0)
+    rho = np.asarray(rho, dtype=complex)
+    if not np.isfinite(rho).all():
+        raise ValueError(f"the state rho must be finite, got {rho!r}")
+    means = shots * measurement.probabilities(rho)
+    if not means.max() < 2.0**63:
+        raise ValueError(f"shots = {shots!r} gives mean counts beyond the int64 range")
+    if exact:
+        counts = np.rint(means).astype(np.int64)
+    else:
+        rng = np.random.Generator(np.random.PCG64(seed))
+        counts = np.array(list(map(rng.poisson, means.tolist())), dtype=np.int64)
+    return measurement.MeasurementRecord(measurement.DEFAULT_SETTINGS, counts, shots, seed)
+
+
+def wrapped_qpt(rho_h, rho_v, rho_p, rho_r):
+    """`tomography.qpt` through `np.einsum` and `np.linalg.eigh`: (chi, clipped mass)."""
+    outputs = np.array((rho_h, rho_v, rho_p, rho_r), dtype=complex)
+    chi = np.einsum("mnkac,kac->mn", tomography._CHI_FROM_OUTPUTS, outputs)
+    chi = (chi + chi.conj().T) / 2.0
+    vals, vecs = np.linalg.eigh(chi)
+    clipped = float(0.0 - vals[vals < 0].sum())
+    vals = np.maximum(vals, 0.0)
+    chi_psd = (vecs * vals) @ vecs.conj().T
+    chi_psd /= chi_psd.trace().real
+    return chi_psd, clipped
+
+
+def _wrapped_sqrtm_psd(h):
+    vals, vecs = np.linalg.eigh(h)
+    vals = np.maximum(vals, 0.0)
+    return (vecs * np.sqrt(vals)) @ vecs.conj().T
+
+
+def wrapped_state_fidelity(a, b):
+    """`polarization.state_fidelity` through `np.linalg.eigh`."""
+    a = np.asarray(a, dtype=complex)
+    b = np.asarray(b, dtype=complex)
+    ra = _wrapped_sqrtm_psd(a)
+    f = _wrapped_sqrtm_psd(ra @ b @ ra).trace().real ** 2
+    return float(min(max(f, 0.0), 1.0))
 
 
 # --- Poisson likelihood over every setting ------------------------------

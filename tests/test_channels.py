@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -291,3 +293,17 @@ def test_stokes_channel_json_errors_are_value_errors():
         with pytest.raises(ValueError):
             StokesChannel.from_json(document)
     assert np.array_equal(StokesChannel.from_json(good).m, np.eye(3))
+
+
+def test_stokes_channel_json_refuses_true_and_false():
+    good = {"m": np.eye(3).tolist(), "b": [0.0, 0.0, 0.0]}
+    for document in (
+        {"m": [[True, 0, 0], [0, 1, 0], [0, 0, 1]], "b": [0, 0, 0]},
+        {"m": good["m"], "b": [0, 0, False]},
+        {"m": [[True] * 3] * 3, "b": [False] * 3},
+    ):
+        for form in (document, json.dumps(document)):
+            with pytest.raises(ValueError, match="not true or false"):
+                StokesChannel.from_json(form)
+    # integers stay numbers
+    assert np.array_equal(StokesChannel.from_json({"m": [[1, 0, 0], [0, 1, 0], [0, 0, 1]], "b": [0, 0, 0]}).m, np.eye(3))

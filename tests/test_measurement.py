@@ -149,6 +149,24 @@ def test_a_malformed_record_document_raises_value_error():
     assert MeasurementRecord.from_json(json.dumps(record)).seed == 0
 
 
+def test_a_record_document_refuses_true_and_false():
+    # JSON true and false are not counts, shots or seeds: numpy and int() would read them as 1 and 0
+    record = {"settings": ["r", "v", "m", "h", "l", "p"], "counts": [1] * 6, "shots": 10, "seed": 0}
+    for document in (
+        {**record, "counts": [True, 0, 1, 1, 1, 1]},
+        {**record, "counts": [True] * 6},
+        {**record, "counts": [1, 1, 1, 1, 1, False]},
+        {**record, "shots": True},
+        {**record, "seed": False},
+        {**record, "counts": [True, 0, 1, 1, 1, 1], "shots": True, "seed": False},
+    ):
+        for form in (document, json.dumps(document)):
+            with pytest.raises(ValueError, match="not true or false"):
+                MeasurementRecord.from_json(form)
+    back = MeasurementRecord.from_json(json.dumps({**record, "counts": [1, 0, 1, 1, 1, 1], "seed": 1}))
+    assert back.counts.tolist() == [1, 0, 1, 1, 1, 1] and back.shots == 10 and back.seed == 1
+
+
 def test_non_integral_shots_and_counts_are_rejected():
     shuffled = ("r", "v", "m", "h", "l", "p")
     rho = np.eye(2) / 2

@@ -1,9 +1,11 @@
 import itertools
 import re
+import warnings
 from pathlib import Path
 
 import numpy as np
 import numpy._core.einsumfunc
+import numpy.linalg._umath_linalg
 import pytest
 
 import depolsim.polarization
@@ -272,3 +274,52 @@ def test_einsum_kernel_binding_gives_np_einsum_bytes():
                 assert got.dtype == expected.dtype and got.shape == expected.shape
                 assert np.array_equal(got.reshape(-1).view(np.uint64), expected.reshape(-1).view(np.uint64)), (
                     subscripts, kinds)
+
+
+def test_eigh_kernel_binding_gives_np_linalg_eigh_bytes():
+    # the library calls LAPACK's Hermitian eigensolver without np.linalg.eigh's Python wrapper; the gufunc is the
+    # one np.linalg.eigh ends in, and its eigenvalues and eigenvectors have np.linalg.eigh's bits on Hermitian 2x2
+    # and 4x4 matrices of every rank, with +0.0 and -0.0 entries
+    assert depolsim.polarization._eigh_lo is numpy.linalg._umath_linalg.eigh_lo
+    eigh = depolsim.polarization._eigh
+    rng = np.random.default_rng(47)
+
+    def hermitian(n, rank):
+        g = rng.normal(size=(n, rank)) + 1j * rng.normal(size=(n, rank))
+        h = g @ g.conj().T
+        # about a third of the off-diagonal pairs and diagonal imaginary parts become signed zeros
+        for i, k in itertools.combinations_with_replacement(range(n), 2):
+            if rng.random() < 0.3:
+                zero = rng.choice([0.0, -0.0])
+                h[i, k] = complex(zero, rng.choice([0.0, -0.0])) if i != k else complex(h[i, i].real, zero)
+                h[k, i] = h[i, k].conjugate() if i != k else h[i, i]
+        return h
+
+    matrices = [np.zeros((n, n), dtype=complex) for n in (2, 4)] + [np.eye(n, dtype=complex) / n for n in (2, 4)]
+    matrices += [density_from_jones(j) for j in (JONES_H, JONES_P, JONES_R)]
+    matrices += [hermitian(n, rank) for _ in range(100) for n in (2, 4) for rank in range(1, n + 1)]
+    for h in matrices:
+        got_vals, got_vecs = eigh(h)
+        expected_vals, expected_vecs = np.linalg.eigh(h)
+        assert got_vals.dtype == np.float64 and got_vecs.dtype == np.complex128
+        assert np.array_equal(got_vals.view(np.uint64), expected_vals.view(np.uint64))
+        assert np.array_equal(got_vecs.view(np.uint64), expected_vecs.view(np.uint64))
+    # a non-finite entry gives np.linalg.eigh's outcome, with no RuntimeWarning: LinAlgError where LAPACK does not
+    # converge (a NaN below the diagonal of a 4x4, for one), else the same bits
+    raised = 0
+    for n, bad in itertools.product((2, 4), (complex(np.nan, 0.0), complex(0.0, np.nan), np.inf, -np.inf)):
+        for position in itertools.combinations_with_replacement(range(n), 2):
+            h = np.eye(n, dtype=complex)
+            h[position[::-1]] = bad
+            outcomes = []
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                for solver in (eigh, np.linalg.eigh):
+                    try:
+                        vals, vecs = solver(h)
+                        outcomes.append((vals.view(np.uint64).tolist(), vecs.view(np.uint64).tolist()))
+                    except np.linalg.LinAlgError as exc:
+                        outcomes.append(str(exc))
+            assert outcomes[0] == outcomes[1], (n, bad, position)
+            raised += outcomes[0] == "Eigenvalues did not converge"
+    assert raised > 0

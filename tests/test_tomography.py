@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -523,6 +524,28 @@ def test_chi_json_errors_are_value_errors():
     assert ChiMatrix.from_json({"re": re, "im": im}).clipped_mass == 0.0
 
 
+def test_chi_json_refuses_true_false_and_a_negative_or_non_finite_clipped_mass():
+    re, im = (np.eye(4) / 4.0).tolist(), np.zeros((4, 4)).tolist()
+    flagged = [[True if (i, k) == (0, 0) else x for k, x in enumerate(row)] for i, row in enumerate(im)]
+    for document in (
+        {"re": [[True] * 4] * 4, "im": im},
+        {"re": re, "im": flagged},
+        {"re": re, "im": im, "clipped_mass": True},
+        {"re": re, "im": im, "clipped_mass": False},
+    ):
+        for form in (document, json.dumps(document)):
+            with pytest.raises(ValueError, match="not true or false"):
+                ChiMatrix.from_json(form)
+    for clipped in (-5, -5.0, -1e-300, "-5"):
+        with pytest.raises(ValueError, match="clipped_mass must be a finite number >= 0"):
+            ChiMatrix.from_json({"re": re, "im": im, "clipped_mass": clipped})
+    for clipped in (-5.0, float("nan"), float("inf"), -float("inf")):
+        with pytest.raises(ValueError, match="clipped_mass must be a finite number >= 0"):
+            ChiMatrix(np.eye(4) / 4.0, clipped)
+    for clipped in (0, 0.0, -0.0, 0.25, 1e300):
+        assert ChiMatrix.from_json({"re": re, "im": im, "clipped_mass": clipped}).clipped_mass == clipped
+
+
 def test_noiseless_pipeline_reaches_theory_fidelity():
     rng = np.random.default_rng(8)
     for kind in ("scheme1", "isotropic_triple"):
@@ -536,3 +559,48 @@ def test_noiseless_pipeline_reaches_theory_fidelity():
         }
         chi_hat = qpt_from_scheme_outputs(recon)
         assert process_fidelity(chi_hat, chi_theory) > 1 - 1e-9
+
+
+def test_tomography_pipeline_keeps_the_bits_of_numpys_wrappers():
+    # sample_counts, qpt and the fidelity call LAPACK and einsum without numpy's Python wrappers; over fixed
+    # (scheme, theta, coherence, shots, seed) cases, exact and sampled, every estimate, chi-hat, clipped mass and
+    # fidelity has the bits of the wrapped pipeline on the same host
+    cases = [
+        ("scheme1", 0.0, 0.0, 100_000, 3),
+        ("scheme1", 30.0, 0.0, 10_000, 11),
+        ("scheme2", 10.0, 0.0, 1_000, 5),
+        ("scheme3", 60.0, 0.3, 100_000, 17),
+        ("isotropic_triple", ISOTROPIC_POINT_DEG, 0.0, 1_000, 23),
+        ("isotropic_triple", 20.0, 0.3, 10_000, 29),
+        ("lyot", None, 0.0, 1_000, 31),
+        ("single_crystal", 45.0, 0.0, 100, 37),
+    ]
+    bits = lambda x: np.asarray(x, dtype=float if np.isrealobj(x) else complex).view(np.uint64).tolist()
+    clipped_masses = []
+    for scheme, theta, coherence, shots, seed in cases:
+        config = build_scheme(scheme, theta, coherence)
+        outputs = [run_scheme(config, JONES_STATES[lbl]) for lbl in QPT_LABELS]
+        chi_theory = qpt(*outputs)
+        expected_theory, expected_theory_clipped = _oracle.wrapped_qpt(*outputs)
+        assert bits(chi_theory.matrix) == bits(expected_theory), scheme
+        assert bits(chi_theory.clipped_mass) == bits(expected_theory_clipped)
+        for exact in (True, False):
+            records = [sample_counts(rho, shots, seed + i, exact=exact) for i, rho in enumerate(outputs)]
+            expected_records = [_oracle.wrapped_sample_counts(rho, shots, seed + i, exact) for i, rho in enumerate(outputs)]
+            for record, expected in zip(records, expected_records):
+                assert record.counts.dtype == expected.counts.dtype == np.int64
+                assert record.counts.tolist() == expected.counts.tolist(), (scheme, exact)
+            estimates = [qst_mle(record) for record in records]
+            assert bits(estimates) == bits([qst_mle(record) for record in expected_records])
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", UserWarning)  # a large clipped mass warns; it is compared below
+                chi_hat = qpt(*estimates)
+            expected_hat, expected_clipped = _oracle.wrapped_qpt(*estimates)
+            assert bits(chi_hat.matrix) == bits(expected_hat), (scheme, exact)
+            assert bits(chi_hat.clipped_mass) == bits(expected_clipped), (scheme, exact)
+            clipped_masses.append(chi_hat.clipped_mass)
+            expected_fidelity = _oracle.wrapped_state_fidelity(
+                expected_hat / expected_hat.trace().real, expected_theory / expected_theory.trace().real)
+            assert bits(process_fidelity(chi_hat, chi_theory)) == bits(expected_fidelity), (scheme, exact)
+    # both branches of the projection ran: nothing clipped, and negative eigenvalues clipped
+    assert min(clipped_masses) == 0.0 < max(clipped_masses)
