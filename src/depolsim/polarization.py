@@ -24,6 +24,7 @@ display convention must relabel at the presentation layer only.
 
 from __future__ import annotations
 
+import cmath
 import math
 
 import numpy as np
@@ -107,9 +108,12 @@ for _map in (CHOI_TO_PTM, CHOI_TO_CHI, OUTPUTS_TO_CHOI):
 
 
 def _as_integer(value, name: str, least: int, most: int | None = None) -> int:
-    """`value` as an int in [least, most] (no upper bound for None), else ValueError naming `name` and the range."""
+    """`value` as an int in [least, most] (no upper bound for None), else ValueError naming `name` and the range.
+
+    A bool, Python's or numpy's, is refused: True is not the integer 1 here.
+    """
     try:
-        number = int(value)
+        number = None if isinstance(value, (bool, np.bool_)) else int(value)
     except (TypeError, ValueError, OverflowError):
         number = None
     if number is None or number != value or number < least or (most is not None and number > most):
@@ -168,11 +172,18 @@ def stokes_from_density(rho) -> np.ndarray:
 
     Also takes a (..., 2, 2) stack and returns the (..., 3) Stokes vectors.
     The traces are read off the entries: S1 = Re rho00 - Re rho11,
-    S2 = Re rho01 + Re rho10 and S3 = Im rho10 - Im rho01.  All three are
-    one subtraction on the (..., 8) float view of a C-contiguous stack;
-    S2 as Re rho01 - (-Re rho10), which is the same IEEE operation.
+    S2 = Re rho01 + Re rho10 and S3 = Im rho10 - Im rho01.  For a stack,
+    all three are one subtraction on the (..., 8) float view of a
+    C-contiguous stack; S2 as Re rho01 - (Re rho10 * -1.0), which is the
+    same IEEE operation.  One 2x2 matrix takes the same operations in
+    Python floats on its four entries, without the array set-up: the same
+    bits, a NaN's sign included (a multiplication by -1.0 keeps it, where
+    Python's unary minus would flip it).
     """
     rho = np.asarray(rho, dtype=complex)
+    if rho.shape == (2, 2):
+        (a, b), (c, d) = rho.tolist()
+        return np.array([a.real - d.real, b.real - c.real * -1.0, c.imag - b.imag])
     if rho.shape[-2:] != (2, 2):
         raise ValueError(f"density matrices must be 2x2, got shape {rho.shape}")
     x = np.ascontiguousarray(rho).reshape(rho.shape[:-2] + (4,)).view(float)
@@ -236,10 +247,19 @@ def dop(rho):
     Computed from the Stokes components rather than via sqrt(1 - 4 det rho);
     the two agree analytically, but the determinant form loses half the
     significant digits near D = 0 where the radicand cancels.
+
+    The sum of squares is numpy's einsum kernel for one matrix and for a
+    stack alike, so a matrix of a stack gets the bits of the single call;
+    the kernel adds the three squares in its own order, not Python's
+    left to right.  One matrix then takes `math.sqrt` and a Python clamp
+    to 1.0 that keeps a NaN, as `np.minimum` does, instead of two ufuncs.
     """
     s = stokes_from_density(rho)
-    d = np.minimum(np.sqrt(_einsum("...i,...i->...", s, s)), 1.0)
-    return float(d) if d.ndim == 0 else d
+    sum_sq = _einsum("...i,...i->...", s, s)
+    if s.ndim == 1:
+        d = math.sqrt(sum_sq)
+        return 1.0 if d > 1.0 else d
+    return np.minimum(np.sqrt(sum_sq), 1.0)
 
 
 def dop_from_determinant(rho) -> float:
@@ -265,10 +285,25 @@ def _sqrtm_psd(h: np.ndarray) -> np.ndarray:
     return (vecs * np.sqrt(vals)) @ vecs.conj().T
 
 
+def _check_finite(matrix: np.ndarray, what: str) -> None:
+    """Raise ValueError unless every entry of `matrix` is finite, before any arithmetic on it: LAPACK's eigh reads
+    only the lower triangle, so a NaN above the diagonal would pass unseen, and one below it would raise
+    LinAlgError."""
+    if not all(map(cmath.isfinite, matrix.ravel().tolist())):
+        raise ValueError(f"{what} must be finite, got {matrix!r}")
+
+
 def state_fidelity(a, b) -> float:
-    """Uhlmann fidelity F = (tr sqrt(sqrt(a) b sqrt(a)))^2 between two states."""
+    """Uhlmann fidelity F = (tr sqrt(sqrt(a) b sqrt(a)))^2 between two states; a non-finite entry raises ValueError."""
     a = np.asarray(a, dtype=complex)
     b = np.asarray(b, dtype=complex)
+    _check_finite(a, "the state a")
+    _check_finite(b, "the state b")
+    return _fidelity(a, b)
+
+
+def _fidelity(a: np.ndarray, b: np.ndarray) -> float:
+    """`state_fidelity` of two finite complex matrices, unchecked."""
     ra = _sqrtm_psd(a)
     f = _sqrtm_psd(ra @ b @ ra).trace().real ** 2
     return float(min(max(f, 0.0), 1.0))

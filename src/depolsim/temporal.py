@@ -53,7 +53,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .polarization import _as_integer, _einsum, as_jones, check_normalized
+from .polarization import _as_integer, _einsum, check_normalized
 
 # bins: map from integer bin index in [0, 2**62] to complex (h, v) amplitude
 TimeBinState = dict[int, np.ndarray]
@@ -98,6 +98,10 @@ _BAND_CACHE_PAIRS = 2**11
 # tuple, read and replaced whole, so a thread never sees one config with another's S.
 _last_propagation: tuple = (None, None)
 
+# numpy's complex128 divide promotes the 2.0 of `rho /= 2.0` to this; a complex divisor keeps Python on its
+# complex-by-complex division in Smith's form too, whatever its rules for a float divisor
+_TWO = complex(2.0, 0.0)
+
 
 @dataclass(frozen=True, eq=False)
 class OpticalElement:
@@ -118,18 +122,26 @@ class OpticalElement:
     def __post_init__(self):
         if self.kind not in _KINDS:
             raise ValueError(f"unknown element kind {self.kind!r}")
-        if isinstance(self.angle_deg, np.ndarray) and self.angle_deg.ndim:
-            angle = np.array(self.angle_deg, dtype=float)  # a copy: the caller's array is neither frozen nor shared
-            angle.flags.writeable = False
-            valid = angle.ndim == 1 and angle.size and np.isfinite(angle).all()
-        else:
-            angle = float(self.angle_deg)
+        angle = self.angle_deg
+        if type(angle) is float:  # as the scheme builders pass it: kept as it is
             valid = math.isfinite(angle)
+        else:
+            if isinstance(angle, (bool, np.bool_)) or (isinstance(angle, np.ndarray) and angle.dtype == bool):
+                raise ValueError(f"element angle must be a number of degrees, not a bool, got {angle!r}")
+            if isinstance(angle, np.ndarray) and angle.ndim:
+                angle = np.array(angle, dtype=float)  # a copy: the caller's array is neither frozen nor shared
+                angle.setflags(write=False)
+                valid = angle.ndim == 1 and angle.size and np.isfinite(angle).all()
+            else:
+                angle = float(angle)
+                valid = math.isfinite(angle)
+            object.__setattr__(self, "angle_deg", angle)
         if not valid:
             raise ValueError(f"element angle must be a finite float or a non-empty 1-D array of them, got {angle!r}")
-        object.__setattr__(self, "angle_deg", angle)
         if self.kind == CRYSTAL:
-            object.__setattr__(self, "delay_bins", _as_integer(self.delay_bins, "crystal delay", 1, MAX_DELAY_BINS))
+            delay = self.delay_bins
+            if type(delay) is not int or not 1 <= delay <= MAX_DELAY_BINS:  # an int in range is kept as it is
+                object.__setattr__(self, "delay_bins", _as_integer(delay, "crystal delay", 1, MAX_DELAY_BINS))
         elif self.delay_bins is not None:
             raise ValueError(f"{self.kind} elements carry no delay")
         object.__setattr__(self, "_matrix", _element_matrix(self.kind, angle))
@@ -185,15 +197,17 @@ class SchemeConfig:
     batch: int | None = field(init=False, default=None)
 
     def __post_init__(self):
-        object.__setattr__(self, "elements", tuple(self.elements))
+        if type(self.elements) is not tuple:
+            object.__setattr__(self, "elements", tuple(self.elements))
         if not self.elements:
             raise ValueError("scheme needs at least one element")
         if not 0.0 <= self.coherence < 1.0:
             raise ValueError("coherence must lie in [0, 1)")
-        lengths = {len(e.angle_deg) for e in self.elements if isinstance(e.angle_deg, np.ndarray)}
+        lengths = {len(e.angle_deg) for e in self.elements if type(e.angle_deg) is not float}
         if len(lengths) > 1:
             raise ValueError(f"array angles of one scheme must share their length, got {sorted(lengths)}")
-        object.__setattr__(self, "batch", lengths.pop() if lengths else None)
+        if lengths:  # else batch keeps its default, None
+            object.__setattr__(self, "batch", lengths.pop())
 
     def to_json(self) -> dict:
         """JSON form: {"coherence": g, "elements": [{kind, angle_deg, ...}]}."""
@@ -253,7 +267,7 @@ def _element_matrix(kind: str, angle: float | np.ndarray) -> np.ndarray:
     flat = entries(angle) if isinstance(angle, float) else [x for a in angle.tolist() for x in entries(a)]
     # complex() of a float is exact, with a +0.0 imaginary part
     matrix = np.array(flat, dtype=complex).reshape(-1, 4 if kind == CRYSTAL else 2, 2)
-    matrix.flags.writeable = False
+    matrix.setflags(write=False)  # the method call costs less than setting flags.writeable
     return matrix
 
 
@@ -516,7 +530,7 @@ def _choi(config: SchemeConfig) -> np.ndarray:
         bins, amps, band = _propagate(config)
         s = _trace_out(amps.reshape(len(amps), 4, len(bins)), band)
         if config.batch is None:
-            s.flags.writeable = False
+            s.setflags(write=False)
             _last_propagation = (config, s)
     return s
 
@@ -536,16 +550,30 @@ def run_scheme(config: SchemeConfig, j) -> np.ndarray:
     conjugate transpose, so it is bit-identical to the single call on its
     angles.  Bin pairs whose weight gamma**(d*d) is below 2**-60 are
     dropped, which moves the output by at most B * 2**-60 for B bins.
+
+    The contraction with S is numpy's einsum kernel for every shape.  A
+    single output (one config, one input) is averaged on its four entries
+    in Python complex numbers, without the array set-up of the in-place
+    average that a stack takes: each entry is (x + conj(y)) / (2 + 0j),
+    the operations of numpy's complex add and divide, so the bits are the
+    same (Python's and numpy's complex division differ at most in a NaN's
+    sign, and S and j are finite).
     """
     j = np.asarray(j, dtype=complex)
-    if j.ndim == 1:
-        cols = as_jones(j)[:, None]
+    if j.shape == (2,):
+        check_normalized(j)
+        cols = j.reshape(2, 1)
     elif j.ndim == 2 and j.shape[0] == 2:
         check_normalized(j)
         cols = j
     else:
         raise ValueError(f"inputs must be a Jones vector or a (2, n) stack of them, got shape {j.shape}")
     rho = _einsum("tbadc,bn,dn->tnac", _choi(config).reshape(-1, 2, 2, 2, 2), cols, cols.conj())
+    if config.batch is None and cols.shape[1] == 1:
+        (a, b), (c, d) = rho[0, 0].tolist()
+        rho = np.array([(a + a.conjugate()) / _TWO, (b + c.conjugate()) / _TWO,
+                        (c + b.conjugate()) / _TWO, (d + d.conjugate()) / _TWO])
+        return rho.reshape(2, 2) if j.ndim == 1 else rho.reshape(1, 2, 2)
     rho += rho.conj().transpose(0, 1, 3, 2)  # a fresh conjugate: in place, the bits of (rho + rho^dag) / 2
     rho /= 2.0
     if j.ndim == 1:

@@ -41,7 +41,7 @@ import numpy as np
 
 from .measurement import SETTING_PAIRS, MeasurementRecord
 from .polarization import CHI_BASIS, CHOI_TO_CHI, IDENTITY, OUTPUTS_TO_CHOI, PSD_ATOL, _eigh, _einsum
-from .polarization import _has_bool, _stokes_to_density, state_fidelity
+from .polarization import _check_finite, _fidelity, _has_bool, _stokes_to_density
 
 CHI_BASIS_LABELS = ("I", "X", "Y", "Z")
 
@@ -367,10 +367,12 @@ def qpt(rho_h, rho_v, rho_p, rho_r) -> ChiMatrix:
     (negative eigenvalues clipped, trace renormalized to 1) and the
     clipped mass is kept as a quality diagnostic; more than 0.1 of
     clipped mass signals inconsistent inputs and triggers a warning.
+    A non-finite output entry raises ValueError before any arithmetic.
     """
     outputs = np.array((rho_h, rho_v, rho_p, rho_r), dtype=complex)
     if outputs.shape != (4, 2, 2):
         raise ValueError(f"qpt needs four 2x2 output states, got shape {outputs.shape}")
+    _check_finite(outputs, "qpt's output states")
     chi = _einsum("mnkac,kac->mn", _CHI_FROM_OUTPUTS, outputs)
     chi += chi.conj().T  # the conjugate is a fresh array; in place, the average has the bits of (chi + chi^dag) / 2
     chi /= 2.0
@@ -394,14 +396,17 @@ def process_fidelity(a, b) -> float:
 
     Treats the chi matrices as states on the 4-dimensional operator
     space (`state_fidelity`); equals 1 exactly when the channels coincide.
-    Raises ValueError if a trace is not positive and finite.
+    Raises ValueError if a trace is not positive and finite, or if an
+    entry is not finite.
     """
     mats = _chi_matrix(a), _chi_matrix(b)
     traces = [mat.trace().real for mat in mats]
     for trace in traces:
         if not 0.0 < trace < math.inf:
             raise ValueError(f"process_fidelity needs chi matrices of positive finite trace, got trace {trace!r}")
-    return state_fidelity(mats[0] / traces[0], mats[1] / traces[1])
+    for mat in mats:
+        _check_finite(mat, "a chi matrix of process_fidelity")
+    return _fidelity(mats[0] / traces[0], mats[1] / traces[1])
 
 
 def trace_preservation_residual(chi) -> float:

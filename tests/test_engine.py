@@ -37,7 +37,7 @@ from depolsim.temporal import (
 )
 from depolsim.cli import main
 import _oracle
-from _helpers import random_pure_jones
+from _helpers import random_pure_jones, signed_zero_matrices
 
 GAMMAS = (0.0, 0.2, 0.7)
 PROBES = (JONES_H, JONES_V, JONES_P, JONES_R)
@@ -220,6 +220,31 @@ def test_elements_reject_non_finite_and_fractional_values():
         with pytest.raises(ValueError, match="delay"):
             crystal(0.0, delay)
     assert crystal(0.0, 3.0).delay_bins == 3
+
+
+def test_elements_refuse_bool_angles_and_delays():
+    # True is not 1 degree nor a delay of one bin, in the Python API as in a scheme document
+    for flag in (True, False, np.True_, np.False_):
+        for make in (half_wave, quarter_wave, lambda angle: crystal(angle, 1)):
+            with pytest.raises(ValueError, match="not a bool"):
+                make(flag)
+        with pytest.raises(ValueError, match="crystal delay must be an integer"):
+            crystal(0.0, flag)
+    with pytest.raises(ValueError, match="not a bool"):
+        half_wave(np.array([True, False]))
+    with pytest.raises(ValueError, match="not a bool"):
+        half_wave(np.array(True))
+
+
+def test_a_float_angle_element_equals_the_converted_one():
+    # a Python float is kept as it is; numpy floats, ints and 0-d arrays are converted to it, with the same matrix
+    for make in (half_wave, quarter_wave, lambda angle: crystal(angle, 2)):
+        expected = make(12.5)
+        for angle in (np.float64(12.5), np.float32(12.5), np.array(12.5), 12.5):
+            element = make(angle)
+            assert type(element.angle_deg) is float and element.angle_deg == 12.5
+            assert element._matrix.tobytes() == expected._matrix.tobytes() and not element._matrix.flags.writeable
+        assert type(make(3).angle_deg) is float and make(3)._matrix.tobytes() == make(3.0)._matrix.tobytes()
 
 
 def test_occupied_bin_cap(monkeypatch, tmp_path, capsys):
@@ -527,6 +552,40 @@ def test_stacked_stokes_and_dop_equal_per_matrix_calls_bitwise():
     assert np.array_equal(bits(s), bits([[stokes_from_density(r) for r in row] for row in rhos]))
     assert np.array_equal(bits(d), bits([[dop(r) for r in row] for row in rhos]))
     assert isinstance(dop(rhos[0, 0]), float) and stokes_from_density(rhos[0, 0]).shape == (3,)
+    # signed zeros and subnormals, one matrix at a time on the single-matrix path
+    signed = signed_zero_matrices(np.random.default_rng(44))
+    s, d = stokes_from_density(signed), dop(signed)
+    assert np.array_equal(bits(s), bits([stokes_from_density(m) for m in signed]))
+    assert np.array_equal(bits(d), bits([dop(m) for m in signed]))
+
+
+@st.composite
+def single_output_cases(draw):
+    """Up to 6 elements at 0, 45 and 90 deg anchors or any angle, at gamma in (0, 0.99], and two unit inputs."""
+    angles = st.sampled_from([0.0, 45.0, 90.0]) | st.floats(-180.0, 180.0, allow_nan=False)
+    elements = []
+    for _ in range(draw(st.integers(1, 6))):
+        kind = draw(st.sampled_from(["crystal", "hwp", "qwp"]))
+        delay = draw(st.sampled_from([1, 2, 3, 9])) if kind == "crystal" else None
+        elements.append(OpticalElement(kind, angle_deg=draw(angles), delay_bins=delay))
+    gamma = draw(st.sampled_from([0.3, 0.9]) | st.floats(0.0, 0.99, exclude_min=True))
+    inputs = st.sampled_from(sorted(JONES_STATES)).map(JONES_STATES.get) | st.integers(0, 2**32 - 1).map(
+        lambda seed: random_pure_jones(np.random.default_rng(seed))
+    )
+    return SchemeConfig(tuple(elements), coherence=gamma), draw(inputs), draw(inputs)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(case=single_output_cases())
+def test_a_single_output_has_the_bytes_of_its_column_in_a_stack_bitwise(case):
+    # one config and one input average the output's four entries in Python complex numbers; a stack of two
+    # inputs takes numpy's in-place average (a (2, 1) stack is a single output too)
+    config, j, k = case
+    single = run_scheme(config, j)
+    assert single.shape == (2, 2) and single.dtype == complex
+    assert single.tobytes() == run_scheme(config, np.column_stack([j, k]))[0].tobytes()
+    column = run_scheme(config, j.reshape(2, 1))
+    assert column.shape == (1, 2, 2) and column.tobytes() == single.tobytes()
 
 
 # --- the coherent band stops at its first position whose closest pair is beyond the kernel's reach ---

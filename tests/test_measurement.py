@@ -189,14 +189,32 @@ def test_non_integral_shots_and_counts_are_rejected():
     assert np.array_equal(sample_counts(rho, 1e5, seed=3).counts, sample_counts(rho, 100_000, seed=3).counts)
 
 
+def test_shots_and_seeds_refuse_bools():
+    # True is not one shot nor seed 1, as JSON true is not in a record document
+    rho = np.eye(2) / 2
+    shuffled = ("r", "v", "m", "h", "l", "p")
+    for flag in (True, False, np.True_, np.False_):
+        for exact in (False, True):
+            with pytest.raises(ValueError, match="shots must be an integer >= 1"):
+                sample_counts(rho, flag, 0, exact=exact)
+            with pytest.raises(ValueError, match="seed must be an integer >= 0"):
+                sample_counts(rho, 10, flag, exact=exact)
+        with pytest.raises(ValueError, match="shots must be an integer >= 1"):
+            MeasurementRecord(shuffled, np.ones(6), shots=flag, seed=0)
+        with pytest.raises(ValueError, match="seed must be an integer >= 0"):
+            MeasurementRecord(shuffled, np.ones(6), shots=10, seed=flag)
+    assert sample_counts(rho, 1, 1).shots == 1
+
+
 def test_seeds_are_checked_at_the_boundary_in_both_modes():
     rho = np.eye(2) / 2
     for exact in (False, True):
-        for seed in (-1, -(2**70), 1.5, -0.5, float("nan"), float("inf"), "3", None, [3]):
+        # a bool is not an integer seed, Python's or numpy's, as JSON true is not one
+        for seed in (-1, -(2**70), 1.5, -0.5, float("nan"), float("inf"), "3", None, [3], True, False, np.True_):
             with pytest.raises(ValueError, match="seed must be an integer >= 0"):
                 sample_counts(rho, 100, seed, exact=exact)
-        # integral values of any numeric type stay accepted, stored as ints
-        for seed, as_int in ((3.0, 3), (np.int64(7), 7), (np.uint64(2**63), 2**63), (2**70, 2**70), (True, 1)):
+        # integral values of any other numeric type stay accepted, stored as ints
+        for seed, as_int in ((3.0, 3), (np.int64(7), 7), (np.uint64(2**63), 2**63), (2**70, 2**70)):
             record = sample_counts(rho, 100, seed, exact=exact)
             assert record.seed == as_int and type(record.seed) is int
     # a record checks its seed as sample_counts does, built directly or from JSON, which no longer truncates it

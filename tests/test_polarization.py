@@ -28,7 +28,7 @@ from depolsim.polarization import (
     stokes_from_density,
 )
 from depolsim.polarization import _stokes_to_density
-from _helpers import random_density, random_pure_jones, random_unitary
+from _helpers import random_density, random_pure_jones, random_unitary, signed_zero_matrices
 import _oracle
 
 I2 = np.eye(2)
@@ -196,10 +196,8 @@ def test_stokes_to_density_keeps_the_bits_of_the_matrix_sum():
 def test_stokes_from_density_keeps_the_bits_of_the_three_ufuncs():
     # signed zeros are where re01 - (-re10) could differ from re01 + re10: all 256 sign patterns of zeros
     # come first; a strided, a broadcast and a Fortran-ordered array and nested lists are read through a copy
-    grid = np.array([0.0, -0.0, 1.0, -1.0, 5e-324, -5e-324, 0.5, -0.25])
     rng = np.random.default_rng(44)
-    signed = rng.choice(grid, size=(4000, 2, 2)) + 1j * rng.choice(grid, size=(4000, 2, 2))
-    signed[:256] = np.array(list(itertools.product([0.0, -0.0], repeat=8))).view(complex).reshape(256, 2, 2)
+    signed = signed_zero_matrices(rng)
     uniform = rng.uniform(-1.0, 1.0, size=(3, 250, 2, 2)) + 1j * rng.uniform(-1.0, 1.0, size=(3, 250, 2, 2))
     forms = [
         signed,
@@ -217,9 +215,48 @@ def test_stokes_from_density_keeps_the_bits_of_the_three_ufuncs():
         got, expected = stokes_from_density(form), _oracle.former_stokes_from_density(form)
         assert got.dtype == expected.dtype and got.shape == expected.shape == np.shape(form)[:-2] + (3,)
         assert got.tobytes() == expected.tobytes()
+    # one matrix at a time, each takes the single-matrix path in Python floats
+    for matrix in signed:
+        assert stokes_from_density(matrix).tobytes() == _oracle.former_stokes_from_density(matrix).tobytes()
     for bad in (np.zeros(4), np.zeros((2, 3)), np.zeros((3, 2, 2, 1)), signed[:10, 0], [[1.0, 0.0]]):
         with pytest.raises(ValueError, match="must be 2x2"):
             stokes_from_density(bad)
+
+
+@pytest.mark.filterwarnings("error")
+def test_single_matrix_read_outs_keep_nan_and_inf_bits():
+    # a NaN's sign bit is where Python's unary minus would part from the stack's multiplication by -1.0
+    stacked = []
+    for position in itertools.product(range(2), range(2)):
+        for bad in (np.nan, -np.nan, np.inf, -np.inf, complex(0.0, np.nan), complex(0.0, -np.nan), complex(0.0, np.inf)):
+            rho = np.array([[0.5, -0.0 + 0.25j], [0.25 - 0.0j, 0.5]])
+            rho[position] = bad
+            stacked.append(rho)
+    stacked = np.array(stacked)
+    with np.errstate(invalid="ignore"):  # the stack's sqrt and minimum meet the NaNs in numpy
+        s, d = stokes_from_density(stacked), dop(stacked)
+    for rho, s_row, d_row in zip(stacked, s, d):
+        assert stokes_from_density(rho).tobytes() == s_row.tobytes()
+        single = dop(rho)
+        assert type(single) is float and np.float64(single).tobytes() == d_row.tobytes()
+    nan_rho = np.full((2, 2), np.nan, dtype=complex)
+    assert np.isnan(dop(nan_rho)) and np.isnan(dop(nan_rho[None])[0])
+    assert dop(np.array([[1.0, 1.0], [1.0, 0.0]], dtype=complex)) == 1.0  # |S| = sqrt(5), clamped
+
+
+@pytest.mark.filterwarnings("error")
+def test_state_fidelity_refuses_non_finite_entries():
+    # LAPACK's eigh reads the lower triangle only: a NaN above the diagonal used to give F = 1, one below it
+    # LinAlgError; every position and both arguments now raise ValueError
+    good = np.eye(2, dtype=complex) / 2
+    for position in itertools.product(range(2), range(2)):
+        for bad in (np.nan, np.inf, -np.inf, complex(0.0, np.nan), complex(0.0, np.inf)):
+            rho = good.copy()
+            rho[position] = bad
+            for pair in ((rho, good), (good, rho)):
+                with pytest.raises(ValueError, match="must be finite"):
+                    state_fidelity(*pair)
+    assert state_fidelity(good, good) == pytest.approx(1.0)
 
 
 # every subscript string the library hands its einsum kernel, with operand shapes as the library passes them

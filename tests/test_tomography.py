@@ -455,6 +455,33 @@ def test_process_fidelity_rejects_a_chi_without_positive_finite_trace():
                 process_fidelity(*pair)
 
 
+@pytest.mark.filterwarnings("error")
+def test_process_fidelity_refuses_a_non_finite_chi_entry():
+    # a NaN above the diagonal, which LAPACK's lower-triangle eigh never reads, used to give F = 1.0,
+    # and one below it LinAlgError
+    chi_lyot = np.eye(4, dtype=complex) / 4
+    for position in ((0, 1), (1, 0), (2, 3), (3, 2)):
+        for bad in (np.nan, np.inf, complex(0.0, np.nan), complex(0.0, -np.inf)):
+            chi = chi_lyot.copy()
+            chi[position] = bad
+            for pair in ((chi, chi_lyot), (chi_lyot, chi), (ChiMatrix(chi), ChiMatrix(chi_lyot))):
+                with pytest.raises(ValueError, match="must be finite"):
+                    process_fidelity(*pair)
+
+
+@pytest.mark.filterwarnings("error")
+def test_qpt_refuses_non_finite_outputs():
+    outputs = [density_from_jones(JONES_STATES[label]) for label in QPT_LABELS]
+    for k in range(4):
+        for position in ((0, 0), (0, 1), (1, 0), (1, 1)):
+            for bad in (np.nan, np.inf, -np.inf, complex(0.0, np.nan)):
+                changed = [rho.copy() for rho in outputs]
+                changed[k][position] = bad
+                with pytest.raises(ValueError, match="must be finite"):
+                    qpt(*changed)
+    assert qpt(*outputs).clipped_mass < 1e-12
+
+
 def oracle_channel_from_chi(chi):
     """Affine Stokes map of the channel a chi matrix encodes: the reference chi action on the four probes."""
     probes = (density_from_jones(JONES_STATES[lbl]) for lbl in QPT_LABELS)
