@@ -28,13 +28,12 @@ Scheme summary (theta is the tuning angle, in degrees):
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .polarization import CHOI_TO_PTM, OUTPUTS_TO_CHOI, _einsum, _has_bool
+from .polarization import CHOI_TO_PTM, OUTPUTS_TO_CHOI, _einsum, _json_array, _read_json
 from .temporal import SchemeConfig, _check_single, _choi, crystal, half_wave, quarter_wave
 
 SCHEME_NAMES = (
@@ -70,21 +69,11 @@ class StokesChannel:
     def from_json(cls, data) -> "StokesChannel":
         """Parse the JSON form, given as text or as a decoded dict; a malformed document raises ValueError.
 
-        m must be a 3x3 and b a 3-vector of finite numbers; JSON true and false are not numbers.
+        m must be a 3x3 array and b a 3-vector of finite JSON numbers, not true or false.
         """
-        try:
-            if isinstance(data, str):
-                data = json.loads(data)
-            m, b = np.array(data["m"], dtype=float), np.array(data["b"], dtype=float)
-            if _has_bool([data["m"], data["b"]]):
-                raise ValueError("channel JSON entries must be numbers, not true or false")
-        except (KeyError, TypeError, AttributeError, OverflowError, RecursionError) as exc:
-            raise ValueError(f"malformed channel JSON ({type(exc).__name__}: {exc})") from None
-        if m.shape != (3, 3) or b.shape != (3,):
-            raise ValueError(f"channel JSON needs a 3x3 m and a 3-vector b, got shapes {m.shape} and {b.shape}")
-        if not (np.isfinite(m).all() and np.isfinite(b).all()):
-            raise ValueError("channel JSON entries must be finite")
-        return cls(m, b)
+        return _read_json(data, "channel", lambda document: cls(
+            _json_array(document["m"], (3, 3), "channel JSON m must be a 3x3 array of finite numbers"),
+            _json_array(document["b"], (3,), "channel JSON b must be a 3-vector of finite numbers")))
 
 
 def s1_projection_channel() -> StokesChannel:

@@ -12,13 +12,11 @@ reproducible from (state, shots, seed).
 
 from __future__ import annotations
 
-import cmath
-import json
 from dataclasses import dataclass
 
 import numpy as np
 
-from .polarization import IDENTITY, SIGMAS, _as_integer, _has_bool
+from .polarization import IDENTITY, SIGMAS, _as_integer, _check_finite, _json_number, _read_json
 
 DEFAULT_SETTINGS = ("h", "v", "p", "m", "r", "l")
 
@@ -90,17 +88,18 @@ class MeasurementRecord:
     def from_json(cls, data) -> "MeasurementRecord":
         """Parse the JSON form, given as text or as a decoded dict; a malformed document raises ValueError.
 
-        JSON true and false are refused as counts, shots and seed.
+        settings and counts must be JSON arrays; counts, shots and seed JSON numbers, not true or false.
         """
-        try:
-            if isinstance(data, str):
-                data = json.loads(data)
-            counts, shots, seed = data["counts"], data["shots"], data["seed"]
-            if _has_bool([counts, shots, seed]):
-                raise ValueError("measurement record JSON counts, shots and seed must be numbers, not true or false")
-            return cls(tuple(data["settings"]), np.array(counts), shots, seed)
-        except (KeyError, TypeError, AttributeError, OverflowError, RecursionError) as exc:
-            raise ValueError(f"malformed measurement record JSON ({type(exc).__name__}: {exc})") from None
+
+        def read(document) -> "MeasurementRecord":
+            settings = document["settings"]
+            if not isinstance(settings, list):
+                raise TypeError(f"settings must be a JSON array, got {type(settings).__name__}")
+            counts = np.array([_json_number(count, "counts must be integers") for count in document["counts"]])
+            return cls(tuple(settings), counts, _json_number(document["shots"], "shots must be an integer >= 1"),
+                       _json_number(document["seed"], "seed must be an integer >= 0"))
+
+        return _read_json(data, "measurement record", read)
 
 
 def projector(label: str) -> np.ndarray:
@@ -135,8 +134,7 @@ def sample_counts(rho, shots: int, seed: int, exact: bool = False) -> Measuremen
     """
     shots, seed = _as_integer(shots, "shots", 1), _as_integer(seed, "seed", 0)
     rho = np.asarray(rho, dtype=complex)
-    if not all(map(cmath.isfinite, rho.ravel().tolist())):
-        raise ValueError(f"the state rho must be finite, got {rho!r}")
+    _check_finite(rho, "the state rho")
     means = shots * probabilities(rho)
     mean_list = means.tolist()
     if not all(mean < 2.0**63 for mean in mean_list):  # a NaN mean fails the test too

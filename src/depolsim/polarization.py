@@ -25,6 +25,7 @@ display convention must relabel at the presentation layer only.
 from __future__ import annotations
 
 import cmath
+import json
 import math
 
 import numpy as np
@@ -122,16 +123,37 @@ def _as_integer(value, name: str, least: int, most: int | None = None) -> int:
     return number
 
 
-def _has_bool(value) -> bool:
-    """Whether `value`, or an entry of it if it is a (nested) list or tuple, is a bool.
+def _json_number(value, requirement: str):
+    """`value` if it is a JSON number, an int or a float, else ValueError: `requirement`, and what `value` is.
 
-    The JSON readers refuse JSON true and false as numbers; numpy would
-    read them as 1 and 0, and a mixed list's bools leave no trace in the
-    array it makes.
-    """
-    if isinstance(value, (list, tuple)):
-        return any(map(_has_bool, value))
-    return isinstance(value, (bool, np.bool_))
+    Not JSON true or false, nor a numeric string, which numpy and float() would read as numbers."""
+    if isinstance(value, (bool, np.bool_)):
+        raise ValueError(f"{requirement}, not true or false")
+    if not isinstance(value, (int, float)):
+        raise ValueError(f"{requirement}, got {type(value).__name__}")
+    return value
+
+
+def _json_array(value, shape: tuple[int, ...], requirement: str) -> np.ndarray:
+    """`value`, JSON arrays nested to `shape` around finite JSON numbers, as a float array; else ValueError."""
+    entries = [value]
+    for length in shape:
+        if not all(isinstance(row, list) and len(row) == length for row in entries):
+            raise ValueError(requirement)
+        entries = [entry for row in entries for entry in row]
+    array = np.array([_json_number(entry, requirement) for entry in entries], dtype=float).reshape(shape)
+    if not np.isfinite(array).all():
+        raise ValueError(requirement)
+    return array
+
+
+def _read_json(data, what: str, read):
+    """`read(document)` of a JSON document given as text or decoded; where `read` meets a missing key, a wrong type,
+    a number beyond the float range or too deep a nesting, ValueError: malformed `what` JSON."""
+    try:
+        return read(json.loads(data) if isinstance(data, str) else data)
+    except (KeyError, TypeError, AttributeError, OverflowError, RecursionError) as exc:
+        raise ValueError(f"malformed {what} JSON ({type(exc).__name__}: {exc})") from None
 
 
 def check_normalized(j: np.ndarray) -> None:
@@ -270,8 +292,7 @@ def dop_from_determinant(rho) -> float:
     non-finite entry, means the input was not a physical state.
     """
     rho = np.asarray(rho, dtype=complex)
-    if not np.isfinite(rho).all():
-        raise ValueError(f"the state rho must be finite, got {rho!r}")
+    _check_finite(rho, "the state rho")
     radicand = 1.0 - 4.0 * np.linalg.det(rho).real
     if radicand < -1e-10:
         raise ValueError(f"1 - 4 det(rho) = {radicand!r}; not a physical state")

@@ -47,13 +47,12 @@ Conventions fixed here:
 from __future__ import annotations
 
 import functools
-import json
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .polarization import _as_integer, _einsum, check_normalized
+from .polarization import _as_integer, _einsum, _json_number, _read_json, check_normalized
 
 # bins: map from integer bin index in [0, 2**62] to complex (h, v) amplitude
 TimeBinState = dict[int, np.ndarray]
@@ -160,18 +159,10 @@ def quarter_wave(angle_deg: float) -> OpticalElement:
     return OpticalElement(QWP, angle_deg=angle_deg)
 
 
-def _json_number(value, name: str):
-    """A JSON number of a scheme document: an int or a float, not a bool or a string."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ValueError(f"scheme JSON {name} must be a number, got {type(value).__name__}")
-    return value
-
-
 def _element_from_json(d) -> OpticalElement:
-    angle = _json_number(d["angle_deg"], "angle_deg")
-    if d["kind"] == CRYSTAL:
-        return crystal(angle, _json_number(d["delay_bins"], "delay_bins"))
-    return OpticalElement(d["kind"], angle_deg=angle)
+    angle = _json_number(d["angle_deg"], "scheme JSON angle_deg must be a number")
+    delay = _json_number(d["delay_bins"], "scheme JSON delay_bins must be a number") if "delay_bins" in d else None
+    return OpticalElement(d["kind"], angle_deg=angle, delay_bins=delay)
 
 
 def _check_single(batch, consumer: str) -> None:
@@ -224,16 +215,11 @@ class SchemeConfig:
     def from_json(cls, data) -> "SchemeConfig":
         """Parse the JSON form, given as text or as a decoded dict; a malformed document raises ValueError.
 
-        Angles, delays and the coherence must be JSON numbers (int or float, not bool).
+        Angles, delays and the coherence must be JSON numbers (int or float, not bool); a plate takes no delay.
         """
-        try:
-            if isinstance(data, str):
-                data = json.loads(data)
-            elems = tuple(_element_from_json(d) for d in data["elements"])
-            coherence = float(_json_number(data.get("coherence", 0.0), "coherence"))
-        except (KeyError, TypeError, AttributeError, OverflowError, RecursionError) as exc:
-            raise ValueError(f"malformed scheme JSON ({type(exc).__name__}: {exc})") from None
-        return cls(elems, coherence=coherence)
+        return _read_json(data, "scheme", lambda document: cls(
+            tuple(_element_from_json(d) for d in document["elements"]),
+            coherence=float(_json_number(document.get("coherence", 0.0), "scheme JSON coherence must be a number"))))
 
 
 def _hwp_entries(angle_deg: float) -> list:

@@ -32,7 +32,6 @@ phase flip) probabilities for Pauli channels.
 
 from __future__ import annotations
 
-import json
 import math
 import warnings
 from dataclasses import dataclass
@@ -41,7 +40,7 @@ import numpy as np
 
 from .measurement import SETTING_PAIRS, MeasurementRecord
 from .polarization import CHI_BASIS, CHOI_TO_CHI, IDENTITY, OUTPUTS_TO_CHOI, PSD_ATOL, _eigh, _einsum
-from .polarization import _check_finite, _fidelity, _has_bool, _stokes_to_density
+from .polarization import _check_finite, _fidelity, _json_array, _json_number, _read_json, _stokes_to_density
 
 CHI_BASIS_LABELS = ("I", "X", "Y", "Z")
 
@@ -78,27 +77,19 @@ class ChiMatrix:
     def from_json(cls, data) -> "ChiMatrix":
         """Parse the JSON form, given as text or as a decoded dict; a malformed document raises ValueError.
 
-        re and im must be 4x4 and clipped_mass a number >= 0, all finite and none of them JSON true or false;
-        basis, if given, must be I, X, Y, Z.
+        re and im must be 4x4 arrays and clipped_mass a number >= 0, all finite JSON numbers, not true or false;
+        basis, if given, must be the array ["I", "X", "Y", "Z"].
         """
-        try:
-            if isinstance(data, str):
-                data = json.loads(data)
-            basis = list(data.get("basis", CHI_BASIS_LABELS))
-            re, im = np.array(data["re"], dtype=float), np.array(data["im"], dtype=float)
-            clipped = data.get("clipped_mass", 0.0)
-            if _has_bool([data["re"], data["im"], clipped]):
-                raise ValueError("chi matrix JSON entries must be numbers, not true or false")
-            clipped = float(clipped)
-        except (KeyError, TypeError, AttributeError, OverflowError, RecursionError) as exc:
-            raise ValueError(f"malformed chi matrix JSON ({type(exc).__name__}: {exc})") from None
-        if basis != list(CHI_BASIS_LABELS):
-            raise ValueError("chi matrix uses an unexpected operator basis")
-        if re.shape != (4, 4) or im.shape != (4, 4):
-            raise ValueError(f"chi matrix JSON needs 4x4 re and im, got shapes {re.shape} and {im.shape}")
-        if not (np.isfinite(re).all() and np.isfinite(im).all() and math.isfinite(clipped)):
-            raise ValueError("chi matrix JSON entries must be finite")
-        return cls(re + 1j * im, clipped)
+
+        def read(document) -> "ChiMatrix":
+            if document.get("basis", list(CHI_BASIS_LABELS)) != list(CHI_BASIS_LABELS):
+                raise ValueError("chi matrix uses an unexpected operator basis")
+            re = _json_array(document["re"], (4, 4), "chi matrix JSON re must be a 4x4 array of finite numbers")
+            im = _json_array(document["im"], (4, 4), "chi matrix JSON im must be a 4x4 array of finite numbers")
+            clipped = _json_number(document.get("clipped_mass", 0.0), "clipped_mass must be a finite number >= 0")
+            return cls(re + 1j * im, float(clipped))
+
+        return _read_json(data, "chi matrix", read)
 
 
 def _axis_counts(record: MeasurementRecord) -> list[tuple[int, int]]:
@@ -367,7 +358,8 @@ def qpt(rho_h, rho_v, rho_p, rho_r) -> ChiMatrix:
     (negative eigenvalues clipped, trace renormalized to 1) and the
     clipped mass is kept as a quality diagnostic; more than 0.1 of
     clipped mass signals inconsistent inputs and triggers a warning.
-    A non-finite output entry raises ValueError before any arithmetic.
+    A non-finite output entry raises ValueError before any arithmetic, and a
+    projected chi without positive finite trace raises it before the division.
     """
     outputs = np.array((rho_h, rho_v, rho_p, rho_r), dtype=complex)
     if outputs.shape != (4, 2, 2):
@@ -382,6 +374,12 @@ def qpt(rho_h, rho_v, rho_p, rho_r) -> ChiMatrix:
     clipped = float(0.0 - vals[vals < 0].sum()) if vals[0] < 0.0 else 0.0
     vals = np.maximum(vals, 0.0)  # always: it also turns a -0.0 eigenvalue into +0.0, a sign chi's zeros can carry
     chi_psd = (vecs * vals) @ vecs.conj().T
+    # numpy sums the four diagonal entries as (d0 + d1) + (d2 + d3): the divisor's bits, checked here in Python
+    # floats, where an all-zero or overflowing trace raises instead of warning in numpy's sum and division
+    d0, d1, d2, d3 = chi_psd.diagonal().real.tolist()
+    trace = (d0 + d1) + (d2 + d3)
+    if not 0.0 < trace < math.inf:
+        raise ValueError(f"qpt needs outputs whose chi has a positive finite trace, got trace {trace!r}")
     chi_psd /= chi_psd.trace().real
     if clipped > 0.1:
         warnings.warn(

@@ -288,6 +288,7 @@ def test_stokes_channel_json_errors_are_value_errors():
         {"m": good["m"], "b": [10**400, 0, 0]},
         {"m": good["m"], "b": {"x": 1}},
         "[" * 100_000,
+        {"m": [["1", 0, 0], [0, 1, 0], [0, 0, 1]], "b": [0, 0, 0]},
     ]
     for document in documents:
         with pytest.raises(ValueError):

@@ -322,6 +322,7 @@ def test_a_scheme_file_of_16000_short_crystals_is_refused(tmp_path, capsys, monk
         {"elements": [{"kind": "unitary", "angle_deg": 0.0}]},
         [1, 2],
         "not json",
+        {"elements": [{"kind": "hwp", "angle_deg": 0.0, "delay_bins": 3}]},
     ],
 )
 def test_scheme_json_errors_are_value_errors(doc):

@@ -138,6 +138,7 @@ def test_a_malformed_record_document_raises_value_error():
         {k: v for k, v in record.items() if k != "seed"},
         {k: v for k, v in record.items() if k != "counts"},
         {**record, "settings": 5},
+        {**record, "settings": "hvpmrl"},
         [1],
         "[1]",
         "null",

@@ -482,6 +482,16 @@ def test_qpt_refuses_non_finite_outputs():
     assert qpt(*outputs).clipped_mass < 1e-12
 
 
+@pytest.mark.filterwarnings("error")
+def test_qpt_refuses_outputs_without_positive_finite_trace():
+    # four zero outputs used to give a NaN chi, and four diag(f, f) at the float maximum an all-zero chi, each
+    # with a RuntimeWarning; outputs of negative trace leave nothing once the negative mass is clipped
+    f = np.finfo(float).max
+    for output in (np.zeros((2, 2)), np.diag([f, f]), -np.eye(2)):
+        with pytest.raises(ValueError, match="positive finite trace"):
+            qpt(output, output, output, output)
+
+
 def oracle_channel_from_chi(chi):
     """Affine Stokes map of the channel a chi matrix encodes: the reference chi action on the four probes."""
     probes = (density_from_jones(JONES_STATES[lbl]) for lbl in QPT_LABELS)
@@ -544,6 +554,10 @@ def test_chi_json_errors_are_value_errors():
         {"re": re, "im": im, "basis": 3},
         {"re": [[10**400] * 4] * 4, "im": im},
         "[" * 100_000,
+        {"re": [["0.25", 0, 0, 0]] + re[1:], "im": im},
+        {"re": re, "im": [["0", 0, 0, 0]] + im[1:]},
+        {"re": re, "im": im, "clipped_mass": "0.5"},
+        {"re": re, "im": im, "basis": "IXYZ"},
     ]
     for document in documents:
         with pytest.raises(ValueError):
