@@ -12,6 +12,7 @@ reproducible from (state, shots, seed).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -56,12 +57,13 @@ class MeasurementRecord:
 
     def __post_init__(self):
         settings = tuple(self.settings)
-        if settings != DEFAULT_SETTINGS and not (
+        # a string is not six labels, though it iterates as six characters
+        if isinstance(self.settings, str) or (settings != DEFAULT_SETTINGS and not (
             len(settings) == len(_LABEL_AXIS)
             and all(isinstance(label, str) for label in settings)
             and set(settings) == _LABEL_AXIS.keys()
-        ):
-            raise ValueError(f"settings must be the six labels h, v, p, m, r, l once each, got {settings!r}")
+        )):
+            raise ValueError(f"settings must be the six labels h, v, p, m, r, l once each, got {self.settings!r}")
         object.__setattr__(self, "settings", settings)
         counts = _as_counts(self.counts)
         if counts.shape != (len(self.settings),):
@@ -71,6 +73,14 @@ class MeasurementRecord:
         object.__setattr__(self, "counts", counts)
         object.__setattr__(self, "shots", _as_integer(self.shots, "shots", 1))
         object.__setattr__(self, "seed", _as_integer(self.seed, "seed", 0))
+
+    @classmethod
+    def _trusted(cls, counts: np.ndarray, shots: int, seed: int) -> "MeasurementRecord":
+        """A record in DEFAULT_SETTINGS order from fields already in their checked form, without `__post_init__`:
+        six int64 counts >= 0, and shots and seed as `_as_integer` returns them."""
+        record = object.__new__(cls)
+        record.__dict__.update(settings=DEFAULT_SETTINGS, counts=counts, shots=shots, seed=seed)
+        return record
 
     def count(self, label: str) -> int:
         """Counts of the setting `label`."""
@@ -122,6 +132,24 @@ def probabilities(rho) -> np.ndarray:
     return np.minimum(np.maximum(0.0, (products[:, 0, 0] + products[:, 1, 1]).real), 1.0)
 
 
+def _entry_probabilities(a: complex, b: complex, c: complex, d: complex) -> list[float]:
+    """`probabilities` of the finite matrix [[a, b], [c, d]], read off its entries in Python floats.
+
+    These are the operations, in the same order, that the stacked product
+    makes on the projectors' entries 1, +-0.5 and +-0.5i, so that each
+    value has its bits: with halves x' = x * 0.5, p_h = Re a, p_v = Re d,
+    p_p = (a' + b') + (c' + d') and p_m = (a' - b') + (d' - c') on real
+    parts, p_r = (Re a' - Im b') + (Im c' + Re d') and p_l = (Re a' +
+    Im b') + (Re d' - Im c'), each clamped to [0, 1].  Only the sign of a
+    zero can differ, which no count carries.
+    """
+    a_re, d_re = a.real * 0.5, d.real * 0.5
+    b_re, b_im, c_re, c_im = b.real * 0.5, b.imag * 0.5, c.real * 0.5, c.imag * 0.5
+    p = (a.real, d.real, (a_re + b_re) + (c_re + d_re), (a_re - b_re) + (d_re - c_re),
+         (a_re - b_im) + (c_im + d_re), (a_re + b_im) + (d_re - c_im))
+    return [0.0 if x < 0.0 else (1.0 if x > 1.0 else x) for x in p]
+
+
 def sample_counts(rho, shots: int, seed: int, exact: bool = False) -> MeasurementRecord:
     """Simulate photon counting: Poisson counts with mean shots * p_j, in DEFAULT_SETTINGS order.
 
@@ -129,20 +157,29 @@ def sample_counts(rho, shots: int, seed: int, exact: bool = False) -> Measuremen
     round(shots * p_j), the deterministic noiseless limit; the seed is
     stored but unused.  Identical inputs and seed give identical records.
     Raises ValueError if `shots` is not an integer >= 1, if `seed` is not
-    an integer >= 0 (in either mode), if `rho` is not finite, or if a mean
-    count shots * p_j does not fit in int64.
+    an integer >= 0 (in either mode), if `rho` is not one finite 2x2
+    matrix, or if a mean count shots * p_j does not fit in int64.
+
+    The means are those of ``shots * probabilities(rho)`` bit for bit, up
+    to the sign of a zero, computed in Python floats on rho's four entries
+    (`_entry_probabilities`) rather than through six matrix products and
+    array set-up.
     """
     shots, seed = _as_integer(shots, "shots", 1), _as_integer(seed, "seed", 0)
     rho = np.asarray(rho, dtype=complex)
-    _check_finite(rho, "the state rho")
-    means = shots * probabilities(rho)
-    mean_list = means.tolist()
-    if not all(mean < 2.0**63 for mean in mean_list):  # a NaN mean fails the test too
+    if rho.shape != (2, 2):
+        raise ValueError(f"the state rho must be one 2x2 matrix, got shape {rho.shape}")
+    entries = _check_finite(rho, "the state rho")
+    try:
+        scale = float(shots)  # as numpy's product converts a Python int: rounded to nearest
+    except OverflowError:  # past the float range every nonzero mean is inf, and a zero one NaN: both fail below
+        scale = math.inf
+    means = [scale * p for p in _entry_probabilities(*entries)]
+    if not all(mean < 2.0**63 for mean in means):  # a NaN mean fails the test too
         raise ValueError(f"shots = {shots!r} gives mean counts beyond the int64 range")
     if exact:
-        counts = np.rint(means).astype(np.int64)
+        counts = list(map(round, means))  # round half to even, as np.rint
     else:
         # one scalar draw per setting, in order: the stream of one array call, without its array checks
-        rng = np.random.Generator(np.random.PCG64(seed))
-        counts = np.array(list(map(rng.poisson, mean_list)), dtype=np.int64)
-    return MeasurementRecord(DEFAULT_SETTINGS, counts, shots, seed)
+        counts = list(map(np.random.Generator(np.random.PCG64(seed)).poisson, means))
+    return MeasurementRecord._trusted(np.array(counts, dtype=np.int64), shots, seed)

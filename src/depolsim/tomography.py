@@ -33,12 +33,13 @@ phase flip) probabilities for Pauli channels.
 from __future__ import annotations
 
 import math
+import numbers
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from .measurement import SETTING_PAIRS, MeasurementRecord
+from .measurement import DEFAULT_SETTINGS, SETTING_PAIRS, MeasurementRecord
 from .polarization import CHI_BASIS, CHOI_TO_CHI, IDENTITY, OUTPUTS_TO_CHOI, PSD_ATOL, _eigh, _einsum
 from .polarization import _check_finite, _fidelity, _json_array, _json_number, _read_json, _stokes_to_density
 
@@ -62,8 +63,19 @@ class ChiMatrix:
 
     def __post_init__(self):
         object.__setattr__(self, "matrix", np.asarray(self.matrix, dtype=complex).reshape(4, 4))
-        if not 0.0 <= self.clipped_mass < math.inf:
-            raise ValueError(f"clipped_mass must be a finite number >= 0, got {self.clipped_mass!r}")
+        clipped = self.clipped_mass
+        # a real number, not a bool, which would read as 1 or 0, nor a numeric string
+        if isinstance(clipped, bool) or not isinstance(clipped, numbers.Real) or not 0.0 <= clipped < math.inf:
+            raise ValueError(f"clipped_mass must be a finite number >= 0, got {clipped!r}")
+        object.__setattr__(self, "clipped_mass", float(clipped))
+
+    @classmethod
+    def _trusted(cls, matrix: np.ndarray, clipped_mass: float = 0.0) -> "ChiMatrix":
+        """A chi matrix from fields already in their checked form, without `__post_init__`: a 4x4 complex array
+        and a float clipped mass, finite and >= 0."""
+        chi = object.__new__(cls)
+        chi.__dict__.update(matrix=matrix, clipped_mass=clipped_mass)
+        return chi
 
     def to_json(self) -> dict:
         return {
@@ -94,13 +106,15 @@ class ChiMatrix:
 
 def _axis_counts(record: MeasurementRecord) -> list[tuple[int, int]]:
     """Per Stokes axis, the counts (a, b) of its + and - labels; every axis must have counts."""
-    by_label = dict(zip(record.settings, record.counts.tolist()))
-    axes = []
-    for plus, minus in SETTING_PAIRS:
-        a, b = by_label[plus], by_label[minus]
-        if a + b == 0:
-            raise ValueError(f"no counts in the ({plus}, {minus}) pair; Stokes estimate undefined")
-        axes.append((a, b))
+    counts = record.counts.tolist()
+    if record.settings != DEFAULT_SETTINGS:  # into DEFAULT_SETTINGS order, which lists SETTING_PAIRS pair by pair
+        by_label = dict(zip(record.settings, counts))
+        counts = [by_label[label] for label in DEFAULT_SETTINGS]
+    h, v, p, m, r, l = counts
+    axes = [(h, v), (p, m), (r, l)]
+    if h + v == 0 or p + m == 0 or r + l == 0:
+        plus, minus = SETTING_PAIRS[[a + b for a, b in axes].index(0)]
+        raise ValueError(f"no counts in the ({plus}, {minus}) pair; Stokes estimate undefined")
     return axes
 
 
@@ -341,7 +355,14 @@ def _chi_from_choi(s: np.ndarray) -> ChiMatrix:
     chi = _einsum("mnxy,xy->mn", CHOI_TO_CHI, s)
     chi += chi.conj().T
     chi /= 2.0
-    return ChiMatrix(chi)
+    return ChiMatrix._trusted(chi)
+
+
+def _trace4(diagonal: list[float]) -> float:
+    """The sum of a 4x4 matrix's four real diagonal entries, with the bits of numpy's `trace().real`: its complex
+    sum adds four entries pairwise, as (d0 + d1) + (d2 + d3), not left to right."""
+    d0, d1, d2, d3 = diagonal
+    return (d0 + d1) + (d2 + d3)
 
 
 def _chi_matrix(chi) -> np.ndarray:
@@ -374,19 +395,18 @@ def qpt(rho_h, rho_v, rho_p, rho_r) -> ChiMatrix:
     clipped = float(0.0 - vals[vals < 0].sum()) if vals[0] < 0.0 else 0.0
     vals = np.maximum(vals, 0.0)  # always: it also turns a -0.0 eigenvalue into +0.0, a sign chi's zeros can carry
     chi_psd = (vecs * vals) @ vecs.conj().T
-    # numpy sums the four diagonal entries as (d0 + d1) + (d2 + d3): the divisor's bits, checked here in Python
-    # floats, where an all-zero or overflowing trace raises instead of warning in numpy's sum and division
-    d0, d1, d2, d3 = chi_psd.diagonal().real.tolist()
-    trace = (d0 + d1) + (d2 + d3)
+    # the trace in Python floats, with the bits of numpy's `trace().real` (see `_trace4`), where an all-zero or
+    # overflowing trace raises instead of warning in numpy's sum and division
+    trace = _trace4(chi_psd.diagonal().real.tolist())
     if not 0.0 < trace < math.inf:
         raise ValueError(f"qpt needs outputs whose chi has a positive finite trace, got trace {trace!r}")
-    chi_psd /= chi_psd.trace().real
+    chi_psd /= trace
     if clipped > 0.1:
         warnings.warn(
             f"chi reconstruction clipped {clipped:.3f} of negative mass; inputs look inconsistent",
             stacklevel=2,
         )
-    return ChiMatrix(chi_psd, clipped)
+    return ChiMatrix._trusted(chi_psd, clipped)
 
 
 def process_fidelity(a, b) -> float:
@@ -398,7 +418,8 @@ def process_fidelity(a, b) -> float:
     entry is not finite.
     """
     mats = _chi_matrix(a), _chi_matrix(b)
-    traces = [mat.trace().real for mat in mats]
+    # a 4x4 trace in Python floats, with the bits of numpy's `trace().real` (see `_trace4`)
+    traces = [_trace4(mat.diagonal().real.tolist()) if mat.shape == (4, 4) else mat.trace().real for mat in mats]
     for trace in traces:
         if not 0.0 < trace < math.inf:
             raise ValueError(f"process_fidelity needs chi matrices of positive finite trace, got trace {trace!r}")

@@ -169,6 +169,17 @@ def test_tomo_rejects_shots_beyond_the_int64_count_range(capsys):
         assert err.count("\n") == 1 and "int64" in json.loads(err)["error"]
 
 
+@pytest.mark.filterwarnings("error")
+def test_tomo_rejects_shots_beyond_the_float_range(capsys):
+    # a 400-digit shot count used to end in sample_counts' OverflowError and a traceback
+    for exact in (["--exact"], []):
+        code, out, err = run_cli(
+            ["tomo", "--scheme", "scheme1", "--theta", "10", "--shots", "1" + "0" * 400, *exact], capsys
+        )
+        assert code == 2 and out == ""
+        assert err.count("\n") == 1 and "gives mean counts beyond the int64 range" in json.loads(err)["error"]
+
+
 def test_tomo_rejects_a_negative_seed_naming_it(capsys):
     for exact in (["--exact"], []):
         code, out, err = run_cli(["tomo", "--scheme", "scheme1", "--theta", "10", "--seed", "-1", *exact], capsys)

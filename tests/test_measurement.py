@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -265,3 +266,78 @@ def test_probabilities_keep_the_bits_of_np_clip():
             products = rho @ _PROJECTORS
             expected = np.clip((products[:, 0, 0] + products[:, 1, 1]).real, 0.0, 1.0)
             assert np.array_equal(probabilities(rho).view(np.uint64), expected.view(np.uint64))
+
+
+def _entry_grid_states(rng, n):
+    """n complex 2x2 matrices over signed zeros, subnormals, values near the float maximum and random entries,
+    physical random states among them."""
+    grid = np.array([0.0, -0.0, 5e-324, -5e-324, 2.5e-308, -1e-310, 1e308, -1e308, 0.5, -0.5, 1.0, 0.3, -0.7])
+    states = rng.choice(grid, size=(n, 2, 2)) + 1j * rng.choice(grid, size=(n, 2, 2))
+    for k in range(0, n, 3):
+        mask = rng.random((2, 2, 2)) < 0.5
+        states[k].real[mask[0]] = rng.normal(size=mask[0].sum())
+        states[k].imag[mask[1]] = rng.normal(size=mask[1].sum())
+    for k in range(1, n, 5):
+        states[k] = random_density(rng)
+    return states
+
+
+@pytest.mark.filterwarnings("error")
+def test_sample_counts_keep_the_bits_of_the_probabilities_stream():
+    # sample_counts reads its six means off rho's entries in Python floats; they must be shots * probabilities(rho)
+    # bit for bit, up to the sign of a zero, and both modes must give the counts of that stream
+    from depolsim.measurement import _entry_probabilities
+
+    rng = np.random.default_rng(24)
+    for k, rho in enumerate(_entry_grid_states(rng, 3000)):
+        with np.errstate(over="ignore", invalid="ignore"):
+            expected = probabilities(rho)
+        got = np.array(_entry_probabilities(*rho.ravel().tolist()))
+        # x + 0.0 turns -0.0 into +0.0 and leaves every other value as it is
+        assert np.array_equal((got + 0.0).view(np.uint64), (expected + 0.0).view(np.uint64)), rho
+        shots = int(10 ** rng.uniform(0, 12))
+        means = shots * expected
+        sampled = np.random.Generator(np.random.PCG64(k)).poisson(means)
+        assert np.array_equal(sample_counts(rho, shots, k).counts, sampled), rho
+        assert np.array_equal(sample_counts(rho, shots, k, exact=True).counts, np.rint(means).astype(np.int64)), rho
+
+
+def test_sample_counts_records_are_checked_records():
+    # sample_counts builds its record without __post_init__; it must hold exactly what the checks would store
+    rng = np.random.default_rng(25)
+    for exact in (False, True):
+        for shots, seed in ((1, 0), (10.0, np.int64(3)), (10**6, 2**70)):
+            record = sample_counts(random_density(rng), shots, seed, exact=exact)
+            checked = MeasurementRecord(record.settings, record.counts, record.shots, record.seed)
+            assert record.settings is DEFAULT_SETTINGS and checked.settings == record.settings
+            assert record.counts.dtype == np.int64 and record.counts.shape == (6,) and min(record.counts) >= 0
+            assert type(record.shots) is type(record.seed) is int
+            assert (record.shots, record.seed) == (checked.shots, checked.seed) == (int(shots), int(seed))
+            assert MeasurementRecord.from_json(record.to_json()).to_json() == record.to_json()
+
+
+@pytest.mark.filterwarnings("error")
+def test_shots_beyond_the_float_range_raise_the_int64_error():
+    # numpy's product raised OverflowError converting such an integer to float
+    rho = density_from_jones(JONES_H)
+    for exact in (True, False):
+        for shots in (10**400, 2**1024):
+            with pytest.raises(ValueError, match="gives mean counts beyond the int64 range"):
+                sample_counts(rho, shots, seed=0, exact=exact)
+
+
+def test_sample_counts_refuses_any_shape_but_2x2():
+    for exact in (True, False):
+        for state in (np.ones((1, 2, 2)) / 2, np.eye(3) / 3, np.ones(2), np.ones((2, 2, 1)), np.eye(4) / 4, [0.5]):
+            shape = np.shape(state)
+            with pytest.raises(ValueError, match=re.escape(f"must be one 2x2 matrix, got shape {shape}")):
+                sample_counts(state, 10, 0, exact=exact)
+        assert sample_counts([[0.5, 0], [0, 0.5]], 10, 0, exact=exact).shots == 10
+
+
+def test_a_string_of_settings_is_refused():
+    # a string iterates as characters; "hvpmrl" used to read as the six labels
+    for settings in ("hvpmrl", "rvmhlp"):
+        with pytest.raises(ValueError, match="once each"):
+            MeasurementRecord(settings, np.ones(6), 10, 0)
+    assert MeasurementRecord(list("hvpmrl"), np.ones(6), 10, 0).settings == DEFAULT_SETTINGS

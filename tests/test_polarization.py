@@ -360,3 +360,21 @@ def test_eigh_kernel_binding_gives_np_linalg_eigh_bytes():
             assert outcomes[0] == outcomes[1], (n, bad, position)
             raised += outcomes[0] == "Eigenvalues did not converge"
     assert raised > 0
+
+
+@pytest.mark.filterwarnings("error")
+def test_eigh_restores_the_callers_error_state():
+    # _eigh sets np.linalg.eigh's error state around LAPACK, pre-built once, and must hand the caller's back after
+    # a normal call and after LinAlgError, warning nothing either way
+    eigh = depolsim.polarization._eigh
+    nan_matrix = np.ones((4, 4), dtype=complex)
+    nan_matrix[2, 1] = np.nan  # below the diagonal, where LAPACK reads it and fails to converge
+    for state in ({}, {"all": "raise"}, {"divide": "warn", "over": "ignore", "under": "raise", "invalid": "print"}):
+        with np.errstate(**state):
+            before, call = np.geterr(), np.geterrcall()
+            vals, _ = eigh(np.diag([3.0, 1.0, 2.0, 0.0]).astype(complex))
+            assert vals.tolist() == [0.0, 1.0, 2.0, 3.0]
+            assert np.geterr() == before and np.geterrcall() is call
+            with pytest.raises(np.linalg.LinAlgError):
+                eigh(nan_matrix)
+            assert np.geterr() == before and np.geterrcall() is call

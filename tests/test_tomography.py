@@ -645,3 +645,70 @@ def test_tomography_pipeline_keeps_the_bits_of_numpys_wrappers():
             assert bits(process_fidelity(chi_hat, chi_theory)) == bits(expected_fidelity), (scheme, exact)
     # both branches of the projection ran: nothing clipped, and negative eigenvalues clipped
     assert min(clipped_masses) == 0.0 < max(clipped_masses)
+
+
+def test_trace4_keeps_the_bits_of_numpys_trace():
+    # qpt and process_fidelity take a 4x4 trace as (d0 + d1) + (d2 + d3) in Python floats; numpy's complex sum adds
+    # four entries pairwise, and a left-to-right sum differs on many of these matrices
+    from depolsim.tomography import _trace4
+
+    rng = np.random.default_rng(57)
+    grid = np.array([0.0, -0.0, 5e-324, -5e-324, 1e-310, 1e308, -1e308, 0.25, 1.0, -3.0])
+    matrices = []
+    for k in range(20000):
+        if k % 4 == 0:
+            g = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+            m = g @ g.conj().T
+        elif k % 4 == 1:
+            m = (rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))) * 10.0 ** rng.uniform(-300, 300)
+        else:
+            m = rng.choice(grid, size=(4, 4)) + 1j * rng.choice(grid, size=(4, 4))
+            m[np.diag_indices(4)] = rng.choice(grid, size=4) + rng.normal(size=4) * (k % 4 == 3)
+        matrices.append(m)
+    left_to_right = 0
+    for m in matrices:
+        diagonal = m.diagonal().real.tolist()
+        with np.errstate(over="ignore", invalid="ignore"):
+            expected = m.trace().real
+        assert np.array_equal(np.float64(_trace4(diagonal)).view(np.uint64), expected.view(np.uint64)), m
+        d0, d1, d2, d3 = diagonal
+        left_to_right += ((d0 + d1) + d2) + d3 != expected
+    assert left_to_right > 0
+
+
+def test_qpt_returns_a_checked_chi_matrix():
+    # qpt and the theory chi skip ChiMatrix's checks; what they return must be what the checks would store
+    from depolsim.cli import _choi
+    from depolsim.tomography import _chi_from_choi
+
+    config = build_scheme("scheme1", 30.0)
+    outputs = [run_scheme(config, JONES_STATES[lbl]) for lbl in QPT_LABELS]
+    estimates = [qst_mle(record_for(rho, 1_000, seed)) for seed, rho in enumerate(outputs)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)
+        chis = [qpt(*outputs), qpt(*estimates), _chi_from_choi(_choi(config)[0])]
+    for chi in chis:
+        checked = ChiMatrix(chi.matrix, chi.clipped_mass)
+        assert chi.matrix.dtype == complex and chi.matrix.shape == (4, 4)
+        assert type(chi.clipped_mass) is float and chi.clipped_mass == checked.clipped_mass
+        assert ChiMatrix.from_json(chi.to_json()).to_json() == chi.to_json()
+
+
+def test_chi_matrix_refuses_a_clipped_mass_that_is_not_a_finite_number():
+    # a numeric string used to raise TypeError, and True was kept as the clipped mass
+    for clipped in ("0.5", True, False, np.True_, None, [0.1], -1.0, -1e-300, np.nan, np.inf, complex(0.1, 0.0)):
+        with pytest.raises(ValueError, match="clipped_mass must be a finite number >= 0"):
+            ChiMatrix(np.eye(4) / 4, clipped)
+    for clipped in (0, 0.5, np.float64(0.25), np.float32(0.5), np.int64(0)):
+        chi = ChiMatrix(np.eye(4) / 4, clipped)
+        assert type(chi.clipped_mass) is float and chi.clipped_mass == float(clipped)
+
+
+def test_process_fidelity_keeps_taking_square_matrices_of_any_size():
+    # only a 4x4 trace goes through `_trace4`; other square pairs keep `trace().real`, as before it
+    pure = np.array([[0.8, 0.4], [0.4, 0.2]], dtype=complex)
+    for a, b in ((np.eye(2), pure), (3.0 * pure, np.eye(2) / 2), (np.eye(8), np.diag(np.arange(1.0, 9.0)))):
+        a, b = a.astype(complex), b.astype(complex)
+        expected = state_fidelity(a / a.trace().real, b / b.trace().real)
+        assert process_fidelity(a, b) == expected
+    assert process_fidelity(np.eye(2), np.eye(2)) == pytest.approx(1.0, abs=1e-12)
