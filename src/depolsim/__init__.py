@@ -48,6 +48,7 @@ from .channels import (
     build_scheme,
     compose,
     extract_channel,
+    extract_chi,
     isotropy_report,
     mutually_unbiased_triad,
     s1_projection_channel,

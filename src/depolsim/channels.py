@@ -3,8 +3,8 @@
 Every element sequence induces a quantum channel on the qubit; on the
 Poincare sphere that channel acts as an affine map s -> M s + b which
 sends the unit sphere to an ellipsoid.  This module builds the standard
-crystal-based depolarizer assemblies, extracts their (M, b) maps from
-the time-bin engine, and provides the closed-form cross-checks.
+crystal-based depolarizer assemblies, reads their (M, b) maps and chi
+matrices off the engine's Choi matrix, and gives closed-form cross-checks.
 
 Scheme summary (theta is the tuning angle, in degrees):
 
@@ -33,8 +33,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .polarization import CHOI_TO_PTM, OUTPUTS_TO_CHOI, _einsum, _json_array, _read_json
+from .polarization import CHOI_TO_CHI, CHOI_TO_PTM, OUTPUTS_TO_CHOI, _einsum, _json_array, _number_array, _read_json
 from .temporal import SchemeConfig, _check_single, _choi, crystal, half_wave, quarter_wave
+from .tomography import ChiMatrix
 
 SCHEME_NAMES = (
     "scheme1",
@@ -48,19 +49,20 @@ SCHEME_NAMES = (
 ISOTROPIC_POINT_DEG = float(np.degrees(np.arctan(np.sqrt(2.0))))  # 54.7356...
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class StokesChannel:
-    """Affine map s -> m @ s + b on Stokes space."""
+    """Affine map s -> m @ s + b on Stokes space: m a 3x3 and b a 3-vector of finite int or float entries."""
 
     m: np.ndarray
     b: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "m", np.asarray(self.m, dtype=float).reshape(3, 3))
-        object.__setattr__(self, "b", np.asarray(self.b, dtype=float).reshape(3))
+        object.__setattr__(self, "m", _number_array(self.m, (3, 3), float, "StokesChannel m"))
+        object.__setattr__(self, "b", _number_array(self.b, (3,), float, "StokesChannel b"))
 
     def apply(self, s) -> np.ndarray:
-        return self.m @ np.asarray(s, dtype=float) + self.b
+        """m @ s + b of one Stokes vector, or of each row of an (n, 3) stack, by numpy's einsum kernel (no BLAS)."""
+        return _einsum("...j,ij->...i", np.asarray(s, dtype=float), self.m) + self.b
 
     def to_json(self) -> dict:
         return {"m": self.m.tolist(), "b": self.b.tolist()}
@@ -181,6 +183,13 @@ def extract_channel(config: SchemeConfig) -> StokesChannel:
     """Affine Stokes map of a single scheme, read from its Choi matrix."""
     _check_single(config.batch, "extract_channel")
     return _affine_from_choi(_choi(config)[0])
+
+
+def extract_chi(config: SchemeConfig) -> ChiMatrix:
+    """Chi matrix of a single scheme, read from its Choi matrix, Hermitian-averaged: PSD as S is, nothing is clipped."""
+    _check_single(config.batch, "extract_chi")
+    chi = _einsum("mnxy,xy->mn", CHOI_TO_CHI, _choi(config)[0])
+    return ChiMatrix._trusted((chi + chi.conj().T) / 2.0)
 
 
 def analytic_scheme2_dop(theta_deg: float, s1: float) -> float:

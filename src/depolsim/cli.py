@@ -31,13 +31,14 @@ from .channels import (
     SCHEME_NAMES,
     build_scheme,
     extract_channel,
+    extract_chi,
     analytic_scheme2_dop,
     mutually_unbiased_triad,
 )
 from .measurement import sample_counts
-from .polarization import JONES_STATES, _einsum, dop, jones_from_stokes, stokes_from_density
-from .temporal import SchemeConfig, _choi, run_scheme
-from .tomography import _chi_from_choi, process_fidelity, qpt, qst_mle
+from .polarization import JONES_STATES, dop, jones_from_stokes, stokes_from_density
+from .temporal import SchemeConfig, run_scheme
+from .tomography import process_fidelity, qpt, qst_mle
 
 # largest theta grid and largest sphere sample count a command accepts
 MAX_POINTS = 1_000_000
@@ -202,7 +203,7 @@ def cmd_map(args):
         raise CliError(f"surface samples must lie in [3, {MAX_POINTS}]")
     config = _load_scheme(args.scheme, args.theta, args.gamma)
     channel = extract_channel(config)
-    points = _einsum("nj,ij->ni", fibonacci_sphere(args.samples), channel.m) + channel.b
+    points = channel.apply(fibonacci_sphere(args.samples))
     report = {
         "scheme": args.scheme,
         "theta_deg": args.theta,
@@ -221,7 +222,7 @@ def cmd_map(args):
 
 def cmd_tomo(args):
     config = _load_scheme(args.scheme, args.theta, args.gamma)
-    chi_theory = _chi_from_choi(_choi(config)[0])
+    chi_theory = extract_chi(config)
     true_outputs = run_scheme(config, _PROBES)
     reconstructed = [
         qst_mle(sample_counts(rho, args.shots, args.seed + i, exact=args.exact)) for i, rho in enumerate(true_outputs)

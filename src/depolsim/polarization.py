@@ -329,6 +329,18 @@ def _check_finite(matrix: np.ndarray, what: str) -> list:
     return entries
 
 
+def _number_array(value, shape: tuple[int, ...], dtype: type, what: str) -> np.ndarray:
+    """`value` as a `dtype` (float or complex) array, by the rule of the JSON readers: exactly `shape`, and every entry
+    finite and an int or a `dtype` number, not a bool, a string or an object; else ValueError naming `what`."""
+    kinds, names = ("iuf", "int or float") if dtype is float else ("iufc", "int, float or complex")
+    array = np.asarray(value)
+    if array.shape != shape or array.dtype.kind not in kinds:
+        raise ValueError(f"{what} must be a {shape} array of {names} numbers, got {array!r}")
+    array = np.asarray(array, dtype=dtype)
+    _check_finite(array, what)
+    return array
+
+
 def state_fidelity(a, b) -> float:
     """Uhlmann fidelity F = (tr sqrt(sqrt(a) b sqrt(a)))^2 between two states; a non-finite entry raises ValueError."""
     a = np.asarray(a, dtype=complex)

@@ -40,13 +40,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .measurement import DEFAULT_SETTINGS, SETTING_PAIRS, MeasurementRecord
-from .polarization import CHI_BASIS, CHOI_TO_CHI, IDENTITY, OUTPUTS_TO_CHOI, PSD_ATOL, _eigh, _einsum
-from .polarization import _check_finite, _fidelity, _json_array, _json_number, _read_json, _stokes_to_density
+from .polarization import CHI_BASIS, CHOI_TO_CHI, IDENTITY, OUTPUTS_TO_CHOI, PSD_ATOL, _check_finite, _eigh, _einsum
+from .polarization import _fidelity, _json_array, _json_number, _number_array, _read_json, _stokes_to_density
 
 CHI_BASIS_LABELS = ("I", "X", "Y", "Z")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LinearEstimate:
     """Linear-inversion state estimate; `physical` is False if it left the PSD cone."""
 
@@ -54,15 +54,16 @@ class LinearEstimate:
     physical: bool
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ChiMatrix:
-    """Process matrix in the (I, X, Y, Z) basis, with the mass removed by CP projection (finite and >= 0)."""
+    """Process matrix in the (I, X, Y, Z) basis: a 4x4 matrix of finite int, float or complex entries, with the mass
+    removed by CP projection (finite and >= 0)."""
 
     matrix: np.ndarray
     clipped_mass: float = 0.0
 
     def __post_init__(self):
-        object.__setattr__(self, "matrix", np.asarray(self.matrix, dtype=complex).reshape(4, 4))
+        object.__setattr__(self, "matrix", _number_array(self.matrix, (4, 4), complex, "chi matrix"))
         clipped = self.clipped_mass
         # a real number, not a bool, which would read as 1 or 0, nor a numeric string
         if isinstance(clipped, bool) or not isinstance(clipped, numbers.Real) or not 0.0 <= clipped < math.inf:
@@ -348,14 +349,6 @@ _CHI_FROM_OUTPUTS.flags.writeable = False
 # vec chi -> vec sum_{m,n} chi[m,n] E_n^dag E_m on the flattened chi, [m, n, i, l] = (E_n^dag E_m)[i, l]
 _CHI_TP = _einsum("nji,mjl->mnil", np.conj(CHI_BASIS), CHI_BASIS).reshape(16, 4)
 _CHI_TP.flags.writeable = False
-
-
-def _chi_from_choi(s: np.ndarray) -> ChiMatrix:
-    """The chi matrix of a channel's Choi matrix, Hermitian-averaged: PSD as S is, so nothing is clipped."""
-    chi = _einsum("mnxy,xy->mn", CHOI_TO_CHI, s)
-    chi += chi.conj().T
-    chi /= 2.0
-    return ChiMatrix._trusted(chi)
 
 
 def _trace4(diagonal: list[float]) -> float:

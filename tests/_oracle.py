@@ -23,7 +23,9 @@ Probe channel.  ``probe_channel`` is the Stokes map as it was read
 before the Choi maps: from the Stokes vectors of the h, v, p, r outputs
 of ``run_scheme``, b = (s_h + s_v)/2 and the columns s_h - b, s_p - b,
 s_r - b.  ``former_outputs_to_chi`` is the former outputs -> chi matrix
-of ``qpt``, through the superoperator, ``np.linalg.inv`` and ``np.kron``.
+of ``qpt``, through the superoperator, ``np.linalg.inv`` and ``np.kron``.  ``former_theory_chi`` is
+the theory chi of ``tomo`` as the tomography module read it from the engine's Choi matrix, before
+``channels.extract_chi`` took that read-out over.
 
 Former forms.  ``former_stokes_from_density`` reads the Stokes
 vector off the real and imaginary views with three ``out=`` ufuncs,
@@ -190,6 +192,15 @@ def former_outputs_to_chi():
     # pauli_pairs[m, n, i, j] with i = row + 2 col of the column-stacked vec: split i into (col, row)
     pairs = pauli_pairs.conj().reshape(4, 4, 2, 2, 4) / 4.0
     return np.einsum("mncrj,qj,qk->mnkrc", pairs, basis_inv, images_from_outputs).reshape(16, 16)
+
+
+def former_theory_chi(config):
+    """The chi matrix of a single config as `tomography._chi_from_choi(temporal._choi(config)[0])` gave it: the
+    Choi -> chi map on the held S, then the Hermitian average in place."""
+    chi = np.einsum("mnxy,xy->mn", polarization.CHOI_TO_CHI, temporal._choi(config)[0])
+    chi += chi.conj().T
+    chi /= 2.0
+    return chi
 
 
 # --- the library's former numpy forms --------------------------------------

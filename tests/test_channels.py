@@ -308,3 +308,27 @@ def test_stokes_channel_json_refuses_true_and_false():
                 StokesChannel.from_json(form)
     # integers stay numbers
     assert np.array_equal(StokesChannel.from_json({"m": [[1, 0, 0], [0, 1, 0], [0, 0, 1]], "b": [0, 0, 0]}).m, np.eye(3))
+
+
+def test_stokes_channel_refuses_what_its_reader_refuses():
+    # the constructor keeps the JSON reader's rule: m 3x3 and b a 3-vector, of finite int or float entries
+    eye, zero = np.eye(3), np.zeros(3)
+    for m, b in (
+        ([["1", 0, 0], [0, 1, 0], [0, 0, 1]], zero),
+        (np.full((3, 3), np.nan), zero),
+        (eye, [0.0, -np.inf, 0.0]),
+        (np.arange(9.0), zero),
+        (eye, zero[:, None]),
+        (np.eye(4), np.zeros(4)),
+        (eye.astype(bool), zero),
+        (eye, [True, False, False]),
+        (eye + 0j, zero),
+        (eye.astype(object), zero),
+    ):
+        with pytest.raises(ValueError, match="StokesChannel [mb] must be"):
+            StokesChannel(m, b)
+    # four NaN outputs used to give an all-NaN channel
+    with pytest.raises(ValueError, match="StokesChannel m must be finite"):
+        affine_from_outputs(*[np.full((2, 2), np.nan)] * 4)
+    ch = StokesChannel([[1, 0, 0], [0, 1, 0], [0, 0, 1]], np.zeros(3, dtype=np.float32))
+    assert ch.m.dtype == float and ch.b.dtype == float and np.array_equal(ch.m, eye)

@@ -471,6 +471,7 @@ def test_pinned_outputs_hold_on_every_kernel(tmp_path, setting):
     assert json.loads(report["DIGESTS"]) == [digest for _, digest in PINNED_OUTPUTS]
 
 
+@pytest.mark.kernel_bits
 def test_chunked_grids_match_one_batch(tmp_path, capsys, monkeypatch):
     commands = {
         "sweep": ["sweep", "--scheme", "isotropic_triple", "--theta-range", "0:90:2.5", "--inputs", "h", "triad:0.2"],
@@ -533,10 +534,14 @@ def test_map_with_non_finite_channel_or_points_exits_2(tmp_path, capsys, monkeyp
         assert not out.exists()
 
 
+def reference_points(channel, samples):
+    return np.einsum("nj,ij->ni", fibonacci_sphere(samples), channel.m) + channel.b
+
+
 def reference_map_text(scheme, theta, samples, config):
     """The map document as one json.dumps call renders it, points included."""
     channel = extract_channel(config)
-    points = np.einsum("nj,ij->ni", fibonacci_sphere(samples), channel.m) + channel.b
+    points = reference_points(channel, samples)
     report = {
         "scheme": scheme,
         "theta_deg": theta,
@@ -545,6 +550,23 @@ def reference_map_text(scheme, theta, samples, config):
         "points": [[float(x) for x in row] for row in points],
     }
     return json.dumps(report, indent=2, sort_keys=True, allow_nan=False) + "\n"
+
+
+@pytest.mark.kernel_bits
+def test_apply_on_a_stack_has_the_bytes_of_each_row_and_of_the_reference_points():
+    # map's points are StokesChannel.apply on the whole sphere stack, by numpy's einsum kernel
+    rng = np.random.default_rng(25)
+    channels = [extract_channel(build_scheme(name, 33.3, coherence=0.3)) for name in SCHEME_NAMES]
+    for _ in range(20):
+        m, b = rng.normal(size=(3, 3)), rng.normal(size=3)
+        m[rng.random((3, 3)) < 0.3], b[rng.random(3) < 0.3] = -0.0, 0.0
+        channels.append(StokesChannel(m, b))
+    for channel in channels:
+        for samples in (3, 17, 1000):
+            stack = channel.apply(fibonacci_sphere(samples))
+            assert stack.shape == (samples, 3) and stack.tobytes() == reference_points(channel, samples).tobytes()
+            rows = [channel.apply(point) for point in fibonacci_sphere(samples)]
+            assert stack.tobytes() == np.array(rows).tobytes()
 
 
 def test_map_text_equals_one_json_dumps(tmp_path, capsys):

@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from depolsim import measurement, polarization, temporal, tomography
-from depolsim.channels import SCHEME_NAMES, affine_from_outputs, build_scheme, extract_channel
+from depolsim.channels import SCHEME_NAMES, affine_from_outputs, build_scheme, extract_channel, extract_chi
 from depolsim.polarization import (
     JONES_H,
     JONES_P,
@@ -375,6 +375,7 @@ BATCH_THETAS = (0.0, 0.1, 12.5, 30.0, 45.0, 54.7356, 67.5, 89.9, 90.0)
 ALL_INPUTS = np.column_stack(list(JONES_STATES.values()))
 
 
+@pytest.mark.kernel_bits
 @pytest.mark.parametrize("gamma", (0.0, 0.3))
 @pytest.mark.parametrize("scheme", SCHEME_NAMES)
 def test_batched_run_scheme_equals_per_config_calls_bitwise(scheme, gamma):
@@ -392,6 +393,7 @@ def test_batched_run_scheme_equals_per_config_calls_bitwise(scheme, gamma):
     assert np.array_equal(bits(one_input), bits([run_scheme(c, JONES_P) for c in singles]))
 
 
+@pytest.mark.kernel_bits
 def test_batch_keeps_a_bin_emptied_for_one_config():
     # at theta = 0 the second crystal moves nothing into bin 1, but bins follow from the delays alone:
     # that config keeps bin 1 with a zero Kraus operator, and the batch runs every config on bins [0, 1, 2]
@@ -449,6 +451,7 @@ def angle_batches(draw):
     return config, singles
 
 
+@pytest.mark.kernel_bits
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)
 @given(batch=angle_batches())
 def test_batched_run_scheme_property(batch):
@@ -459,6 +462,7 @@ def test_batched_run_scheme_property(batch):
     assert np.array_equal(bits(batched), bits([run_scheme(c, ALL_INPUTS) for c in singles]))
 
 
+@pytest.mark.kernel_bits
 def test_mismatched_batches_raise():
     with pytest.raises(ValueError, match="share their length"):
         SchemeConfig((crystal(np.zeros(2), 1), quarter_wave(np.zeros(3)), crystal(90.0, 2)))
@@ -468,6 +472,7 @@ def test_mismatched_batches_raise():
                 make(bad)
 
 
+@pytest.mark.kernel_bits
 @pytest.mark.parametrize("last", ("crystal", "plate"))
 @pytest.mark.parametrize("gamma", (0.0, 0.3))
 def test_a_batch_whose_last_element_alone_has_array_angles_equals_its_single_calls(monkeypatch, last, gamma):
@@ -516,10 +521,11 @@ def test_named_schemes_share_their_fixed_elements():
             assert (a is b) == (not isinstance(b.angle_deg, np.ndarray))
 
 
+@pytest.mark.kernel_bits
 def test_single_config_consumers_reject_a_batch():
     config = build_scheme("scheme2", np.array([0.0, 10.0]))
     assert config.batch == 2
-    for consume in (kraus_operators, extract_channel, SchemeConfig.to_json):
+    for consume in (kraus_operators, extract_channel, extract_chi, SchemeConfig.to_json):
         with pytest.raises(ValueError, match="batch of 2"):
             consume(config)
     with pytest.raises(ValueError, match="batch of 2"):
@@ -535,6 +541,7 @@ def test_single_config_consumers_reject_a_batch():
     assert SchemeConfig((plate, crystal(0.0, 1))).batch == 2 and SchemeConfig((crystal(0.0, 1),)).batch is None
 
 
+@pytest.mark.kernel_bits
 def test_occupied_bin_cap_applies_to_a_batch(monkeypatch):
     monkeypatch.setattr(temporal, "MAX_BINS", 8)
     temporal._cached_plan.cache_clear()  # a plan memoized under the real cap would skip the check
@@ -546,6 +553,7 @@ def test_occupied_bin_cap_applies_to_a_batch(monkeypatch):
         run_scheme(four, JONES_P)
 
 
+@pytest.mark.kernel_bits
 def test_stacked_stokes_and_dop_equal_per_matrix_calls_bitwise():
     rhos = run_scheme(build_scheme("isotropic_triple", np.array(BATCH_THETAS), coherence=0.3), ALL_INPUTS)
     s, d = stokes_from_density(rhos), dop(rhos)
@@ -576,6 +584,7 @@ def single_output_cases(draw):
     return SchemeConfig(tuple(elements), coherence=gamma), draw(inputs), draw(inputs)
 
 
+@pytest.mark.kernel_bits
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)
 @given(case=single_output_cases())
 def test_a_single_output_has_the_bytes_of_its_column_in_a_stack_bitwise(case):
@@ -661,6 +670,7 @@ def engine_outputs(spec, gamma):
     return [np.ascontiguousarray(x).tobytes() for x in outputs]
 
 
+@pytest.mark.kernel_bits
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)
 @given(scheme=former_form_schemes())
 def test_former_numpy_forms_give_the_same_bytes(scheme):
@@ -684,6 +694,7 @@ def choi_schemes(draw):
     return SchemeConfig(tuple(elements), coherence=draw(st.sampled_from([0.0, 0.2, 0.9])))
 
 
+@pytest.mark.kernel_bits
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)
 @given(config=choi_schemes())
 def test_choi_maps_match_the_probe_outputs(config):
@@ -692,13 +703,24 @@ def test_choi_maps_match_the_probe_outputs(config):
     outputs = run_scheme(config, _oracle.PROBES)
     for got in (channel, affine_from_outputs(*outputs)):
         assert np.abs(got.m - expected.m).max() <= 4.4e-16 and np.abs(got.b - expected.b).max() <= 4.4e-16
-    chi = tomography._chi_from_choi(temporal._choi(config)[0])
+    chi = extract_chi(config)
     assert chi.clipped_mass == 0.0
     assert np.abs(chi.matrix - tomography.qpt(*outputs).matrix).max() <= 1e-15
     assert abs(np.trace(chi.matrix) - 1.0) <= 1e-15
     assert np.linalg.eigvalsh(chi.matrix).min() >= -1e-15
 
 
+@pytest.mark.parametrize("gamma", (0.0, 0.3))
+@pytest.mark.parametrize("scheme", SCHEME_NAMES)
+def test_extract_chi_keeps_the_bytes_of_the_former_theory_chi(scheme, gamma):
+    config = build_scheme(scheme, None if scheme == "lyot" else 30.0, coherence=gamma)
+    chi = extract_chi(config)
+    expected = _oracle.former_theory_chi(config)
+    assert chi.clipped_mass == 0.0 and chi.matrix.dtype == complex and chi.matrix.shape == (4, 4)
+    assert chi.matrix.tobytes() == expected.tobytes()
+
+
+@pytest.mark.kernel_bits
 def test_choi_maps_fold_into_the_former_qpt_map():
     assert np.array_equal(tomography._CHI_FROM_OUTPUTS.reshape(16, 16), _oracle.former_outputs_to_chi())
 
@@ -714,6 +736,7 @@ def test_a_sparse_chain_runs_only_its_live_band_positions():
     assert len(_oracle.full_band_plan(bins, 0.2)[0]) > len(left)
 
 
+@pytest.mark.kernel_bits
 def test_band_weights_are_python_float_powers():
     # numpy's float64 power is SIMD code: under AVX-512 it rounds 0.3**4 to 0.008099999999999998, libm to 0.0081
     assert temporal._band_plan(np.array([0, 2]), 0.3)[2].tolist() == [0.3**4.0] * 2 == [0.0081] * 2

@@ -282,6 +282,7 @@ def _entry_grid_states(rng, n):
     return states
 
 
+@pytest.mark.kernel_bits
 @pytest.mark.filterwarnings("error")
 def test_sample_counts_keep_the_bits_of_the_probabilities_stream():
     # sample_counts reads its six means off rho's entries in Python floats; they must be shots * probabilities(rho)

@@ -193,6 +193,7 @@ def test_stokes_to_density_keeps_the_bits_of_the_matrix_sum():
             assert got.tobytes() == expected.tobytes(), s
 
 
+@pytest.mark.kernel_bits
 def test_stokes_from_density_keeps_the_bits_of_the_three_ufuncs():
     # signed zeros are where re01 - (-re10) could differ from re01 + re10: all 256 sign patterns of zeros
     # come first; a strided, a broadcast and a Fortran-ordered array and nested lists are read through a copy
@@ -223,6 +224,7 @@ def test_stokes_from_density_keeps_the_bits_of_the_three_ufuncs():
             stokes_from_density(bad)
 
 
+@pytest.mark.kernel_bits
 @pytest.mark.filterwarnings("error")
 def test_single_matrix_read_outs_keep_nan_and_inf_bits():
     # a NaN's sign bit is where Python's unary minus would part from the stack's multiplication by -1.0
@@ -274,10 +276,11 @@ LIBRARY_EINSUMS = {
     "nji,mjl->mnil": [(4, 2, 2), (4, 2, 2)],
     "mnxy,xy->mn": [(4, 4, 4, 4), (4, 4)],
     "mnkac,kac->mn": [(4, 4, 4, 2, 2), (4, 2, 2)],
-    "nj,ij->ni": [(50, 3), (3, 3)],
+    "...j,ij->...i": [(50, 3), (3, 3)],
 }
 
 
+@pytest.mark.kernel_bits
 def test_einsum_kernel_binding_gives_np_einsum_bytes():
     # the library calls numpy's einsum kernel without np.einsum's dispatch; the kernel is the same object
     # np.einsum ends in, and on every subscript string in the package's source its bits are np.einsum's
@@ -313,6 +316,7 @@ def test_einsum_kernel_binding_gives_np_einsum_bytes():
                     subscripts, kinds)
 
 
+@pytest.mark.kernel_bits
 def test_eigh_kernel_binding_gives_np_linalg_eigh_bytes():
     # the library calls LAPACK's Hermitian eigensolver without np.linalg.eigh's Python wrapper; the gufunc is the
     # one np.linalg.eigh ends in, and its eigenvalues and eigenvectors have np.linalg.eigh's bits on Hermitian 2x2

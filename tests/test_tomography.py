@@ -6,7 +6,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from depolsim.channels import SCHEME_NAMES, ISOTROPIC_POINT_DEG, affine_from_outputs, build_scheme, extract_channel
+from depolsim.channels import (
+    SCHEME_NAMES,
+    ISOTROPIC_POINT_DEG,
+    StokesChannel,
+    affine_from_outputs,
+    build_scheme,
+    extract_channel,
+    extract_chi,
+)
 from depolsim.measurement import DEFAULT_SETTINGS, MeasurementRecord, projector, sample_counts
 from depolsim.polarization import (
     JONES_STATES,
@@ -21,6 +29,7 @@ from depolsim.temporal import run_scheme
 from depolsim.tomography import (
     CHI_BASIS,
     ChiMatrix,
+    LinearEstimate,
     _sphere_mle,
     process_fidelity,
     qpt,
@@ -450,7 +459,13 @@ def test_process_fidelity_rejects_a_chi_without_positive_finite_trace():
     chi_id = ChiMatrix(np.diag([1.0, 0.0, 0.0, 0.0]))
     for trace in (0.0, -1.0, np.nan, np.inf):
         bad = np.diag([trace, 0.0, 0.0, 0.0])
-        for pair in ((bad, chi_id), (chi_id, bad), (ChiMatrix(bad), chi_id)):
+        pairs = [(bad, chi_id), (chi_id, bad)]
+        if np.isfinite(trace):
+            pairs.append((ChiMatrix(bad), chi_id))
+        else:  # a ChiMatrix refuses the entry itself
+            with pytest.raises(ValueError, match="chi matrix must be finite"):
+                ChiMatrix(bad)
+        for pair in pairs:
             with pytest.raises(ValueError, match="positive finite trace"):
                 process_fidelity(*pair)
 
@@ -464,9 +479,11 @@ def test_process_fidelity_refuses_a_non_finite_chi_entry():
         for bad in (np.nan, np.inf, complex(0.0, np.nan), complex(0.0, -np.inf)):
             chi = chi_lyot.copy()
             chi[position] = bad
-            for pair in ((chi, chi_lyot), (chi_lyot, chi), (ChiMatrix(chi), ChiMatrix(chi_lyot))):
+            for pair in ((chi, chi_lyot), (chi_lyot, chi)):
                 with pytest.raises(ValueError, match="must be finite"):
                     process_fidelity(*pair)
+            with pytest.raises(ValueError, match="chi matrix must be finite"):  # the entry itself, at construction
+                ChiMatrix(chi)
 
 
 @pytest.mark.filterwarnings("error")
@@ -647,6 +664,7 @@ def test_tomography_pipeline_keeps_the_bits_of_numpys_wrappers():
     assert min(clipped_masses) == 0.0 < max(clipped_masses)
 
 
+@pytest.mark.kernel_bits
 def test_trace4_keeps_the_bits_of_numpys_trace():
     # qpt and process_fidelity take a 4x4 trace as (d0 + d1) + (d2 + d3) in Python floats; numpy's complex sum adds
     # four entries pairwise, and a left-to-right sum differs on many of these matrices
@@ -678,15 +696,12 @@ def test_trace4_keeps_the_bits_of_numpys_trace():
 
 def test_qpt_returns_a_checked_chi_matrix():
     # qpt and the theory chi skip ChiMatrix's checks; what they return must be what the checks would store
-    from depolsim.cli import _choi
-    from depolsim.tomography import _chi_from_choi
-
     config = build_scheme("scheme1", 30.0)
     outputs = [run_scheme(config, JONES_STATES[lbl]) for lbl in QPT_LABELS]
     estimates = [qst_mle(record_for(rho, 1_000, seed)) for seed, rho in enumerate(outputs)]
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", UserWarning)
-        chis = [qpt(*outputs), qpt(*estimates), _chi_from_choi(_choi(config)[0])]
+        chis = [qpt(*outputs), qpt(*estimates), extract_chi(config)]
     for chi in chis:
         checked = ChiMatrix(chi.matrix, chi.clipped_mass)
         assert chi.matrix.dtype == complex and chi.matrix.shape == (4, 4)
@@ -712,3 +727,22 @@ def test_process_fidelity_keeps_taking_square_matrices_of_any_size():
         expected = state_fidelity(a / a.trace().real, b / b.trace().real)
         assert process_fidelity(a, b) == expected
     assert process_fidelity(np.eye(2), np.eye(2)) == pytest.approx(1.0, abs=1e-12)
+
+
+def test_chi_matrix_refuses_a_matrix_its_reader_refuses():
+    # the constructor keeps the JSON reader's rule: a 4x4 matrix of finite entries, not a flat 16-vector
+    for matrix in (np.full((4, 4), np.nan), np.arange(16), np.eye(2), np.eye(4)[None], np.eye(4, dtype=bool)):
+        with pytest.raises(ValueError, match="chi matrix must be"):
+            ChiMatrix(matrix)
+    assert ChiMatrix(np.eye(4, dtype=int)).matrix.dtype == complex
+
+
+def test_array_holding_records_compare_by_identity():
+    # with the dataclass == on an ndarray field, a == b raised ValueError and hash() TypeError
+    for make in (
+        lambda: ChiMatrix(np.eye(4) / 4),
+        lambda: StokesChannel(np.eye(3), np.zeros(3)),
+        lambda: LinearEstimate(np.eye(2) / 2, True),
+    ):
+        a, b = make(), make()
+        assert a == a and a != b and hash(a) == hash(a) and len({a, b}) == 2
