@@ -33,7 +33,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .polarization import CHOI_TO_CHI, CHOI_TO_PTM, OUTPUTS_TO_CHOI, _einsum, _json_array, _number_array, _read_json
+from .polarization import CHOI_TO_CHI, CHOI_TO_PTM, OUTPUTS_TO_CHOI, _einsum, _hermitian_average, _json_array
+from .polarization import _number_array, _read_json, _trace
 from .temporal import SchemeConfig, _check_single, _choi, crystal, half_wave, quarter_wave
 from .tomography import ChiMatrix
 
@@ -83,8 +84,8 @@ def s1_projection_channel() -> StokesChannel:
 
 
 def compose(outer: StokesChannel, inner: StokesChannel) -> StokesChannel:
-    """Channel applying `inner` first, then `outer`."""
-    return StokesChannel(outer.m @ inner.m, outer.m @ inner.b + outer.b)
+    """Channel applying `inner` first, then `outer`: m by numpy's einsum kernel, and b = outer.apply(inner.b)."""
+    return StokesChannel(_einsum("ij,jk->ik", outer.m, inner.m), outer.apply(inner.b))
 
 
 # the named schemes' fixed elements, built once: elements are frozen, so every config shares them
@@ -188,8 +189,7 @@ def extract_channel(config: SchemeConfig) -> StokesChannel:
 def extract_chi(config: SchemeConfig) -> ChiMatrix:
     """Chi matrix of a single scheme, read from its Choi matrix, Hermitian-averaged: PSD as S is, nothing is clipped."""
     _check_single(config.batch, "extract_chi")
-    chi = _einsum("mnxy,xy->mn", CHOI_TO_CHI, _choi(config)[0])
-    return ChiMatrix._trusted((chi + chi.conj().T) / 2.0)
+    return ChiMatrix._trusted(_hermitian_average(_einsum("mnxy,xy->mn", CHOI_TO_CHI, _choi(config)[0])))
 
 
 def analytic_scheme2_dop(theta_deg: float, s1: float) -> float:
@@ -240,9 +240,9 @@ def isotropy_report(channel: StokesChannel, tol: float = 1e-6) -> tuple[bool, fl
 
     Isotropic means b = 0 and M^T M = lambda^2 I within `tol`: the sphere
     maps to a smaller sphere of radius lambda, possibly rotated.
-    Returns (is_isotropic, lambda).
+    Returns (is_isotropic, lambda); the trace and norms are Python floats.
     """
-    mtm = channel.m.T @ channel.m
-    lam2 = float(np.trace(mtm)) / 3.0
-    residual = float(np.linalg.norm(mtm - lam2 * np.eye(3))) + float(np.linalg.norm(channel.b))
-    return residual < tol, float(np.sqrt(max(lam2, 0.0)))
+    mtm = _einsum("ji,jk->ik", channel.m, channel.m)
+    lam2 = _trace(mtm) / 3.0
+    residual = math.hypot(*(mtm - lam2 * np.eye(3)).ravel().tolist()) + math.hypot(*channel.b.tolist())
+    return residual < tol, math.sqrt(max(lam2, 0.0))

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .polarization import IDENTITY, SIGMAS, _as_integer, _check_finite, _json_number, _read_json
+from .polarization import IDENTITY, SIGMAS, _as_integer, _check_finite, _json_number, _one_state, _read_json
 
 DEFAULT_SETTINGS = ("h", "v", "p", "m", "r", "l")
 
@@ -120,24 +120,17 @@ def projector(label: str) -> np.ndarray:
     return (IDENTITY + sign * SIGMAS[axis]) / 2.0
 
 
-# the six projectors as one read-only (6, 2, 2) stack, in DEFAULT_SETTINGS order
-_PROJECTORS = np.stack([projector(label) for label in DEFAULT_SETTINGS])
-_PROJECTORS.flags.writeable = False
-
-
 def probabilities(rho) -> np.ndarray:
-    """Born-rule probabilities tr(rho P_j) of the six settings in DEFAULT_SETTINGS order, from one stacked product."""
-    products = np.asarray(rho, dtype=complex) @ _PROJECTORS
-    # np.clip's bits, -0.0 and NaN included, without its Python-level wrapper: the bound goes first
-    return np.minimum(np.maximum(0.0, (products[:, 0, 0] + products[:, 1, 1]).real), 1.0)
+    """Born-rule probabilities tr(rho P_j) of one 2x2 matrix, in DEFAULT_SETTINGS order (`_entry_probabilities`)."""
+    return np.array(_entry_probabilities(*_one_state(rho).ravel().tolist()))
 
 
 def _entry_probabilities(a: complex, b: complex, c: complex, d: complex) -> list[float]:
-    """`probabilities` of the finite matrix [[a, b], [c, d]], read off its entries in Python floats.
+    """The six probabilities tr(rho P_j) of the matrix [[a, b], [c, d]], read off its entries in Python floats.
 
-    These are the operations, in the same order, that the stacked product
-    makes on the projectors' entries 1, +-0.5 and +-0.5i, so that each
-    value has its bits: with halves x' = x * 0.5, p_h = Re a, p_v = Re d,
+    These are the operations, in the same order, that the products rho P_j
+    make on the projectors' entries 1, +-0.5 and +-0.5i, so that a finite
+    value has their bits: with x' = x * 0.5, p_h = Re a, p_v = Re d,
     p_p = (a' + b') + (c' + d') and p_m = (a' - b') + (d' - c') on real
     parts, p_r = (Re a' - Im b') + (Im c' + Re d') and p_l = (Re a' +
     Im b') + (Re d' - Im c'), each clamped to [0, 1].  Only the sign of a
@@ -160,16 +153,11 @@ def sample_counts(rho, shots: int, seed: int, exact: bool = False) -> Measuremen
     an integer >= 0 (in either mode), if `rho` is not one finite 2x2
     matrix, or if a mean count shots * p_j does not fit in int64.
 
-    The means are those of ``shots * probabilities(rho)`` bit for bit, up
-    to the sign of a zero, computed in Python floats on rho's four entries
-    (`_entry_probabilities`) rather than through six matrix products and
-    array set-up.
+    The means are ``shots * probabilities(rho)``, kept in Python floats
+    (`_entry_probabilities` on rho's four entries) with no array set-up.
     """
     shots, seed = _as_integer(shots, "shots", 1), _as_integer(seed, "seed", 0)
-    rho = np.asarray(rho, dtype=complex)
-    if rho.shape != (2, 2):
-        raise ValueError(f"the state rho must be one 2x2 matrix, got shape {rho.shape}")
-    entries = _check_finite(rho, "the state rho")
+    entries = _check_finite(_one_state(rho), "the state rho")
     try:
         scale = float(shots)  # as numpy's product converts a Python int: rounded to nearest
     except OverflowError:  # past the float range every nonzero mean is inf, and a zero one NaN: both fail below

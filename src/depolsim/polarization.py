@@ -247,9 +247,8 @@ def density_from_stokes(s) -> np.ndarray:
     Raises ValueError if |s| > 1 (no physical state lies outside the
     Poincare sphere).
     """
-    s = np.asarray(s, dtype=float).reshape(3)
-    with np.errstate(over="ignore"):  # an overflowing norm is inf, which the check rejects
-        norm = float(np.linalg.norm(s))
+    s = np.asarray(s, dtype=float).reshape(3).tolist()
+    norm = math.hypot(*s)  # a norm beyond the float range is inf, which the check rejects
     if not norm <= 1.0 + NORM_ATOL:
         raise ValueError(f"Stokes vector of length {norm!r} lies outside the unit ball")
     return _stokes_to_density(s)
@@ -300,23 +299,45 @@ def dop(rho):
 def dop_from_determinant(rho) -> float:
     """Degree of polarization via sqrt(1 - 4 det rho).
 
-    Tiny negative radicands (>= -1e-10, floating-point noise around the
-    fully mixed state) are clamped to zero; anything more negative, or a
-    non-finite entry, means the input was not a physical state.
+    det rho = a d - b c of one 2x2 matrix, in Python complex numbers.  Tiny negative radicands (>= -1e-10, noise
+    around the fully mixed state) are clamped to zero; anything more negative, or a non-finite entry, means the
+    input was not a physical state.
     """
-    rho = np.asarray(rho, dtype=complex)
-    _check_finite(rho, "the state rho")
-    radicand = 1.0 - 4.0 * np.linalg.det(rho).real
+    a, b, c, d = _check_finite(_one_state(rho), "the state rho")
+    radicand = 1.0 - 4.0 * (a * d - b * c).real
     if radicand < -1e-10:
         raise ValueError(f"1 - 4 det(rho) = {radicand!r}; not a physical state")
-    return min(np.sqrt(max(radicand, 0.0)), 1.0)
+    return min(math.sqrt(max(radicand, 0.0)), 1.0)
 
 
 def _sqrtm_psd(h: np.ndarray) -> np.ndarray:
     """Square root of a Hermitian PSD matrix, clipping eigenvalue noise."""
     vals, vecs = _eigh(h)
-    vals = np.maximum(vals, 0.0)
-    return (vecs * np.sqrt(vals)) @ vecs.conj().T
+    return _einsum("ik,k,jk->ij", vecs, np.sqrt(np.maximum(vals, 0.0)), vecs.conj())
+
+
+def _hermitian_average(matrix: np.ndarray) -> np.ndarray:
+    """(matrix + matrix^dagger) / 2 in place, with the out-of-place bits: the conjugate is a fresh array."""
+    matrix += matrix.conj().T
+    matrix /= 2.0
+    return matrix
+
+
+def _trace(matrix: np.ndarray) -> float:
+    """Re tr(matrix), its real diagonal added left to right in Python floats: not `sum`, which compensates from
+    Python 3.12, nor `math.fsum`, which raises OverflowError where this sum is inf."""
+    total = 0.0
+    for entry in matrix.diagonal().real.tolist():
+        total += entry
+    return total
+
+
+def _one_state(rho) -> np.ndarray:
+    """`rho` as one complex 2x2 matrix, else ValueError."""
+    rho = np.asarray(rho, dtype=complex)
+    if rho.shape != (2, 2):
+        raise ValueError(f"the state rho must be one 2x2 matrix, got shape {rho.shape}")
+    return rho
 
 
 def _check_finite(matrix: np.ndarray, what: str) -> list:
@@ -343,8 +364,7 @@ def _number_array(value, shape: tuple[int, ...], dtype: type, what: str) -> np.n
 
 def state_fidelity(a, b) -> float:
     """Uhlmann fidelity F = (tr sqrt(sqrt(a) b sqrt(a)))^2 between two states; a non-finite entry raises ValueError."""
-    a = np.asarray(a, dtype=complex)
-    b = np.asarray(b, dtype=complex)
+    a, b = np.asarray(a, dtype=complex), np.asarray(b, dtype=complex)
     _check_finite(a, "the state a")
     _check_finite(b, "the state b")
     return _fidelity(a, b)
@@ -353,5 +373,5 @@ def state_fidelity(a, b) -> float:
 def _fidelity(a: np.ndarray, b: np.ndarray) -> float:
     """`state_fidelity` of two finite complex matrices, unchecked."""
     ra = _sqrtm_psd(a)
-    f = _sqrtm_psd(ra @ b @ ra).trace().real ** 2
-    return float(min(max(f, 0.0), 1.0))
+    f = _trace(_sqrtm_psd(_einsum("ij,jk,kl->il", ra, b, ra))) ** 2
+    return min(max(f, 0.0), 1.0)

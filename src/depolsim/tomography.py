@@ -41,17 +41,23 @@ import numpy as np
 
 from .measurement import DEFAULT_SETTINGS, SETTING_PAIRS, MeasurementRecord
 from .polarization import CHI_BASIS, CHOI_TO_CHI, IDENTITY, OUTPUTS_TO_CHOI, PSD_ATOL, _check_finite, _eigh, _einsum
-from .polarization import _fidelity, _json_array, _json_number, _number_array, _read_json, _stokes_to_density
+from .polarization import _fidelity, _hermitian_average, _json_array, _json_number, _number_array, _read_json
+from .polarization import _stokes_to_density, _trace
 
 CHI_BASIS_LABELS = ("I", "X", "Y", "Z")
 
 
 @dataclass(frozen=True, eq=False)
 class LinearEstimate:
-    """Linear-inversion state estimate; `physical` is False if it left the PSD cone."""
+    """Linear-inversion state estimate: a finite 2x2 rho, and `physical`, a bool, False if it left the PSD cone."""
 
     rho: np.ndarray
     physical: bool
+
+    def __post_init__(self):
+        object.__setattr__(self, "rho", _number_array(self.rho, (2, 2), complex, "LinearEstimate rho"))
+        if not isinstance(self.physical, bool):
+            raise ValueError(f"LinearEstimate physical must be a bool, got {self.physical!r}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -346,16 +352,9 @@ _CHI_FROM_OUTPUTS = _einsum("mnxy,xykac->mnkac", CHOI_TO_CHI, OUTPUTS_TO_CHOI)
 _CHI_FROM_OUTPUTS.flags.writeable = False
 
 
-# vec chi -> vec sum_{m,n} chi[m,n] E_n^dag E_m on the flattened chi, [m, n, i, l] = (E_n^dag E_m)[i, l]
-_CHI_TP = _einsum("nji,mjl->mnil", np.conj(CHI_BASIS), CHI_BASIS).reshape(16, 4)
+# chi -> sum_{m,n} chi[m,n] E_n^dag E_m, as [m, n, i, l] = (E_n^dag E_m)[i, l]
+_CHI_TP = _einsum("nji,mjl->mnil", np.conj(CHI_BASIS), CHI_BASIS)
 _CHI_TP.flags.writeable = False
-
-
-def _trace4(diagonal: list[float]) -> float:
-    """The sum of a 4x4 matrix's four real diagonal entries, with the bits of numpy's `trace().real`: its complex
-    sum adds four entries pairwise, as (d0 + d1) + (d2 + d3), not left to right."""
-    d0, d1, d2, d3 = diagonal
-    return (d0 + d1) + (d2 + d3)
 
 
 def _chi_matrix(chi) -> np.ndarray:
@@ -379,18 +378,12 @@ def qpt(rho_h, rho_v, rho_p, rho_r) -> ChiMatrix:
     if outputs.shape != (4, 2, 2):
         raise ValueError(f"qpt needs four 2x2 output states, got shape {outputs.shape}")
     _check_finite(outputs, "qpt's output states")
-    chi = _einsum("mnkac,kac->mn", _CHI_FROM_OUTPUTS, outputs)
-    chi += chi.conj().T  # the conjugate is a fresh array; in place, the average has the bits of (chi + chi^dag) / 2
-    chi /= 2.0
-
-    vals, vecs = _eigh(chi)
+    vals, vecs = _eigh(_hermitian_average(_einsum("mnkac,kac->mn", _CHI_FROM_OUTPUTS, outputs)))
     # eigh sorts its eigenvalues ascending, so only the first needs a look; with nothing clipped the mass is +0.0
     clipped = float(0.0 - vals[vals < 0].sum()) if vals[0] < 0.0 else 0.0
-    vals = np.maximum(vals, 0.0)  # always: it also turns a -0.0 eigenvalue into +0.0, a sign chi's zeros can carry
-    chi_psd = (vecs * vals) @ vecs.conj().T
-    # the trace in Python floats, with the bits of numpy's `trace().real` (see `_trace4`), where an all-zero or
-    # overflowing trace raises instead of warning in numpy's sum and division
-    trace = _trace4(chi_psd.diagonal().real.tolist())
+    # np.maximum also turns a -0.0 eigenvalue into +0.0; the average makes the diagonal real (the rebuild leaves ~1e-21)
+    chi_psd = _hermitian_average(_einsum("ik,k,jk->ij", vecs, np.maximum(vals, 0.0), vecs.conj()))
+    trace = _trace(chi_psd)
     if not 0.0 < trace < math.inf:
         raise ValueError(f"qpt needs outputs whose chi has a positive finite trace, got trace {trace!r}")
     chi_psd /= trace
@@ -411,8 +404,7 @@ def process_fidelity(a, b) -> float:
     entry is not finite.
     """
     mats = _chi_matrix(a), _chi_matrix(b)
-    # a 4x4 trace in Python floats, with the bits of numpy's `trace().real` (see `_trace4`)
-    traces = [_trace4(mat.diagonal().real.tolist()) if mat.shape == (4, 4) else mat.trace().real for mat in mats]
+    traces = [_trace(mat) for mat in mats]
     for trace in traces:
         if not 0.0 < trace < math.inf:
             raise ValueError(f"process_fidelity needs chi matrices of positive finite trace, got trace {trace!r}")
@@ -422,6 +414,6 @@ def process_fidelity(a, b) -> float:
 
 
 def trace_preservation_residual(chi) -> float:
-    """Norm of sum_{m,n} chi[m,n] E_n^dag E_m - I (zero for TP channels)."""
-    acc = (_chi_matrix(chi).reshape(16) @ _CHI_TP).reshape(2, 2)
-    return float(np.linalg.norm(acc - IDENTITY))
+    """Frobenius norm, in Python floats, of sum_{m,n} chi[m,n] E_n^dag E_m - I (zero for TP channels)."""
+    residual = _einsum("mn,mnil->il", _chi_matrix(chi), _CHI_TP) - IDENTITY
+    return math.hypot(*residual.view(float).ravel().tolist())

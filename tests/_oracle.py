@@ -37,11 +37,15 @@ patched in, the former ones must give its output bit for bit.
 
 Wrapped tomography.  ``wrapped_sample_counts``, ``wrapped_qpt`` and
 ``wrapped_state_fidelity`` are ``sample_counts``, ``qpt`` and
-``state_fidelity`` as they were while they went through numpy's Python
-wrappers: ``np.linalg.eigh``, ``np.einsum``, array reductions over six
-numbers and out-of-place Hermitian averages.  The library calls the same
-LAPACK and einsum kernels on the same operands, so it must give their
-output bit for bit.
+``state_fidelity`` through numpy's Python wrappers: ``np.linalg.eigh``,
+``np.einsum`` on the library's subscripts, array reductions over six
+numbers and out-of-place Hermitian averages, with the traces added left
+to right in Python floats (``trace``).  The library calls the same LAPACK
+and einsum kernels on the same operands, so it must give their output
+bit for bit.  ``stacked_probabilities`` is the Born rule as one stacked
+product of rho with the six projectors (``PROJECTORS``), clamped by
+``np.clip``: the former form of ``measurement.probabilities``, whose
+entry path must give its bits up to the sign of a zero.
 
 Likelihood.  The Poisson log-likelihood of a measurement record is
 evaluated setting by setting from the basis states' Jones vectors, and
@@ -238,13 +242,31 @@ def former_forms():
 # --- the tomography pipeline through numpy's wrappers -----------------------
 
 
+# the six projectors as one (6, 2, 2) stack, in DEFAULT_SETTINGS order
+PROJECTORS = np.stack([measurement.projector(label) for label in measurement.DEFAULT_SETTINGS])
+
+
+def stacked_probabilities(rho):
+    """The six Born-rule probabilities of rho from the stacked product rho @ PROJECTORS, clamped by `np.clip`."""
+    products = np.asarray(rho, dtype=complex) @ PROJECTORS
+    return np.clip((products[:, 0, 0] + products[:, 1, 1]).real, 0.0, 1.0)
+
+
+def trace(matrix):
+    """Re tr(matrix), the real diagonal added left to right in Python floats."""
+    total = 0.0
+    for entry in np.diagonal(matrix).real.tolist():
+        total += entry
+    return total
+
+
 def wrapped_sample_counts(rho, shots, seed, exact=False):
-    """`measurement.sample_counts`, checking the int64 range with `means.max()`."""
+    """`measurement.sample_counts` from `stacked_probabilities`, checking the int64 range with `means.max()`."""
     shots, seed = polarization._as_integer(shots, "shots", 1), polarization._as_integer(seed, "seed", 0)
     rho = np.asarray(rho, dtype=complex)
     if not np.isfinite(rho).all():
         raise ValueError(f"the state rho must be finite, got {rho!r}")
-    means = shots * measurement.probabilities(rho)
+    means = shots * stacked_probabilities(rho)
     if not means.max() < 2.0**63:
         raise ValueError(f"shots = {shots!r} gives mean counts beyond the int64 range")
     if exact:
@@ -259,27 +281,24 @@ def wrapped_qpt(rho_h, rho_v, rho_p, rho_r):
     """`tomography.qpt` through `np.einsum` and `np.linalg.eigh`: (chi, clipped mass)."""
     outputs = np.array((rho_h, rho_v, rho_p, rho_r), dtype=complex)
     chi = np.einsum("mnkac,kac->mn", tomography._CHI_FROM_OUTPUTS, outputs)
-    chi = (chi + chi.conj().T) / 2.0
-    vals, vecs = np.linalg.eigh(chi)
+    vals, vecs = np.linalg.eigh((chi + chi.conj().T) / 2.0)
     clipped = float(0.0 - vals[vals < 0].sum())
-    vals = np.maximum(vals, 0.0)
-    chi_psd = (vecs * vals) @ vecs.conj().T
-    chi_psd /= chi_psd.trace().real
-    return chi_psd, clipped
+    chi_psd = np.einsum("ik,k,jk->ij", vecs, np.maximum(vals, 0.0), vecs.conj())
+    chi_psd = (chi_psd + chi_psd.conj().T) / 2.0
+    return chi_psd / trace(chi_psd), clipped
 
 
 def _wrapped_sqrtm_psd(h):
     vals, vecs = np.linalg.eigh(h)
-    vals = np.maximum(vals, 0.0)
-    return (vecs * np.sqrt(vals)) @ vecs.conj().T
+    return np.einsum("ik,k,jk->ij", vecs, np.sqrt(np.maximum(vals, 0.0)), vecs.conj())
 
 
 def wrapped_state_fidelity(a, b):
-    """`polarization.state_fidelity` through `np.linalg.eigh`."""
+    """`polarization.state_fidelity` through `np.linalg.eigh` and `np.einsum`."""
     a = np.asarray(a, dtype=complex)
     b = np.asarray(b, dtype=complex)
     ra = _wrapped_sqrtm_psd(a)
-    f = _wrapped_sqrtm_psd(ra @ b @ ra).trace().real ** 2
+    f = trace(_wrapped_sqrtm_psd(np.einsum("ij,jk,kl->il", ra, b, ra))) ** 2
     return float(min(max(f, 0.0), 1.0))
 
 

@@ -19,6 +19,7 @@ from depolsim import cli
 from depolsim.cli import MAX_POINTS, _parse_theta_range, fibonacci_sphere, main
 from depolsim.channels import ISOTROPIC_POINT_DEG, SCHEME_NAMES, StokesChannel, build_scheme, extract_channel
 from depolsim.temporal import SchemeConfig
+from _helpers import read_out_digests
 
 
 def run_cli(args, capsys):
@@ -418,20 +419,50 @@ KERNEL_SETTINGS = [
 ]
 
 # runs each argv read from stdin through depolsim.cli.main into the file named by argv[1]; prints numpy's CPU
-# features once numpy has started, then the sha256 of every output
+# features once numpy has started, then every output's text
 KERNEL_RUN = """
-import hashlib, json, sys
+import json, sys
 from numpy._core import _multiarray_umath
 print("FEATURES", json.dumps({k: bool(v) for k, v in _multiarray_umath.__cpu_features__.items()}), flush=True)
 from depolsim.cli import main
-digests = []
+outputs = []
 for argv in json.loads(sys.stdin.read()):
     if main(argv + ["--out", sys.argv[1]]) != 0:
         sys.exit(1)
     with open(sys.argv[1], "rb") as fh:
-        digests.append(hashlib.sha256(fh.read()).hexdigest())
-print("DIGESTS", json.dumps(digests))
+        outputs.append(fh.read().decode())  # the bytes as written, line ends included
+print("OUTPUTS", json.dumps(outputs))
 """
+
+# the same, after importing depolsim with the private numpy names it binds hidden: stub modules without them stand
+# in for their modules during the import only, so _einsum and _eigh take their fallbacks
+FALLBACK_RUN = """
+import sys, types
+import numpy as np
+hidden = ("numpy._core.multiarray", "numpy._core._ufunc_config", "numpy.linalg._umath_linalg")
+modules = {name: sys.modules[name] for name in hidden}
+sys.modules.update((name, types.ModuleType(name)) for name in hidden)
+try:
+    import depolsim.cli
+finally:
+    sys.modules.update(modules)
+from depolsim import polarization
+print("FALLBACKS", polarization._einsum is np.einsum, polarization._eigh is np.linalg.eigh)
+""" + KERNEL_RUN
+
+# one exact and one sampled tomo run per named scheme, two of them with coherence
+TOMO_COMMANDS = [
+    ["tomo", "--scheme", scheme, *args, *mode]
+    for scheme, args in (
+        ("scheme1", ["--theta", "30"]),
+        ("scheme2", ["--theta", "10"]),
+        ("scheme3", ["--theta", "60", "--gamma", "0.3"]),
+        ("lyot", []),
+        ("single_crystal", ["--theta", "45"]),
+        ("isotropic_triple", ["--theta", "20", "--gamma", "0.3"]),
+    )
+    for mode in (["--exact"], ["--shots", "10000", "--seed", "3"])
+]
 
 
 def run_under(variables, script, *args, stdin=""):
@@ -452,11 +483,17 @@ def openblas_core(stderr):
     return match and match.group(1)
 
 
-@pytest.mark.parametrize("setting", KERNEL_SETTINGS, ids=[name for name, _ in KERNEL_SETTINGS])
-def test_pinned_outputs_hold_on_every_kernel(tmp_path, setting):
+def report_of(proc):
+    """The lines a run script printed, as {first word: the rest}."""
+    return dict(line.split(" ", 1) for line in proc.stdout.splitlines() if " " in line)
+
+
+def outputs_under(setting, out, commands):
+    """The output texts of `commands`, run by KERNEL_RUN in a fresh interpreter under a KERNEL_SETTINGS entry, or a
+    skip naming the setting where the host cannot apply it."""
     name, variables = setting
-    proc = run_under(variables, KERNEL_RUN, str(tmp_path / "out"), stdin=json.dumps([a for a, _ in PINNED_OUTPUTS]))
-    report = dict(line.split(" ", 1) for line in proc.stdout.splitlines() if " " in line)
+    proc = run_under(variables, KERNEL_RUN, str(out), stdin=json.dumps(commands))
+    report = report_of(proc)
     if "FEATURES" not in report:
         pytest.skip(f"{name}: numpy does not start under it: {proc.stderr.strip()[-300:]}")
     if "OPENBLAS_CORETYPE" in variables:
@@ -468,7 +505,59 @@ def test_pinned_outputs_hold_on_every_kernel(tmp_path, setting):
         if any(features.get(f, True) for f in variables["NPY_DISABLE_CPU_FEATURES"].split()):
             pytest.skip(f"{name}: numpy here does not know, or does not turn off, every feature named")
     assert proc.returncode == 0, proc.stderr
-    assert json.loads(report["DIGESTS"]) == [digest for _, digest in PINNED_OUTPUTS]
+    return json.loads(report["OUTPUTS"])
+
+
+def sha256_of(texts):
+    return [hashlib.sha256(text.encode()).hexdigest() for text in texts]
+
+
+@pytest.mark.parametrize("setting", KERNEL_SETTINGS, ids=[name for name, _ in KERNEL_SETTINGS])
+def test_pinned_outputs_hold_on_every_kernel(tmp_path, setting):
+    outputs = outputs_under(setting, tmp_path / "out", [argv for argv, _ in PINNED_OUTPUTS])
+    assert sha256_of(outputs) == [digest for _, digest in PINNED_OUTPUTS]
+
+
+# the tomo fields that do not pass through eigh; chi and process_fidelity do, and LAPACK's arithmetic follows the
+# OpenBLAS kernel
+TOMO_FIELDS_WITHOUT_EIGH = {"scheme", "theta_deg", "shots", "seed", "exact", "dop", "chi_theory"}
+
+
+@pytest.mark.parametrize("setting", KERNEL_SETTINGS, ids=[name for name, _ in KERNEL_SETTINGS])
+def test_tomo_fields_without_eigh_hold_on_every_kernel(tmp_path, setting):
+    native = json.loads(report_of(run_under({}, KERNEL_RUN, str(tmp_path / "native"),
+                                            stdin=json.dumps(TOMO_COMMANDS)))["OUTPUTS"])
+    outputs = outputs_under(setting, tmp_path / "out", TOMO_COMMANDS)
+    assert len(outputs) == len(native) == len(TOMO_COMMANDS)
+    for argv, text, native_text in zip(TOMO_COMMANDS, outputs, native):
+        report, native_report = json.loads(text), json.loads(native_text)
+        assert report.keys() - TOMO_FIELDS_WITHOUT_EIGH == {"chi", "process_fidelity"}
+        for field in sorted(TOMO_FIELDS_WITHOUT_EIGH):
+            assert json.dumps(report[field]) == json.dumps(native_report[field]), (argv, field)
+
+
+def test_fallbacks_give_the_pinned_bytes_and_the_bound_tomo_bytes(tmp_path):
+    # with numpy's private einsum and eigh names hidden at import, depolsim runs on np.einsum and np.linalg.eigh:
+    # the same kernels behind Python wrappers, so every pinned digest holds and tomo writes the bound path's bytes
+    commands = [argv for argv, _ in PINNED_OUTPUTS] + TOMO_COMMANDS
+    fallback = run_under({}, FALLBACK_RUN, str(tmp_path / "fallback"), stdin=json.dumps(commands))
+    bound = run_under({}, KERNEL_RUN, str(tmp_path / "bound"), stdin=json.dumps(TOMO_COMMANDS))
+    assert fallback.returncode == 0 and bound.returncode == 0, fallback.stderr + bound.stderr
+    report = report_of(fallback)
+    assert report["FALLBACKS"] == "True True"
+    outputs = json.loads(report["OUTPUTS"])
+    assert sha256_of(outputs[:len(PINNED_OUTPUTS)]) == [digest for _, digest in PINNED_OUTPUTS]
+    assert outputs[len(PINNED_OUTPUTS):] == json.loads(report_of(bound)["OUTPUTS"])
+
+
+@pytest.mark.kernel_bits
+def test_read_outs_without_eigh_give_the_native_bytes():
+    # compose, isotropy_report, trace_preservation_residual, dop_from_determinant, density_from_stokes and
+    # probabilities take no BLAS call: under this process's kernel setting they give the bytes of a fresh native
+    # interpreter, the same Python, with the kernel variables unset
+    proc = run_under({}, "import json, _helpers; print(json.dumps(_helpers.read_out_digests()))")
+    assert proc.returncode == 0, proc.stderr
+    assert read_out_digests() == json.loads(proc.stdout)
 
 
 @pytest.mark.kernel_bits

@@ -14,6 +14,7 @@ from depolsim.measurement import (
 )
 from depolsim.polarization import JONES_H, density_from_jones, density_from_stokes
 from _helpers import random_density
+import _oracle
 
 
 def test_projector_examples():
@@ -255,17 +256,27 @@ def test_poisson_draws_are_the_stream_of_one_array_call():
 
 
 def test_probabilities_keep_the_bits_of_np_clip():
-    # signed zeros, values beyond [0, 1] and NaN, all where the stacked product puts them
-    from depolsim.measurement import _PROJECTORS
-
+    # probabilities reads one matrix's entries in Python floats; against the stacked product clamped by np.clip, on
+    # signed zeros, values beyond [0, 1] and NaN, the bits agree up to the sign of a zero wherever the product is not
+    # NaN.  A NaN that enters a probability makes it NaN in both; the product also spreads a NaN through the
+    # projectors' zero entries (0 * NaN), which the entry path never multiplies
     grid = [0.0, -0.0, 1.0, -1.0, 0.5, 1.5, -1e-300, 5e-324, np.nan]
     rng = np.random.default_rng(12)
+    nan_in_both = nan_in_the_product_only = 0
     for _ in range(2000):
         rho = rng.choice(grid, size=(2, 2)) + 1j * rng.choice(grid, size=(2, 2))
         with np.errstate(invalid="ignore"):
-            products = rho @ _PROJECTORS
-            expected = np.clip((products[:, 0, 0] + products[:, 1, 1]).real, 0.0, 1.0)
-            assert np.array_equal(probabilities(rho).view(np.uint64), expected.view(np.uint64))
+            expected = _oracle.stacked_probabilities(rho)
+        got, number = probabilities(rho), ~np.isnan(expected)
+        # x + 0.0 turns -0.0 into +0.0 and leaves every other value as it is
+        assert np.array_equal((got[number] + 0.0).view(np.uint64), (expected[number] + 0.0).view(np.uint64)), rho
+        assert np.isnan(expected[np.isnan(got)]).all(), rho
+        nan_in_both += int(np.isnan(got).sum())
+        nan_in_the_product_only += int((np.isnan(expected) & ~np.isnan(got)).sum())
+    assert nan_in_both > 0 and nan_in_the_product_only > 0
+    for state in (np.eye(2)[None] / 2, np.eye(3) / 3, np.ones(2), np.ones((6, 2, 2))):
+        with pytest.raises(ValueError, match=re.escape(f"must be one 2x2 matrix, got shape {np.shape(state)}")):
+            probabilities(state)
 
 
 def _entry_grid_states(rng, n):
@@ -285,15 +296,13 @@ def _entry_grid_states(rng, n):
 @pytest.mark.kernel_bits
 @pytest.mark.filterwarnings("error")
 def test_sample_counts_keep_the_bits_of_the_probabilities_stream():
-    # sample_counts reads its six means off rho's entries in Python floats; they must be shots * probabilities(rho)
-    # bit for bit, up to the sign of a zero, and both modes must give the counts of that stream
-    from depolsim.measurement import _entry_probabilities
-
+    # sample_counts reads its six means off rho's entries in Python floats; they must be shots times the stacked
+    # product's probabilities bit for bit, up to the sign of a zero, and both modes must give the counts of that stream
     rng = np.random.default_rng(24)
     for k, rho in enumerate(_entry_grid_states(rng, 3000)):
         with np.errstate(over="ignore", invalid="ignore"):
-            expected = probabilities(rho)
-        got = np.array(_entry_probabilities(*rho.ravel().tolist()))
+            expected = _oracle.stacked_probabilities(rho)
+        got = probabilities(rho)
         # x + 0.0 turns -0.0 into +0.0 and leaves every other value as it is
         assert np.array_equal((got + 0.0).view(np.uint64), (expected + 0.0).view(np.uint64)), rho
         shots = int(10 ** rng.uniform(0, 12))

@@ -1,3 +1,4 @@
+import ast
 import itertools
 import re
 import warnings
@@ -105,6 +106,14 @@ def test_dop_identity_between_formulas():
     for _ in range(2000):
         rho = random_density(rng)
         assert abs(dop(rho) - dop_from_determinant(rho)) < 1e-10
+
+
+def test_dop_from_determinant_takes_one_2x2_matrix():
+    # the determinant is a d - b c of one matrix; np.linalg.det took a stack and returned an array
+    for rho in (np.eye(2)[None] / 2, np.eye(3) / 3, np.ones(2) / 2, np.ones((2, 2, 1)) / 2):
+        with pytest.raises(ValueError, match=re.escape(f"must be one 2x2 matrix, got shape {np.shape(rho)}")):
+            dop_from_determinant(rho)
+    assert type(dop_from_determinant(I2 / 2)) is float
 
 
 def test_dop_unitary_invariance():
@@ -277,6 +286,11 @@ LIBRARY_EINSUMS = {
     "mnxy,xy->mn": [(4, 4, 4, 4), (4, 4)],
     "mnkac,kac->mn": [(4, 4, 4, 2, 2), (4, 2, 2)],
     "...j,ij->...i": [(50, 3), (3, 3)],
+    "ij,jk->ik": [(3, 3), (3, 3)],
+    "ji,jk->ik": [(3, 3), (3, 3)],
+    "mn,mnil->il": [(4, 4), (4, 4, 2, 2)],
+    "ik,k,jk->ij": [(4, 4), (4,), (4, 4)],
+    "ij,jk,kl->il": [(4, 4), (4, 4), (4, 4)],
 }
 
 
@@ -305,8 +319,8 @@ def test_einsum_kernel_binding_gives_np_einsum_bytes():
         return z
 
     for subscripts, shapes in LIBRARY_EINSUMS.items():
-        for first, others in (("real", "real"), ("complex", "complex"), ("real", "complex"), ("complex", "real")):
-            kinds = [first] + [others] * (len(shapes) - 1)
+        # every mix of real and complex operands, such as the complex eigenvectors around real eigenvalues
+        for kinds in itertools.product(("real", "complex"), repeat=len(shapes)):
             for _ in range(20):
                 operands = [operand(shape, kind) for shape, kind in zip(shapes, kinds)]
                 got = np.asarray(depolsim.polarization._einsum(subscripts, *operands))
@@ -314,6 +328,28 @@ def test_einsum_kernel_binding_gives_np_einsum_bytes():
                 assert got.dtype == expected.dtype and got.shape == expected.shape
                 assert np.array_equal(got.reshape(-1).view(np.uint64), expected.reshape(-1).view(np.uint64)), (
                     subscripts, kinds)
+
+
+def test_the_einsum_kernel_is_the_librarys_only_matrix_product():
+    # every product in the package goes through _einsum, so no BLAS call (@, dot, matmul, inner, vdot, tensordot)
+    # and no np.linalg routine but LAPACK's eigh, bound as _eigh, with its fallback and its LinAlgError
+    products = {"dot", "matmul", "inner", "vdot", "tensordot"}
+    found = []
+    for path in sorted(Path(depolsim.polarization.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            where = f"{path.name}:{getattr(node, 'lineno', '?')}"
+            if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult):
+                found.append(f"{where} @")
+            elif isinstance(node, ast.Attribute) and node.attr in products:
+                found.append(f"{where} .{node.attr}")
+            elif (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Attribute)
+                  and node.value.attr == "linalg" and node.attr not in ("LinAlgError", "eigh")):
+                found.append(f"{where} linalg.{node.attr}")
+            elif isinstance(node, ast.ImportFrom) and (node.module or "").startswith("numpy"):
+                names = {alias.name for alias in node.names}
+                if names & products or ("linalg" in node.module and names != {"eigh_lo"}):
+                    found.append(f"{where} from {node.module} import {sorted(names)}")
+    assert found == []
 
 
 @pytest.mark.kernel_bits
