@@ -61,6 +61,14 @@ class StokesChannel:
         object.__setattr__(self, "m", _number_array(self.m, (3, 3), float, "StokesChannel m"))
         object.__setattr__(self, "b", _number_array(self.b, (3,), float, "StokesChannel b"))
 
+    @classmethod
+    def _trusted(cls, m: np.ndarray, b: np.ndarray) -> "StokesChannel":
+        """A channel from fields already in their checked form, without `__post_init__`: a 3x3 and a 3-vector
+        float array, both finite."""
+        channel = object.__new__(cls)
+        channel.__dict__.update(m=m, b=b)
+        return channel
+
     def apply(self, s) -> np.ndarray:
         """m @ s + b of one Stokes vector, or of each row of an (n, 3) stack, by numpy's einsum kernel (no BLAS)."""
         return _einsum("...j,ij->...i", np.asarray(s, dtype=float), self.m) + self.b
@@ -166,10 +174,10 @@ def build_scheme(kind: str, angle_deg: float | np.ndarray | None = None, coheren
 PROBE_LABELS = ("h", "v", "p", "r")
 
 
-def _affine_from_choi(s: np.ndarray) -> StokesChannel:
-    """The Stokes map b = R[1:, 0], M = R[1:, 1:] of the Pauli transfer matrix R of a C-contiguous Choi matrix."""
+def _affine_from_choi(s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(M, b) = (R[1:, 1:], R[1:, 0]) of the Pauli transfer matrix R of a C-contiguous Choi matrix, M C-contiguous."""
     r = _einsum("ijxy,xy->ij", CHOI_TO_PTM, s.view(float))
-    return StokesChannel(np.ascontiguousarray(r[1:, 1:]), r[1:, 0])
+    return np.ascontiguousarray(r[1:, 1:]), r[1:, 0]
 
 
 def affine_from_outputs(rho_h, rho_v, rho_p, rho_r) -> StokesChannel:
@@ -177,13 +185,13 @@ def affine_from_outputs(rho_h, rho_v, rho_p, rho_r) -> StokesChannel:
     outputs = np.array((rho_h, rho_v, rho_p, rho_r), dtype=complex)
     if outputs.shape != (4, 2, 2):
         raise ValueError(f"affine_from_outputs needs four 2x2 output states, got shape {outputs.shape}")
-    return _affine_from_choi(_einsum("xykac,kac->xy", OUTPUTS_TO_CHOI, outputs))
+    return StokesChannel(*_affine_from_choi(_einsum("xykac,kac->xy", OUTPUTS_TO_CHOI, outputs)))
 
 
 def extract_channel(config: SchemeConfig) -> StokesChannel:
-    """Affine Stokes map of a single scheme, read from its Choi matrix."""
+    """Affine Stokes map of a single scheme, read from its Choi matrix: S is finite, so the map is not checked again."""
     _check_single(config.batch, "extract_channel")
-    return _affine_from_choi(_choi(config)[0])
+    return StokesChannel._trusted(*_affine_from_choi(_choi(config)[0]))
 
 
 def extract_chi(config: SchemeConfig) -> ChiMatrix:
@@ -240,9 +248,13 @@ def isotropy_report(channel: StokesChannel, tol: float = 1e-6) -> tuple[bool, fl
 
     Isotropic means b = 0 and M^T M = lambda^2 I within `tol`: the sphere
     maps to a smaller sphere of radius lambda, possibly rotated.
-    Returns (is_isotropic, lambda); the trace and norms are Python floats.
+    Returns (is_isotropic, lambda); the trace, the diagonal's lambda^2 and the norms are Python floats, so an M^T M
+    that overflows to inf gives (False, inf) without a floating-point warning.
     """
     mtm = _einsum("ji,jk->ik", channel.m, channel.m)
     lam2 = _trace(mtm) / 3.0
-    residual = math.hypot(*(mtm - lam2 * np.eye(3)).ravel().tolist()) + math.hypot(*channel.b.tolist())
+    rows = mtm.tolist()
+    for i in range(3):
+        rows[i][i] -= lam2
+    residual = math.hypot(*rows[0], *rows[1], *rows[2]) + math.hypot(*channel.b.tolist())
     return residual < tol, math.sqrt(max(lam2, 0.0))

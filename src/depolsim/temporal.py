@@ -319,7 +319,11 @@ def _crystal_step(amps: np.ndarray, projectors: np.ndarray, merges):
 
 
 def _band_halfwidth(gamma: float) -> int:
-    """Largest bin distance d with gamma**(d*d) >= KERNEL_FLOOR (0 at gamma = 0)."""
+    """An upper bound on the bin distances d with gamma**(d*d) >= KERNEL_FLOOR (0 at gamma = 0).
+
+    Every pair farther apart weighs less than the floor.  For most gamma the bound is one past the largest live
+    distance (6 at gamma = 0.2, where d = 5 is the last to clear the floor); `_band_plan` drops the pairs between.
+    """
     if gamma == 0.0:
         return 0
     return math.isqrt(int(math.log(KERNEL_FLOOR) / math.log(gamma))) + 1
@@ -329,15 +333,22 @@ def _band_plan(bins: np.ndarray, gamma: float) -> tuple:
     """The live pairs of the coherent band over `bins`: () or (left, right, w), read-only.
 
     left and right list the bin indices of the pairs (i, i + k) of each
-    live position k in turn, stopping as `_trace_out` describes, and
-    w[2p] = w[2p + 1] = gamma**(d*d), 0 below KERNEL_FLOOR, weighs the real
-    and imaginary parts of pair p at distance d.  Each weight is one Python
-    float power (libm's `pow`) per distinct distance: numpy's float64
-    `power` is SIMD code whose last bit varies between CPUs.  A band of
-    more than MAX_BAND_PAIRS pairs raises ValueError before any pair array
-    is concatenated.
+    live position k in turn, stopping as `_trace_out` describes, and keep
+    only the pairs whose weight gamma**(d*d) at distance d is at least
+    KERNEL_FLOOR; w[2p] = w[2p + 1] weighs the real and imaginary parts of
+    pair p.  Those are the pairs at d <= reach, the largest distance up to
+    the half-width whose weight clears the floor: libm's `pow` is monotone
+    in the exponent here, as the squares of distances d and d + 1 differ by
+    2d + 1 >= 3, which moves gamma**(d*d) by at least 1.5 ulp even at the
+    largest gamma below 1.  Each weight is one Python float power (libm's
+    `pow`) per distinct distance: numpy's float64 `power` is SIMD code
+    whose last bit varies between CPUs.  A band whose positions scan more
+    than MAX_BAND_PAIRS pairs, dead ones counted, raises ValueError before
+    any pair array is concatenated.
     """
-    halfwidth = _band_halfwidth(gamma)
+    halfwidth = reach = _band_halfwidth(gamma)
+    while reach and gamma ** float(reach * reach) < KERNEL_FLOOR:
+        reach -= 1
     positions, n_pairs = [], 0
     for k in range(1, min(halfwidth, len(bins) - 1) + 1):
         d = bins[k:] - bins[:-k]
@@ -346,13 +357,14 @@ def _band_plan(bins: np.ndarray, gamma: float) -> tuple:
         n_pairs += len(d)
         if n_pairs > MAX_BAND_PAIRS:
             raise ValueError(f"scheme's coherent band at gamma = {gamma!r} holds more than {MAX_BAND_PAIRS} bin pairs")
-        positions.append((np.arange(len(d)), np.arange(k, len(bins)), d))
+        live = np.flatnonzero(d <= reach)
+        if len(live):
+            positions.append((live, live + k, d.take(live)))
     if not positions:
         return ()
     left, right, d = (np.concatenate(part) for part in zip(*positions))
     distances, index = np.unique(d, return_inverse=True)
     w = np.array([gamma ** float(x * x) for x in distances.tolist()])
-    w[w < KERNEL_FLOOR] = 0.0
     plan = left, right, np.repeat(w.take(index), 2)
     for array in plan:
         array.flags.writeable = False
@@ -367,20 +379,23 @@ def _trace_out(x: np.ndarray, band: tuple) -> np.ndarray:
     wave packet.  S, a Hermitian (T, R, R) stack, is the t = u term, whose
     products pair up as complex conjugates, plus the term C of the band
     pairs t < u and C^dagger.  It keeps only pairs with
-    w(d) >= KERNEL_FLOOR = 2**-60, i.e. |d| <= `_band_halfwidth(gamma)`.
+    w(d) >= KERNEL_FLOOR = 2**-60; `_band_halfwidth(gamma)` bounds their d.
     An output is S contracted with a normalized input, whose bin amplitudes
     a_t have sum_t |a_t|**2 = 1, so by Cauchy-Schwarz the dropped pairs
     change it by at most 2**-60 * (sum_t |a_t|)**2 <= B * 2**-60.
 
     The band runs over positions k = 1, 2, ..., pairing bins[i] with
     bins[i + k], and stops at the first k whose closest pair is beyond
-    the half-width.  That keeps the same pairs, and so the same bound, as
-    running every k: bins are sorted distinct integers, so
+    the half-width: bins are sorted distinct integers, so
     bins[i + k + 1] - bins[i] >= bins[i + k] - bins[i] + 1, the closest
     distance grows by at least 1 per position, and no later position
     holds a pair within reach.  For the same reason k never passes the
-    half-width, and no position runs at gamma = 0.  The caller passes the
-    pairs and their weights as `band`, the `_band_plan(bins, gamma)`.
+    half-width, and no position runs at gamma = 0.  Within a live position
+    the pairs below the floor are dropped too.  Neither drop moves a bit
+    against contracting every pair with its weight floored to 0: such a
+    term is an exact +-0, and each einsum accumulator starts at +0.0, so
+    adding it changes nothing.  The caller passes the pairs and their
+    weights as `band`, the `_band_plan(bins, gamma)`.
     """
     xc = x.conj()
     s = _einsum("trk,tsk->trs", x, xc)

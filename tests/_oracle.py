@@ -14,10 +14,10 @@ It shares no code with ``depolsim.temporal``: no sparse bin index, no
 merging of equal bins, no Kraus operators and no banded contraction.
 
 Full band.  ``full_band_plan`` is the engine's band plan without its
-early stop: it lists the pairs of every position k up to
-min(half-width, B - 1), with one Python float power per pair, floored
-at 2**-60.  Patched in for ``depolsim.temporal._band_plan``, it gives
-the output the engine must match bit for bit.
+early stop and with its dead pairs: it lists the pairs of every position
+k up to min(half-width, B - 1), with one Python float power per pair,
+floored to 0 below 2**-60.  Patched in for ``depolsim.temporal._band_plan``,
+it gives the output the engine must match bit for bit.
 
 Probe channel.  ``probe_channel`` is the Stokes map as it was read
 before the Choi maps: from the Stokes vectors of the h, v, p, r outputs

@@ -1,8 +1,10 @@
 import json
+import math
 
 import numpy as np
 import pytest
 
+from depolsim import channels, temporal
 from depolsim.channels import (
     ISOTROPIC_POINT_DEG,
     SCHEME_NAMES,
@@ -237,6 +239,11 @@ def test_isotropy_report():
     assert not isotropic
 
 
+def test_isotropy_report_of_an_overflowing_map_is_not_isotropic():
+    # M^T M overflows to inf, and inf - inf on its diagonal is NaN: no floating-point warning, and no isotropy
+    assert isotropy_report(StokesChannel(1e200 * np.eye(3), np.zeros(3))) == (False, math.inf)
+
+
 def test_scheme1_isotropic_point_dops():
     cfg = build_scheme("scheme1", ISOTROPIC_POINT_DEG)
     for lbl in "hpr":
@@ -332,3 +339,22 @@ def test_stokes_channel_refuses_what_its_reader_refuses():
         affine_from_outputs(*[np.full((2, 2), np.nan)] * 4)
     ch = StokesChannel([[1, 0, 0], [0, 1, 0], [0, 0, 1]], np.zeros(3, dtype=np.float32))
     assert ch.m.dtype == float and ch.b.dtype == float and np.array_equal(ch.m, eye)
+
+
+@pytest.mark.parametrize("gamma", (0.0, 0.3))
+def test_extract_channel_holds_what_the_checked_constructor_would(gamma):
+    # extract_channel skips StokesChannel's checks, as S is finite: its fields are those the checked constructor
+    # keeps of the same read-out of the same (held) S
+    rng = np.random.default_rng(27)
+    configs = [build_scheme(kind, scheme_angle(rng, kind), coherence=gamma) for kind in SCHEME_NAMES]
+    for n_crystals in (3, 5):
+        elements = [crystal(float(rng.uniform(0, 180)), 3**k) for k in range(n_crystals)]
+        configs.append(SchemeConfig(tuple(elements), coherence=gamma or 0.9))
+    for config in configs:
+        channel = extract_channel(config)
+        checked = StokesChannel(*channels._affine_from_choi(temporal._choi(config)[0]))
+        assert type(channel) is StokesChannel and channel.__dict__.keys() == checked.__dict__.keys()
+        for got, expected in ((channel.m, checked.m), (channel.b, checked.b)):
+            assert got.dtype == expected.dtype == float and got.shape == expected.shape
+            assert got.tobytes() == expected.tobytes() and np.isfinite(got).all()
+        assert channel.m.flags.c_contiguous and checked.m.flags.c_contiguous

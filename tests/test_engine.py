@@ -727,13 +727,39 @@ def test_choi_maps_fold_into_the_former_qpt_map():
 
 def test_a_sparse_chain_runs_only_its_live_band_positions():
     # the chain's bins are at least 1, 3 and 4 apart at positions 1, 2 and 3, and at least 9 apart from
-    # position 4 on, beyond the half-width 6 at gamma = 0.2
+    # position 4 on, beyond the half-width 6 at gamma = 0.2; of the 378 pairs of those three positions, the
+    # 208 within distance 5 clear the floor (0.2**36 does not)
     elements = tuple(delay_chain(np.random.default_rng(25), 7))
     bins, _ = kraus_operators(SchemeConfig(elements, coherence=0.2))
     assert len(bins) == 128 and temporal._band_halfwidth(0.2) == 6
+    assert 0.2**25.0 >= KERNEL_FLOOR > 0.2**36.0
     left, right, _ = temporal._band_plan(bins, 0.2)
     assert np.unique(right - left).tolist() == [1, 2, 3]
-    assert len(_oracle.full_band_plan(bins, 0.2)[0]) > len(left)
+    assert len(left) == 208 and sum(len(bins) - k for k in (1, 2, 3)) == 378
+    assert len(_oracle.full_band_plan(bins, 0.2)[0]) == 747
+
+
+@pytest.mark.parametrize("gamma", (0.2, 0.5, 0.9))
+def test_the_band_plan_is_the_full_band_restricted_to_its_live_pairs(gamma):
+    # 3**k chains spread their bins, so a live position holds dead pairs; 2**k stacks interleave them 1 apart
+    rng = np.random.default_rng(27)
+    stacks = [delay_chain(rng, n) for n in range(5, 9)]
+    stacks += [[crystal(10.0 * k, 2**k) for k in reversed(range(n))] for n in range(1, 9)]
+    for elements in stacks:
+        bins, _ = kraus_operators(SchemeConfig(tuple(elements), coherence=gamma))
+        left, right, w = _oracle.full_band_plan(bins, gamma)
+        live = w[::2] != 0.0
+        plan = temporal._band_plan(bins, gamma)
+        assert live.any() and len(plan) == 3
+        assert np.array_equal(plan[0], left[live]) and np.array_equal(plan[1], right[live])
+        assert plan[2].tobytes() == np.repeat(w[::2][live], 2).tobytes()
+        assert plan[2].min() >= KERNEL_FLOOR
+
+
+def test_a_band_of_dead_pairs_is_empty():
+    # at gamma = 1e-300 the half-width is 1, and the one position it scans weighs 1e-300, below the floor
+    assert temporal._band_halfwidth(1e-300) == 1
+    assert temporal._band_plan(np.arange(8), 1e-300) == ()
 
 
 @pytest.mark.kernel_bits
@@ -751,7 +777,7 @@ def test_band_weights_are_python_float_powers():
 
 def test_a_band_past_max_band_pairs_raises_before_it_is_built(monkeypatch):
     # 64 bins 1 apart at gamma = 0.9 (half-width 20) hold 63 pairs at position 1, 62 more at position 2, and
-    # 1070 at all 20 positions
+    # 1070 at all 20 positions, of which the 1026 of positions 1 to 19 clear the floor; the cap counts them all
     concatenated = []
 
     class RecordingNumpy:
@@ -771,7 +797,8 @@ def test_a_band_past_max_band_pairs_raises_before_it_is_built(monkeypatch):
     assert concatenated == []
     assert temporal._band_halfwidth(0.9) == 20
     monkeypatch.setattr(temporal, "MAX_BAND_PAIRS", 1070)
-    assert len(temporal._band_plan(np.arange(64), 0.9)[0]) == 1070 and concatenated
+    assert len(temporal._band_plan(np.arange(64), 0.9)[0]) == 1026 and concatenated
+    assert 0.9**361.0 >= KERNEL_FLOOR > 0.9**400.0
 
 
 # --- a propagation's plan is memoized per (crystal delays, gamma), within a stated memory bound ---
@@ -788,14 +815,17 @@ def held_bytes(value):
 
 def test_the_plan_memo_stays_below_16_mb():
     # delays 2**(n-1), ..., 2, 1 double the bins at every crystal and interleave them from the second one on,
-    # the most merge indices n crystals can make; each gets the largest band reach the weight cap admits
+    # the most merge indices n crystals can make; each gets the largest live band the gate admits.  The
+    # half-width bounds the gate's pair count, and it is one past the last live distance, except where the
+    # bins themselves cap the reach
     worst = 0
     for n_crystals in range(1, 11):
         delays = tuple(2**k for k in reversed(range(n_crystals)))
         n_bins = 2**n_crystals
-        reach = min(n_bins - 1, temporal._BAND_CACHE_PAIRS // n_bins)
-        gamma = 2.0 ** (-60.0 / ((reach - 1) ** 2 + 0.5))  # the gamma whose half-width is `reach`
-        assert temporal._band_halfwidth(gamma) == reach
+        reach = min(n_bins - 1, temporal._BAND_CACHE_PAIRS // n_bins - 1)
+        gamma = 2.0 ** (-60.0 / (reach**2 + 0.5))  # the gamma whose live pairs reach `reach`, half-width reach + 1
+        assert gamma ** float(reach**2) >= KERNEL_FLOOR > gamma ** float((reach + 1) ** 2)
+        assert temporal._band_halfwidth(gamma) == reach + 1
         temporal._cached_plan.cache_clear()
         kraus_operators(SchemeConfig(tuple(crystal(10.0, d) for d in delays), coherence=gamma))
         assert temporal._cached_plan.cache_info().currsize == 1  # the gate admits it
