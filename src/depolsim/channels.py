@@ -33,8 +33,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .polarization import CHOI_TO_CHI, CHOI_TO_PTM, OUTPUTS_TO_CHOI, _einsum, _hermitian_average, _json_array
-from .polarization import _number_array, _read_json, _trace
+from .polarization import CHOI_TO_CHI, CHOI_TO_PTM, OUTPUTS_TO_CHOI, _einsum, _hermitian_average, _number_array
+from .polarization import _read_json, _trace, _unchecked
 from .temporal import SchemeConfig, _check_single, _choi, crystal, half_wave, quarter_wave
 from .tomography import ChiMatrix
 
@@ -61,14 +61,6 @@ class StokesChannel:
         object.__setattr__(self, "m", _number_array(self.m, (3, 3), float, "StokesChannel m"))
         object.__setattr__(self, "b", _number_array(self.b, (3,), float, "StokesChannel b"))
 
-    @classmethod
-    def _trusted(cls, m: np.ndarray, b: np.ndarray) -> "StokesChannel":
-        """A channel from fields already in their checked form, without `__post_init__`: a 3x3 and a 3-vector
-        float array, both finite."""
-        channel = object.__new__(cls)
-        channel.__dict__.update(m=m, b=b)
-        return channel
-
     def apply(self, s) -> np.ndarray:
         """m @ s + b of one Stokes vector, or of each row of an (n, 3) stack, by numpy's einsum kernel (no BLAS)."""
         return _einsum("...j,ij->...i", np.asarray(s, dtype=float), self.m) + self.b
@@ -80,11 +72,9 @@ class StokesChannel:
     def from_json(cls, data) -> "StokesChannel":
         """Parse the JSON form, given as text or as a decoded dict; a malformed document raises ValueError.
 
-        m must be a 3x3 array and b a 3-vector of finite JSON numbers, not true or false.
+        m and b go to the constructor as decoded, which holds them to its rule.
         """
-        return _read_json(data, "channel", lambda document: cls(
-            _json_array(document["m"], (3, 3), "channel JSON m must be a 3x3 array of finite numbers"),
-            _json_array(document["b"], (3,), "channel JSON b must be a 3-vector of finite numbers")))
+        return _read_json(data, "channel", lambda document: cls(document["m"], document["b"]))
 
 
 def s1_projection_channel() -> StokesChannel:
@@ -191,13 +181,15 @@ def affine_from_outputs(rho_h, rho_v, rho_p, rho_r) -> StokesChannel:
 def extract_channel(config: SchemeConfig) -> StokesChannel:
     """Affine Stokes map of a single scheme, read from its Choi matrix: S is finite, so the map is not checked again."""
     _check_single(config.batch, "extract_channel")
-    return StokesChannel._trusted(*_affine_from_choi(_choi(config)[0]))
+    m, b = _affine_from_choi(_choi(config)[0])
+    return _unchecked(StokesChannel, m=m, b=b)
 
 
 def extract_chi(config: SchemeConfig) -> ChiMatrix:
     """Chi matrix of a single scheme, read from its Choi matrix, Hermitian-averaged: PSD as S is, nothing is clipped."""
     _check_single(config.batch, "extract_chi")
-    return ChiMatrix._trusted(_hermitian_average(_einsum("mnxy,xy->mn", CHOI_TO_CHI, _choi(config)[0])))
+    chi = _hermitian_average(_einsum("mnxy,xy->mn", CHOI_TO_CHI, _choi(config)[0]))
+    return _unchecked(ChiMatrix, matrix=chi, clipped_mass=0.0)
 
 
 def analytic_scheme2_dop(theta_deg: float, s1: float) -> float:

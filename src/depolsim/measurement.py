@@ -17,7 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .polarization import IDENTITY, SIGMAS, _as_integer, _check_finite, _json_number, _one_state, _read_json
+from .polarization import IDENTITY, SIGMAS, _as_integer, _check_finite, _json_number, _numbers, _one_state, _read_json
+from .polarization import _unchecked
 
 DEFAULT_SETTINGS = ("h", "v", "p", "m", "r", "l")
 
@@ -30,17 +31,17 @@ _LABEL_AXIS = {label: (axis, sign) for axis, pair in enumerate(SETTING_PAIRS) fo
 
 
 def _as_counts(values) -> np.ndarray:
-    """`values` as int64 counts: an int64 array as it is, anything else only if every value is integral."""
-    counts = np.asarray(values)
+    """`values` as int64 counts: by `_numbers`' rule int or float entries, not a bool, and each one integral; an int64
+    array as it is."""
+    try:
+        counts = _numbers(values, "iuf")
+    except ValueError as exc:
+        raise ValueError(f"counts must be integers, {exc}") from None
     if counts.dtype == np.int64:
         return counts
-    try:
-        with np.errstate(invalid="ignore"):  # a NaN, inf or out-of-range value casts to garbage, which the test rejects
-            as_int = counts.astype(np.int64)
-        integral = bool((as_int == counts).all())
-    except (TypeError, ValueError, OverflowError):
-        integral = False
-    if not integral:
+    with np.errstate(invalid="ignore"):  # a NaN, inf or out-of-range value casts to garbage, which the test rejects
+        as_int = counts.astype(np.int64)
+    if not (as_int == counts).all():
         raise ValueError(f"counts must be integers, got {counts!r}")
     return as_int
 
@@ -74,14 +75,6 @@ class MeasurementRecord:
         object.__setattr__(self, "shots", _as_integer(self.shots, "shots", 1))
         object.__setattr__(self, "seed", _as_integer(self.seed, "seed", 0))
 
-    @classmethod
-    def _trusted(cls, counts: np.ndarray, shots: int, seed: int) -> "MeasurementRecord":
-        """A record in DEFAULT_SETTINGS order from fields already in their checked form, without `__post_init__`:
-        six int64 counts >= 0, and shots and seed as `_as_integer` returns them."""
-        record = object.__new__(cls)
-        record.__dict__.update(settings=DEFAULT_SETTINGS, counts=counts, shots=shots, seed=seed)
-        return record
-
     def count(self, label: str) -> int:
         """Counts of the setting `label`."""
         return int(self.counts[self.settings.index(label)])
@@ -98,16 +91,17 @@ class MeasurementRecord:
     def from_json(cls, data) -> "MeasurementRecord":
         """Parse the JSON form, given as text or as a decoded dict; a malformed document raises ValueError.
 
-        settings and counts must be JSON arrays; counts, shots and seed JSON numbers, not true or false.
+        settings must be a JSON array, and shots and seed JSON numbers, not true or false; counts go to the
+        constructor as decoded, which holds them to its rule.
         """
 
         def read(document) -> "MeasurementRecord":
             settings = document["settings"]
             if not isinstance(settings, list):
                 raise TypeError(f"settings must be a JSON array, got {type(settings).__name__}")
-            counts = np.array([_json_number(count, "counts must be integers") for count in document["counts"]])
-            return cls(tuple(settings), counts, _json_number(document["shots"], "shots must be an integer >= 1"),
-                       _json_number(document["seed"], "seed must be an integer >= 0"))
+            shots = _json_number(document["shots"], "shots must be an integer >= 1")
+            seed = _json_number(document["seed"], "seed must be an integer >= 0")
+            return cls(tuple(settings), document["counts"], shots, seed)
 
         return _read_json(data, "measurement record", read)
 
@@ -170,4 +164,5 @@ def sample_counts(rho, shots: int, seed: int, exact: bool = False) -> Measuremen
     else:
         # one scalar draw per setting, in order: the stream of one array call, without its array checks
         counts = list(map(np.random.Generator(np.random.PCG64(seed)).poisson, means))
-    return MeasurementRecord._trusted(np.array(counts, dtype=np.int64), shots, seed)
+    counts = np.array(counts, dtype=np.int64)
+    return _unchecked(MeasurementRecord, settings=DEFAULT_SETTINGS, counts=counts, shots=shots, seed=seed)

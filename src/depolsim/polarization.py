@@ -27,6 +27,8 @@ from __future__ import annotations
 import cmath
 import json
 import math
+import numbers
+import reprlib
 
 import numpy as np
 
@@ -145,19 +147,6 @@ def _json_number(value, requirement: str):
     if not isinstance(value, (int, float)):
         raise ValueError(f"{requirement}, got {type(value).__name__}")
     return value
-
-
-def _json_array(value, shape: tuple[int, ...], requirement: str) -> np.ndarray:
-    """`value`, JSON arrays nested to `shape` around finite JSON numbers, as a float array; else ValueError."""
-    entries = [value]
-    for length in shape:
-        if not all(isinstance(row, list) and len(row) == length for row in entries):
-            raise ValueError(requirement)
-        entries = [entry for row in entries for entry in row]
-    array = np.array([_json_number(entry, requirement) for entry in entries], dtype=float).reshape(shape)
-    if not np.isfinite(array).all():
-        raise ValueError(requirement)
-    return array
 
 
 def _read_json(data, what: str, read):
@@ -350,16 +339,63 @@ def _check_finite(matrix: np.ndarray, what: str) -> list:
     return entries
 
 
+def _numbers(value, kinds: str) -> np.ndarray:
+    """`value` as an array of a dtype kind in `kinds` with no bool in it, else ValueError saying why, which its caller
+    prefixes with what it requires: the one array rule of the value types.  An ndarray is judged by its dtype alone,
+    anything else entry by entry too, as numpy reads a True or False among numbers as 1 or 0 and keeps no trace."""
+    if isinstance(value, np.ndarray):
+        array = value
+    else:
+        try:
+            array = np.asarray(value)
+        except ValueError:  # ragged, or nested past numpy's 64 dimensions
+            raise ValueError(f"got {reprlib.repr(value)}") from None
+        if array.dtype.kind in kinds and any(
+                isinstance(entry, (bool, np.bool_)) for entry in np.asarray(value, dtype=object).ravel().tolist()):
+            raise ValueError("not true or false")
+    kind = array.dtype.kind
+    if kind not in kinds:
+        raise ValueError("not true or false" if kind == "b" else f"got {reprlib.repr(value)}")
+    return array
+
+
 def _number_array(value, shape: tuple[int, ...], dtype: type, what: str) -> np.ndarray:
-    """`value` as a `dtype` (float or complex) array, by the rule of the JSON readers: exactly `shape`, and every entry
-    finite and an int or a `dtype` number, not a bool, a string or an object; else ValueError naming `what`."""
-    kinds, names = ("iuf", "int or float") if dtype is float else ("iufc", "int, float or complex")
-    array = np.asarray(value)
-    if array.shape != shape or array.dtype.kind not in kinds:
-        raise ValueError(f"{what} must be a {shape} array of {names} numbers, got {array!r}")
+    """`value` as a `dtype` (float or complex) array by `_numbers`' rule: exactly `shape`, and every entry finite and an
+    int or a `dtype` number, not a bool, a string or an object; else ValueError naming `what`."""
+    try:
+        array = _numbers(value, "iuf" if dtype is float else "iufc")
+        if array.shape != shape:
+            raise ValueError(f"got shape {array.shape}")
+    except ValueError as exc:
+        names = "int or float" if dtype is float else "int, float or complex"
+        raise ValueError(f"{what} must be a {shape} array of {names} numbers, {exc}") from None
     array = np.asarray(array, dtype=dtype)
     _check_finite(array, what)
     return array
+
+
+def _real(value) -> float | None:
+    """`value` as a float if it is a real number that a float holds: an int or a float, numpy's too, or a 0-d array of
+    one; not a bool, which float() reads as 1 or 0, nor a numeric string.  Else None.  A NaN or inf is returned."""
+    if type(value) is float:
+        return value
+    if isinstance(value, np.ndarray) and value.shape == () and value.dtype.kind in "iuf":
+        value = value[()]
+    if isinstance(value, (bool, np.bool_)) or not isinstance(value, numbers.Real):
+        return None
+    try:
+        return float(value)
+    except OverflowError:  # an int past the float range
+        return None
+
+
+def _unchecked(cls, **fields):
+    """An instance of the frozen dataclass `cls` holding `fields` as given, without `__post_init__`: its caller
+    guarantees that every field of `cls` is there, each in the form the checked constructor stores (dtype, shape,
+    finite entries), since nothing is checked, copied or converted."""
+    instance = object.__new__(cls)
+    instance.__dict__.update(fields)
+    return instance
 
 
 def state_fidelity(a, b) -> float:

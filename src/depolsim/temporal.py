@@ -52,7 +52,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .polarization import _as_integer, _einsum, _json_number, _read_json, check_normalized
+from .polarization import _as_integer, _einsum, _json_number, _read_json, _real, check_normalized
 
 # bins: map from integer bin index in [0, 2**62] to complex (h, v) amplitude
 TimeBinState = dict[int, np.ndarray]
@@ -124,19 +124,22 @@ class OpticalElement:
         angle = self.angle_deg
         if type(angle) is float:  # as the scheme builders pass it: kept as it is
             valid = math.isfinite(angle)
-        else:
-            if isinstance(angle, (bool, np.bool_)) or (isinstance(angle, np.ndarray) and angle.dtype == bool):
-                raise ValueError(f"element angle must be a number of degrees, not a bool, got {angle!r}")
-            if isinstance(angle, np.ndarray) and angle.ndim:
+        elif isinstance(angle, (bool, np.bool_)) or (isinstance(angle, np.ndarray) and angle.dtype == bool):
+            raise ValueError(f"element angle must be a number of degrees, not a bool, got {angle!r}")
+        elif isinstance(angle, np.ndarray) and angle.ndim:
+            # of int or float entries: numpy would parse an array of numeric strings
+            valid = angle.dtype.kind in "iuf" and angle.ndim == 1 and angle.size and np.isfinite(angle).all()
+            if valid:
                 angle = np.array(angle, dtype=float)  # a copy: the caller's array is neither frozen nor shared
                 angle.setflags(write=False)
-                valid = angle.ndim == 1 and angle.size and np.isfinite(angle).all()
-            else:
-                angle = float(angle)
-                valid = math.isfinite(angle)
-            object.__setattr__(self, "angle_deg", angle)
+        else:
+            angle = _real(angle)  # None for a string, or an int past the float range
+            valid = angle is not None and math.isfinite(angle)
         if not valid:
-            raise ValueError(f"element angle must be a finite float or a non-empty 1-D array of them, got {angle!r}")
+            raise ValueError(
+                f"element angle must be a finite float or a non-empty 1-D array of them, got {self.angle_deg!r}")
+        if angle is not self.angle_deg:
+            object.__setattr__(self, "angle_deg", angle)
         if self.kind == CRYSTAL:
             delay = self.delay_bins
             if type(delay) is not int or not 1 <= delay <= MAX_DELAY_BINS:  # an int in range is kept as it is
@@ -160,7 +163,8 @@ def quarter_wave(angle_deg: float) -> OpticalElement:
 
 
 def _element_from_json(d) -> OpticalElement:
-    angle = _json_number(d["angle_deg"], "scheme JSON angle_deg must be a number")
+    # float() as the coherence takes it: a number past the float range is a malformed document (OverflowError)
+    angle = float(_json_number(d["angle_deg"], "scheme JSON angle_deg must be a number"))
     delay = _json_number(d["delay_bins"], "scheme JSON delay_bins must be a number") if "delay_bins" in d else None
     return OpticalElement(d["kind"], angle_deg=angle, delay_bins=delay)
 
@@ -192,8 +196,11 @@ class SchemeConfig:
             object.__setattr__(self, "elements", tuple(self.elements))
         if not self.elements:
             raise ValueError("scheme needs at least one element")
-        if not 0.0 <= self.coherence < 1.0:
-            raise ValueError("coherence must lie in [0, 1)")
+        coherence = _real(self.coherence)
+        if coherence is None or not 0.0 <= coherence < 1.0:
+            raise ValueError(f"coherence must be a number in [0, 1), got {self.coherence!r}")
+        if coherence is not self.coherence:
+            object.__setattr__(self, "coherence", coherence)
         lengths = {len(e.angle_deg) for e in self.elements if type(e.angle_deg) is not float}
         if len(lengths) > 1:
             raise ValueError(f"array angles of one scheme must share their length, got {sorted(lengths)}")
@@ -463,8 +470,8 @@ def _merge_steps(delays: tuple):
 @functools.lru_cache(maxsize=128)
 def _cached_plan(delays: tuple, gamma: float) -> tuple:
     # asked only for at most 10 crystals whose band may hold at most 2048 pairs: an entry holds at most
-    # 1024 + 2046 bins, 4088 merge indices and 2048 pairs of two indices and two weights, about 120 kB,
-    # so 128 entries stay below 16 MB
+    # 1024 + 2046 bins, 4088 merge indices and 2048 pairs of two indices and two weights: 87 944 bytes with its key
+    # and link in the worst case `test_the_plan_memo_stays_below_16_mb` builds, so 128 entries stay below 16 MB
     merges = tuple(_merges(delays))
     return merges, _band_plan(merges[-1][0] if merges else _IDENTITY_BINS, gamma)
 

@@ -33,7 +33,6 @@ phase flip) probabilities for Pauli channels.
 from __future__ import annotations
 
 import math
-import numbers
 import warnings
 from dataclasses import dataclass
 
@@ -41,8 +40,8 @@ import numpy as np
 
 from .measurement import DEFAULT_SETTINGS, SETTING_PAIRS, MeasurementRecord
 from .polarization import CHI_BASIS, CHOI_TO_CHI, IDENTITY, OUTPUTS_TO_CHOI, PSD_ATOL, _check_finite, _eigh, _einsum
-from .polarization import _fidelity, _hermitian_average, _json_array, _json_number, _number_array, _read_json
-from .polarization import _stokes_to_density, _trace
+from .polarization import _fidelity, _hermitian_average, _json_number, _number_array, _read_json, _real
+from .polarization import _stokes_to_density, _trace, _unchecked
 
 CHI_BASIS_LABELS = ("I", "X", "Y", "Z")
 
@@ -70,19 +69,10 @@ class ChiMatrix:
 
     def __post_init__(self):
         object.__setattr__(self, "matrix", _number_array(self.matrix, (4, 4), complex, "chi matrix"))
-        clipped = self.clipped_mass
-        # a real number, not a bool, which would read as 1 or 0, nor a numeric string
-        if isinstance(clipped, bool) or not isinstance(clipped, numbers.Real) or not 0.0 <= clipped < math.inf:
-            raise ValueError(f"clipped_mass must be a finite number >= 0, got {clipped!r}")
-        object.__setattr__(self, "clipped_mass", float(clipped))
-
-    @classmethod
-    def _trusted(cls, matrix: np.ndarray, clipped_mass: float = 0.0) -> "ChiMatrix":
-        """A chi matrix from fields already in their checked form, without `__post_init__`: a 4x4 complex array
-        and a float clipped mass, finite and >= 0."""
-        chi = object.__new__(cls)
-        chi.__dict__.update(matrix=matrix, clipped_mass=clipped_mass)
-        return chi
+        clipped = _real(self.clipped_mass)
+        if clipped is None or not 0.0 <= clipped < math.inf:
+            raise ValueError(f"clipped_mass must be a finite number >= 0, got {self.clipped_mass!r}")
+        object.__setattr__(self, "clipped_mass", clipped)
 
     def to_json(self) -> dict:
         return {
@@ -96,17 +86,17 @@ class ChiMatrix:
     def from_json(cls, data) -> "ChiMatrix":
         """Parse the JSON form, given as text or as a decoded dict; a malformed document raises ValueError.
 
-        re and im must be 4x4 arrays and clipped_mass a number >= 0, all finite JSON numbers, not true or false;
-        basis, if given, must be the array ["I", "X", "Y", "Z"].
+        re and im are read by the constructor's array rule, as 4x4 float arrays; clipped_mass must be a JSON number,
+        not true or false, and the constructor holds it to its rule; basis, if given, must be ["I", "X", "Y", "Z"].
         """
 
         def read(document) -> "ChiMatrix":
             if document.get("basis", list(CHI_BASIS_LABELS)) != list(CHI_BASIS_LABELS):
                 raise ValueError("chi matrix uses an unexpected operator basis")
-            re = _json_array(document["re"], (4, 4), "chi matrix JSON re must be a 4x4 array of finite numbers")
-            im = _json_array(document["im"], (4, 4), "chi matrix JSON im must be a 4x4 array of finite numbers")
+            re = _number_array(document["re"], (4, 4), float, "chi matrix JSON re")
+            im = _number_array(document["im"], (4, 4), float, "chi matrix JSON im")
             clipped = _json_number(document.get("clipped_mass", 0.0), "clipped_mass must be a finite number >= 0")
-            return cls(re + 1j * im, float(clipped))
+            return cls(re + 1j * im, clipped)
 
         return _read_json(data, "chi matrix", read)
 
@@ -392,7 +382,7 @@ def qpt(rho_h, rho_v, rho_p, rho_r) -> ChiMatrix:
             f"chi reconstruction clipped {clipped:.3f} of negative mass; inputs look inconsistent",
             stacklevel=2,
         )
-    return ChiMatrix._trusted(chi_psd, clipped)
+    return _unchecked(ChiMatrix, matrix=chi_psd, clipped_mass=clipped)
 
 
 def process_fidelity(a, b) -> float:

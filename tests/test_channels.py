@@ -358,3 +358,26 @@ def test_extract_channel_holds_what_the_checked_constructor_would(gamma):
             assert got.dtype == expected.dtype == float and got.shape == expected.shape
             assert got.tobytes() == expected.tobytes() and np.isfinite(got).all()
         assert channel.m.flags.c_contiguous and checked.m.flags.c_contiguous
+
+
+def test_stokes_channel_refuses_a_bool_among_numbers():
+    # numpy reads a True or False among numbers as 1 or 0 and keeps no trace of it: the constructor took these
+    for m, b in (
+        ([[True, 0, 0], [0, 1, 0], [0, 0, 1]], [0, 0, 0]),
+        (np.eye(3), [0.0, np.False_, 0.0]),
+        ([np.array([True, False, False]), [0, 1, 0], [0, 0, 1]], np.zeros(3)),
+    ):
+        with pytest.raises(ValueError, match="StokesChannel [mb] must be .*, not true or false"):
+            StokesChannel(m, b)
+
+
+def test_a_decoded_channel_document_may_hold_arrays():
+    # the reader passes m and b to the constructor as decoded, so arrays read as the lists they hold
+    channel = StokesChannel.from_json({"m": np.eye(3), "b": np.zeros(3, dtype=int)})
+    listed = StokesChannel.from_json({"m": np.eye(3).tolist(), "b": [0, 0, 0]})
+    assert channel.m.tobytes() == listed.m.tobytes() and channel.b.tobytes() == listed.b.tobytes()
+    assert channel.b.dtype == float
+    with pytest.raises(ValueError, match="not true or false"):
+        StokesChannel.from_json({"m": np.eye(3, dtype=bool), "b": np.zeros(3)})
+    with pytest.raises(ValueError, match="StokesChannel b must be"):
+        StokesChannel.from_json({"m": np.eye(3), "b": np.zeros(4)})

@@ -387,6 +387,9 @@ PINNED_OUTPUTS = [
     # a band weight gamma**4 at gamma = 0.3, which numpy's AVX-512 power rounds otherwise, shows in b
     (["map", "--scheme", "scheme3", "--theta", "10", "--gamma", "0.3", "--samples", "3"],
      "4144639cc40dac29cd2df823e5a3982f9bc31e5b62284c7097377b9365d1242f"),
+    # tomo's chi and fidelity pass through eigh, whose bits may follow the kernel; this run's agree under every one
+    (["tomo", "--scheme", "lyot", "--exact"],
+     "25132510fb5048d5d9f80f6d358dd005906ba363699ad0d7ea0282e042f11e42"),
 ]
 
 TESTS_DIR = pathlib.Path(__file__).parent
@@ -396,7 +399,7 @@ TESTS_DIR = pathlib.Path(__file__).parent
     "argv, digest",
     PINNED_OUTPUTS,
     ids=["sweep-triple", "sweep-scheme2-gamma", "compare", "map-triple", "map-lyot", "map-chain-gamma",
-         "map-scheme3-gamma"],
+         "map-scheme3-gamma", "tomo-lyot-exact"],
 )
 def test_out_bytes_are_pinned(tmp_path, capsys, monkeypatch, argv, digest):
     # a scheme file's path is part of the map report, so it is given relative to the tests directory

@@ -351,3 +351,27 @@ def test_a_string_of_settings_is_refused():
         with pytest.raises(ValueError, match="once each"):
             MeasurementRecord(settings, np.ones(6), 10, 0)
     assert MeasurementRecord(list("hvpmrl"), np.ones(6), 10, 0).settings == DEFAULT_SETTINGS
+
+
+def test_a_record_refuses_bool_counts_as_its_reader_does():
+    # numpy reads a True among integers as 1 and keeps no trace of it: the constructor took these
+    for counts in ([True, 1, 1, 1, 1, 1], [1, 1, 1, 1, 1, np.False_], (True,) * 6, np.ones(6, dtype=bool)):
+        with pytest.raises(ValueError, match="counts must be integers, not true or false"):
+            MeasurementRecord(DEFAULT_SETTINGS, counts, shots=10, seed=0)
+    # nor are strings, objects or ragged nestings counts, built in Python or read
+    for counts in (["1"] * 6, np.array(["1"] * 6), np.ones(6, dtype=object), [None] * 6, [1, [1], 1, 1, 1, 1]):
+        with pytest.raises(ValueError, match="counts must be integers"):
+            MeasurementRecord(DEFAULT_SETTINGS, counts, shots=10, seed=0)
+    for counts in (["1"] * 6, [None] * 6, [1, [1], 1, 1, 1, 1]):
+        with pytest.raises(ValueError, match="counts must be integers"):
+            MeasurementRecord.from_json({"settings": list(DEFAULT_SETTINGS), "counts": counts, "shots": 10, "seed": 0})
+
+
+def test_a_decoded_record_document_may_hold_an_array_of_counts():
+    # the reader passes counts to the constructor as decoded, so an array reads as the list it holds
+    document = {"settings": list(DEFAULT_SETTINGS), "shots": 10, "seed": 0}
+    for counts in (np.arange(6), np.arange(6.0), np.arange(6, dtype=np.uint8)):
+        record = MeasurementRecord.from_json({**document, "counts": counts})
+        assert record.counts.dtype == np.int64 and record.counts.tolist() == list(range(6))
+    with pytest.raises(ValueError, match="counts must be integers, not true or false"):
+        MeasurementRecord.from_json({**document, "counts": np.ones(6, dtype=bool)})

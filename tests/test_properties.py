@@ -3,11 +3,12 @@
 import json
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from depolsim.channels import extract_channel
-from depolsim.measurement import MeasurementRecord
+from depolsim.channels import StokesChannel, extract_channel
+from depolsim.measurement import DEFAULT_SETTINGS, MeasurementRecord
 from depolsim.polarization import JONES_STATES
 from depolsim.temporal import (
     SchemeConfig,
@@ -137,3 +138,75 @@ def test_chi_matrix_json_round_trip(parts, clipped):
     back = json_round_trip(chi)
     assert np.array_equal(back.matrix, chi.matrix)
     assert back.clipped_mass == chi.clipped_mass
+
+
+# --- one input rule: a constructor refuses exactly the values its reader refuses ---
+
+# what a decoded JSON document can hold where a number belongs, and a few things it cannot
+json_leaves = st.one_of(
+    st.integers(-3, 3),
+    st.floats(),  # inf and NaN included
+    st.booleans(),
+    st.sampled_from(["1", "0.5", "-2", "1e3", "nan"]),
+    st.none(),
+    st.just(10**400),
+)
+json_numbers = st.one_of(st.integers(0, 5), st.floats(0.0, 5.0), st.integers(0, 5).map(float))
+
+
+def nested(leaves, shape):
+    """JSON arrays nested to exactly `shape` around `leaves`."""
+    for length in reversed(shape):
+        leaves = st.lists(leaves, min_size=length, max_size=length)
+    return leaves
+
+
+@st.composite
+def json_values(draw, shape):
+    """A value for an array field of `shape`: numbers in that shape, the same with one leaf of any kind swapped in,
+    any leaves in that shape, or any nesting."""
+    form = draw(st.sampled_from(("numbers", "one leaf", "any leaves", "any nesting")))
+    if form == "any nesting":
+        return draw(st.recursive(json_leaves, lambda inner: st.lists(inner, max_size=4), max_leaves=20))
+    value = draw(nested(json_leaves if form == "any leaves" else json_numbers, shape))
+    if form == "one leaf":
+        row = value
+        for _ in shape[:-1]:
+            row = row[draw(st.integers(0, len(row) - 1))]
+        row[draw(st.integers(0, len(row) - 1))] = draw(json_leaves)
+    return value
+
+
+def refuses(build, value) -> bool:
+    """Whether build(value) raises ValueError; any other exception fails the test."""
+    try:
+        build(value)
+    except ValueError:
+        return True
+    return False
+
+
+EYE3, ZERO3, ZERO4 = np.eye(3).tolist(), [0, 0, 0], np.zeros((4, 4)).tolist()
+RECORD = {"settings": list(DEFAULT_SETTINGS), "shots": 10, "seed": 0}
+
+# (field, its shape, the constructor given the value, the reader, a document that holds the value)
+READ_AND_BUILT = [
+    ("StokesChannel m", (3, 3), lambda v: StokesChannel(v, ZERO3), StokesChannel.from_json,
+     lambda v: {"m": v, "b": ZERO3}),
+    ("StokesChannel b", (3,), lambda v: StokesChannel(EYE3, v), StokesChannel.from_json,
+     lambda v: {"m": EYE3, "b": v}),
+    ("ChiMatrix re", (4, 4), ChiMatrix, ChiMatrix.from_json, lambda v: {"re": v, "im": ZERO4}),
+    ("MeasurementRecord counts", (6,), lambda v: MeasurementRecord(DEFAULT_SETTINGS, v, 10, 0),
+     MeasurementRecord.from_json, lambda v: {**RECORD, "counts": v}),
+]
+
+
+@pytest.mark.parametrize("field, shape, build, read, document", READ_AND_BUILT, ids=[c[0] for c in READ_AND_BUILT])
+@CHECK
+@given(data=st.data())
+def test_a_constructor_refuses_exactly_what_its_reader_refuses(field, shape, build, read, document, data):
+    value = data.draw(json_values(shape))
+    refused = refuses(build, value)
+    assert refuses(read, document(value)) == refused, (field, value)
+    # and so does the document's text: json writes NaN, inf and a 400-digit int, and reads them back
+    assert refuses(read, json.dumps(document(value))) == refused, (field, value)

@@ -258,3 +258,25 @@ def test_scheme_config_json_round_trip():
     rng = np.random.default_rng(8)
     j = random_pure_jones(rng)
     assert np.abs(run_scheme(back, j) - run_scheme(config, j)).max() < 1e-15
+
+
+def test_scheme_config_refuses_a_coherence_that_is_not_a_number():
+    # False was stored, and to_json then wrote a document that from_json refuses; "0.5" raised TypeError
+    for coherence in (False, True, np.False_, "0.5", "0", None, [0.1], np.array([0.1]), 0.5j, 10**400):
+        with pytest.raises(ValueError, match=r"coherence must be a number in \[0, 1\)"):
+            SchemeConfig((crystal(0.0, 1),), coherence=coherence)
+    # other real numbers are stored as floats, and the document round-trips
+    for coherence in (0, np.float64(0.25), np.float32(0.5), np.int64(0), np.array(0.25)):
+        config = SchemeConfig((crystal(0.0, 1),), coherence=coherence)
+        assert type(config.coherence) is float and config.coherence == float(coherence)
+        assert SchemeConfig.from_json(json.dumps(config.to_json())).coherence == config.coherence
+
+
+def test_elements_refuse_numeric_strings_and_numbers_past_the_float_range():
+    # "12.5" was read as 12.5 degrees, and 10**400 raised OverflowError (None and [12.5] TypeError)
+    for angle in ("12.5", "0", None, [12.5], 0.5j, 10**400, -(10**400), np.array(["1.0", "2.0"]),
+                  np.array([None, 1.0], dtype=object)):
+        for make in (half_wave, quarter_wave, lambda a: crystal(a, 1)):
+            with pytest.raises(ValueError, match="element angle must be a finite float"):
+                make(angle)
+    assert half_wave(2**70).angle_deg == float(2**70)

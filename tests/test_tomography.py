@@ -763,3 +763,33 @@ def test_array_holding_records_compare_by_identity():
     ):
         a, b = make(), make()
         assert a == a and a != b and hash(a) == hash(a) and len({a, b}) == 2
+
+
+def test_chi_matrix_and_linear_estimate_refuse_a_bool_among_numbers():
+    # numpy reads a True or False among numbers as 1 or 0 and keeps no trace of it: the constructors took these
+    flagged = [[True, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0]]
+    for matrix in (flagged, [[0.25, np.False_, 0, 0]] + flagged[1:], [np.zeros(4, dtype=bool)] + flagged[1:]):
+        with pytest.raises(ValueError, match="chi matrix must be .*, not true or false"):
+            ChiMatrix(matrix)
+    for rho in ([[True, 0], [0, 0]], [[0.5, 0j], [np.False_, 0.5]]):
+        with pytest.raises(ValueError, match="LinearEstimate rho must be .*, not true or false"):
+            LinearEstimate(rho, True)
+
+
+def test_chi_matrix_refuses_a_clipped_mass_past_the_float_range():
+    # float(10**400) raised OverflowError
+    for clipped in (10**400, -(10**400)):
+        with pytest.raises(ValueError, match="clipped_mass must be a finite number >= 0"):
+            ChiMatrix(np.eye(4) / 4, clipped)
+        with pytest.raises(ValueError, match="clipped_mass must be a finite number >= 0"):
+            ChiMatrix.from_json({"re": (np.eye(4) / 4).tolist(), "im": np.zeros((4, 4)).tolist(), "clipped_mass": clipped})
+    assert ChiMatrix(np.eye(4) / 4, 2**70).clipped_mass == float(2**70)
+
+
+def test_a_decoded_chi_document_may_hold_arrays():
+    # re and im are read by the constructor's rule, so arrays read as the lists they hold
+    chi = ChiMatrix.from_json({"re": np.eye(4) / 4, "im": np.zeros((4, 4), dtype=int)})
+    listed = ChiMatrix.from_json({"re": (np.eye(4) / 4).tolist(), "im": np.zeros((4, 4)).tolist()})
+    assert chi.matrix.tobytes() == listed.matrix.tobytes()
+    with pytest.raises(ValueError, match="chi matrix JSON im must be .*, not true or false"):
+        ChiMatrix.from_json({"re": np.eye(4) / 4, "im": np.zeros((4, 4), dtype=bool)})
