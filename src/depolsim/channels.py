@@ -34,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .polarization import CHOI_TO_CHI, CHOI_TO_PTM, OUTPUTS_TO_CHOI, _einsum, _hermitian_average, _number_array
-from .polarization import _read_json, _trace, _unchecked
+from .polarization import _read_json, _real, _trace, _unchecked
 from .temporal import SchemeConfig, _check_single, _choi, crystal, half_wave, quarter_wave
 from .tomography import ChiMatrix
 
@@ -145,7 +145,9 @@ def build_scheme(kind: str, angle_deg: float | np.ndarray | None = None, coheren
     else:
         if angle_deg is None:
             raise ValueError(f"scheme {kind!r} requires an angle")
-        theta = angle_deg if isinstance(angle_deg, np.ndarray) else float(angle_deg)
+        theta = angle_deg if isinstance(angle_deg, np.ndarray) else _real(angle_deg)
+        if theta is None:
+            raise ValueError(f"scheme {kind!r} needs a number of degrees or a 1-D array of them, got {angle_deg!r}")
         if kind == "scheme1":
             elements = scheme1_elements(theta)
         elif kind == "scheme2":

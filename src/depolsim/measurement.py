@@ -17,8 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .polarization import IDENTITY, SIGMAS, _as_integer, _check_finite, _json_number, _numbers, _one_state, _read_json
-from .polarization import _unchecked
+from .polarization import IDENTITY, SIGMAS, _as_integer, _check_finite, _numbers, _one_state, _read_json, _unchecked
 
 DEFAULT_SETTINGS = ("h", "v", "p", "m", "r", "l")
 
@@ -48,8 +47,8 @@ def _as_counts(values) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class MeasurementRecord:
-    """Raw counts of the six projector settings, each label exactly once in any order, with integral shots >= 1
-    and seed >= 0, as `sample_counts` takes them."""
+    """Raw counts of the six projector settings, a tuple or list holding each label exactly once in any order, with
+    integral shots >= 1 and seed >= 0, as `sample_counts` takes them."""
 
     settings: tuple[str, ...]
     counts: np.ndarray
@@ -57,9 +56,8 @@ class MeasurementRecord:
     seed: int
 
     def __post_init__(self):
-        settings = tuple(self.settings)
-        # a string is not six labels, though it iterates as six characters
-        if isinstance(self.settings, str) or (settings != DEFAULT_SETTINGS and not (
+        settings = tuple(self.settings) if isinstance(self.settings, (tuple, list)) else None
+        if settings is None or (settings != DEFAULT_SETTINGS and not (
             len(settings) == len(_LABEL_AXIS)
             and all(isinstance(label, str) for label in settings)
             and set(settings) == _LABEL_AXIS.keys()
@@ -91,19 +89,10 @@ class MeasurementRecord:
     def from_json(cls, data) -> "MeasurementRecord":
         """Parse the JSON form, given as text or as a decoded dict; a malformed document raises ValueError.
 
-        settings must be a JSON array, and shots and seed JSON numbers, not true or false; counts go to the
-        constructor as decoded, which holds them to its rule.
+        settings, counts, shots and seed go to the constructor as decoded, which holds them to its rule.
         """
-
-        def read(document) -> "MeasurementRecord":
-            settings = document["settings"]
-            if not isinstance(settings, list):
-                raise TypeError(f"settings must be a JSON array, got {type(settings).__name__}")
-            shots = _json_number(document["shots"], "shots must be an integer >= 1")
-            seed = _json_number(document["seed"], "seed must be an integer >= 0")
-            return cls(tuple(settings), document["counts"], shots, seed)
-
-        return _read_json(data, "measurement record", read)
+        return _read_json(data, "measurement record", lambda document: cls(
+            document["settings"], document["counts"], document["shots"], document["seed"]))
 
 
 def projector(label: str) -> np.ndarray:

@@ -46,29 +46,19 @@ try:
     # signature and its error state (no convergence raises LinAlgError, and no RuntimeWarning escapes).  Its
     # wrapper's _makearray, _commonType, astype and EighResult are a third or more of the call on a 4x4 chi
     # (interleaved best of 41 rounds: 8.1 us through np.linalg.eigh, 4.8 us here).  Same kernel, same operands:
-    # same bytes.  The error state is built once, where an errstate decorator rebuilds it from the current one on
-    # every call (a 4x4 chi, best of 41 interleaved timeit rounds: 4.5 us decorated, 4.0 us with it pre-built, 3.6 us
-    # for the bare gufunc).  It names all four float errors and the callback, so only the ufunc buffer size is the
-    # import-time one rather than the caller's; every caller passes a complex128 matrix, which the D->dD loop takes
-    # without a cast buffer.
-    from numpy._core._ufunc_config import _extobj_contextvar, _make_extobj
+    # same bytes.  The errstate decorator builds the error state on every call, about 0.5 us on a 4x4 chi, which
+    # the tomography pool does not resolve (seed 1, 6 interleaved runs: 4 054 ops/s with the state pre-built,
+    # 4 029 decorated, against 3 592-4 237 from run to run).
     from numpy.linalg._umath_linalg import eigh_lo as _eigh_lo
 
     def _raise_nonconvergence(err, flag):
         raise np.linalg.LinAlgError("Eigenvalues did not converge")
 
-    _EIGH_EXTOBJ = _make_extobj(
-        call=_raise_nonconvergence, invalid="call", over="ignore", divide="ignore", under="ignore"
-    )
-
+    @np.errstate(call=_raise_nonconvergence, invalid="call", over="ignore", divide="ignore", under="ignore")
     def _eigh(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(eigenvalues ascending, eigenvectors as columns) of a complex Hermitian matrix, from its lower
         triangle."""
-        token = _extobj_contextvar.set(_EIGH_EXTOBJ)
-        try:
-            return _eigh_lo(h, signature="D->dD")
-        finally:
-            _extobj_contextvar.reset(token)
+        return _eigh_lo(h, signature="D->dD")
 except ImportError:
     _eigh = np.linalg.eigh
 
@@ -136,17 +126,6 @@ def _as_integer(value, name: str, least: int, most: int | None = None) -> int:
         bound = f">= {least}" if most is None else f"in [{least}, {most}]"
         raise ValueError(f"{name} must be an integer {bound}, got {value!r}")
     return number
-
-
-def _json_number(value, requirement: str):
-    """`value` if it is a JSON number, an int or a float, else ValueError: `requirement`, and what `value` is.
-
-    Not JSON true or false, nor a numeric string, which numpy and float() would read as numbers."""
-    if isinstance(value, (bool, np.bool_)):
-        raise ValueError(f"{requirement}, not true or false")
-    if not isinstance(value, (int, float)):
-        raise ValueError(f"{requirement}, got {type(value).__name__}")
-    return value
 
 
 def _read_json(data, what: str, read):

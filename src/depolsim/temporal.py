@@ -52,7 +52,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .polarization import _as_integer, _einsum, _json_number, _read_json, _real, check_normalized
+from .polarization import _as_integer, _einsum, _read_json, _real, check_normalized
 
 # bins: map from integer bin index in [0, 2**62] to complex (h, v) amplitude
 TimeBinState = dict[int, np.ndarray]
@@ -124,8 +124,6 @@ class OpticalElement:
         angle = self.angle_deg
         if type(angle) is float:  # as the scheme builders pass it: kept as it is
             valid = math.isfinite(angle)
-        elif isinstance(angle, (bool, np.bool_)) or (isinstance(angle, np.ndarray) and angle.dtype == bool):
-            raise ValueError(f"element angle must be a number of degrees, not a bool, got {angle!r}")
         elif isinstance(angle, np.ndarray) and angle.ndim:
             # of int or float entries: numpy would parse an array of numeric strings
             valid = angle.dtype.kind in "iuf" and angle.ndim == 1 and angle.size and np.isfinite(angle).all()
@@ -133,7 +131,7 @@ class OpticalElement:
                 angle = np.array(angle, dtype=float)  # a copy: the caller's array is neither frozen nor shared
                 angle.setflags(write=False)
         else:
-            angle = _real(angle)  # None for a string, or an int past the float range
+            angle = _real(angle)  # None for a bool, a string, or an int past the float range
             valid = angle is not None and math.isfinite(angle)
         if not valid:
             raise ValueError(
@@ -162,13 +160,6 @@ def quarter_wave(angle_deg: float) -> OpticalElement:
     return OpticalElement(QWP, angle_deg=angle_deg)
 
 
-def _element_from_json(d) -> OpticalElement:
-    # float() as the coherence takes it: a number past the float range is a malformed document (OverflowError)
-    angle = float(_json_number(d["angle_deg"], "scheme JSON angle_deg must be a number"))
-    delay = _json_number(d["delay_bins"], "scheme JSON delay_bins must be a number") if "delay_bins" in d else None
-    return OpticalElement(d["kind"], angle_deg=angle, delay_bins=delay)
-
-
 def _check_single(batch, consumer: str) -> None:
     if batch is not None:
         raise ValueError(f"{consumer} needs scalar angles, got a batch of {batch}")
@@ -192,16 +183,25 @@ class SchemeConfig:
     batch: int | None = field(init=False, default=None)
 
     def __post_init__(self):
-        if type(self.elements) is not tuple:
-            object.__setattr__(self, "elements", tuple(self.elements))
-        if not self.elements:
+        elements = self.elements
+        if type(elements) is not tuple:
+            if not isinstance(elements, (tuple, list)):
+                raise ValueError(f"scheme elements must be a tuple or list, got {elements!r}")
+            elements = tuple(elements)
+            object.__setattr__(self, "elements", elements)
+        if not elements:
             raise ValueError("scheme needs at least one element")
         coherence = _real(self.coherence)
         if coherence is None or not 0.0 <= coherence < 1.0:
             raise ValueError(f"coherence must be a number in [0, 1), got {self.coherence!r}")
         if coherence is not self.coherence:
             object.__setattr__(self, "coherence", coherence)
-        lengths = {len(e.angle_deg) for e in self.elements if type(e.angle_deg) is not float}
+        lengths = set()
+        for e in elements:
+            if type(e) is not OpticalElement:
+                raise ValueError(f"scheme elements must be OpticalElements, got {e!r}")
+            if type(e.angle_deg) is not float:
+                lengths.add(len(e.angle_deg))
         if len(lengths) > 1:
             raise ValueError(f"array angles of one scheme must share their length, got {sorted(lengths)}")
         if lengths:  # else batch keeps its default, None
@@ -222,11 +222,11 @@ class SchemeConfig:
     def from_json(cls, data) -> "SchemeConfig":
         """Parse the JSON form, given as text or as a decoded dict; a malformed document raises ValueError.
 
-        Angles, delays and the coherence must be JSON numbers (int or float, not bool); a plate takes no delay.
+        Each element's kind, angle and delay go to `OpticalElement` as decoded, and the coherence to the constructor.
         """
         return _read_json(data, "scheme", lambda document: cls(
-            tuple(_element_from_json(d) for d in document["elements"]),
-            coherence=float(_json_number(document.get("coherence", 0.0), "scheme JSON coherence must be a number"))))
+            [OpticalElement(d["kind"], d["angle_deg"], d.get("delay_bins")) for d in document["elements"]],
+            coherence=document.get("coherence", 0.0)))
 
 
 def _hwp_entries(angle_deg: float) -> list:
@@ -646,7 +646,8 @@ def collapse_with_coherence(state: TimeBinState, gamma: float) -> np.ndarray:
     gamma -> 1 restores full coherence.  Physically gamma models crystals
     short enough to leave the two wave packets partially overlapping.
     """
-    if not 0.0 <= gamma < 1.0:
-        raise ValueError("gamma must lie in [0, 1)")
+    g = _real(gamma)
+    if g is None or not 0.0 <= g < 1.0:
+        raise ValueError(f"gamma must be a number in [0, 1), got {gamma!r}")
     bins, amps = _from_state(state)
-    return _trace_out(amps.reshape(1, 2, len(bins)), _band_plan(bins, gamma))[0]
+    return _trace_out(amps.reshape(1, 2, len(bins)), _band_plan(bins, g))[0]

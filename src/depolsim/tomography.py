@@ -40,7 +40,7 @@ import numpy as np
 
 from .measurement import DEFAULT_SETTINGS, SETTING_PAIRS, MeasurementRecord
 from .polarization import CHI_BASIS, CHOI_TO_CHI, IDENTITY, OUTPUTS_TO_CHOI, PSD_ATOL, _check_finite, _eigh, _einsum
-from .polarization import _fidelity, _hermitian_average, _json_number, _number_array, _read_json, _real
+from .polarization import _fidelity, _hermitian_average, _number_array, _read_json, _real
 from .polarization import _stokes_to_density, _trace, _unchecked
 
 CHI_BASIS_LABELS = ("I", "X", "Y", "Z")
@@ -86,8 +86,8 @@ class ChiMatrix:
     def from_json(cls, data) -> "ChiMatrix":
         """Parse the JSON form, given as text or as a decoded dict; a malformed document raises ValueError.
 
-        re and im are read by the constructor's array rule, as 4x4 float arrays; clipped_mass must be a JSON number,
-        not true or false, and the constructor holds it to its rule; basis, if given, must be ["I", "X", "Y", "Z"].
+        re and im are read by the constructor's array rule, as 4x4 float arrays; clipped_mass goes to the constructor
+        as decoded, which holds it to its rule; basis, if given, must be ["I", "X", "Y", "Z"].
         """
 
         def read(document) -> "ChiMatrix":
@@ -95,8 +95,7 @@ class ChiMatrix:
                 raise ValueError("chi matrix uses an unexpected operator basis")
             re = _number_array(document["re"], (4, 4), float, "chi matrix JSON re")
             im = _number_array(document["im"], (4, 4), float, "chi matrix JSON im")
-            clipped = _json_number(document.get("clipped_mass", 0.0), "clipped_mass must be a finite number >= 0")
-            return cls(re + 1j * im, clipped)
+            return cls(re + 1j * im, document.get("clipped_mass", 0.0))
 
         return _read_json(data, "chi matrix", read)
 

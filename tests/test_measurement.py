@@ -139,8 +139,6 @@ def test_a_malformed_record_document_raises_value_error():
     for document in (
         {k: v for k, v in record.items() if k != "seed"},
         {k: v for k, v in record.items() if k != "counts"},
-        {**record, "settings": 5},
-        {**record, "settings": "hvpmrl"},
         [1],
         "[1]",
         "null",
@@ -149,22 +147,26 @@ def test_a_malformed_record_document_raises_value_error():
     ):
         with pytest.raises(ValueError, match="malformed measurement record JSON|Expecting"):
             MeasurementRecord.from_json(document)
+    # settings that are not an array of labels are the constructor's to refuse, not read letter by letter
+    for settings in (5, "hvpmrl", None):
+        with pytest.raises(ValueError, match="settings must be the six labels"):
+            MeasurementRecord.from_json({**record, "settings": settings})
     assert MeasurementRecord.from_json(json.dumps(record)).seed == 0
 
 
 def test_a_record_document_refuses_true_and_false():
     # JSON true and false are not counts, shots or seeds: numpy and int() would read them as 1 and 0
     record = {"settings": ["r", "v", "m", "h", "l", "p"], "counts": [1] * 6, "shots": 10, "seed": 0}
-    for document in (
-        {**record, "counts": [True, 0, 1, 1, 1, 1]},
-        {**record, "counts": [True] * 6},
-        {**record, "counts": [1, 1, 1, 1, 1, False]},
-        {**record, "shots": True},
-        {**record, "seed": False},
-        {**record, "counts": [True, 0, 1, 1, 1, 1], "shots": True, "seed": False},
+    for document, message in (
+        ({**record, "counts": [True, 0, 1, 1, 1, 1]}, "not true or false"),
+        ({**record, "counts": [True] * 6}, "not true or false"),
+        ({**record, "counts": [1, 1, 1, 1, 1, False]}, "not true or false"),
+        ({**record, "shots": True}, "shots must be an integer >= 1, got True"),
+        ({**record, "seed": False}, "seed must be an integer >= 0, got False"),
+        ({**record, "counts": [True, 0, 1, 1, 1, 1], "shots": True, "seed": False}, "not true or false"),
     ):
         for form in (document, json.dumps(document)):
-            with pytest.raises(ValueError, match="not true or false"):
+            with pytest.raises(ValueError, match=message):
                 MeasurementRecord.from_json(form)
     back = MeasurementRecord.from_json(json.dumps({**record, "counts": [1, 0, 1, 1, 1, 1], "seed": 1}))
     assert back.counts.tolist() == [1, 0, 1, 1, 1, 1] and back.shots == 10 and back.seed == 1

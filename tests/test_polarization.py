@@ -404,8 +404,8 @@ def test_eigh_kernel_binding_gives_np_linalg_eigh_bytes():
 
 @pytest.mark.filterwarnings("error")
 def test_eigh_restores_the_callers_error_state():
-    # _eigh sets np.linalg.eigh's error state around LAPACK, pre-built once, and must hand the caller's back after
-    # a normal call and after LinAlgError, warning nothing either way
+    # _eigh sets np.linalg.eigh's error state around LAPACK and must hand the caller's back after a normal call
+    # and after LinAlgError, warning nothing either way
     eigh = depolsim.polarization._eigh
     nan_matrix = np.ones((4, 4), dtype=complex)
     nan_matrix[2, 1] = np.nan  # below the diagonal, where LAPACK reads it and fails to converge

@@ -588,13 +588,11 @@ def test_chi_json_refuses_true_false_and_a_negative_or_non_finite_clipped_mass()
     for document in (
         {"re": [[True] * 4] * 4, "im": im},
         {"re": re, "im": flagged},
-        {"re": re, "im": im, "clipped_mass": True},
-        {"re": re, "im": im, "clipped_mass": False},
     ):
         for form in (document, json.dumps(document)):
             with pytest.raises(ValueError, match="not true or false"):
                 ChiMatrix.from_json(form)
-    for clipped in (-5, -5.0, -1e-300, "-5"):
+    for clipped in (-5, -5.0, -1e-300, "-5", True, False):
         with pytest.raises(ValueError, match="clipped_mass must be a finite number >= 0"):
             ChiMatrix.from_json({"re": re, "im": im, "clipped_mass": clipped})
     for clipped in (-5.0, float("nan"), float("inf"), -float("inf")):
