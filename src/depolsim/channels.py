@@ -48,6 +48,7 @@ SCHEME_NAMES = (
 )
 
 ISOTROPIC_POINT_DEG = float(np.degrees(np.arctan(np.sqrt(2.0))))  # 54.7356...
+ISOTROPY_TOL = 1e-6  # of `isotropy_report`
 
 
 @dataclass(frozen=True, eq=False)
@@ -201,16 +202,19 @@ def analytic_scheme2_dop(theta_deg: float, s1: float) -> float:
         + (s1^2 / 4) (-7/8 + 1/2 cos 4t + 3/8 cos 8t)
 
     depends on the input only through S1; all inputs sharing |S1| are
-    depolarized identically.  A non-finite theta or s1 raises ValueError.
+    depolarized identically.  A theta or s1 that is no finite number, a
+    bool or a string among them, raises ValueError.
     """
-    if not math.isfinite(theta_deg):
+    theta = _real(theta_deg)
+    if theta is None or not math.isfinite(theta):
         raise ValueError(f"theta must be a finite number of degrees, got {theta_deg!r}")
-    if not abs(s1) <= 1.0 + 1e-12:
-        raise ValueError(f"|s1| must not exceed 1, got {s1!r}")
-    t = np.deg2rad(theta_deg)
+    s = _real(s1)
+    if s is None or not abs(s) <= 1.0 + 1e-12:
+        raise ValueError(f"s1 must be a number with |s1| <= 1, got {s1!r}")
+    t = np.deg2rad(theta)
     c4, c8 = np.cos(4 * t), np.cos(8 * t)
     d2 = 0.25 * (19.0 / 8.0 + 1.5 * c4 + 0.125 * c8)
-    d2 += (s1 * s1 / 4.0) * (-7.0 / 8.0 + 0.5 * c4 + 0.375 * c8)
+    d2 += (s * s / 4.0) * (-7.0 / 8.0 + 0.5 * c4 + 0.375 * c8)
     return float(np.sqrt(max(d2, 0.0)))
 
 
@@ -223,12 +227,13 @@ def mutually_unbiased_triad(s1_target: float):
     orthogonal, i.e. the corresponding qubit bases are mutually unbiased;
     that is the only |s1| where an equal-S1 orthogonal triad exists,
     because the squared first components of any orthonormal triad sum
-    to 1.
+    to 1.  Any other s1, or one that is no number (a bool or a string),
+    raises ValueError.
     """
-    s1 = float(s1_target)
+    s1 = _real(s1_target)
     limit = 1.0 / np.sqrt(3.0)
-    if not abs(s1) <= limit + 1e-12:
-        raise ValueError(f"|s1| = {abs(s1)!r} exceeds 1/sqrt(3); no such triad of bases exists")
+    if s1 is None or not abs(s1) <= limit + 1e-12:
+        raise ValueError(f"s1 must be a number with |s1| <= 1/sqrt(3), for which a triad exists, got {s1_target!r}")
     r = np.sqrt(max(1.0 - s1 * s1, 0.0))
     triad = []
     for k in range(3):
@@ -237,10 +242,10 @@ def mutually_unbiased_triad(s1_target: float):
     return triad
 
 
-def isotropy_report(channel: StokesChannel, tol: float = 1e-6) -> tuple[bool, float]:
+def isotropy_report(channel: StokesChannel) -> tuple[bool, float]:
     """Whether a channel is an isotropic shrink, and its shrink factor.
 
-    Isotropic means b = 0 and M^T M = lambda^2 I within `tol`: the sphere
+    Isotropic means b = 0 and M^T M = lambda^2 I within ISOTROPY_TOL: the sphere
     maps to a smaller sphere of radius lambda, possibly rotated.
     Returns (is_isotropic, lambda); the trace, the diagonal's lambda^2 and the norms are Python floats, so an M^T M
     that overflows to inf gives (False, inf) without a floating-point warning.
@@ -251,4 +256,4 @@ def isotropy_report(channel: StokesChannel, tol: float = 1e-6) -> tuple[bool, fl
     for i in range(3):
         rows[i][i] -= lam2
     residual = math.hypot(*rows[0], *rows[1], *rows[2]) + math.hypot(*channel.b.tolist())
-    return residual < tol, math.sqrt(max(lam2, 0.0))
+    return residual < ISOTROPY_TOL, math.sqrt(max(lam2, 0.0))

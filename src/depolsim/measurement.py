@@ -30,18 +30,17 @@ _LABEL_AXIS = {label: (axis, sign) for axis, pair in enumerate(SETTING_PAIRS) fo
 
 
 def _as_counts(values) -> np.ndarray:
-    """`values` as int64 counts: by `_numbers`' rule int or float entries, not a bool, and each one integral; an int64
-    array as it is."""
+    """`values` as a read-only int64 copy: by `_numbers`' rule int or float entries, not a bool, and each one
+    integral."""
     try:
         counts = _numbers(values, "iuf")
     except ValueError as exc:
         raise ValueError(f"counts must be integers, {exc}") from None
-    if counts.dtype == np.int64:
-        return counts
     with np.errstate(invalid="ignore"):  # a NaN, inf or out-of-range value casts to garbage, which the test rejects
         as_int = counts.astype(np.int64)
     if not (as_int == counts).all():
         raise ValueError(f"counts must be integers, got {counts!r}")
+    as_int.setflags(write=False)
     return as_int
 
 

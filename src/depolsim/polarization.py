@@ -64,6 +64,7 @@ except ImportError:
 
 NORM_ATOL = 1e-10
 PSD_ATOL = 1e-10
+UNIT_STOKES_ATOL = 1e-6  # of `jones_from_stokes`
 
 JONES_H = np.array([1.0, 0.0], dtype=complex)
 JONES_V = np.array([0.0, 1.0], dtype=complex)
@@ -129,11 +130,11 @@ def _as_integer(value, name: str, least: int, most: int | None = None) -> int:
 
 
 def _read_json(data, what: str, read):
-    """`read(document)` of a JSON document given as text or decoded; where `read` meets a missing key, a wrong type,
-    a number beyond the float range or too deep a nesting, ValueError: malformed `what` JSON."""
+    """`read(document)` of a JSON document given as text or decoded; where `read` meets a missing key, a wrong type or
+    too deep a nesting, ValueError: malformed `what` JSON."""
     try:
         return read(json.loads(data) if isinstance(data, str) else data)
-    except (KeyError, TypeError, AttributeError, OverflowError, RecursionError) as exc:
+    except (KeyError, TypeError, AttributeError, RecursionError) as exc:
         raise ValueError(f"malformed {what} JSON ({type(exc).__name__}: {exc})") from None
 
 
@@ -222,17 +223,17 @@ def density_from_stokes(s) -> np.ndarray:
     return _stokes_to_density(s)
 
 
-def jones_from_stokes(s, atol: float = 1e-6) -> np.ndarray:
+def jones_from_stokes(s) -> np.ndarray:
     """Jones vector of the pure state with unit Stokes vector `s`.
 
     Only unit-length Stokes vectors describe pure states, so `s` must have
-    norm 1 within `atol`.  After s /= |s| it is (a, (S2 + i S3) / 2a) with
+    norm 1 within UNIT_STOKES_ATOL.  After s /= |s| it is (a, (S2 + i S3) / 2a) with
     a = sqrt((1 + S1) / 2) for S1 >= 0, else ((S2 - i S3) / 2b, b) with
     b = sqrt((1 - S1) / 2): the larger component real positive, h on a tie.
     """
     x, y, z = np.asarray(s, dtype=float).reshape(3).tolist()
     norm = math.hypot(x, y, z)
-    if not abs(norm - 1.0) <= atol:
+    if not abs(norm - 1.0) <= UNIT_STOKES_ATOL:
         raise ValueError("only unit Stokes vectors correspond to pure states")
     x, y, z = x / norm, y / norm, z / norm
     if x >= 0.0:
@@ -285,8 +286,9 @@ def _sqrtm_psd(h: np.ndarray) -> np.ndarray:
 
 
 def _hermitian_average(matrix: np.ndarray) -> np.ndarray:
-    """(matrix + matrix^dagger) / 2 in place, with the out-of-place bits: the conjugate is a fresh array."""
-    matrix += matrix.conj().T
+    """(matrix + matrix^dagger) / 2 over the last two axes, in place, with the out-of-place bits: the conjugate is a
+    fresh array."""
+    matrix += matrix.conj().mT
     matrix /= 2.0
     return matrix
 
@@ -339,8 +341,9 @@ def _numbers(value, kinds: str) -> np.ndarray:
 
 
 def _number_array(value, shape: tuple[int, ...], dtype: type, what: str) -> np.ndarray:
-    """`value` as a `dtype` (float or complex) array by `_numbers`' rule: exactly `shape`, and every entry finite and an
-    int or a `dtype` number, not a bool, a string or an object; else ValueError naming `what`."""
+    """`value` as a read-only `dtype` (float or complex) copy, so that no later write gets past the check, by
+    `_numbers`' rule: exactly `shape`, every entry finite and an int or a `dtype` number, not a bool, a string or an
+    object; else ValueError naming `what`."""
     try:
         array = _numbers(value, "iuf" if dtype is float else "iufc")
         if array.shape != shape:
@@ -348,8 +351,9 @@ def _number_array(value, shape: tuple[int, ...], dtype: type, what: str) -> np.n
     except ValueError as exc:
         names = "int or float" if dtype is float else "int, float or complex"
         raise ValueError(f"{what} must be a {shape} array of {names} numbers, {exc}") from None
-    array = np.asarray(array, dtype=dtype)
+    array = np.array(array, dtype=dtype)
     _check_finite(array, what)
+    array.setflags(write=False)
     return array
 
 

@@ -52,7 +52,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .polarization import _as_integer, _einsum, _read_json, _real, check_normalized
+from .polarization import _as_integer, _einsum, _hermitian_average, _read_json, _real, check_normalized
 
 # bins: map from integer bin index in [0, 2**62] to complex (h, v) amplitude
 TimeBinState = dict[int, np.ndarray]
@@ -90,12 +90,6 @@ _PLAN_CACHE_BINS = 1024
 
 # ... and only while the band plan may hold at most this many pairs (64 kB of indices and weights)
 _BAND_CACHE_PAIRS = 2**11
-
-# (config, S) of the last single config run, S read-only and 256 bytes: tomography calls run_scheme once per
-# probe on one config object, and only the first call propagates.  The key is the config object itself, held
-# so that its id cannot be reused; a single config is frozen, so its S cannot change.  The entry is one
-# tuple, read and replaced whole, so a thread never sees one config with another's S.
-_last_propagation: tuple = (None, None)
 
 # numpy's complex128 divide promotes the 2.0 of `rho /= 2.0` to this; a complex divisor keeps Python on its
 # complex-by-complex division in Smith's form too, whatever its rules for a float divisor
@@ -165,7 +159,7 @@ def _check_single(batch, consumer: str) -> None:
         raise ValueError(f"{consumer} needs scalar angles, got a batch of {batch}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SchemeConfig:
     """Ordered element list plus an optional residual-coherence parameter.
 
@@ -303,22 +297,22 @@ def _merge_plan(bins: np.ndarray, delay: int):
     return new_bins, order, starts
 
 
-def _crystal_step(amps: np.ndarray, projectors: np.ndarray, merges):
+def _crystal_step(amps: np.ndarray, projectors: np.ndarray, merge: tuple):
     """Delay the slow-axis component of every bin, merging bins as the crystal's merge plan says.
 
     `projectors` is the crystal's (T or 1, 4, 2) stack of axis projectors
     (see `_projector_entries`): for axis angle a the slow axis is
     e_s = (cos a, sin a), and the fast-axis component e_f = (-sin a, cos a)
-    keeps its bin.  Both projections come from one product, the
-    next (bins, order, starts) of `merges` (see `_merge_plan`) shifts the
-    slow half, and amplitudes landing in the same output bin are summed
-    (coherently).  Returns (bins, amps) with every bin of the merge plan,
-    even one whose amplitude is zero.
+    keeps its bin.  Both projections come from one product, the merge
+    plan (bins, order, starts) of `_merge_plan` shifts the slow half, and
+    amplitudes landing in the same output bin are summed (coherently).
+    Returns (bins, amps) with every bin of the plan, even one whose
+    amplitude is zero.
     """
     # the projector rows alternate fast and slow, so the product is laid out as (T, m, h or v, fast or slow, B)
     # and reads as (T, m, 2, 2B) with the fast bins first, without a copy
     merged = _einsum("trc,tmcn->tmrn", projectors, amps).reshape(-1, amps.shape[1], 2, 2 * amps.shape[3])
-    bins, order, starts = next(merges)
+    bins, order, starts = merge
     if order is None:
         return bins, merged
     # take is numpy's direct gather; indexing with `order` runs its generic path, 50-70x slower after the product
@@ -476,11 +470,13 @@ def _cached_plan(delays: tuple, gamma: float) -> tuple:
     return merges, _band_plan(merges[-1][0] if merges else _IDENTITY_BINS, gamma)
 
 
-def _propagate(config: SchemeConfig) -> tuple[np.ndarray, np.ndarray, tuple]:
+def _propagate(config: SchemeConfig) -> tuple[np.ndarray, np.ndarray, tuple | None]:
     """Push the 2x2 identity through the T = `config.batch` (or 1) configs at once.
 
     Returns (bins, amps, band): the sorted bins, which follow from the
-    crystal delays alone, the (T, 2, 2, B) amplitudes and the band plan.
+    crystal delays alone, the (T, 2, 2, B) amplitudes and the plan memo's
+    band plan, or None where the plan is not memoized (`_choi`, the band's
+    one reader, then builds it).
     Every config of a batch runs on the same bins with the same product
     per config: each element multiplies by its own matrix, a
     float-angle element's single one broadcasting over the configs, and
@@ -494,7 +490,7 @@ def _propagate(config: SchemeConfig) -> tuple[np.ndarray, np.ndarray, tuple]:
     """
     # tuple() of a list: of a generator it shrinks its result in place, stranding freed tuples on a free list
     delays = tuple([e.delay_bins for e in config.elements if e.kind == CRYSTAL])
-    gamma = float(config.coherence)
+    gamma = config.coherence
     most_bins = min(2 ** len(delays), sum(delays) + 1)  # n crystals make at most 2**n and sum + 1 bins
     most_pairs = most_bins * min(_band_halfwidth(gamma), most_bins - 1)
     memoize = 2 ** len(delays) <= _PLAN_CACHE_BINS and most_pairs <= _BAND_CACHE_PAIRS
@@ -505,8 +501,8 @@ def _propagate(config: SchemeConfig) -> tuple[np.ndarray, np.ndarray, tuple]:
         if element.kind != CRYSTAL:
             amps = _einsum("trc,tmcn->tmrn", element._matrix, amps)  # a wave plate, on every bin of config t
             continue
-        bins, amps = _crystal_step(amps, element._matrix, merges)
-    return bins, amps, _band_plan(bins, gamma) if band is None else band
+        bins, amps = _crystal_step(amps, element._matrix, next(merges))
+    return bins, amps, band
 
 
 def kraus_operators(config: SchemeConfig) -> tuple[np.ndarray, np.ndarray]:
@@ -528,18 +524,15 @@ def kraus_operators(config: SchemeConfig) -> tuple[np.ndarray, np.ndarray]:
     return bins.copy(), amps[0].transpose(2, 1, 0).copy()
 
 
+@functools.lru_cache(maxsize=1)
 def _choi(config: SchemeConfig) -> np.ndarray:
-    """The (T, 4, 4) Choi matrices S[t, 2c + r, 2q + p] = sum_{k,l} w(bins[k] - bins[l]) K_k[r, c] conj(K_l[p, q])
-    of the T = `config.batch` (or 1) configs, from one propagation; a single config's S is read-only and held
-    (see `_last_propagation`), so the next call on the same config object returns it."""
-    global _last_propagation
-    held, s = _last_propagation
-    if config is not held:
-        bins, amps, band = _propagate(config)
-        s = _trace_out(amps.reshape(len(amps), 4, len(bins)), band)
-        if config.batch is None:
-            s.setflags(write=False)
-            _last_propagation = (config, s)
+    """The read-only (T, 4, 4) Choi matrices S[t, 2c + r, 2q + p] = sum_{k,l} w(bins[k] - bins[l]) K_k[r, c]
+    conj(K_l[p, q]) of the T = `config.batch` (or 1) configs, from one propagation.  Memoized for the last config
+    object, its key: a SchemeConfig compares by identity and is frozen, so a held S never goes stale, and the four
+    tomography probes of one config propagate once."""
+    bins, amps, band = _propagate(config)
+    s = _trace_out(amps.reshape(len(amps), 4, len(bins)), _band_plan(bins, config.coherence) if band is None else band)
+    s.setflags(write=False)
     return s
 
 
@@ -562,10 +555,10 @@ def run_scheme(config: SchemeConfig, j) -> np.ndarray:
     The contraction with S is numpy's einsum kernel for every shape.  A
     single output (one config, one input) is averaged on its four entries
     in Python complex numbers, without the array set-up of the in-place
-    average that a stack takes: each entry is (x + conj(y)) / (2 + 0j),
-    the operations of numpy's complex add and divide, so the bits are the
-    same (Python's and numpy's complex division differ at most in a NaN's
-    sign, and S and j are finite).
+    `_hermitian_average` that a stack takes: each entry is
+    (x + conj(y)) / (2 + 0j), the operations of numpy's complex add and
+    divide, so the bits are the same (Python's and numpy's complex division
+    differ at most in a NaN's sign, and S and j are finite).
     """
     j = np.asarray(j, dtype=complex)
     if j.shape == (2,):
@@ -582,8 +575,7 @@ def run_scheme(config: SchemeConfig, j) -> np.ndarray:
         rho = np.array([(a + a.conjugate()) / _TWO, (b + c.conjugate()) / _TWO,
                         (c + b.conjugate()) / _TWO, (d + d.conjugate()) / _TWO])
         return rho.reshape(2, 2) if j.ndim == 1 else rho.reshape(1, 2, 2)
-    rho += rho.conj().transpose(0, 1, 3, 2)  # a fresh conjugate: in place, the bits of (rho + rho^dag) / 2
-    rho /= 2.0
+    rho = _hermitian_average(rho)
     if j.ndim == 1:
         rho = rho[:, 0]
     return rho if config.batch else rho[0]
@@ -624,8 +616,7 @@ def apply_element(state: TimeBinState, element: OpticalElement) -> TimeBinState:
         _check_single(len(element.angle_deg), "apply_element")
     bins, amps = _from_state(state)
     if element.kind == CRYSTAL:
-        merge = _merge_plan(bins, element.delay_bins)
-        bins, amps = _crystal_step(amps, element._matrix, iter([merge]))
+        bins, amps = _crystal_step(amps, element._matrix, _merge_plan(bins, element.delay_bins))
     else:
         amps = _einsum("trc,tmcn->tmrn", element._matrix, amps)
     return _to_state(bins, amps)

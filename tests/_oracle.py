@@ -160,16 +160,16 @@ def full_band_plan(bins, gamma):
 
 
 def full_band_run_scheme(config, j):
-    """``depolsim.temporal.run_scheme`` with the full-band plan, on an emptied plan memo and no held channel,
-    both emptied again after the call so that no full-band plan or channel outlives it."""
-    with mock.patch.object(temporal, "_band_plan", full_band_plan), mock.patch.object(
-        temporal, "_last_propagation", (None, None)
-    ):
+    """``depolsim.temporal.run_scheme`` with the full-band plan, on emptied plan and Choi memos, both emptied
+    again after the call so that no full-band plan or channel outlives it."""
+    with mock.patch.object(temporal, "_band_plan", full_band_plan):
         temporal._cached_plan.cache_clear()
+        temporal._choi.cache_clear()
         try:
             return temporal.run_scheme(config, j)
         finally:
             temporal._cached_plan.cache_clear()
+            temporal._choi.cache_clear()
 
 
 # --- the channel read from probe outputs ----------------------------------

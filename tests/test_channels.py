@@ -156,10 +156,11 @@ def test_analytic_scheme2_dop_values():
     assert abs(dop(run_scheme(build_scheme("scheme2", 45.0), JONES_H))) < 1e-12
     with pytest.raises(ValueError, match="s1"):
         analytic_scheme2_dop(10.0, 1.2)
-    for s1 in (np.nan, np.inf, -np.inf):
+    # a bool or a numeric string is no number: a bool ran as 1 or 0, and a string raised TypeError
+    for s1 in (np.nan, np.inf, -np.inf, "0.5", True, None):
         with pytest.raises(ValueError, match="s1"):
             analytic_scheme2_dop(10.0, s1)
-    for theta in (np.nan, np.inf, -np.inf):
+    for theta in (np.nan, np.inf, -np.inf, "30", True, None):
         with pytest.raises(ValueError, match="theta"):
             analytic_scheme2_dop(theta, 0.5)
 
@@ -221,6 +222,10 @@ def test_mutually_unbiased_triad():
         assert abs(np.linalg.norm(v) - 1.0) < 1e-12
     with pytest.raises(ValueError, match="sqrt"):
         mutually_unbiased_triad(0.8)
+    # float() read a numeric string as its number, and a bool as 1 or 0
+    for s1 in ("0.5", True, False, None):
+        with pytest.raises(ValueError, match="s1 must be a number with"):
+            mutually_unbiased_triad(s1)
     # deterministic construction
     a = mutually_unbiased_triad(-limit)
     b = mutually_unbiased_triad(-limit)
@@ -339,6 +344,12 @@ def test_stokes_channel_refuses_what_its_reader_refuses():
         affine_from_outputs(*[np.full((2, 2), np.nan)] * 4)
     ch = StokesChannel([[1, 0, 0], [0, 1, 0], [0, 0, 1]], np.zeros(3, dtype=np.float32))
     assert ch.m.dtype == float and ch.b.dtype == float and np.array_equal(ch.m, eye)
+    # the channel holds read-only copies: float arrays were held as given, so a later write got past the check
+    m, b = np.eye(3), np.zeros(3)
+    ch = StokesChannel(m, b)
+    m[0, 0], b[0] = np.nan, np.inf
+    assert np.array_equal(ch.m, eye) and np.array_equal(ch.b, zero)
+    assert not ch.m.flags.writeable and not ch.b.flags.writeable
 
 
 @pytest.mark.parametrize("gamma", (0.0, 0.3))

@@ -275,6 +275,12 @@ def test_a_coherent_band_past_max_band_pairs_is_refused(tmp_path, capsys):
     assert f"holds more than {temporal.MAX_BAND_PAIRS} bin pairs" in json.loads(captured.err)["error"]
 
 
+def test_kraus_operators_build_no_band_plan():
+    # the chain whose band `map` refuses above: its Kraus operators read no band, so they are not refused
+    bins, ops = kraus_operators(SchemeConfig(tuple(crystal(10.0 * k, 2**k) for k in range(12)), coherence=0.9999))
+    assert np.array_equal(bins, np.arange(4096)) and ops.shape == (4096, 2, 2)
+
+
 def test_total_bin_cap_counts_the_bins_each_crystal_step_starts_from(monkeypatch):
     # n crystals of one delay make bins 0..n, so their steps start from 1, 2, ..., n bins: 10 in all for n = 4.
     # At delay 1000 that is 10 too, where 2**k bins per step would be 15.  Counted up front, and with the
@@ -491,9 +497,9 @@ def test_a_batch_whose_last_element_alone_has_array_angles_equals_its_single_cal
     singles = [run_scheme(config(theta), ALL_INPUTS) for theta in BATCH_THETAS]
     crystal_step, leading = temporal._crystal_step, []
 
-    def recording_step(amps, projectors, merges):
+    def recording_step(amps, projectors, merge):
         leading.append((len(amps), len(projectors)))
-        return crystal_step(amps, projectors, merges)
+        return crystal_step(amps, projectors, merge)
 
     monkeypatch.setattr(temporal, "_crystal_step", recording_step)
     batched = run_scheme(config(np.array(BATCH_THETAS)), ALL_INPUTS)
@@ -958,9 +964,9 @@ def test_only_the_first_probe_call_propagates(monkeypatch):
     steps = []
     crystal_step = temporal._crystal_step
 
-    def counting_step(amps, projectors, merges):
+    def counting_step(amps, projectors, merge):
         steps.append(projectors)
-        return crystal_step(amps, projectors, merges)
+        return crystal_step(amps, projectors, merge)
 
     def n_crystals(config):
         return sum(e.kind == temporal.CRYSTAL for e in config.elements)
@@ -987,25 +993,34 @@ def test_only_the_first_probe_call_propagates(monkeypatch):
 def test_the_memo_holds_one_read_only_single_config():
     config = build_scheme("isotropic_triple", 30.0)
     run_scheme(config, JONES_H)
-    held, s = temporal._last_propagation
-    assert held is config and s.shape == (1, 4, 4) and s.nbytes == 256
-    assert temporal._choi(config) is s
+    s = temporal._choi(config)
+    assert s.shape == (1, 4, 4) and s.nbytes == 256
     assert not s.flags.writeable
     with pytest.raises(ValueError, match="read-only"):
         s[...] = 0.0
-    # a batch is never held; the last single config stays
-    run_scheme(build_scheme("isotropic_triple", np.array(BATCH_THETAS)), ALL_INPUTS)
-    assert temporal._last_propagation[0] is config
+    # keyed on the config object: more reads of the same config propagate no more
+    misses = temporal._choi.cache_info().misses
+    run_scheme(config, JONES_P)
+    extract_channel(config)
+    assert temporal._choi(config) is s and temporal._choi.cache_info().misses == misses
+    # a batch is held too, read-only, in place of the single config: one config at most
+    batch = build_scheme("isotropic_triple", np.array(BATCH_THETAS))
+    run_scheme(batch, ALL_INPUTS)
+    held = temporal._choi(batch)
+    assert held.shape == (len(BATCH_THETAS), 4, 4) and not held.flags.writeable
+    assert temporal._choi.cache_info().misses == misses + 1 and temporal._choi.cache_info().currsize == 1
     # a single config on more than 1024 bins is held too
     wide = SchemeConfig(tuple(delay_chain(np.random.default_rng(27), 11)))
     run_scheme(wide, ALL_INPUTS)
-    assert temporal._last_propagation[0] is wide and len(kraus_operators(wide)[0]) == 2048
-    # the next single config replaces it, whether run_scheme or extract_channel reads it: one config at most
+    assert temporal._choi(wide) is temporal._choi(wide) and len(kraus_operators(wide)[0]) == 2048
+    # the next config replaces it, whether run_scheme or extract_channel reads it
     other = build_scheme("scheme1", 30.0)
     run_scheme(other, JONES_H)
-    assert temporal._last_propagation[0] is other and len(temporal._last_propagation) == 2
+    other_s = temporal._choi(other)
     extract_channel(config)
-    assert temporal._last_propagation[0] is config
+    again = temporal._choi(config)
+    assert again is not s and again.tobytes() == s.tobytes()
+    assert temporal._choi(other) is not other_s
 
 
 def test_kraus_operators_are_fresh_and_writable():

@@ -125,6 +125,11 @@ def test_record_validation_and_json():
         sample_counts(np.eye(2) / 2, 0, seed=0)
     with pytest.raises(ValueError, match="shots"):
         MeasurementRecord(shuffled, np.ones(6), shots=0, seed=0)
+    # the record holds a read-only copy: an int64 array was held as given, so a later write got past the check
+    counts = np.array([1, 2, 3, 4, 5, 6], dtype=np.int64)
+    held = MeasurementRecord(shuffled, counts, shots=10, seed=0)
+    counts[0] = -5
+    assert held.counts.tolist() == [1, 2, 3, 4, 5, 6] and not held.counts.flags.writeable
     # the settings must be h, v, p, m, r and l once each: not repeated, missing, unknown or non-string
     for settings in (("h", "v", "p", "m", "r", "r"), ("h", "v", "p", "m", "r"), ("h", "v", "p", "m", "r", "x"),
                      ("h", "v", "p", "m", "r", 5)):

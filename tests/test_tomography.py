@@ -750,14 +750,23 @@ def test_chi_matrix_refuses_a_matrix_its_reader_refuses():
         with pytest.raises(ValueError, match="chi matrix must be"):
             ChiMatrix(matrix)
     assert ChiMatrix(np.eye(4, dtype=int)).matrix.dtype == complex
+    # the records hold read-only copies: complex arrays were held as given, so a later write got past the check
+    matrix, rho = np.eye(4, dtype=complex) / 4, np.eye(2, dtype=complex) / 2
+    chi, estimate = ChiMatrix(matrix), LinearEstimate(rho, True)
+    matrix[0, 0] = rho[0, 0] = np.nan
+    assert np.array_equal(chi.matrix, np.eye(4) / 4) and np.array_equal(estimate.rho, np.eye(2) / 2)
+    assert not chi.matrix.flags.writeable and not estimate.rho.flags.writeable
 
 
 def test_array_holding_records_compare_by_identity():
-    # with the dataclass == on an ndarray field, a == b raised ValueError and hash() TypeError
+    # with the dataclass == on an ndarray field, a == b raised ValueError and hash() TypeError.  A SchemeConfig
+    # compares by identity too, as the engine's Choi memo keys on the object: two lyot configs share their
+    # elements, which the dataclass == read as equal
     for make in (
         lambda: ChiMatrix(np.eye(4) / 4),
         lambda: StokesChannel(np.eye(3), np.zeros(3)),
         lambda: LinearEstimate(np.eye(2) / 2, True),
+        lambda: build_scheme("lyot"),
     ):
         a, b = make(), make()
         assert a == a and a != b and hash(a) == hash(a) and len({a, b}) == 2
