@@ -63,7 +63,6 @@ from .measurement import (
 )
 from .tomography import (
     CHI_BASIS,
-    CHI_BASIS_LABELS,
     ChiMatrix,
     LinearEstimate,
     process_fidelity,

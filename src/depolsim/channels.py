@@ -34,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .polarization import CHOI_TO_CHI, CHOI_TO_PTM, OUTPUTS_TO_CHOI, _einsum, _hermitian_average, _number_array
-from .polarization import _read_json, _real, _trace, _unchecked
+from .polarization import _real, _trace, _unchecked
 from .temporal import SchemeConfig, _check_single, _choi, crystal, half_wave, quarter_wave
 from .tomography import ChiMatrix
 
@@ -68,14 +68,6 @@ class StokesChannel:
 
     def to_json(self) -> dict:
         return {"m": self.m.tolist(), "b": self.b.tolist()}
-
-    @classmethod
-    def from_json(cls, data) -> "StokesChannel":
-        """Parse the JSON form, given as text or as a decoded dict; a malformed document raises ValueError.
-
-        m and b go to the constructor as decoded, which holds them to its rule.
-        """
-        return _read_json(data, "channel", lambda document: cls(document["m"], document["b"]))
 
 
 def s1_projection_channel() -> StokesChannel:

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .polarization import IDENTITY, SIGMAS, _as_integer, _check_finite, _numbers, _one_state, _read_json, _unchecked
+from .polarization import IDENTITY, SIGMAS, _as_integer, _check_finite, _numbers, _one_state, _unchecked
 
 DEFAULT_SETTINGS = ("h", "v", "p", "m", "r", "l")
 
@@ -75,23 +75,6 @@ class MeasurementRecord:
     def count(self, label: str) -> int:
         """Counts of the setting `label`."""
         return int(self.counts[self.settings.index(label)])
-
-    def to_json(self) -> dict:
-        return {
-            "settings": list(self.settings),
-            "counts": [int(c) for c in self.counts],
-            "shots": int(self.shots),
-            "seed": int(self.seed),
-        }
-
-    @classmethod
-    def from_json(cls, data) -> "MeasurementRecord":
-        """Parse the JSON form, given as text or as a decoded dict; a malformed document raises ValueError.
-
-        settings, counts, shots and seed go to the constructor as decoded, which holds them to its rule.
-        """
-        return _read_json(data, "measurement record", lambda document: cls(
-            document["settings"], document["counts"], document["shots"], document["seed"]))
 
 
 def projector(label: str) -> np.ndarray:

@@ -25,7 +25,6 @@ display convention must relabel at the presentation layer only.
 from __future__ import annotations
 
 import cmath
-import json
 import math
 import numbers
 import reprlib
@@ -127,15 +126,6 @@ def _as_integer(value, name: str, least: int, most: int | None = None) -> int:
         bound = f">= {least}" if most is None else f"in [{least}, {most}]"
         raise ValueError(f"{name} must be an integer {bound}, got {value!r}")
     return number
-
-
-def _read_json(data, what: str, read):
-    """`read(document)` of a JSON document given as text or decoded; where `read` meets a missing key, a wrong type or
-    too deep a nesting, ValueError: malformed `what` JSON."""
-    try:
-        return read(json.loads(data) if isinstance(data, str) else data)
-    except (KeyError, TypeError, AttributeError, RecursionError) as exc:
-        raise ValueError(f"malformed {what} JSON ({type(exc).__name__}: {exc})") from None
 
 
 def check_normalized(j: np.ndarray) -> None:

@@ -47,12 +47,13 @@ Conventions fixed here:
 from __future__ import annotations
 
 import functools
+import json
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .polarization import _as_integer, _einsum, _hermitian_average, _read_json, _real, check_normalized
+from .polarization import _as_integer, _einsum, _hermitian_average, _real, check_normalized
 
 # bins: map from integer bin index in [0, 2**62] to complex (h, v) amplitude
 TimeBinState = dict[int, np.ndarray]
@@ -214,13 +215,30 @@ class SchemeConfig:
 
     @classmethod
     def from_json(cls, data) -> "SchemeConfig":
-        """Parse the JSON form, given as text or as a decoded dict; a malformed document raises ValueError.
+        """Parse the JSON form, given as text or as a decoded dict; a malformed document raises ValueError, and so
+        does a key the form does not have, such as a misspelt "coherence".
 
         Each element's kind, angle and delay go to `OpticalElement` as decoded, and the coherence to the constructor.
         """
-        return _read_json(data, "scheme", lambda document: cls(
-            [OpticalElement(d["kind"], d["angle_deg"], d.get("delay_bins")) for d in document["elements"]],
-            coherence=document.get("coherence", 0.0)))
+        try:
+            document = _known_keys(json.loads(data) if isinstance(data, str) else data, _SCHEME_KEYS, "scheme")
+            elements = [_known_keys(d, _ELEMENT_KEYS, "element") for d in document["elements"]]
+            return cls([OpticalElement(d["kind"], d["angle_deg"], d.get("delay_bins")) for d in elements],
+                       coherence=document.get("coherence", 0.0))
+        except (KeyError, TypeError, AttributeError, RecursionError) as exc:
+            raise ValueError(f"malformed scheme JSON ({type(exc).__name__}: {exc})") from None
+
+
+_SCHEME_KEYS = ("coherence", "elements")
+_ELEMENT_KEYS = ("kind", "angle_deg", "delay_bins")
+
+
+def _known_keys(document: dict, keys: tuple, what: str) -> dict:
+    """`document`, unless it holds a key other than `keys`: then ValueError naming that key."""
+    for key in document.keys():
+        if key not in keys:
+            raise ValueError(f"unknown {what} key {key!r}, expected one of {', '.join(keys)}")
+    return document
 
 
 def _hwp_entries(angle_deg: float) -> list:

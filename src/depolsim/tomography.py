@@ -40,8 +40,7 @@ import numpy as np
 
 from .measurement import DEFAULT_SETTINGS, SETTING_PAIRS, MeasurementRecord
 from .polarization import CHI_BASIS, CHOI_TO_CHI, IDENTITY, OUTPUTS_TO_CHOI, PSD_ATOL, _check_finite, _eigh, _einsum
-from .polarization import _fidelity, _hermitian_average, _number_array, _read_json, _real
-from .polarization import _stokes_to_density, _trace, _unchecked
+from .polarization import _fidelity, _hermitian_average, _number_array, _real, _stokes_to_density, _trace, _unchecked
 
 CHI_BASIS_LABELS = ("I", "X", "Y", "Z")
 
@@ -81,23 +80,6 @@ class ChiMatrix:
             "im": self.matrix.imag.tolist(),
             "clipped_mass": float(self.clipped_mass),
         }
-
-    @classmethod
-    def from_json(cls, data) -> "ChiMatrix":
-        """Parse the JSON form, given as text or as a decoded dict; a malformed document raises ValueError.
-
-        re and im are read by the constructor's array rule, as 4x4 float arrays; clipped_mass goes to the constructor
-        as decoded, which holds it to its rule; basis, if given, must be ["I", "X", "Y", "Z"].
-        """
-
-        def read(document) -> "ChiMatrix":
-            if document.get("basis", list(CHI_BASIS_LABELS)) != list(CHI_BASIS_LABELS):
-                raise ValueError("chi matrix uses an unexpected operator basis")
-            re = _number_array(document["re"], (4, 4), float, "chi matrix JSON re")
-            im = _number_array(document["im"], (4, 4), float, "chi matrix JSON im")
-            return cls(re + 1j * im, document.get("clipped_mass", 0.0))
-
-        return _read_json(data, "chi matrix", read)
 
 
 def _axis_counts(record: MeasurementRecord) -> list[tuple[int, int]]:
@@ -347,7 +329,12 @@ _CHI_TP.flags.writeable = False
 
 
 def _chi_matrix(chi) -> np.ndarray:
-    return chi.matrix if isinstance(chi, ChiMatrix) else np.asarray(chi, dtype=complex)
+    if isinstance(chi, ChiMatrix):
+        return chi.matrix
+    matrix = np.asarray(chi, dtype=complex)
+    if matrix.shape != (4, 4):
+        raise ValueError(f"a chi matrix must be 4x4, got shape {matrix.shape}")
+    return matrix
 
 
 def qpt(rho_h, rho_v, rho_p, rho_r) -> ChiMatrix:
@@ -389,8 +376,8 @@ def process_fidelity(a, b) -> float:
 
     Treats the chi matrices as states on the 4-dimensional operator
     space (`state_fidelity`); equals 1 exactly when the channels coincide.
-    Raises ValueError if a trace is not positive and finite, or if an
-    entry is not finite.
+    Raises ValueError if a matrix is not 4x4, if a trace is not positive
+    and finite, or if an entry is not finite.
     """
     mats = _chi_matrix(a), _chi_matrix(b)
     traces = [_trace(mat) for mat in mats]
@@ -403,6 +390,6 @@ def process_fidelity(a, b) -> float:
 
 
 def trace_preservation_residual(chi) -> float:
-    """Frobenius norm, in Python floats, of sum_{m,n} chi[m,n] E_n^dag E_m - I (zero for TP channels)."""
+    """Frobenius norm, in Python floats, of sum_{m,n} chi[m,n] E_n^dag E_m - I (zero for TP channels) of a 4x4 chi."""
     residual = _einsum("mn,mnil->il", _chi_matrix(chi), _CHI_TP) - IDENTITY
     return math.hypot(*residual.view(float).ravel().tolist())

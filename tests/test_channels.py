@@ -278,55 +278,30 @@ def test_isotropic_triple_shrink_is_monotone():
 
 
 def test_stokes_channel_json_round_trip():
+    # `map` writes the channel by to_json, whose keys are the constructor's: the document rebuilds the same channel
     ch = extract_channel(build_scheme("scheme2", 27.0))
-    back = StokesChannel.from_json(ch.to_json())
+    back = StokesChannel(**json.loads(json.dumps(ch.to_json())))
     assert np.array_equal(back.m, ch.m)
     assert np.array_equal(back.b, ch.b)
 
 
-def test_stokes_channel_json_errors_are_value_errors():
-    good = {"m": np.eye(3).tolist(), "b": [0.0, 0.0, 0.0]}
-    documents = [
-        {},
-        [],
-        None,
-        "[]",
-        "null",
-        '{"m": [[1e999, 0, 0], [0, 1, 0], [0, 0, 1]], "b": [0, 0, 0]}',
-        {"m": [[1.0, 0.0, 0.0]], "b": [0.0, 0.0, 0.0]},
-        {"m": good["m"]},
-        {"m": good["m"], "b": [0.0, 0.0, float("nan")]},
-        {"m": good["m"], "b": "abc"},
-        {"m": good["m"], "b": [10**400, 0, 0]},
-        {"m": good["m"], "b": {"x": 1}},
-        "[" * 100_000,
-        {"m": [["1", 0, 0], [0, 1, 0], [0, 0, 1]], "b": [0, 0, 0]},
-    ]
-    for document in documents:
-        with pytest.raises(ValueError):
-            StokesChannel.from_json(document)
-    assert np.array_equal(StokesChannel.from_json(good).m, np.eye(3))
-
-
-def test_stokes_channel_json_refuses_true_and_false():
-    good = {"m": np.eye(3).tolist(), "b": [0.0, 0.0, 0.0]}
-    for document in (
-        {"m": [[True, 0, 0], [0, 1, 0], [0, 0, 1]], "b": [0, 0, 0]},
-        {"m": good["m"], "b": [0, 0, False]},
-        {"m": [[True] * 3] * 3, "b": [False] * 3},
-    ):
-        for form in (document, json.dumps(document)):
-            with pytest.raises(ValueError, match="not true or false"):
-                StokesChannel.from_json(form)
-    # integers stay numbers
-    assert np.array_equal(StokesChannel.from_json({"m": [[1, 0, 0], [0, 1, 0], [0, 0, 1]], "b": [0, 0, 0]}).m, np.eye(3))
-
-
 def test_stokes_channel_refuses_what_its_reader_refuses():
-    # the constructor keeps the JSON reader's rule: m 3x3 and b a 3-vector, of finite int or float entries
+    # m 3x3 and b a 3-vector, of finite int or float entries
     eye, zero = np.eye(3), np.zeros(3)
     for m, b in (
         ([["1", 0, 0], [0, 1, 0], [0, 0, 1]], zero),
+        ([[None, 0, 0], [0, 1, 0], [0, 0, 1]], zero),
+        ([[[1], 0, 0], [0, 1, 0], [0, 0, 1]], zero),
+        ([[10**400, 0, 0], [0, 1, 0], [0, 0, 1]], zero),
+        (eye, [0, 0, 10**400]),
+        (eye, [0, "45", 0]),
+        (eye, [None, 0, 0]),
+        (eye, [[1], 0, 0]),
+        (eye, None),
+        (eye, 1.5),
+        (eye, "abc"),
+        (eye, {"x": 1}),
+        ([[1.0, 0.0, 0.0]], zero),
         (np.full((3, 3), np.nan), zero),
         (eye, [0.0, -np.inf, 0.0]),
         (np.arange(9.0), zero),
@@ -380,15 +355,3 @@ def test_stokes_channel_refuses_a_bool_among_numbers():
     ):
         with pytest.raises(ValueError, match="StokesChannel [mb] must be .*, not true or false"):
             StokesChannel(m, b)
-
-
-def test_a_decoded_channel_document_may_hold_arrays():
-    # the reader passes m and b to the constructor as decoded, so arrays read as the lists they hold
-    channel = StokesChannel.from_json({"m": np.eye(3), "b": np.zeros(3, dtype=int)})
-    listed = StokesChannel.from_json({"m": np.eye(3).tolist(), "b": [0, 0, 0]})
-    assert channel.m.tobytes() == listed.m.tobytes() and channel.b.tobytes() == listed.b.tobytes()
-    assert channel.b.dtype == float
-    with pytest.raises(ValueError, match="not true or false"):
-        StokesChannel.from_json({"m": np.eye(3, dtype=bool), "b": np.zeros(3)})
-    with pytest.raises(ValueError, match="StokesChannel b must be"):
-        StokesChannel.from_json({"m": np.eye(3), "b": np.zeros(4)})

@@ -311,6 +311,9 @@ def test_malformed_scheme_files_exit_2(tmp_path, capsys):
         "no_delay": '{"elements": [{"kind": "crystal", "angle_deg": 0.0}]}',
         "elements_not_a_list": '{"elements": 5}',
         "infinite_delay": '{"elements": [{"kind": "crystal", "angle_deg": 0.0, "delay_bins": 1e400}]}',
+        # a misspelt key ran map at gamma = 0 and exited 0
+        "misspelt_coherence": '{"coherance": 0.5, "elements": [{"kind": "crystal", "angle_deg": 0, "delay_bins": 1}]}',
+        "misspelt_angle": '{"elements": [{"kind": "hwp", "angle_deg": 0, "angel_deg": 22.5}]}',
     }
     for name, text in docs.items():
         path = tmp_path / f"{name}.json"
@@ -318,7 +321,9 @@ def test_malformed_scheme_files_exit_2(tmp_path, capsys):
         for command in (["map", "--samples", "10"], ["tomo", "--shots", "100"]):
             code, out, err = run_cli([command[0], "--scheme", str(path), *command[1:]], capsys)
             assert code == 2 and out == "", name
-            assert "error" in json.loads(err)
+            assert err.count("\n") == 1 and "error" in json.loads(err)
+            if name.startswith("misspelt"):
+                assert "unknown" in json.loads(err)["error"], name
 
 
 def test_a_scheme_file_over_the_size_cap_exits_2(tmp_path, capsys):

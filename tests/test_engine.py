@@ -376,6 +376,21 @@ def test_scheme_json_takes_ints_and_rejects_numbers_beyond_the_float_range():
             SchemeConfig.from_json(json.dumps(doc))
 
 
+def test_scheme_json_refuses_an_unknown_key():
+    # a misspelt key was ignored: "coherance" ran at gamma = 0, and "angel_deg" beside "angle_deg" did nothing
+    element = {"kind": "crystal", "angle_deg": 0, "delay_bins": 1}
+    for doc, message in (
+        ({"coherance": 0.5, "elements": [element]}, "unknown scheme key 'coherance'"),
+        ({"elements": [element], "coherence": 0.5, "notes": "x"}, "unknown scheme key 'notes'"),
+        ({"elements": [{**element, "angel_deg": 45}]}, "unknown element key 'angel_deg'"),
+        ({"elements": [{"kind": "hwp", "angle_deg": 0, "delay": 1}]}, "unknown element key 'delay'"),
+    ):
+        for form in (doc, json.dumps(doc)):
+            with pytest.raises(ValueError, match=message):
+                SchemeConfig.from_json(form)
+    assert SchemeConfig.from_json({"elements": [element]}).coherence == 0.0
+
+
 # --- angle batches: one config whose array angles stand for T configs that differ only in their angles ---
 
 

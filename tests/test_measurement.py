@@ -1,4 +1,3 @@
-import json
 import re
 
 import numpy as np
@@ -63,7 +62,7 @@ def test_sample_counts_is_deterministic():
     a = sample_counts(rho, 5000, seed=123)
     b = sample_counts(rho, 5000, seed=123)
     assert np.array_equal(a.counts, b.counts)
-    assert a.to_json() == b.to_json()
+    assert (a.settings, a.shots, a.seed) == (b.settings, b.shots, b.seed)
     c = sample_counts(rho, 5000, seed=124)
     assert not np.array_equal(a.counts, c.counts)
 
@@ -113,18 +112,16 @@ def test_record_validation_and_json():
     shuffled = ("r", "v", "m", "h", "l", "p")
     rec = MeasurementRecord(shuffled, np.array([1, 4, 2, 3, 6, 5]), shots=10, seed=7)
     assert rec.count("v") == 4
-    back = MeasurementRecord.from_json(rec.to_json())
-    assert back.settings == rec.settings
-    assert np.array_equal(back.counts, rec.counts)
-    assert (back.shots, back.seed) == (rec.shots, rec.seed)
     with pytest.raises(ValueError, match="per setting"):
         MeasurementRecord(shuffled, np.array([1, 2]), shots=10, seed=0)
     with pytest.raises(ValueError, match="non-negative"):
         MeasurementRecord(shuffled, np.array([1, 2, 3, 4, 5, -1]), shots=10, seed=0)
     with pytest.raises(ValueError, match="shots"):
         sample_counts(np.eye(2) / 2, 0, seed=0)
-    with pytest.raises(ValueError, match="shots"):
-        MeasurementRecord(shuffled, np.ones(6), shots=0, seed=0)
+    for shots in (0, -1, [1]):
+        with pytest.raises(ValueError, match="shots"):
+            MeasurementRecord(shuffled, np.ones(6), shots=shots, seed=0)
+    assert MeasurementRecord(shuffled, np.ones(6), shots=10**400, seed=10**400).shots == 10**400
     # the record holds a read-only copy: an int64 array was held as given, so a later write got past the check
     counts = np.array([1, 2, 3, 4, 5, 6], dtype=np.int64)
     held = MeasurementRecord(shuffled, counts, shots=10, seed=0)
@@ -135,46 +132,6 @@ def test_record_validation_and_json():
                      ("h", "v", "p", "m", "r", 5)):
         with pytest.raises(ValueError, match="once each"):
             MeasurementRecord(settings, np.ones(len(settings)), shots=10, seed=0)
-        with pytest.raises(ValueError, match="once each"):
-            MeasurementRecord.from_json({"settings": list(settings), "counts": [1] * len(settings), "shots": 10, "seed": 0})
-
-
-def test_a_malformed_record_document_raises_value_error():
-    record = {"settings": list(DEFAULT_SETTINGS), "counts": [1] * 6, "shots": 10, "seed": 0}
-    for document in (
-        {k: v for k, v in record.items() if k != "seed"},
-        {k: v for k, v in record.items() if k != "counts"},
-        [1],
-        "[1]",
-        "null",
-        "{",
-        5,
-    ):
-        with pytest.raises(ValueError, match="malformed measurement record JSON|Expecting"):
-            MeasurementRecord.from_json(document)
-    # settings that are not an array of labels are the constructor's to refuse, not read letter by letter
-    for settings in (5, "hvpmrl", None):
-        with pytest.raises(ValueError, match="settings must be the six labels"):
-            MeasurementRecord.from_json({**record, "settings": settings})
-    assert MeasurementRecord.from_json(json.dumps(record)).seed == 0
-
-
-def test_a_record_document_refuses_true_and_false():
-    # JSON true and false are not counts, shots or seeds: numpy and int() would read them as 1 and 0
-    record = {"settings": ["r", "v", "m", "h", "l", "p"], "counts": [1] * 6, "shots": 10, "seed": 0}
-    for document, message in (
-        ({**record, "counts": [True, 0, 1, 1, 1, 1]}, "not true or false"),
-        ({**record, "counts": [True] * 6}, "not true or false"),
-        ({**record, "counts": [1, 1, 1, 1, 1, False]}, "not true or false"),
-        ({**record, "shots": True}, "shots must be an integer >= 1, got True"),
-        ({**record, "seed": False}, "seed must be an integer >= 0, got False"),
-        ({**record, "counts": [True, 0, 1, 1, 1, 1], "shots": True, "seed": False}, "not true or false"),
-    ):
-        for form in (document, json.dumps(document)):
-            with pytest.raises(ValueError, match=message):
-                MeasurementRecord.from_json(form)
-    back = MeasurementRecord.from_json(json.dumps({**record, "counts": [1, 0, 1, 1, 1, 1], "seed": 1}))
-    assert back.counts.tolist() == [1, 0, 1, 1, 1, 1] and back.shots == 10 and back.seed == 1
 
 
 def test_non_integral_shots_and_counts_are_rejected():
@@ -185,13 +142,10 @@ def test_non_integral_shots_and_counts_are_rejected():
             sample_counts(rho, shots, seed=0)
         with pytest.raises(ValueError, match="shots must be an integer"):
             MeasurementRecord(shuffled, np.ones(6), shots=shots, seed=0)
-    with pytest.raises(ValueError, match="shots must be an integer"):
-        MeasurementRecord.from_json({"settings": list(shuffled), "counts": [1] * 6, "shots": 10.5, "seed": 0})
-    for counts in ([1.7, 1, 1, 1, 1, 1], [float("nan")] * 6, [float("inf")] * 6, [1e19] * 6, [2**70] * 6):
+    for counts in ([1.7, 1, 1, 1, 1, 1], [float("nan")] * 6, [float("inf")] * 6, [1e19] * 6, [2**70] * 6,
+                   [10**400, 1, 1, 1, 1, 1]):
         with pytest.raises(ValueError, match="counts must be integers"):
             MeasurementRecord(shuffled, counts, shots=10, seed=0)
-        with pytest.raises(ValueError, match="counts must be integers"):
-            MeasurementRecord.from_json({"settings": list(shuffled), "counts": counts, "shots": 10, "seed": 0})
     # integral floats and integral float shots stay accepted, as ints
     rec = MeasurementRecord(shuffled, np.ones(6), shots=10.0, seed=0)
     assert rec.counts.dtype == np.int64 and rec.shots == 10 and isinstance(rec.shots, int)
@@ -200,7 +154,7 @@ def test_non_integral_shots_and_counts_are_rejected():
 
 
 def test_shots_and_seeds_refuse_bools():
-    # True is not one shot nor seed 1, as JSON true is not in a record document
+    # True is not one shot nor seed 1
     rho = np.eye(2) / 2
     shuffled = ("r", "v", "m", "h", "l", "p")
     for flag in (True, False, np.True_, np.False_):
@@ -219,7 +173,7 @@ def test_shots_and_seeds_refuse_bools():
 def test_seeds_are_checked_at_the_boundary_in_both_modes():
     rho = np.eye(2) / 2
     for exact in (False, True):
-        # a bool is not an integer seed, Python's or numpy's, as JSON true is not one
+        # a bool is not an integer seed, Python's or numpy's
         for seed in (-1, -(2**70), 1.5, -0.5, float("nan"), float("inf"), "3", None, [3], True, False, np.True_):
             with pytest.raises(ValueError, match="seed must be an integer >= 0"):
                 sample_counts(rho, 100, seed, exact=exact)
@@ -227,13 +181,11 @@ def test_seeds_are_checked_at_the_boundary_in_both_modes():
         for seed, as_int in ((3.0, 3), (np.int64(7), 7), (np.uint64(2**63), 2**63), (2**70, 2**70)):
             record = sample_counts(rho, 100, seed, exact=exact)
             assert record.seed == as_int and type(record.seed) is int
-    # a record checks its seed as sample_counts does, built directly or from JSON, which no longer truncates it
+    # a record checks its seed as sample_counts does
     shuffled = ("r", "v", "m", "h", "l", "p")
     for seed in (-7, 1.5, "abc", None, [3]):
         with pytest.raises(ValueError, match="seed must be an integer >= 0"):
             MeasurementRecord(shuffled, np.ones(6), shots=10, seed=seed)
-        with pytest.raises(ValueError, match="seed must be an integer >= 0"):
-            MeasurementRecord.from_json({"settings": list(shuffled), "counts": [1] * 6, "shots": 10, "seed": seed})
     assert MeasurementRecord(shuffled, np.ones(6), shots=10, seed=np.int64(7)).seed == 7
     # a valid seed draws PCG64's stream of that integer, whatever its type
     for seed, as_int in ((0, 0), (3.0, 3), (np.int64(7), 7), (2**70, 2**70)):
@@ -330,7 +282,7 @@ def test_sample_counts_records_are_checked_records():
             assert record.counts.dtype == np.int64 and record.counts.shape == (6,) and min(record.counts) >= 0
             assert type(record.shots) is type(record.seed) is int
             assert (record.shots, record.seed) == (checked.shots, checked.seed) == (int(shots), int(seed))
-            assert MeasurementRecord.from_json(record.to_json()).to_json() == record.to_json()
+            assert np.array_equal(record.counts, checked.counts)
 
 
 @pytest.mark.filterwarnings("error")
@@ -365,20 +317,8 @@ def test_a_record_refuses_bool_counts_as_its_reader_does():
     for counts in ([True, 1, 1, 1, 1, 1], [1, 1, 1, 1, 1, np.False_], (True,) * 6, np.ones(6, dtype=bool)):
         with pytest.raises(ValueError, match="counts must be integers, not true or false"):
             MeasurementRecord(DEFAULT_SETTINGS, counts, shots=10, seed=0)
-    # nor are strings, objects or ragged nestings counts, built in Python or read
-    for counts in (["1"] * 6, np.array(["1"] * 6), np.ones(6, dtype=object), [None] * 6, [1, [1], 1, 1, 1, 1]):
+    # nor are strings, objects or ragged nestings counts
+    for counts in (["1"] * 6, ["45", 1, 1, 1, 1, 1], np.array(["1"] * 6), np.ones(6, dtype=object), [None] * 6,
+                   [1, [1], 1, 1, 1, 1]):
         with pytest.raises(ValueError, match="counts must be integers"):
             MeasurementRecord(DEFAULT_SETTINGS, counts, shots=10, seed=0)
-    for counts in (["1"] * 6, [None] * 6, [1, [1], 1, 1, 1, 1]):
-        with pytest.raises(ValueError, match="counts must be integers"):
-            MeasurementRecord.from_json({"settings": list(DEFAULT_SETTINGS), "counts": counts, "shots": 10, "seed": 0})
-
-
-def test_a_decoded_record_document_may_hold_an_array_of_counts():
-    # the reader passes counts to the constructor as decoded, so an array reads as the list it holds
-    document = {"settings": list(DEFAULT_SETTINGS), "shots": 10, "seed": 0}
-    for counts in (np.arange(6), np.arange(6.0), np.arange(6, dtype=np.uint8)):
-        record = MeasurementRecord.from_json({**document, "counts": counts})
-        assert record.counts.dtype == np.int64 and record.counts.tolist() == list(range(6))
-    with pytest.raises(ValueError, match="counts must be integers, not true or false"):
-        MeasurementRecord.from_json({**document, "counts": np.ones(6, dtype=bool)})

@@ -1,8 +1,8 @@
-"""The JSON readers only decode: every field they read meets its constructor's rule and nothing else.
+"""The scheme reader only decodes: every field it reads meets its constructor's rule and nothing else.
 
-For each reader, each field takes every value of one table, once through a
-document (decoded and as text) and once through the constructor, and both
-must accept it into the same object or both refuse it with ValueError.  So a
+Each field takes every value of one table, once through a document
+(decoded and as text) and once through the constructor, and both must
+accept it into the same config or both refuse it with ValueError.  So a
 plate's `"delay_bins": null` is no delay, as `None` is in Python.
 """
 
@@ -11,87 +11,48 @@ import json
 import numpy as np
 import pytest
 
-from depolsim.channels import StokesChannel, build_scheme
+from depolsim.channels import build_scheme
 from depolsim.measurement import DEFAULT_SETTINGS, MeasurementRecord
 from depolsim.temporal import OpticalElement, SchemeConfig, collapse_with_coherence, crystal, initial_state
-from depolsim.tomography import ChiMatrix
 
 VALUES = (True, False, "1", "45", None, [1], 10**400, -1, 0, 1.5, 2.0)
 
-
-def _entry(rows, value):
-    """`rows` (nested lists) with its first entry replaced by `value`."""
-    if isinstance(rows[0], list):
-        return [_entry(rows[0], value)] + rows[1:]
-    return [value] + rows[1:]
-
-
 _CRYSTAL = crystal(0.0, 1)
-_RECORD = {"settings": list(DEFAULT_SETTINGS), "counts": [1] * 6, "shots": 10, "seed": 0}
-_EYE3, _ZERO3 = np.eye(3).tolist(), [0.0] * 3
-_CHI = (np.eye(4) / 4.0).tolist()
 
-# (reader, field, document of a value, constructor call of the same value)
-FIELDS = [
-    (SchemeConfig, "plate angle",
-     lambda v: {"elements": [{"kind": "hwp", "angle_deg": v}]},
-     lambda v: SchemeConfig((OpticalElement("hwp", v),))),
-    (SchemeConfig, "crystal angle",
-     lambda v: {"elements": [{"kind": "crystal", "angle_deg": v, "delay_bins": 1}]},
-     lambda v: SchemeConfig((crystal(v, 1),))),
-    (SchemeConfig, "crystal delay",
-     lambda v: {"elements": [{"kind": "crystal", "angle_deg": 0, "delay_bins": v}]},
-     lambda v: SchemeConfig((crystal(0.0, v),))),
-    (SchemeConfig, "plate delay",
-     lambda v: {"elements": [{"kind": "qwp", "angle_deg": 0, "delay_bins": v}]},
-     lambda v: SchemeConfig((OpticalElement("qwp", 0.0, v),))),
-    (SchemeConfig, "coherence",
-     lambda v: {"coherence": v, "elements": [{"kind": "crystal", "angle_deg": 0, "delay_bins": 1}]},
-     lambda v: SchemeConfig((_CRYSTAL,), coherence=v)),
-    (MeasurementRecord, "settings",
-     lambda v: {**_RECORD, "settings": v},
-     lambda v: MeasurementRecord(v, [1] * 6, 10, 0)),
-    (MeasurementRecord, "count",
-     lambda v: {**_RECORD, "counts": _entry(_RECORD["counts"], v)},
-     lambda v: MeasurementRecord(DEFAULT_SETTINGS, _entry([1] * 6, v), 10, 0)),
-    (MeasurementRecord, "shots",
-     lambda v: {**_RECORD, "shots": v},
-     lambda v: MeasurementRecord(DEFAULT_SETTINGS, [1] * 6, v, 0)),
-    (MeasurementRecord, "seed",
-     lambda v: {**_RECORD, "seed": v},
-     lambda v: MeasurementRecord(DEFAULT_SETTINGS, [1] * 6, 10, v)),
-    (StokesChannel, "m entry",
-     lambda v: {"m": _entry(_EYE3, v), "b": _ZERO3},
-     lambda v: StokesChannel(_entry(_EYE3, v), _ZERO3)),
-    (StokesChannel, "b entry",
-     lambda v: {"m": _EYE3, "b": _entry(_ZERO3, v)},
-     lambda v: StokesChannel(_EYE3, _entry(_ZERO3, v))),
-    (StokesChannel, "b",
-     lambda v: {"m": _EYE3, "b": v},
-     lambda v: StokesChannel(_EYE3, v)),
-    (ChiMatrix, "re entry",
-     lambda v: {"re": _entry(_CHI, v), "im": np.zeros((4, 4)).tolist()},
-     lambda v: ChiMatrix(_entry(_CHI, v))),
-    (ChiMatrix, "clipped_mass",
-     lambda v: {"re": _CHI, "im": np.zeros((4, 4)).tolist(), "clipped_mass": v},
-     lambda v: ChiMatrix(_CHI, v)),
-]
+# field: (document of a value, constructor call of the same value)
+FIELDS = {
+    "plate angle": (
+        lambda v: {"elements": [{"kind": "hwp", "angle_deg": v}]},
+        lambda v: SchemeConfig((OpticalElement("hwp", v),))),
+    "crystal angle": (
+        lambda v: {"elements": [{"kind": "crystal", "angle_deg": v, "delay_bins": 1}]},
+        lambda v: SchemeConfig((crystal(v, 1),))),
+    "crystal delay": (
+        lambda v: {"elements": [{"kind": "crystal", "angle_deg": 0, "delay_bins": v}]},
+        lambda v: SchemeConfig((crystal(0.0, v),))),
+    "plate delay": (
+        lambda v: {"elements": [{"kind": "qwp", "angle_deg": 0, "delay_bins": v}]},
+        lambda v: SchemeConfig((OpticalElement("qwp", 0.0, v),))),
+    "coherence": (
+        lambda v: {"coherence": v, "elements": [{"kind": "crystal", "angle_deg": 0, "delay_bins": 1}]},
+        lambda v: SchemeConfig((_CRYSTAL,), coherence=v)),
+}
 
 
 def _outcome(build):
-    """The built object's JSON form, or "refused" for a ValueError; any other exception fails the test."""
+    """The built config's JSON form, or "refused" for a ValueError; any other exception fails the test."""
     try:
         return build().to_json()
     except ValueError:
         return "refused"
 
 
-@pytest.mark.parametrize("reader, field, document, construct", FIELDS, ids=[f"{r.__name__}-{f}" for r, f, *_ in FIELDS])
-def test_a_reader_accepts_and_refuses_what_its_constructor_does(reader, field, document, construct):
+@pytest.mark.parametrize("document, construct", list(FIELDS.values()), ids=[f"SchemeConfig-{f}" for f in FIELDS])
+def test_a_reader_accepts_and_refuses_what_its_constructor_does(document, construct):
     for value in VALUES:
         expected = _outcome(lambda: construct(value))
         for form in (document(value), json.dumps(document(value))):
-            assert _outcome(lambda: reader.from_json(form)) == expected, (field, value)
+            assert _outcome(lambda: SchemeConfig.from_json(form)) == expected, value
 
 
 def test_constructors_refuse_what_is_not_their_container_with_value_error():
