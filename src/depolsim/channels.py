@@ -33,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .polarization import CHOI_TO_CHI, CHOI_TO_PTM, OUTPUTS_TO_CHOI, _einsum, _hermitian_average, _number_array
+from .polarization import CHOI_TO_CHI, CHOI_TO_PTM, _einsum, _hermitian_average, _number_array
 from .polarization import _real, _trace, _unchecked
 from .temporal import SchemeConfig, _check_single, _choi, crystal, half_wave, quarter_wave
 from .tomography import ChiMatrix
@@ -154,8 +154,7 @@ def build_scheme(kind: str, angle_deg: float | np.ndarray | None = None, coheren
     return SchemeConfig(elements, coherence=coherence)
 
 
-# the four inputs whose outputs fix a qubit channel, in the argument order of
-# `affine_from_outputs` and `tomography.qpt`
+# the four inputs whose outputs fix a qubit channel, in the argument order of `tomography.qpt`
 PROBE_LABELS = ("h", "v", "p", "r")
 
 
@@ -163,14 +162,6 @@ def _affine_from_choi(s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(M, b) = (R[1:, 1:], R[1:, 0]) of the Pauli transfer matrix R of a C-contiguous Choi matrix, M C-contiguous."""
     r = _einsum("ijxy,xy->ij", CHOI_TO_PTM, s.view(float))
     return np.ascontiguousarray(r[1:, 1:]), r[1:, 0]
-
-
-def affine_from_outputs(rho_h, rho_v, rho_p, rho_r) -> StokesChannel:
-    """Affine Stokes map of a channel from its outputs for the h, v, p, r inputs, which fix it by linearity."""
-    outputs = np.array((rho_h, rho_v, rho_p, rho_r), dtype=complex)
-    if outputs.shape != (4, 2, 2):
-        raise ValueError(f"affine_from_outputs needs four 2x2 output states, got shape {outputs.shape}")
-    return StokesChannel(*_affine_from_choi(_einsum("xykac,kac->xy", OUTPUTS_TO_CHOI, outputs)))
 
 
 def extract_channel(config: SchemeConfig) -> StokesChannel:

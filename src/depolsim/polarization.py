@@ -354,6 +354,8 @@ def _real(value) -> float | None:
         return value
     if isinstance(value, np.ndarray) and value.shape == () and value.dtype.kind in "iuf":
         value = value[()]
+    if isinstance(value, (np.floating, np.integer)):  # before the ABC test, which costs ten times the conversion
+        return float(value)
     if isinstance(value, (bool, np.bool_)) or not isinstance(value, numbers.Real):
         return None
     try:
@@ -365,7 +367,11 @@ def _real(value) -> float | None:
 def _unchecked(cls, **fields):
     """An instance of the frozen dataclass `cls` holding `fields` as given, without `__post_init__`: its caller
     guarantees that every field of `cls` is there, each in the form the checked constructor stores (dtype, shape,
-    finite entries), since nothing is checked, copied or converted."""
+    finite entries), since nothing is checked, copied or converted.  Each ndarray field is made read-only, as the
+    constructor makes its copies, so that no later write gets past the caller's guarantee."""
+    for value in fields.values():
+        if isinstance(value, np.ndarray):
+            value.setflags(write=False)  # the method call costs less than setting flags.writeable
     instance = object.__new__(cls)
     instance.__dict__.update(fields)
     return instance

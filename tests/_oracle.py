@@ -1,5 +1,6 @@
 """Test-only reference models: a brute-force time-bin engine, the engine's band plan without its
-early stop, a Cholesky-parametrized likelihood and the chi-matrix maps term by term.
+early stop, the channel as a spectral average of Jones unitaries, its Stokes map read from probe
+outputs, a Cholesky-parametrized likelihood and the chi-matrix maps term by term.
 
 Time-bin engine.  The time register is a dense lattice of
 L = 1 + (sum of crystal delays) bins, so no amplitude ever leaves it.
@@ -19,21 +20,15 @@ k up to min(half-width, B - 1), with one Python float power per pair,
 floored to 0 below 2**-60.  Patched in for ``depolsim.temporal._band_plan``,
 it gives the output the engine must match bit for bit.
 
-Probe channel.  ``probe_channel`` is the Stokes map as it was read
-before the Choi maps: from the Stokes vectors of the h, v, p, r outputs
-of ``run_scheme``, b = (s_h + s_v)/2 and the columns s_h - b, s_p - b,
-s_r - b.  ``former_outputs_to_chi`` is the former outputs -> chi matrix
-of ``qpt``, through the superoperator, ``np.linalg.inv`` and ``np.kron``.  ``former_theory_chi`` is
-the theory chi of ``tomo`` as the tomography module read it from the engine's Choi matrix, before
-``channels.extract_chi`` took that read-out over.
-
-Former forms.  ``former_stokes_from_density`` reads the Stokes
-vector off the real and imaginary views with three ``out=`` ufuncs,
-where the library now makes one subtraction on the float view.
-``former_stokes_to_density`` is the density matrix of a Stokes vector as
-a sum of Pauli matrices, which the library now builds from its four
-entries.  The library's forms do the same floating-point operations, so
-patched in, the former ones must give its output bit for bit.
+Spectral average.  ``spectral_channel`` is the channel as the paper
+builds it: at spectral phase omega per bin, a crystal of delay tau is
+the unitary P_fast + exp(-i omega tau) P_slow and a wave plate its Jones
+matrix, so the channel is rho -> sum_k p_k U(omega_k) rho U(omega_k)^dag,
+with p_k samples of the wrapped normal spectrum whose characteristic
+function at integer d is the kernel gamma**(d*d).  It shares no code
+with ``depolsim.temporal``: no time bins, no Kraus operators, no Choi
+matrix.  ``affine_from_outputs`` reads a Stokes map off the outputs of
+the h, v, p, r inputs, by traces with the Pauli matrices written out here.
 
 Wrapped tomography.  ``wrapped_sample_counts``, ``wrapped_qpt`` and
 ``wrapped_state_fidelity`` are ``sample_counts``, ``qpt`` and
@@ -67,7 +62,6 @@ outputs or the Choi matrix, and ``depolsim.tomography`` folds the
 trace-preservation sum into one precomputed contraction.
 """
 
-import contextlib
 import decimal
 import math
 from unittest import mock
@@ -92,19 +86,18 @@ def lattice_size(elements):
     return 1 + sum(e.delay_bins for e in elements if e.kind == "crystal")
 
 
+def slow_projector(angle_deg):
+    a = np.deg2rad(angle_deg)
+    e_slow = np.array([np.cos(a), np.sin(a)])
+    return np.outer(e_slow, e_slow)
+
+
 def apply(element, psi):
     """The element's unitary on C^2 (x) C^L applied to psi, shape (2, L)."""
     if element.kind == "crystal":
-        a = np.deg2rad(element.angle_deg)
-        e_slow = np.array([np.cos(a), np.sin(a)])
-        p_slow = np.outer(e_slow, e_slow)
-        p_fast = np.eye(2) - p_slow
-        return p_fast @ psi + p_slow @ np.roll(psi, element.delay_bins, axis=1)
-    if element.kind == "hwp":
-        return hwp(element.angle_deg) @ psi
-    if element.kind == "qwp":
-        return qwp(element.angle_deg) @ psi
-    raise ValueError(f"unknown element kind {element.kind!r}")
+        p_slow = slow_projector(element.angle_deg)
+        return (np.eye(2) - p_slow) @ psi + p_slow @ np.roll(psi, element.delay_bins, axis=1)
+    return (hwp if element.kind == "hwp" else qwp)(element.angle_deg) @ psi
 
 
 def propagate(elements, jones):
@@ -178,65 +171,66 @@ def full_band_run_scheme(config, j):
 PROBES = np.array([[1.0, 0.0, 1.0, 1.0], [0.0, 1.0, 1.0, 1.0j]]) / np.sqrt([1.0, 1.0, 2.0, 2.0])
 
 
-def probe_channel(config):
-    """The Stokes map of a single config from the Stokes vectors of its h, v, p, r outputs."""
-    s_h, s_v, s_p, s_r = polarization.stokes_from_density(temporal.run_scheme(config, PROBES))
+def affine_from_outputs(rho_h, rho_v, rho_p, rho_r):
+    """The Stokes map of a channel from its outputs for the h, v, p, r inputs, which fix it by linearity:
+    b = (s_h + s_v)/2 and the columns s_h - b, s_p - b, s_r - b, each s_i = Re tr(rho SIGMA_i) over STOKES_BASIS."""
+    outputs = np.array([rho_h, rho_v, rho_p, rho_r], dtype=complex)
+    s_h, s_v, s_p, s_r = np.einsum("iab,kba->ki", STOKES_BASIS[1:], outputs).real
     b = (s_h + s_v) / 2.0
     return channels.StokesChannel(np.column_stack([s_h - b, s_p - b, s_r - b]), b)
 
 
-def former_outputs_to_chi():
-    """The former (16, 16) map of `qpt` from the stacked (h, v, p, r) outputs to the raw chi matrix: the images
-    of I, X, Y, Z by linearity, the superoperator S = [vec images] inv([vec basis]) on column-stacked matrices,
-    and chi[m, n] = tr(kron(conj(E_n), E_m)^dag S) / 4."""
-    images_from_outputs = np.array([[1, 1, 0, 0], [-1, -1, 2, 0], [-1, -1, 0, 2], [1, -1, 0, 0]], dtype=float)
-    basis_cols = np.column_stack([b.flatten(order="F") for b in PAULI_BASIS])
-    basis_inv = np.linalg.inv(basis_cols)
-    pauli_pairs = np.array([[np.kron(en.conj(), em) for en in PAULI_BASIS] for em in PAULI_BASIS])
-    # pauli_pairs[m, n, i, j] with i = row + 2 col of the column-stacked vec: split i into (col, row)
-    pairs = pauli_pairs.conj().reshape(4, 4, 2, 2, 4) / 4.0
-    return np.einsum("mncrj,qj,qk->mnkrc", pairs, basis_inv, images_from_outputs).reshape(16, 16)
+# --- the channel as a spectral average of Jones unitaries -------------------
 
 
-def former_theory_chi(config):
-    """The chi matrix of a single config as `tomography._chi_from_choi(temporal._choi(config)[0])` gave it: the
-    Choi -> chi map on the held S, then the Hermitian average in place."""
-    chi = np.einsum("mnxy,xy->mn", polarization.CHOI_TO_CHI, temporal._choi(config)[0])
-    chi += chi.conj().T
-    chi /= 2.0
-    return chi
+def kernel_cut(gamma):
+    """The largest bin distance d with gamma**(d*d) >= FLOOR (0 at gamma = 0): the engine keeps no farther pair."""
+    cut = 0
+    while gamma ** float((cut + 1) ** 2) >= FLOOR:
+        cut += 1
+    return cut
 
 
-# --- the library's former numpy forms --------------------------------------
+def spectral_weights(gamma, n):
+    """(omega_k, p_k) at omega_k = 2 pi k / n: p_k = (2 pi / n) f(omega_k), f the wrapped normal of variance
+    -2 ln gamma (uniform at gamma = 0), whose characteristic function at integer d is gamma**(d*d).  By Poisson
+    summation p is the DFT of the kernel and its aliases: sum_k p_k exp(-i omega_k d) = sum_j gamma**((d + j n)**2).
+    f sums positive Gaussians over the windings within sqrt(120 ln 2) sigma (the rest weigh under 2**-60 of the
+    peak), so no p_k is negative, where the kernel's cosine series cancels to noise of either sign near omega = pi
+    at gamma = 0.99 (f is about 1e-107 there)."""
+    omega = 2.0 * np.pi * np.arange(n) / n
+    if gamma == 0.0:
+        return omega, np.full(n, 1.0 / n)
+    sigma = math.sqrt(-2.0 * math.log(gamma))
+    last = math.ceil(sigma * math.sqrt(120.0 * math.log(2.0)) / (2.0 * np.pi)) + 1
+    windings = 2.0 * np.pi * np.arange(-last, last + 1)
+    f = np.exp(-((omega[:, None] - windings) ** 2) / (2.0 * sigma * sigma)).sum(axis=1) / (sigma * math.sqrt(2 * np.pi))
+    return omega, 2.0 * np.pi / n * f
 
 
-def former_stokes_from_density(rho):
-    """`polarization.stokes_from_density` as three `out=` ufuncs on the real and imaginary views."""
-    rho = np.asarray(rho, dtype=complex)
-    if rho.shape[-2:] != (2, 2):
-        raise ValueError(f"density matrices must be 2x2, got shape {rho.shape}")
-    re, im = rho.real, rho.imag
-    s = np.empty(rho.shape[:-2] + (3,))
-    np.subtract(re[..., 0, 0], re[..., 1, 1], out=s[..., 0])
-    np.add(re[..., 0, 1], re[..., 1, 0], out=s[..., 1])
-    np.subtract(im[..., 1, 0], im[..., 0, 1], out=s[..., 2])
-    return s
+def jones(element, omega):
+    """The element's Jones matrices at the phases omega, shape (n, 2, 2): a crystal's P_fast + exp(-i omega tau)
+    P_slow, a plate's own at every phase."""
+    if element.kind == "crystal":
+        p_slow = slow_projector(element.angle_deg)
+        return (np.eye(2) - p_slow) + np.exp(-1j * omega * element.delay_bins)[:, None, None] * p_slow
+    return np.broadcast_to((hwp if element.kind == "hwp" else qwp)(element.angle_deg), (len(omega), 2, 2))
 
 
-def former_stokes_to_density(s):
-    """`polarization._stokes_to_density` as the matrix sum (I + S1 SIGMA1 + S2 SIGMA2 + S3 SIGMA3) / 2."""
-    sigma1, sigma2, sigma3 = polarization.SIGMAS
-    return (polarization.IDENTITY + s[0] * sigma1 + s[1] * sigma2 + s[2] * sigma3) / 2.0
-
-
-def former_forms():
-    """A context manager patching the former forms of the Stokes read-out and the density matrix of a Stokes
-    vector into the library, in every module that binds them at import."""
-    stack = contextlib.ExitStack()
-    stack.enter_context(mock.patch.object(polarization, "stokes_from_density", former_stokes_from_density))
-    for module in (polarization, tomography):
-        stack.enter_context(mock.patch.object(module, "_stokes_to_density", former_stokes_to_density))
-    return stack
+def spectral_channel(config):
+    """(M, b, chi) of rho -> sum_k p_k U(omega_k) rho U(omega_k)^dag for a single config, U(omega) the product of its
+    elements' Jones matrices in order.  With n = D + cut + 1 phases, for D the sum of the delays and cut =
+    `kernel_cut(gamma)`, every bin distance |d| <= D has |d + j n| > cut for j != 0, so the weights give its kernel
+    gamma**(d*d) to 2**-60.  R[i, j] = tr(P_i E(P_j)) / 2 over STOKES_BASIS gives M = R[1:, 1:] and b = R[1:, 0];
+    with U = sum_m c_m E_m over PAULI_BASIS, chi = sum_k p_k c c^dag."""
+    delays = sum(e.delay_bins for e in config.elements if e.kind == "crystal")
+    omega, p = spectral_weights(config.coherence, delays + kernel_cut(config.coherence) + 1)
+    u = np.broadcast_to(np.eye(2, dtype=complex), (len(omega), 2, 2))
+    for element in config.elements:
+        u = jones(element, omega) @ u
+    r = np.einsum("k,iab,kbc,jcd,kad->ij", p, STOKES_BASIS, u, STOKES_BASIS, u.conj()).real / 2.0
+    c = np.einsum("mab,kba->km", PAULI_BASIS, u) / 2.0
+    return r[1:, 1:], r[1:, 0], np.einsum("k,km,kn->mn", p, c, c.conj())
 
 
 # --- the tomography pipeline through numpy's wrappers -----------------------
@@ -381,6 +375,8 @@ PAULI_BASIS = (
     np.array([[0, -1j], [1j, 0]], dtype=complex),
     np.array([[1, 0], [0, -1]], dtype=complex),
 )
+# the same matrices in the Stokes order (I, SIGMA_1, SIGMA_2, SIGMA_3) = (I, Z, X, Y)
+STOKES_BASIS = np.array([PAULI_BASIS[0], PAULI_BASIS[3], PAULI_BASIS[1], PAULI_BASIS[2]])
 
 
 def apply_chi(chi, rho):

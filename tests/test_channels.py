@@ -9,11 +9,11 @@ from depolsim.channels import (
     ISOTROPIC_POINT_DEG,
     SCHEME_NAMES,
     StokesChannel,
-    affine_from_outputs,
     analytic_scheme2_dop,
     build_scheme,
     compose,
     extract_channel,
+    extract_chi,
     isotropy_report,
     mutually_unbiased_triad,
     s1_projection_channel,
@@ -92,12 +92,6 @@ def test_extract_channel_examples():
     ch = extract_channel(build_scheme("lyot"))
     assert np.abs(ch.m).max() < 1e-12
     assert np.abs(ch.b).max() < 1e-12
-
-
-def test_affine_from_outputs_needs_four_2x2_states():
-    for rho in (np.eye(3) / 3, np.ones(4) / 4):
-        with pytest.raises(ValueError, match="four 2x2 output states"):
-            affine_from_outputs(rho, rho, rho, rho)
 
 
 def test_extract_channel_linearity_for_all_schemes():
@@ -314,9 +308,6 @@ def test_stokes_channel_refuses_what_its_reader_refuses():
     ):
         with pytest.raises(ValueError, match="StokesChannel [mb] must be"):
             StokesChannel(m, b)
-    # four NaN outputs used to give an all-NaN channel
-    with pytest.raises(ValueError, match="StokesChannel m must be finite"):
-        affine_from_outputs(*[np.full((2, 2), np.nan)] * 4)
     ch = StokesChannel([[1, 0, 0], [0, 1, 0], [0, 0, 1]], np.zeros(3, dtype=np.float32))
     assert ch.m.dtype == float and ch.b.dtype == float and np.array_equal(ch.m, eye)
     # the channel holds read-only copies: float arrays were held as given, so a later write got past the check
@@ -344,6 +335,22 @@ def test_extract_channel_holds_what_the_checked_constructor_would(gamma):
             assert got.dtype == expected.dtype == float and got.shape == expected.shape
             assert got.tobytes() == expected.tobytes() and np.isfinite(got).all()
         assert channel.m.flags.c_contiguous and checked.m.flags.c_contiguous
+
+
+def test_extract_channel_map_is_read_only():
+    # extract_channel skips StokesChannel's copies, and its m and b were writeable, so a later write got past the
+    # constructor's check
+    channel = extract_channel(build_scheme("scheme1", 30.0, coherence=0.3))
+    for array in (channel.m, channel.b):
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = np.nan
+
+
+def test_extract_chi_matrix_is_read_only():
+    # extract_chi skips ChiMatrix's copy, and its chi was writeable, so a later write got past the constructor's check
+    chi = extract_chi(build_scheme("scheme1", 30.0, coherence=0.3))
+    with pytest.raises(ValueError, match="read-only"):
+        chi.matrix[0, 0] = np.nan
 
 
 def test_stokes_channel_refuses_a_bool_among_numbers():

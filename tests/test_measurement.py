@@ -134,6 +134,15 @@ def test_record_validation_and_json():
             MeasurementRecord(settings, np.ones(len(settings)), shots=10, seed=0)
 
 
+def test_sampled_counts_are_read_only():
+    # sample_counts skips the constructor's copy, and its counts were writeable: a count set to -5 got past the
+    # non-negative check, and qst_linear then read rho[0, 0] = -0.185
+    for exact in (False, True):
+        record = sample_counts(np.eye(2) / 2, 100, 0, exact=exact)
+        with pytest.raises(ValueError, match="read-only"):
+            record.counts[0] = -5
+
+
 def test_non_integral_shots_and_counts_are_rejected():
     shuffled = ("r", "v", "m", "h", "l", "p")
     rho = np.eye(2) / 2

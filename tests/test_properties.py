@@ -1,4 +1,5 @@
-"""Physical invariants over arbitrary element lists, and JSON round trips (hypothesis)."""
+"""Physical invariants over arbitrary element lists, the engine against its spectral-average oracle, and JSON
+round trips (hypothesis)."""
 
 import json
 
@@ -7,10 +8,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from depolsim.channels import StokesChannel, extract_channel
+from depolsim.channels import SCHEME_NAMES, StokesChannel, build_scheme, extract_channel, extract_chi
 from depolsim.measurement import DEFAULT_SETTINGS, MeasurementRecord
 from depolsim.polarization import JONES_STATES
 from depolsim.temporal import (
+    KERNEL_FLOOR,
     SchemeConfig,
     apply_element,
     collapse,
@@ -22,6 +24,7 @@ from depolsim.temporal import (
     run_scheme,
 )
 from depolsim.tomography import ChiMatrix, qpt, trace_preservation_residual
+import _oracle
 
 angles = st.floats(-180.0, 180.0, allow_nan=False)
 elements = st.lists(
@@ -96,6 +99,77 @@ def test_near_full_coherence_approaches_the_plate_product(elems, gamma, j):
     bound = (1.0 - gamma ** (span * span)) * reach**2 + len(bins) * 2.0**-60 + 1e-14
     target = w @ np.outer(j, j.conj()) @ w.conj().T
     assert np.linalg.norm(run_scheme(config, j) - target) <= bound
+
+
+# --- every engine channel is a spectral average of Jones unitaries: unital, and inside the tetrahedron ---
+
+# lists the spectral oracle sums over few phases: its n = (sum of delays) + cut + 1 stays below 90
+small_elements = st.lists(
+    st.one_of(
+        st.builds(crystal, angles, st.integers(1, 4)),
+        st.builds(half_wave, angles),
+        st.builds(quarter_wave, angles),
+    ),
+    min_size=1,
+    max_size=6,
+)
+spectral_gammas = st.sampled_from([0.0, 0.2, 0.7, 0.99])
+
+# Bounds fixed before the tests first ran.  ORACLE_ATOL is 45 ulps of 1: the two sides round differently, the
+# engine through the band's contraction, the oracle through up to 91 weighted Jones products of up to six factors
+# (a first prototype differed by up to 2.4e-15).  UNITAL_ATOL is 9 ulps: b sums the rounding of E(I)'s
+# Stokes vector over the bins (that prototype saw 2.8e-16).  The tetrahedron's slack moves by at most twice the
+# largest singular-value shift, which is at most the M error times 3, so it takes ORACLE_ATOL as well.
+ORACLE_ATOL = 1e-14
+UNITAL_ATOL = 2e-15
+TETRAHEDRON_ATOL = 1e-14
+
+
+@pytest.mark.parametrize("gamma", [0.0, 0.2, 0.7, 0.99])
+def test_spectral_weights_are_a_distribution_whose_transform_is_the_kernel(gamma):
+    for delays in (1, 6, 26):
+        omega, p = _oracle.spectral_weights(gamma, delays + _oracle.kernel_cut(gamma) + 1)
+        assert p.min() >= 0.0
+        d = np.arange(delays + 1)
+        kernel = [w if w >= KERNEL_FLOOR else 0.0 for w in (gamma ** float(x * x) for x in d.tolist())]
+        assert np.abs(np.exp(-1j * np.outer(d, omega)) @ p - kernel).max() <= ORACLE_ATOL
+
+
+def assert_matches_the_spectral_average(config):
+    m, b, chi = _oracle.spectral_channel(config)
+    channel = extract_channel(config)
+    assert np.abs(channel.m - m).max() <= ORACLE_ATOL and np.abs(channel.b - b).max() <= ORACLE_ATOL
+    assert np.abs(extract_chi(config).matrix - chi).max() <= ORACLE_ATOL
+
+
+@CHECK
+@given(small_elements, spectral_gammas)
+def test_the_channel_is_the_spectral_average_of_jones_unitaries(elems, gamma):
+    assert_matches_the_spectral_average(SchemeConfig(tuple(elems), coherence=gamma))
+
+
+@pytest.mark.parametrize("gamma", [0.0, 0.3, 0.99])
+@pytest.mark.parametrize("kind", SCHEME_NAMES)
+def test_named_schemes_are_the_spectral_average_of_jones_unitaries(kind, gamma):
+    assert_matches_the_spectral_average(build_scheme(kind, None if kind == "lyot" else 33.3, coherence=gamma))
+
+
+@CHECK
+@given(small_elements, spectral_gammas)
+def test_every_engine_channel_is_unital(elems, gamma):
+    # a mixture of unitaries maps I to I, so the centre of the ball stays put: b = 0
+    assert np.abs(extract_channel(SchemeConfig(tuple(elems), coherence=gamma)).b).max() <= UNITAL_ATOL
+
+
+@CHECK
+@given(small_elements, spectral_gammas)
+def test_every_engine_channel_lies_in_the_tetrahedron(elems, gamma):
+    # a unital qubit map is completely positive exactly when the signed singular values of M, the sign of det M
+    # on the smallest, satisfy |l1 + l2| <= 1 + l3 and |l1 - l2| <= 1 - l3 (Fujiwara & Algoet, PRA 59, 3290
+    # (1999)): the tetrahedron with vertices (1, 1, 1), (1, -1, -1), (-1, 1, -1) and (-1, -1, 1)
+    m = extract_channel(SchemeConfig(tuple(elems), coherence=gamma)).m
+    l1, l2, l3 = np.linalg.svd(m, compute_uv=False) * [1.0, 1.0, np.sign(np.linalg.det(m))]
+    assert abs(l1 + l2) <= 1.0 + l3 + TETRAHEDRON_ATOL and abs(l1 - l2) <= 1.0 - l3 + TETRAHEDRON_ATOL
 
 
 @CHECK

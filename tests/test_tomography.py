@@ -11,7 +11,6 @@ from depolsim.channels import (
     SCHEME_NAMES,
     ISOTROPIC_POINT_DEG,
     StokesChannel,
-    affine_from_outputs,
     build_scheme,
     extract_channel,
     extract_chi,
@@ -513,7 +512,7 @@ def test_qpt_refuses_outputs_without_positive_finite_trace():
 def oracle_channel_from_chi(chi):
     """Affine Stokes map of the channel a chi matrix encodes: the reference chi action on the four probes."""
     probes = (density_from_jones(JONES_STATES[lbl]) for lbl in QPT_LABELS)
-    return affine_from_outputs(*(_oracle.apply_chi(chi.matrix, rho) for rho in probes))
+    return _oracle.affine_from_outputs(*(_oracle.apply_chi(chi.matrix, rho) for rho in probes))
 
 
 def test_channel_from_chi_round_trip():
@@ -710,6 +709,13 @@ def test_chi_matrix_refuses_a_matrix_its_reader_refuses():
     matrix[0, 0] = rho[0, 0] = np.nan
     assert np.array_equal(chi.matrix, np.eye(4) / 4) and np.array_equal(estimate.rho, np.eye(2) / 2)
     assert not chi.matrix.flags.writeable and not estimate.rho.flags.writeable
+
+
+def test_qpt_chi_is_read_only():
+    # qpt skips ChiMatrix's copy, and its chi was writeable, so a later write got past the constructor's check
+    chi = qpt_from_scheme_outputs(scheme_outputs(build_scheme("scheme1", 30.0)))
+    with pytest.raises(ValueError, match="read-only"):
+        chi.matrix[0, 0] = np.nan
 
 
 def test_array_holding_records_compare_by_identity():
