@@ -159,9 +159,10 @@ PROBE_LABELS = ("h", "v", "p", "r")
 
 
 def _affine_from_choi(s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(M, b) = (R[1:, 1:], R[1:, 0]) of the Pauli transfer matrix R of a C-contiguous Choi matrix, M C-contiguous."""
+    """(M, b) = (R[1:, 1:], R[1:, 0]) of the Pauli transfer matrix R of a C-contiguous Choi matrix, each a
+    C-contiguous copy that owns its data, as `StokesChannel` stores them."""
     r = _einsum("ijxy,xy->ij", CHOI_TO_PTM, s.view(float))
-    return np.ascontiguousarray(r[1:, 1:]), r[1:, 0]
+    return np.ascontiguousarray(r[1:, 1:]), np.ascontiguousarray(r[1:, 0])
 
 
 def extract_channel(config: SchemeConfig) -> StokesChannel:

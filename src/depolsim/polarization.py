@@ -354,8 +354,6 @@ def _real(value) -> float | None:
         return value
     if isinstance(value, np.ndarray) and value.shape == () and value.dtype.kind in "iuf":
         value = value[()]
-    if isinstance(value, (np.floating, np.integer)):  # before the ABC test, which costs ten times the conversion
-        return float(value)
     if isinstance(value, (bool, np.bool_)) or not isinstance(value, numbers.Real):
         return None
     try:

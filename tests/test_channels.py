@@ -344,6 +344,8 @@ def test_extract_channel_map_is_read_only():
     for array in (channel.m, channel.b):
         with pytest.raises(ValueError, match="read-only"):
             array[0] = np.nan
+        # nor through a writeable base the array is a view of
+        assert array.base is None or not array.base.flags.writeable
 
 
 def test_extract_chi_matrix_is_read_only():

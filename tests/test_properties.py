@@ -135,41 +135,30 @@ def test_spectral_weights_are_a_distribution_whose_transform_is_the_kernel(gamma
         assert np.abs(np.exp(-1j * np.outer(d, omega)) @ p - kernel).max() <= ORACLE_ATOL
 
 
-def assert_matches_the_spectral_average(config):
+def assert_is_the_spectral_average(config):
     m, b, chi = _oracle.spectral_channel(config)
     channel = extract_channel(config)
     assert np.abs(channel.m - m).max() <= ORACLE_ATOL and np.abs(channel.b - b).max() <= ORACLE_ATOL
     assert np.abs(extract_chi(config).matrix - chi).max() <= ORACLE_ATOL
+    # a mixture of unitaries maps I to I, so the centre of the ball stays put: b = 0
+    assert np.abs(channel.b).max() <= UNITAL_ATOL
+    # a unital qubit map is completely positive exactly when the signed singular values of M, the sign of det M
+    # on the smallest, satisfy |l1 + l2| <= 1 + l3 and |l1 - l2| <= 1 - l3 (Fujiwara & Algoet, PRA 59, 3290
+    # (1999)): the tetrahedron with vertices (1, 1, 1), (1, -1, -1), (-1, 1, -1) and (-1, -1, 1)
+    l1, l2, l3 = np.linalg.svd(channel.m, compute_uv=False) * [1.0, 1.0, np.sign(np.linalg.det(channel.m))]
+    assert abs(l1 + l2) <= 1.0 + l3 + TETRAHEDRON_ATOL and abs(l1 - l2) <= 1.0 - l3 + TETRAHEDRON_ATOL
 
 
 @CHECK
 @given(small_elements, spectral_gammas)
 def test_the_channel_is_the_spectral_average_of_jones_unitaries(elems, gamma):
-    assert_matches_the_spectral_average(SchemeConfig(tuple(elems), coherence=gamma))
+    assert_is_the_spectral_average(SchemeConfig(tuple(elems), coherence=gamma))
 
 
 @pytest.mark.parametrize("gamma", [0.0, 0.3, 0.99])
 @pytest.mark.parametrize("kind", SCHEME_NAMES)
 def test_named_schemes_are_the_spectral_average_of_jones_unitaries(kind, gamma):
-    assert_matches_the_spectral_average(build_scheme(kind, None if kind == "lyot" else 33.3, coherence=gamma))
-
-
-@CHECK
-@given(small_elements, spectral_gammas)
-def test_every_engine_channel_is_unital(elems, gamma):
-    # a mixture of unitaries maps I to I, so the centre of the ball stays put: b = 0
-    assert np.abs(extract_channel(SchemeConfig(tuple(elems), coherence=gamma)).b).max() <= UNITAL_ATOL
-
-
-@CHECK
-@given(small_elements, spectral_gammas)
-def test_every_engine_channel_lies_in_the_tetrahedron(elems, gamma):
-    # a unital qubit map is completely positive exactly when the signed singular values of M, the sign of det M
-    # on the smallest, satisfy |l1 + l2| <= 1 + l3 and |l1 - l2| <= 1 - l3 (Fujiwara & Algoet, PRA 59, 3290
-    # (1999)): the tetrahedron with vertices (1, 1, 1), (1, -1, -1), (-1, 1, -1) and (-1, -1, 1)
-    m = extract_channel(SchemeConfig(tuple(elems), coherence=gamma)).m
-    l1, l2, l3 = np.linalg.svd(m, compute_uv=False) * [1.0, 1.0, np.sign(np.linalg.det(m))]
-    assert abs(l1 + l2) <= 1.0 + l3 + TETRAHEDRON_ATOL and abs(l1 - l2) <= 1.0 - l3 + TETRAHEDRON_ATOL
+    assert_is_the_spectral_average(build_scheme(kind, None if kind == "lyot" else 33.3, coherence=gamma))
 
 
 @CHECK
