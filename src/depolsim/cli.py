@@ -91,12 +91,14 @@ def _parse_theta_range(text: str) -> list[float]:
         raise CliError("theta range step must be positive")
     if start > stop:
         raise CliError("theta range start must not exceed stop")
-    span = (stop + 1e-9 - start) / step
+    # stop admits an angle that overshoots it by rounding: 1e-9 at most, and a millionth of a step below 1e-3
+    end = stop + min(1e-9, 1e-6 * step)
+    span = (end - start) / step
     if not span < MAX_POINTS:
         raise CliError(f"theta range has more than {MAX_POINTS} points")
     # int(span) + 1 points up to rounding: one more candidate absorbs it, and values grow with k
     candidates = (start + k * step for k in range(int(span) + 2))
-    return [v for v in candidates if v <= stop + 1e-9]
+    return [v for v in candidates if v <= end]
 
 
 def _load_scheme(name: str, theta_deg, gamma) -> SchemeConfig:
@@ -164,36 +166,118 @@ def cmd_sweep(args):
     inputs = _parse_inputs(args.inputs)
     fields = [_csv_field(name) for name, _ in inputs]
     stack = np.column_stack([jones for _, jones in inputs])
-    lines = ["theta_deg,input,s1,s2,s3,dop\n"]
+    # the rows of one angle, one per input, as one % template ("%.12g" % x and f"{x:.12g}" give the same text);
+    # a field holds no "%", being a label or floats that float() parsed
+    rows = "".join(f"%.12g,{field},%.12g,%.12g,%.12g,%.12g\n" for field in fields)
+    head = "theta_deg,input,s1,s2,s3,dop\n"
     for chunk, rhos in _grid_outputs(args.scheme, thetas, stack, 0.0 if args.gamma is None else args.gamma):
-        stokes, dops = stokes_from_density(rhos).tolist(), dop(rhos).tolist()
-        for theta, s_theta, d_theta in zip(chunk, stokes, dops):
-            t = _fmt(theta)
-            for field, s, d in zip(fields, s_theta, d_theta):
-                lines.append(f"{t},{field},{s[0]:.12g},{s[1]:.12g},{s[2]:.12g},{d:.12g}\n")
-        yield "".join(lines)
-        lines = []
+        table = np.empty((len(chunk), len(fields), 5))
+        table[..., 0] = np.array(chunk)[:, None]
+        table[..., 1:4] = stokes_from_density(rhos)
+        table[..., 4] = dop(rhos)
+        yield head + (rows * len(chunk)) % tuple(table.ravel().tolist())
+        head = ""
 
 
-# one mapped sphere point in json.dumps(indent=2) layout, as the value of a top-level key
-_POINT_ROW = "    [\n      %r,\n      %r,\n      %r\n    ]"
+# one mapped sphere point in json.dumps(indent=2) layout, as the value of a top-level key; each coordinate is
+# one (prefix, digits) pair of _repr_pairs
+_POINT_ROW = "    [\n      %s%s,\n      %s%s,\n      %s%s\n    ]"
+
+# 5**k for k = 17 + the zeros after the point of a value in [1e-4, 1), and 10**j for j = 0..16
+_FIVE = np.array([5**k for k in range(17, 21)], dtype=np.uint64)
+_TEN = np.array([10**j for j in range(17)], dtype=np.uint64)
+
+# the text before the digits of a value in [1e-4, 1), by its sign and the zeros after its point
+_PREFIX = np.array(["0.", "0.0", "0.00", "0.000", "-0.", "-0.0", "-0.00", "-0.000"], dtype=object)
+
+
+def _distances(rest, ten, unit, frac):
+    """Distances in u from x * 10**k to the multiples of ten below and above it, rest = whole % ten being the
+    whole units past the one below. 12 whole units stand for any more: both lie outside, and 12 fits in uint64."""
+    return np.minimum(rest, 12) * unit + frac, np.minimum(ten - rest, 12) * unit - frac
+
+
+def _repr_pairs(values: np.ndarray) -> list:
+    """float.__repr__ of each value of a 1-D float64 array, as a flat list of (prefix, digits) pairs.
+
+    A value x = m * 2**e with 1e-4 <= |x| < 1 and m no power of two gets
+    its shortest round-trip digits in uint64 arithmetic, by the exact
+    search behind Ryu (Adams, PLDI 2018). With k = 17 + the zeros after
+    the point, x * 10**k = m * 5**k / 2**s exactly, with s = -(e + k) in
+    [36, 46] and 5**k < 2**47, so the product is built from 32-bit
+    halves. The doubles that read back as x lie strictly within 5**k of
+    x * 10**k, counted in units u = 2**-(s + 1); that is under 11 whole
+    units. The repr is the multiple of 10**j nearest x * 10**k for the
+    largest j with one strictly inside, and its digits are that multiple
+    over 10**j, which drops its trailing zeros.
+
+    No multiple lies on an end: x's distance to one is even in u, and
+    5**k is odd. No multiple is 10**17: its decimal 10**-zeros would read
+    back as the double nearest 10**-zeros, not as x. A value halfway
+    between two multiples inside, and every value outside the band, get
+    (repr(x), "").
+    """
+    bits = values.view(np.uint64)
+    size = np.abs(values)
+    fast = np.flatnonzero((size >= 1e-4) & (size < 1.0) & (bits & (2**52 - 1) != 0))
+    bits, size = bits[fast], size[fast]
+    # every array below is uint64: numpy would promote a mix with int64 to float64
+    zeros = (size < 0.1).astype(np.uint64) + (size < 0.01) + (size < 0.001)
+    m = bits & (2**52 - 1) | 2**52
+    s = 1058 - (bits >> 52 & 0x7FF) - zeros
+    five = _FIVE[zeros]
+    # m * 5**k = hi * 2**64 + mid * 2**32 + (low mod 2**32), split at bit s into whole and frac
+    m_lo, m_hi, five_lo, five_hi = m & 0xFFFFFFFF, m >> 32, five & 0xFFFFFFFF, five >> 32
+    low = m_lo * five_lo
+    mid = m_hi * five_lo + m_lo * five_hi + (low >> 32)
+    hi = m_hi * five_hi + (mid >> 32)
+    mid &= 0xFFFFFFFF
+    whole = (hi << (64 - s)) + (mid >> (s - 32))
+    frac = ((mid & ((1 << (s - 32)) - 1)) << 33) + ((low & 0xFFFFFFFF) << 1)  # in units u
+    unit = np.uint64(1) << (s + 1)
+
+    # a multiple of 10**j inside is one of 10**(j - 1): raise j while any value still has one
+    level = np.zeros(len(fast), dtype=np.uint64)
+    live = np.arange(len(fast))
+    for j in range(1, 17):
+        down, up = _distances(whole[live] % _TEN[j], _TEN[j], unit[live], frac[live])
+        live = live[(down < five[live]) | (up < five[live])]
+        if not len(live):
+            break
+        level[live] = j
+    ten = _TEN[level]
+    rest = whole % ten
+    down, up = _distances(rest, ten, unit, frac)
+    below, above = down < five, up < five
+    digits = (whole - rest) // ten + (above & ~(below & (down < up)))
+    kept = ~(below & above & (down == up))
+
+    done = fast[kept]
+    slow = np.ones(len(values), dtype=bool)
+    slow[done] = False
+    pairs = np.empty((len(values), 2), dtype=object)
+    pairs[:, 1] = ""
+    pairs[slow, 0] = [repr(x) for x in values[slow].tolist()]
+    pairs[done, 0] = _PREFIX[(zeros + (bits >> 63 << 2))[kept]]
+    pairs[done, 1] = digits[kept]
+    return pairs.ravel().tolist()
 
 
 def _points_json(points: np.ndarray):
     """An (n, 3) float array as json.dumps(points.tolist(), indent=2) renders it one level deep,
     in pieces of POINTS_CHUNK rows.
 
-    json writes a finite float with float.__repr__, so formatting every
-    value with repr gives the same bytes without the pure-Python encoder
-    that indent forces; non-finite values raise ValueError, as with
-    allow_nan=False, before the first piece.
+    json writes a finite float with float.__repr__, which _repr_pairs
+    reproduces, so the pieces have json's bytes without the pure-Python
+    encoder that indent forces; non-finite values raise ValueError, as
+    with allow_nan=False, before the first piece.
     """
     if not np.isfinite(points).all():
         raise ValueError("Out of range float values are not JSON compliant")
     separator = "[\n"
     for lo in range(0, len(points), POINTS_CHUNK):
-        chunk = points[lo : lo + POINTS_CHUNK]
-        yield separator + ",\n".join([_POINT_ROW] * len(chunk)) % tuple(chunk.ravel().tolist())
+        chunk = np.ascontiguousarray(points[lo : lo + POINTS_CHUNK], dtype=np.float64)
+        yield separator + ",\n".join([_POINT_ROW] * len(chunk)) % tuple(_repr_pairs(chunk.ravel()))
         separator = ",\n"
     yield "\n  ]"
 

@@ -371,6 +371,14 @@ def test_theta_grid_cap_and_endpoint_rounding():
     assert _parse_theta_range("0:0.3:0.1") == [0.0, 0.1, 0.2, 0.30000000000000004]
 
 
+def test_a_theta_range_with_a_tiny_step_stops_at_its_stop(capsys):
+    thetas = _parse_theta_range("0:1e-8:1e-9")
+    assert len(thetas) == 11 and thetas[-1] <= 1e-8 * (1 + 1e-9)
+    code, out, _ = run_cli(["sweep", "--scheme", "scheme1", "--theta-range", "0:1e-12:1e-13", "--inputs", "h"], capsys)
+    angles = [float(line.split(",")[0]) for line in out.splitlines()[1:]]
+    assert code == 0 and len(angles) == 11 and max(angles) <= 1e-12 * (1 + 1e-9)
+
+
 # --- byte guards: --out files pinned by sha256, the same bytes on every BLAS kernel and SIMD dispatch ---
 
 PINNED_OUTPUTS = [
@@ -681,11 +689,57 @@ def test_map_text_equals_one_json_dumps(tmp_path, capsys):
     assert out.read_text() == reference_map_text(str(path), None, 17, config)
 
 
+def json_points(points):
+    """points as json.dumps writes them as the value of a top-level key, the layout _points_json writes."""
+    return json.dumps({"points": points.tolist()}, indent=2)[len('{\n  "points": '):-len("\n}")]
+
+
+def assert_points_text_is_json(points):
+    # line by line, so that a failure names its first lines rather than diffing megabytes
+    lines, expected = "".join(cli._points_json(points)).split("\n"), json_points(points).split("\n")
+    assert len(lines) == len(expected)
+    assert [(a, b) for a, b in zip(lines, expected) if a != b][:5] == []
+
+
+@pytest.mark.kernel_bits
 def test_points_writer_matches_json_on_signed_zeros_and_extremes():
     points = np.array([[-0.0, 0.0, 1e-320], [-1.0, 1 / 3, 2.5e300], [5e-324, -7.0, 0.1]])
-    expected = json.dumps({"points": points.tolist()}, indent=2)
-    assert "-0.0" in expected
-    assert "".join(cli._points_json(points)) == expected[len('{\n  "points": '):-len("\n}")]
+    assert "-0.0" in json_points(points)
+    assert_points_text_is_json(points)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(st.lists(st.tuples(*[st.floats(allow_nan=False, allow_infinity=False) | st.floats(-1.0, 1.0)] * 3),
+                min_size=1, max_size=40))
+def test_points_writer_matches_json_on_any_finite_floats(rows):
+    points = np.array(rows, dtype=np.float64)
+    assert_points_text_is_json(points)
+
+
+# the edges of the writer's digit band and its zeros after the point, and powers of two, where an ulp halves
+@pytest.mark.kernel_bits
+@pytest.mark.parametrize("center", [1e-4, 1e-3, 0.01, 0.1, 2.0**-13, 2.0**-10, 0.125, 0.5, 1.0])
+def test_points_writer_matches_json_on_every_double_near_an_edge(center):
+    window = (np.float64(center).view(np.int64) + np.arange(-10_002, 10_002)).view(np.float64)
+    points = (window * np.where(np.arange(window.size) % 2, -1.0, 1.0)).reshape(-1, 3)
+    assert_points_text_is_json(points)
+
+
+@pytest.mark.kernel_bits
+def test_points_writer_matches_json_where_digits_end_halfway():
+    # an odd 17-bit numerator over 2**17..2**21 is a short exact decimal that ends in 5, halfway between the two
+    # shortest candidates, both of which read back as it; repr rounds to the even one
+    numerators = np.arange(2**16 + 1, 2**17, 2, dtype=np.float64)
+    values = np.concatenate([numerators / 2.0**k for k in range(17, 22)] + [-numerators / 2.0**19])
+    points = values[: values.size // 3 * 3].reshape(-1, 3)
+    assert_points_text_is_json(points)
+
+
+@pytest.mark.kernel_bits
+def test_points_writer_matches_json_on_rows_mixing_both_paths():
+    points = np.array([[0.25, 0.3, -0.0], [1e-5, -0.123, 5e-324], [0.5, 2.0**-1074 * 3, -0.999],
+                       [np.nextafter(1.0, 0.0), 1.0, -np.nextafter(1e-4, 0.0)], [2.2250738585072014e-308, 0.0, 1e-4]])
+    assert_points_text_is_json(points)
 
 
 def test_map_writes_its_points_in_pieces_with_the_bytes_of_one(capsys, monkeypatch):
