@@ -179,19 +179,24 @@ def extract_chi(config: SchemeConfig) -> ChiMatrix:
     return _unchecked(ChiMatrix, matrix=chi, clipped_mass=0.0)
 
 
-def analytic_scheme2_dop(theta_deg: float, s1: float) -> float:
+def analytic_scheme2_dop(theta_deg: float | np.ndarray, s1: float) -> float | np.ndarray:
     """Closed-form output DOP of scheme 2 for quarter-wave angle theta.
 
     D^2 = (19/8 + 3/2 cos 4t + 1/8 cos 8t) / 4
         + (s1^2 / 4) (-7/8 + 1/2 cos 4t + 3/8 cos 8t)
 
     depends on the input only through S1; all inputs sharing |S1| are
-    depolarized identically.  A theta or s1 that is no finite number, a
-    bool or a string among them, raises ValueError.
+    depolarized identically.  A non-empty 1-D array of angles, held to
+    the element angle's array rule, gives the array of their DOPs, each
+    with the bits of its own scalar call.  A theta or s1 that is no finite
+    number, a bool or a string among them, raises ValueError.
     """
-    theta = _real(theta_deg)
-    if theta is None or not math.isfinite(theta):
-        raise ValueError(f"theta must be a finite number of degrees, got {theta_deg!r}")
+    if isinstance(theta_deg, np.ndarray) and theta_deg.ndim:
+        theta = theta_deg if theta_deg.dtype.kind in "iuf" and theta_deg.ndim == 1 and theta_deg.size else None
+    else:
+        theta = _real(theta_deg)
+    if theta is None or not np.isfinite(theta).all():
+        raise ValueError(f"theta must be a finite number of degrees or a 1-D array of them, got {theta_deg!r}")
     s = _real(s1)
     if s is None or not abs(s) <= 1.0 + 1e-12:
         raise ValueError(f"s1 must be a number with |s1| <= 1, got {s1!r}")
@@ -199,7 +204,8 @@ def analytic_scheme2_dop(theta_deg: float, s1: float) -> float:
     c4, c8 = np.cos(4 * t), np.cos(8 * t)
     d2 = 0.25 * (19.0 / 8.0 + 1.5 * c4 + 0.125 * c8)
     d2 += (s * s / 4.0) * (-7.0 / 8.0 + 0.5 * c4 + 0.375 * c8)
-    return float(np.sqrt(max(d2, 0.0)))
+    d = np.sqrt(np.maximum(d2, 0.0))
+    return d if d.ndim else float(d)
 
 
 def mutually_unbiased_triad(s1_target: float):

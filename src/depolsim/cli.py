@@ -21,6 +21,7 @@ import itertools
 import json
 import math
 import os
+import re
 import sys
 import warnings
 
@@ -63,12 +64,14 @@ class CliError(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # a token of a minus and a digit is a value, as no option here starts so: argparse reads only a plain
+        # negative number as one, and took --theta-range -10:10:5 or --inputs -0.6,0,0.8 for an unknown option
+        self._negative_number_matcher = re.compile(r"-\.?\d")
+
     def error(self, message):
         raise CliError(message)
-
-
-def _fmt(x: float) -> str:
-    return f"{float(x):.12g}"
 
 
 def _csv_field(text: str) -> str:
@@ -338,17 +341,18 @@ def cmd_compare(args):
         (1.0, JONES_STATES["h"]),
     ]
     stack = np.column_stack([jones for _, jones in probes])
-    lines = ["theta_deg,s1_sq,dop_engine,dop_analytic,abs_diff\n"]
+    # the rows of one angle, one per probe with its s1_sq embedded, as one % template (see cmd_sweep)
+    rows = "".join(f"%.12g,{s1_sq:.12g},%.12g,%.12g,%.12g\n" for s1_sq, _ in probes)
+    head = "theta_deg,s1_sq,dop_engine,dop_analytic,abs_diff\n"
     for chunk, rhos in _grid_outputs("scheme2", thetas, stack):
-        for theta, d_theta in zip(chunk, dop(rhos).tolist()):
-            for (s1_sq, _), d_engine in zip(probes, d_theta):
-                d_analytic = analytic_scheme2_dop(theta, np.sqrt(s1_sq))
-                lines.append(
-                    f"{_fmt(theta)},{_fmt(s1_sq)},{_fmt(d_engine)},{_fmt(d_analytic)},"
-                    f"{_fmt(abs(d_engine - d_analytic))}\n"
-                )
-        yield "".join(lines)
-        lines = []
+        angles = np.array(chunk)
+        table = np.empty((len(chunk), len(probes), 4))
+        table[..., 0] = angles[:, None]
+        table[..., 1] = dop(rhos)
+        table[..., 2] = np.transpose([analytic_scheme2_dop(angles, np.sqrt(s1_sq)) for s1_sq, _ in probes])
+        table[..., 3] = np.abs(table[..., 1] - table[..., 2])
+        yield head + (rows * len(chunk)) % tuple(table.ravel().tolist())
+        head = ""
 
 
 def build_parser() -> _Parser:

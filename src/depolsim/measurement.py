@@ -4,7 +4,7 @@ Measurements follow the six-setting scheme (h, v, p, m, r, l): each
 setting is an independent acquisition window, so counts are Poisson
 with mean shots * tr(rho P).  The over-complete set over-determines the
 state, which conditions the maximum-likelihood reconstruction well.  A
-record holds each of the six settings exactly once, in any order.
+record holds one count per setting, in DEFAULT_SETTINGS order.
 
 Counts are drawn from numpy's PCG64 generator so that a record is fully
 reproducible from (state, shots, seed).
@@ -46,25 +46,16 @@ def _as_counts(values) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class MeasurementRecord:
-    """Raw counts of the six projector settings, a tuple or list holding each label exactly once in any order, with
-    integral shots >= 1 and seed >= 0, as `sample_counts` takes them."""
+    """Raw counts of the six projector settings in DEFAULT_SETTINGS order, with integral shots >= 1 and seed >= 0, as
+    `sample_counts` takes them."""
 
-    settings: tuple[str, ...]
     counts: np.ndarray
     shots: int
     seed: int
 
     def __post_init__(self):
-        settings = tuple(self.settings) if isinstance(self.settings, (tuple, list)) else None
-        if settings is None or (settings != DEFAULT_SETTINGS and not (
-            len(settings) == len(_LABEL_AXIS)
-            and all(isinstance(label, str) for label in settings)
-            and set(settings) == _LABEL_AXIS.keys()
-        )):
-            raise ValueError(f"settings must be the six labels h, v, p, m, r, l once each, got {self.settings!r}")
-        object.__setattr__(self, "settings", settings)
         counts = _as_counts(self.counts)
-        if counts.shape != (len(self.settings),):
+        if counts.shape != (len(DEFAULT_SETTINGS),):
             raise ValueError("need exactly one count per setting")
         if min(counts.tolist()) < 0:
             raise ValueError("counts must be non-negative")
@@ -74,7 +65,7 @@ class MeasurementRecord:
 
     def count(self, label: str) -> int:
         """Counts of the setting `label`."""
-        return int(self.counts[self.settings.index(label)])
+        return int(self.counts[DEFAULT_SETTINGS.index(label)])
 
 
 def projector(label: str) -> np.ndarray:
@@ -136,4 +127,4 @@ def sample_counts(rho, shots: int, seed: int, exact: bool = False) -> Measuremen
         # one scalar draw per setting, in order: the stream of one array call, without its array checks
         counts = list(map(np.random.Generator(np.random.PCG64(seed)).poisson, means))
     counts = np.array(counts, dtype=np.int64)
-    return _unchecked(MeasurementRecord, settings=DEFAULT_SETTINGS, counts=counts, shots=shots, seed=seed)
+    return _unchecked(MeasurementRecord, counts=counts, shots=shots, seed=seed)

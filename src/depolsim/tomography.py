@@ -38,7 +38,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .measurement import DEFAULT_SETTINGS, SETTING_PAIRS, MeasurementRecord
+from .measurement import SETTING_PAIRS, MeasurementRecord
 from .polarization import CHI_BASIS, CHOI_TO_CHI, IDENTITY, OUTPUTS_TO_CHOI, PSD_ATOL, _check_finite, _eigh, _einsum
 from .polarization import _fidelity, _hermitian_average, _number_array, _real, _stokes_to_density, _trace, _unchecked
 
@@ -84,11 +84,7 @@ class ChiMatrix:
 
 def _axis_counts(record: MeasurementRecord) -> list[tuple[int, int]]:
     """Per Stokes axis, the counts (a, b) of its + and - labels; every axis must have counts."""
-    counts = record.counts.tolist()
-    if record.settings != DEFAULT_SETTINGS:  # into DEFAULT_SETTINGS order, which lists SETTING_PAIRS pair by pair
-        by_label = dict(zip(record.settings, counts))
-        counts = [by_label[label] for label in DEFAULT_SETTINGS]
-    h, v, p, m, r, l = counts
+    h, v, p, m, r, l = record.counts.tolist()  # DEFAULT_SETTINGS order lists SETTING_PAIRS pair by pair
     axes = [(h, v), (p, m), (r, l)]
     if h + v == 0 or p + m == 0 or r + l == 0:
         plus, minus = SETTING_PAIRS[[a + b for a, b in axes].index(0)]

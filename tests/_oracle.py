@@ -268,7 +268,7 @@ def wrapped_sample_counts(rho, shots, seed, exact=False):
     else:
         rng = np.random.Generator(np.random.PCG64(seed))
         counts = np.array(list(map(rng.poisson, means.tolist())), dtype=np.int64)
-    return measurement.MeasurementRecord(measurement.DEFAULT_SETTINGS, counts, shots, seed)
+    return measurement.MeasurementRecord(counts, shots, seed)
 
 
 def wrapped_qpt(rho_h, rho_v, rho_p, rho_r):
@@ -308,13 +308,14 @@ SETTING_STATES = {
 }
 
 
-def setting_projectors(settings):
-    return np.stack([np.outer(SETTING_STATES[lbl], SETTING_STATES[lbl].conj()) for lbl in settings])
+# the projectors of a record's six settings, in DEFAULT_SETTINGS order
+SETTING_PROJECTORS = np.stack([np.outer(SETTING_STATES[lbl], SETTING_STATES[lbl].conj())
+                               for lbl in measurement.DEFAULT_SETTINGS])
 
 
 def log_likelihood(rho, record):
     """sum_j n_j log p_j - shots sum_j p_j with p_j = tr(rho P_j), taking 0 log 0 = 0."""
-    p = np.einsum("sij,ji->s", setting_projectors(record.settings), np.asarray(rho, dtype=complex)).real
+    p = np.einsum("sij,ji->s", SETTING_PROJECTORS, np.asarray(rho, dtype=complex)).real
     counts = record.counts.astype(float)
     hit = counts > 0
     if np.any(p[hit] <= 0.0):

@@ -159,6 +159,26 @@ def test_analytic_scheme2_dop_values():
             analytic_scheme2_dop(theta, 0.5)
 
 
+@pytest.mark.kernel_bits
+def test_analytic_scheme2_dop_on_an_angle_array_has_the_bits_of_its_scalar_calls():
+    # np.cos runs numpy's SIMD loops on an array: each entry must still equal its own scalar call, bit for bit
+    rng = np.random.default_rng(35)
+    thetas = np.concatenate([[0.0, -0.0, 45.0, 90.0, 1e-9, -30.0, 720.5], np.arange(0.0, 90.0, 0.37),
+                             rng.uniform(-360.0, 360.0, 500)])
+    for s1 in (0.0, np.sqrt(1.0 / 3.0), 1.0, -0.4):
+        array = analytic_scheme2_dop(thetas, s1)
+        scalars = np.array([analytic_scheme2_dop(theta, s1) for theta in thetas.tolist()])
+        assert array.shape == thetas.shape and np.array_equal(array.view(np.uint64), scalars.view(np.uint64)), s1
+    ints, floats = np.arange(0, 91, 5), np.arange(0.0, 91.0, 5.0)
+    assert np.array_equal(analytic_scheme2_dop(ints, 0.5), analytic_scheme2_dop(floats, 0.5))
+    # the array form refuses what the scalar form refuses, and an array that is not 1-D or is empty
+    for theta in (np.array([0.0, np.nan]), np.array([np.inf]), np.array([True, False]), np.array(["30", "40"]),
+                  np.zeros((2, 2)), np.array([[30.0]]), np.array([])):
+        with pytest.raises(ValueError, match="theta"):
+            analytic_scheme2_dop(theta, 0.5)
+    assert analytic_scheme2_dop(np.array(30.0), 0.5) == analytic_scheme2_dop(30.0, 0.5)
+
+
 def test_engine_matches_scheme2_closed_form():
     # convention-locking test for the quarter-wave plate signs
     rng = np.random.default_rng(3)

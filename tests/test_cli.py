@@ -217,6 +217,21 @@ def test_compare_matches_closed_form(tmp_path, capsys):
     assert abs(float(third[0][2]) - 1 / np.sqrt(6)) < 1e-9
 
 
+def test_values_that_start_with_a_minus_sign_are_values(capsys):
+    # argparse read only a plain negative number as a value: these exited 2 with "expected one argument"
+    for argv in (["sweep", "--scheme", "scheme1", "--theta-range", "-10:10:5", "--inputs", "-0.6,0,0.8"],
+                 ["compare", "--theta-range", "-10:10:5"]):
+        code, out, err = run_cli(argv, capsys)
+        joined = [argv[0]] + [f"{flag}={value}" for flag, value in zip(argv[1::2], argv[2::2])]
+        assert (code, err) == (0, "") and out == run_cli(joined, capsys)[1] != "", argv
+    # the m and l sides of the sphere, among other inputs of one --inputs
+    argv = ["sweep", "--scheme", "scheme2", "--theta-range", "-.5:0:0.5", "--inputs", "-1,0,0", "h", "-.6,-0.8,0"]
+    code, out, err = run_cli(argv, capsys)
+    assert (code, err) == (0, "")
+    assert [row[:2] for row in csv.reader(io.StringIO(out))][1:] == [
+        [theta, label] for theta in ("-0.5", "0") for label in ("-1,0,0", "h", "-.6,-0.8,0")]
+
+
 def test_scheme_config_file_path(tmp_path, capsys):
     config = {
         "coherence": 0.0,

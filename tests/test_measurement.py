@@ -62,7 +62,7 @@ def test_sample_counts_is_deterministic():
     a = sample_counts(rho, 5000, seed=123)
     b = sample_counts(rho, 5000, seed=123)
     assert np.array_equal(a.counts, b.counts)
-    assert (a.settings, a.shots, a.seed) == (b.settings, b.shots, b.seed)
+    assert (a.shots, a.seed) == (b.shots, b.seed)
     c = sample_counts(rho, 5000, seed=124)
     assert not np.array_equal(a.counts, c.counts)
 
@@ -109,29 +109,25 @@ def test_poisson_variance_matches_mean():
 
 
 def test_record_validation_and_json():
-    shuffled = ("r", "v", "m", "h", "l", "p")
-    rec = MeasurementRecord(shuffled, np.array([1, 4, 2, 3, 6, 5]), shots=10, seed=7)
-    assert rec.count("v") == 4
-    with pytest.raises(ValueError, match="per setting"):
-        MeasurementRecord(shuffled, np.array([1, 2]), shots=10, seed=0)
+    # the counts are in DEFAULT_SETTINGS order, h v p m r l, one per setting
+    rec = MeasurementRecord(np.array([3, 4, 5, 2, 1, 6]), shots=10, seed=7)
+    assert [rec.count(lbl) for lbl in "hvpmrl"] == [3, 4, 5, 2, 1, 6]
+    for counts in ([1, 2], [1, 2, 3, 4, 5], [1] * 7, [[1] * 6], 5):
+        with pytest.raises(ValueError, match="need exactly one count per setting"):
+            MeasurementRecord(counts, shots=10, seed=0)
     with pytest.raises(ValueError, match="non-negative"):
-        MeasurementRecord(shuffled, np.array([1, 2, 3, 4, 5, -1]), shots=10, seed=0)
+        MeasurementRecord(np.array([1, 2, 3, 4, 5, -1]), shots=10, seed=0)
     with pytest.raises(ValueError, match="shots"):
         sample_counts(np.eye(2) / 2, 0, seed=0)
     for shots in (0, -1, [1]):
         with pytest.raises(ValueError, match="shots"):
-            MeasurementRecord(shuffled, np.ones(6), shots=shots, seed=0)
-    assert MeasurementRecord(shuffled, np.ones(6), shots=10**400, seed=10**400).shots == 10**400
+            MeasurementRecord(np.ones(6), shots=shots, seed=0)
+    assert MeasurementRecord(np.ones(6), shots=10**400, seed=10**400).shots == 10**400
     # the record holds a read-only copy: an int64 array was held as given, so a later write got past the check
     counts = np.array([1, 2, 3, 4, 5, 6], dtype=np.int64)
-    held = MeasurementRecord(shuffled, counts, shots=10, seed=0)
+    held = MeasurementRecord(counts, shots=10, seed=0)
     counts[0] = -5
     assert held.counts.tolist() == [1, 2, 3, 4, 5, 6] and not held.counts.flags.writeable
-    # the settings must be h, v, p, m, r and l once each: not repeated, missing, unknown or non-string
-    for settings in (("h", "v", "p", "m", "r", "r"), ("h", "v", "p", "m", "r"), ("h", "v", "p", "m", "r", "x"),
-                     ("h", "v", "p", "m", "r", 5)):
-        with pytest.raises(ValueError, match="once each"):
-            MeasurementRecord(settings, np.ones(len(settings)), shots=10, seed=0)
 
 
 def test_sampled_counts_are_read_only():
@@ -144,19 +140,18 @@ def test_sampled_counts_are_read_only():
 
 
 def test_non_integral_shots_and_counts_are_rejected():
-    shuffled = ("r", "v", "m", "h", "l", "p")
     rho = np.eye(2) / 2
     for shots in (10.5, 1e5 + 0.25, float("nan"), float("inf"), "10", None):
         with pytest.raises(ValueError, match="shots must be an integer"):
             sample_counts(rho, shots, seed=0)
         with pytest.raises(ValueError, match="shots must be an integer"):
-            MeasurementRecord(shuffled, np.ones(6), shots=shots, seed=0)
+            MeasurementRecord(np.ones(6), shots=shots, seed=0)
     for counts in ([1.7, 1, 1, 1, 1, 1], [float("nan")] * 6, [float("inf")] * 6, [1e19] * 6, [2**70] * 6,
                    [10**400, 1, 1, 1, 1, 1]):
         with pytest.raises(ValueError, match="counts must be integers"):
-            MeasurementRecord(shuffled, counts, shots=10, seed=0)
+            MeasurementRecord(counts, shots=10, seed=0)
     # integral floats and integral float shots stay accepted, as ints
-    rec = MeasurementRecord(shuffled, np.ones(6), shots=10.0, seed=0)
+    rec = MeasurementRecord(np.ones(6), shots=10.0, seed=0)
     assert rec.counts.dtype == np.int64 and rec.shots == 10 and isinstance(rec.shots, int)
     assert sample_counts(rho, 1e5, seed=3).shots == 100_000
     assert np.array_equal(sample_counts(rho, 1e5, seed=3).counts, sample_counts(rho, 100_000, seed=3).counts)
@@ -165,7 +160,6 @@ def test_non_integral_shots_and_counts_are_rejected():
 def test_shots_and_seeds_refuse_bools():
     # True is not one shot nor seed 1
     rho = np.eye(2) / 2
-    shuffled = ("r", "v", "m", "h", "l", "p")
     for flag in (True, False, np.True_, np.False_):
         for exact in (False, True):
             with pytest.raises(ValueError, match="shots must be an integer >= 1"):
@@ -173,9 +167,9 @@ def test_shots_and_seeds_refuse_bools():
             with pytest.raises(ValueError, match="seed must be an integer >= 0"):
                 sample_counts(rho, 10, flag, exact=exact)
         with pytest.raises(ValueError, match="shots must be an integer >= 1"):
-            MeasurementRecord(shuffled, np.ones(6), shots=flag, seed=0)
+            MeasurementRecord(np.ones(6), shots=flag, seed=0)
         with pytest.raises(ValueError, match="seed must be an integer >= 0"):
-            MeasurementRecord(shuffled, np.ones(6), shots=10, seed=flag)
+            MeasurementRecord(np.ones(6), shots=10, seed=flag)
     assert sample_counts(rho, 1, 1).shots == 1
 
 
@@ -191,11 +185,10 @@ def test_seeds_are_checked_at_the_boundary_in_both_modes():
             record = sample_counts(rho, 100, seed, exact=exact)
             assert record.seed == as_int and type(record.seed) is int
     # a record checks its seed as sample_counts does
-    shuffled = ("r", "v", "m", "h", "l", "p")
     for seed in (-7, 1.5, "abc", None, [3]):
         with pytest.raises(ValueError, match="seed must be an integer >= 0"):
-            MeasurementRecord(shuffled, np.ones(6), shots=10, seed=seed)
-    assert MeasurementRecord(shuffled, np.ones(6), shots=10, seed=np.int64(7)).seed == 7
+            MeasurementRecord(np.ones(6), shots=10, seed=seed)
+    assert MeasurementRecord(np.ones(6), shots=10, seed=np.int64(7)).seed == 7
     # a valid seed draws PCG64's stream of that integer, whatever its type
     for seed, as_int in ((0, 0), (3.0, 3), (np.int64(7), 7), (2**70, 2**70)):
         expected = np.random.Generator(np.random.PCG64(as_int)).poisson(1000 * probabilities(rho))
@@ -286,8 +279,7 @@ def test_sample_counts_records_are_checked_records():
     for exact in (False, True):
         for shots, seed in ((1, 0), (10.0, np.int64(3)), (10**6, 2**70)):
             record = sample_counts(random_density(rng), shots, seed, exact=exact)
-            checked = MeasurementRecord(record.settings, record.counts, record.shots, record.seed)
-            assert record.settings is DEFAULT_SETTINGS and checked.settings == record.settings
+            checked = MeasurementRecord(record.counts, record.shots, record.seed)
             assert record.counts.dtype == np.int64 and record.counts.shape == (6,) and min(record.counts) >= 0
             assert type(record.shots) is type(record.seed) is int
             assert (record.shots, record.seed) == (checked.shots, checked.seed) == (int(shots), int(seed))
@@ -313,21 +305,13 @@ def test_sample_counts_refuses_any_shape_but_2x2():
         assert sample_counts([[0.5, 0], [0, 0.5]], 10, 0, exact=exact).shots == 10
 
 
-def test_a_string_of_settings_is_refused():
-    # a string iterates as characters; "hvpmrl" used to read as the six labels
-    for settings in ("hvpmrl", "rvmhlp"):
-        with pytest.raises(ValueError, match="once each"):
-            MeasurementRecord(settings, np.ones(6), 10, 0)
-    assert MeasurementRecord(list("hvpmrl"), np.ones(6), 10, 0).settings == DEFAULT_SETTINGS
-
-
 def test_a_record_refuses_bool_counts_as_its_reader_does():
     # numpy reads a True among integers as 1 and keeps no trace of it: the constructor took these
     for counts in ([True, 1, 1, 1, 1, 1], [1, 1, 1, 1, 1, np.False_], (True,) * 6, np.ones(6, dtype=bool)):
         with pytest.raises(ValueError, match="counts must be integers, not true or false"):
-            MeasurementRecord(DEFAULT_SETTINGS, counts, shots=10, seed=0)
+            MeasurementRecord(counts, shots=10, seed=0)
     # nor are strings, objects or ragged nestings counts
     for counts in (["1"] * 6, ["45", 1, 1, 1, 1, 1], np.array(["1"] * 6), np.ones(6, dtype=object), [None] * 6,
                    [1, [1], 1, 1, 1, 1]):
         with pytest.raises(ValueError, match="counts must be integers"):
-            MeasurementRecord(DEFAULT_SETTINGS, counts, shots=10, seed=0)
+            MeasurementRecord(counts, shots=10, seed=0)

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from depolsim.channels import SCHEME_NAMES, StokesChannel, build_scheme, extract_channel, extract_chi
-from depolsim.measurement import DEFAULT_SETTINGS, MeasurementRecord
+from depolsim.measurement import MeasurementRecord
 from depolsim.polarization import JONES_STATES
 from depolsim.temporal import (
     KERNEL_FLOOR,
@@ -230,7 +230,7 @@ BUILT = {
     "StokesChannel m": ((3, 3), lambda v: StokesChannel(v, ZERO3)),
     "StokesChannel b": ((3,), lambda v: StokesChannel(EYE3, v)),
     "ChiMatrix re": ((4, 4), ChiMatrix),
-    "MeasurementRecord counts": ((6,), lambda v: MeasurementRecord(DEFAULT_SETTINGS, v, 10, 0)),
+    "MeasurementRecord counts": ((6,), lambda v: MeasurementRecord(v, 10, 0)),
 }
 
 

@@ -12,7 +12,6 @@ import numpy as np
 import pytest
 
 from depolsim.channels import build_scheme
-from depolsim.measurement import DEFAULT_SETTINGS, MeasurementRecord
 from depolsim.temporal import OpticalElement, SchemeConfig, collapse_with_coherence, crystal, initial_state
 
 VALUES = (True, False, "1", "45", None, [1], 10**400, -1, 0, 1.5, 2.0)
@@ -60,10 +59,6 @@ def test_constructors_refuse_what_is_not_their_container_with_value_error():
         with pytest.raises(ValueError, match="scheme elements must be"):
             SchemeConfig(elements)
     assert SchemeConfig([_CRYSTAL]).elements == (_CRYSTAL,)
-    for settings in (None, "hvpmrl", 5, set(DEFAULT_SETTINGS), np.array(DEFAULT_SETTINGS)):
-        with pytest.raises(ValueError, match="settings must be the six labels"):
-            MeasurementRecord(settings, np.ones(6), 10, 0)
-    assert MeasurementRecord(list(DEFAULT_SETTINGS), np.ones(6), 10, 0).settings == DEFAULT_SETTINGS
 
 
 def test_build_scheme_holds_its_angle_to_the_element_rule():

@@ -84,7 +84,7 @@ def test_closed_form_physical_flag_matches_the_eigenvalue_test():
     rng = np.random.default_rng(31)
     counts = rng.integers(0, 41, size=(100_000, 6))
     counts[:, 0::2] += counts[:, 0::2] + counts[:, 1::2] == 0
-    estimates = [qst_linear(MeasurementRecord(DEFAULT_SETTINGS, row, shots=100, seed=0)) for row in counts]
+    estimates = [qst_linear(MeasurementRecord(row, shots=100, seed=0)) for row in counts]
     smallest = np.linalg.eigvalsh(np.array([est.rho for est in estimates]))[:, 0]
     away = np.abs(smallest + PSD_ATOL) > 1e-13
     flags = np.array([est.physical for est in estimates])
@@ -92,15 +92,15 @@ def test_closed_form_physical_flag_matches_the_eigenvalue_test():
     assert 10_000 < flags.sum() < 90_000  # both sides are well represented
     # unit Stokes vectors lie on the sphere, inside the tolerance
     for row in ([7, 0, 3, 3, 5, 5], [0, 4, 1, 1, 2, 2]):
-        assert qst_linear(MeasurementRecord(DEFAULT_SETTINGS, row, shots=100, seed=0)).physical
+        assert qst_linear(MeasurementRecord(row, shots=100, seed=0)).physical
 
 
 def test_qst_linear_requires_counts_in_every_pair():
-    rec = MeasurementRecord(("h", "v", "p", "m", "r", "l"), np.array([5, 5, 5, 5, 0, 0]), 10, 0)
+    rec = MeasurementRecord(np.array([5, 5, 5, 5, 0, 0]), 10, 0)
     with pytest.raises(ValueError, match="undefined"):
         qst_linear(rec)
-    with pytest.raises(ValueError, match="six"):
-        MeasurementRecord(("h", "v"), np.array([5, 5]), 10, 0)
+    with pytest.raises(ValueError, match="per setting"):
+        MeasurementRecord(np.array([5, 5]), 10, 0)
 
 
 def test_qst_mle_noiseless_recovers_state():
@@ -130,7 +130,7 @@ def test_qst_mle_beats_projected_linear_inversion():
     for seed in range(10):
         rho = random_density(rng)
         rec = record_for(rho, shots=500, seed=seed)
-        projs = np.stack([projector(lbl) for lbl in rec.settings])
+        projs = np.stack([projector(lbl) for lbl in DEFAULT_SETTINGS])
         counts = rec.counts.astype(float)
 
         lin = qst_linear(rec).rho
@@ -149,7 +149,7 @@ def test_mle_gradient_matches_finite_differences():
     rng = np.random.default_rng(3)
     rho = random_density(rng)
     rec = record_for(rho, shots=2000, seed=5)
-    projs = np.stack([projector(lbl) for lbl in rec.settings])
+    projs = np.stack([projector(lbl) for lbl in DEFAULT_SETTINGS])
     counts = rec.counts.astype(float)
     shots = float(rec.shots)
 
@@ -193,73 +193,62 @@ def test_qst_mle_mixed_record_beats_projected_linear():
 
 # qst_mle outputs of the L-BFGS-B optimizer (Newton-polished, gradient-norm
 # tolerance 1e-8) that the closed form replaced, as Stokes vectors:
-# (settings, counts, shots, S).  Interior and boundary records and zero-count
-# axes.  The rows with repeated labels must be rejected: a record holds each
-# of the six labels exactly once.
+# (counts, shots, S), the counts in h v p m r l order.  Interior and boundary
+# records and zero-count axes.  The rows of seven to nine counts, the six
+# settings and some of them again, must be rejected: a record holds one count
+# per setting.
 REFERENCE_MLE = [
-    ("hvpmrl", [1615, 8166, 8108, 1995, 2927, 7165], 10000, (-0.6697679173908597, 0.6050678016430762, -0.41993658343242174)),
-    ("hvpmrl", [47591, 52290, 26411, 73800, 6191, 93717], 100000, (-0.04704598472181898, -0.4728921974633523, -0.8760659807022461)),
-    ("hvpmrl", [65190, 34814, 58623, 41242, 3691, 96322], 100000, (0.30374785008599664, 0.17404496069694086, -0.9261895953526041)),
-    ("hvpmrl", [21, 968, 464, 559, 660, 323], 1000, (-0.9465823172375532, -0.08390324299023429, 0.31135536370665934)),
-    ("hvpmrl", [1031, 19, 638, 332, 528, 491], 1000, (0.956526400422133, 0.28974453755100243, 0.03324677811206846)),
-    ("hvpmrl", [98922, 1201, 60683, 38985, 48451, 51629], 100000, (0.975755141183595, 0.21657430626862575, -0.03158281681620702)),
-    ("hvpmrl", [765, 262, 901, 57, 569, 414], 1000, (0.47097900104486334, 0.8693267757275036, 0.14983236492161883)),
-    ("hvpmrl", [4, 5, 9, 0, 7, 5], 10, (-0.07383219722745016, 0.989878791936514, 0.1211972933974797)),
-    ("hvpmrl", [0, 5, 7, 2, 2, 8], 10, (-0.7789051659344869, 0.41736338358100833, -0.46809672988217005)),
-    ("hvpmrl", [4, 4, 3, 4, 0, 14], 10, (0.0, -0.0714743299239615, -0.997442439523164)),
-    ("hvpmrl", [0, 1000, 480, 520, 510, 490], 1000, (-0.9995554752004738, -0.026667061992056755, 0.013331159044383523)),
-    ("hvpmrl", [0, 500, 0, 500, 250, 250], 500, (-0.7071067811865476, -0.7071067811865476, 0.0)),
-    ("hvpmrl", [7, 0, 3, 0, 0, 5], 10, (0.7253166627644516, 0.3867438647856248, -0.5695128811246655)),
-    ("hvpmrlhv", [400, 600, 500, 500, 500, 500, 420, 580], 1000, (-0.1800000000000001, 0.0, 0.0)),
-    ("hvpmrlhv", [64, 26, 19, 72, 83, 22, 77, 18], 100, (0.5243243243243244, -0.5824175824175825, 0.580952380952381)),
-    ("hvpmrlh", [400, 600, 500, 500, 500, 500, 420], 1000, (-0.1851168181786645, 0.0, 0.0)),
-    ("hvpmrlhv", [14, 79, 29, 72, 20, 91, 23, 92], 100, (-0.6432068617756939, -0.4237984430925956, -0.6377145228054286)),
-    ("hvpmrlhv", [466, 544, 145, 847, 126, 923, 455, 527], 1000, (-0.07227991675787115, -0.6767099202599108, -0.7326931809804843)),
-    ("hvpmrlhv", [1, 8, 5, 6, 8, 0, 0, 11], 10, (-0.7793142870511559, -0.0530069116483598, 0.6243873071383271)),
-    ("hvpmrlh", [50, 91, 50, 59, 83, 37, 36], 100, (-0.2874012734514468, -0.08256880733948314, 0.3833333333333179)),
-    ("hvpmrll", [12520, 87711, 64590, 35806, 70021, 29874, 29865], 100000, (-0.7501770909199748, 0.28670464958763303, 0.4022252145441308)),
-    ("hvpmrlh", [0, 600, 500, 500, 500, 500, 0], 1000, (-1.0, 0.0, 0.0)),
-    ("hvpmrlvp", [72072, 27755, 5813, 94411, 42370, 57955, 27825, 5905], 100000, (0.4433941552316098, -0.882808548290658, -0.15508284937860817)),
-    ("hvpmrlpvp", [9692, 309, 5912, 4086, 6391, 3473, 5915, 307, 5726], 10000, (0.9383999999999998, 0.174251921066261, 0.295823195458232)),
-    ("hvpmrlmr", [8, 5, 11, 0, 8, 11, 0, 3], 10, (0.12716765384690565, 0.9804320816870379, -0.15027082555803956)),
-    ("hvpmrlp", [7, 4, 8, 3, 0, 12, 7], 10, (0.17198958574588558, 0.31204596013231417, -0.9343697882316513)),
-    ("hvpmrlrrm", [990, 10, 3, 0, 1000, 0, 997, 1001, 2], 1000, (0.5568577470125633, 0.4525209476314486, 0.6965157870047367)),
-    ("hvpmrlpph", [1, 82, 38, 54, 54, 70, 34, 45, 0], 100, (-0.9813981083988152, -0.1646178779138124, -0.09878616857830053)),
+    ([1615, 8166, 8108, 1995, 2927, 7165], 10000, (-0.6697679173908597, 0.6050678016430762, -0.41993658343242174)),
+    ([47591, 52290, 26411, 73800, 6191, 93717], 100000, (-0.04704598472181898, -0.4728921974633523, -0.8760659807022461)),
+    ([65190, 34814, 58623, 41242, 3691, 96322], 100000, (0.30374785008599664, 0.17404496069694086, -0.9261895953526041)),
+    ([21, 968, 464, 559, 660, 323], 1000, (-0.9465823172375532, -0.08390324299023429, 0.31135536370665934)),
+    ([1031, 19, 638, 332, 528, 491], 1000, (0.956526400422133, 0.28974453755100243, 0.03324677811206846)),
+    ([98922, 1201, 60683, 38985, 48451, 51629], 100000, (0.975755141183595, 0.21657430626862575, -0.03158281681620702)),
+    ([765, 262, 901, 57, 569, 414], 1000, (0.47097900104486334, 0.8693267757275036, 0.14983236492161883)),
+    ([4, 5, 9, 0, 7, 5], 10, (-0.07383219722745016, 0.989878791936514, 0.1211972933974797)),
+    ([0, 5, 7, 2, 2, 8], 10, (-0.7789051659344869, 0.41736338358100833, -0.46809672988217005)),
+    ([4, 4, 3, 4, 0, 14], 10, (0.0, -0.0714743299239615, -0.997442439523164)),
+    ([0, 1000, 480, 520, 510, 490], 1000, (-0.9995554752004738, -0.026667061992056755, 0.013331159044383523)),
+    ([0, 500, 0, 500, 250, 250], 500, (-0.7071067811865476, -0.7071067811865476, 0.0)),
+    ([7, 0, 3, 0, 0, 5], 10, (0.7253166627644516, 0.3867438647856248, -0.5695128811246655)),
+    ([400, 600, 500, 500, 500, 500, 420, 580], 1000, (-0.1800000000000001, 0.0, 0.0)),
+    ([64, 26, 19, 72, 83, 22, 77, 18], 100, (0.5243243243243244, -0.5824175824175825, 0.580952380952381)),
+    ([400, 600, 500, 500, 500, 500, 420], 1000, (-0.1851168181786645, 0.0, 0.0)),
+    ([14, 79, 29, 72, 20, 91, 23, 92], 100, (-0.6432068617756939, -0.4237984430925956, -0.6377145228054286)),
+    ([466, 544, 145, 847, 126, 923, 455, 527], 1000, (-0.07227991675787115, -0.6767099202599108, -0.7326931809804843)),
+    ([1, 8, 5, 6, 8, 0, 0, 11], 10, (-0.7793142870511559, -0.0530069116483598, 0.6243873071383271)),
+    ([50, 91, 50, 59, 83, 37, 36], 100, (-0.2874012734514468, -0.08256880733948314, 0.3833333333333179)),
+    ([12520, 87711, 64590, 35806, 70021, 29874, 29865], 100000, (-0.7501770909199748, 0.28670464958763303, 0.4022252145441308)),
+    ([0, 600, 500, 500, 500, 500, 0], 1000, (-1.0, 0.0, 0.0)),
+    ([72072, 27755, 5813, 94411, 42370, 57955, 27825, 5905], 100000, (0.4433941552316098, -0.882808548290658, -0.15508284937860817)),
+    ([9692, 309, 5912, 4086, 6391, 3473, 5915, 307, 5726], 10000, (0.9383999999999998, 0.174251921066261, 0.295823195458232)),
+    ([8, 5, 11, 0, 8, 11, 0, 3], 10, (0.12716765384690565, 0.9804320816870379, -0.15027082555803956)),
+    ([7, 4, 8, 3, 0, 12, 7], 10, (0.17198958574588558, 0.31204596013231417, -0.9343697882316513)),
+    ([990, 10, 3, 0, 1000, 0, 997, 1001, 2], 1000, (0.5568577470125633, 0.4525209476314486, 0.6965157870047367)),
+    ([1, 82, 38, 54, 54, 70, 34, 45, 0], 100, (-0.9813981083988152, -0.1646178779138124, -0.09878616857830053)),
 ]
 
 
 def test_qst_mle_matches_the_reference_optimizer():
     assert len(REFERENCE_MLE) >= 20
-    for labels, counts, shots, s_ref in REFERENCE_MLE:
-        if len(labels) != 6:
-            with pytest.raises(ValueError, match="once each"):
-                MeasurementRecord(tuple(labels), np.array(counts), shots, 0)
+    for counts, shots, s_ref in REFERENCE_MLE:
+        if len(counts) != 6:
+            with pytest.raises(ValueError, match="need exactly one count per setting"):
+                MeasurementRecord(np.array(counts), shots, 0)
             continue
-        rec = MeasurementRecord(tuple(labels), np.array(counts), shots, 0)
-        est = qst_mle(rec)
+        est = qst_mle(MeasurementRecord(np.array(counts), shots, 0))
         assert_density(est)
-        assert np.abs(stokes_from_density(est) - s_ref).max() <= 1e-8, (labels, counts)
-
-
-def test_records_with_duplicated_labels_are_rejected():
-    with pytest.raises(ValueError, match="once each"):
-        MeasurementRecord(tuple("hvpmrlhv"), np.array([400, 600, 500, 500, 500, 500, 420, 580]), 1000, 0)
-    with pytest.raises(ValueError, match="once each"):
-        MeasurementRecord(tuple("hvpmrlh"), np.array([400, 600, 500, 500, 500, 500, 420]), 1000, 0)
-
-
-LABELS = ("h", "v", "p", "m", "r", "l")
+        assert np.abs(stokes_from_density(est) - s_ref).max() <= 1e-8, counts
 
 
 @st.composite
 def records(draw):
-    labels = tuple(draw(st.permutations(LABELS)))
     size = draw(st.sampled_from([20, 1000, 10**6]))
-    counts = draw(st.lists(st.integers(0, size), min_size=len(labels), max_size=len(labels)))
-    for plus, minus in (("h", "v"), ("p", "m"), ("r", "l")):
-        if sum(n for lbl, n in zip(labels, counts) if lbl in (plus, minus)) == 0:
-            counts[labels.index(plus)] = 1
-    return MeasurementRecord(labels, np.array(counts), draw(st.integers(1, 2 * size)), 0)
+    counts = draw(st.lists(st.integers(0, size), min_size=6, max_size=6))
+    for plus in (0, 2, 4):  # h, p and r: each pair of DEFAULT_SETTINGS gets a count
+        if counts[plus] + counts[plus + 1] == 0:
+            counts[plus] = 1
+    return MeasurementRecord(np.array(counts), draw(st.integers(1, 2 * size)), 0)
 
 
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
@@ -335,7 +324,7 @@ def boundary_axes(rng):
 
 def record_of(axes):
     counts = np.array([n for pair in axes for n in pair])
-    return MeasurementRecord(LABELS, counts, max(a + b for a, b in axes), 0)
+    return MeasurementRecord(counts, max(a + b for a, b in axes), 0)
 
 
 @pytest.fixture(scope="module")
